@@ -226,9 +226,12 @@ def verb_enumerate_ovic(args):
 
 
 def verb_noether_span(args):
+    try:
+        field = parse_field(args.k)
+    except ValueError as exc:
+        raise UsageError(f"--k {args.k}: {exc}") from None
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
-    field = parse_field(args.k)
     gens = load_generators(args.gens, emb, field, d=args.d)
     timings = {}
     t0 = time.perf_counter()

@@ -78,6 +78,8 @@ class FiniteRing:
             _validate_tables(self)
         self._neg = tuple(self._add[a].index(self.zero) for a in range(size))
         self._unit_cache: Optional[tuple[Optional[int], ...]] = None
+        # F_p data of the p-parts, built on first use when this is a quotient R/J
+        self._fp_cache: Optional[tuple[_FpPart, ...]] = None
         # lazily built structure caches (radical / quotient / AW embedding)
         self._radical = None
         self._quotient = None
@@ -899,10 +901,6 @@ class RMatrix:
         return RMatrix(r, self.rows, self.cols,
                        [r.sub(a, b) for a, b in zip(self.entries, other.entries)])
 
-    def scale_right(self, x: int) -> "RMatrix":
-        mul = self.ring._mul
-        return RMatrix(self.ring, self.rows, self.cols, [mul[e][x] for e in self.entries])
-
     def transpose(self) -> "RMatrix":
         return RMatrix(self.ring, self.cols, self.rows,
                        [self.get(r, c) for c in range(self.cols) for r in range(self.rows)])
@@ -925,17 +923,6 @@ class RMatrix:
     def insert_row(self, pos: int, values: Sequence[int]) -> "RMatrix":
         rows = [list(self.row(r)) for r in range(self.rows)]
         rows.insert(pos, [int(v) for v in values])
-        return RMatrix.from_rows(self.ring, rows, cols=self.cols)
-
-    def drop_col(self, pos: int) -> "RMatrix":
-        rows = [list(self.row(r)) for r in range(self.rows)]
-        for r in rows:
-            del r[pos]
-        return RMatrix.from_rows(self.ring, rows, cols=self.cols - 1)
-
-    def drop_row(self, pos: int) -> "RMatrix":
-        rows = [list(self.row(r)) for r in range(self.rows)]
-        del rows[pos]
         return RMatrix.from_rows(self.ring, rows, cols=self.cols)
 
     def __eq__(self, other) -> bool:
@@ -972,12 +959,137 @@ def matvec(ring: FiniteRing, m: RMatrix, vec: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+# ---------------------------------------------------------------------------
+# invertibility: F_p linear algebra on the semisimple quotient
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _FpPart:
+    """The p-part ``P = e*Q`` of a semisimple ring Q as an F_p-vector space.
+
+    ``e = eps*1`` with eps = 1 mod p and eps = 0 mod c/p (c the
+    characteristic) is a central idempotent, so y -> a*y maps P into itself
+    for every a in Q.
+    """
+
+    p: int
+    dim: int
+    lmul: tuple  # per element a: the dim rows of the F_p matrix of y -> a*y on P
+    one: tuple[int, ...]  # coordinates of e, the identity of P
+    element: dict  # coordinate tuple -> element of P
+
+
+def _multiple(ring: FiniteRing, k: int, x: int) -> int:
+    acc = ring.zero
+    for _ in range(k):
+        acc = ring._add[acc][x]
+    return acc
+
+
+def _fp_parts(qr: FiniteRing) -> tuple[_FpPart, ...]:
+    """The p-parts of the semisimple ring ``qr``, one per prime p | char(qr).
+
+    A semisimple finite ring has squarefree characteristic and is the direct
+    sum of its p-parts; anything else means ``qr`` is not R/J (bug guard).
+    Built once per ring and cached on it.
+    """
+    if qr._fp_cache is not None:
+        return qr._fp_cache
+    add, mul, zero = qr._add, qr._mul, qr.zero
+    char, x = 1, qr.one
+    while x != zero:
+        x = add[x][qr.one]
+        char += 1
+    parts = []
+    rest = char
+    for p in range(2, char + 1):
+        if rest % p:
+            continue
+        rest //= p
+        if rest % p == 0:
+            raise RuntimeError(f"{qr.name} has characteristic {char}, "
+                               "not squarefree")  # bug guard
+        cofactor = char // p
+        e = _multiple(qr, cofactor * pow(cofactor, -1, p) % char, qr.one)
+        members = sorted({mul[e][y] for y in qr.elements()})
+        if any(_multiple(qr, p, y) != zero for y in members):
+            raise RuntimeError(f"{p}-part of {qr.name} is not "
+                               "elementary abelian")  # bug guard
+        # greedy basis in index order; coords maps each element of its span
+        # to its coordinates
+        coords: dict[int, tuple[int, ...]] = {zero: ()}
+        basis = []
+        for y in members:
+            if y in coords:
+                continue
+            basis.append(y)
+            grown = {}
+            step = zero
+            for k in range(p):
+                for z, c in coords.items():
+                    grown[add[z][step]] = c + (k,)
+                step = add[step][y]
+            coords = grown
+        lmul = tuple(tuple(zip(*(coords[mul[a][b]] for b in basis)))
+                     for a in qr.elements())
+        parts.append(_FpPart(p, len(basis), lmul, coords[e],
+                             {c: z for z, c in coords.items()}))
+    qr._fp_cache = tuple(parts)
+    return qr._fp_cache
+
+
+def _quotient_inverse(qr: FiniteRing, n: int,
+                      entries: Sequence[int]) -> Optional[list[int]]:
+    """Row-major inverse of an n x n matrix over the semisimple ``qr``, or None.
+
+    Over each p-part, v -> Mv is an F_p-linear map of P^n; M is invertible iff
+    every such map is.  One Gauss-Jordan pass per part, with the coordinates
+    of e*(unit vector j) as right-hand sides, yields that part of the inverse.
+    """
+    qadd = qr._add
+    inv = [qr.zero] * (n * n)
+    for part in _fp_parts(qr):
+        p, r, lmul, one = part.p, part.dim, part.lmul, part.one
+        size = n * r
+        rows = []
+        for i in range(n):
+            blocks = [lmul[a] for a in entries[i * n:(i + 1) * n]]
+            for s in range(r):
+                rhs = [0] * n
+                rhs[i] = one[s]
+                rows.append([v for blk in blocks for v in blk[s]] + rhs)
+        for col in range(size):
+            piv = col
+            while not rows[piv][col]:
+                piv += 1
+                if piv == size:
+                    return None
+            prow = rows[piv]
+            rows[piv] = rows[col]
+            if prow[col] != 1:
+                f = pow(prow[col], -1, p)
+                prow = [v * f % p for v in prow]
+            rows[col] = prow
+            for k in range(size):
+                f = rows[k][col]
+                if f and k != col:
+                    rows[k] = [(v - f * w) % p for v, w in zip(rows[k], prow)]
+        element = part.element
+        for i in range(n):
+            block = rows[i * r:(i + 1) * r]
+            for j in range(n):
+                x = element[tuple(row[size + j] for row in block)]
+                inv[i * n + j] = qadd[inv[i * n + j]][x]
+    return inv
+
+
 def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatrix]]:
     """Two-sided invertibility over the source ring.
 
-    Decides via invertibility of the reduction over the semisimple quotient
-    (exhaustive preimage scan), then lifts an actual inverse by Newton
-    iteration X <- X(2I - MX) and verifies both products.
+    M is invertible iff its reduction is invertible over the semisimple
+    quotient R/J, which is decided by F_p Gauss-Jordan elimination on each
+    p-part of R/J in time polynomial in n.  An actual inverse is then lifted
+    by Newton iteration X <- X(2I - MX) and both products are verified.
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols} matrix")
@@ -989,24 +1101,10 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
         return True, RMatrix(ring, 0, 0, [])
     qr = q.quotient
     mbar = m.reduce(q)
-    # scan the quotient vector space once: kernel triviality decides
-    # invertibility, and the preimages of the standard basis assemble
-    # an inverse of the reduction
-    target_cols: dict[tuple[int, ...], tuple[int, ...]] = {}
-    basis = [tuple(qr.one if i == j else qr.zero for i in range(n)) for j in range(n)]
-    kernel_nontrivial = False
-    zero_vec = tuple([qr.zero] * n)
-    for vec in iter_vectors(qr, n):
-        image = matvec(qr, mbar, vec)
-        if image == zero_vec and vec != zero_vec:
-            kernel_nontrivial = True
-            break
-        if image not in target_cols:
-            target_cols[image] = vec
-    if kernel_nontrivial or any(b not in target_cols for b in basis):
+    inv = _quotient_inverse(qr, n, mbar.entries)
+    if inv is None:
         return False, None
-    inv_bar = RMatrix(qr, n, n,
-                      [target_cols[basis[j]][i] for i in range(n) for j in range(n)])
+    inv_bar = RMatrix(qr, n, n, inv)
     ident_bar = RMatrix.identity(qr, n)
     if mbar.mul(inv_bar) != ident_bar or inv_bar.mul(mbar) != ident_bar:
         raise RuntimeError("quotient inverse failed verification")  # bug guard

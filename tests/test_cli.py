@@ -162,6 +162,17 @@ def test_noether_span_cli(f2_file, tmp_path, capsys):
     assert dims == {0: 0, 1: 1, 2: 6, 3: 28}
 
 
+def test_noether_span_non_prime_field_is_usage_error(f2_file, tmp_path, capsys):
+    gpath = tmp_path / "gens.json"
+    gpath.write_text("[]")
+    code, payload, err = run_cli(capsys, "noether", "span", "--ring", str(f2_file),
+                                 "--d", "1", "--k", "F4", "--gens", str(gpath),
+                                 "--horizon", "2")
+    assert code == 2
+    assert payload is None
+    assert "usage error" in err and "F4" in err
+
+
 def test_noether_endo_cli(capsys):
     code, payload, _ = run_cli(capsys, "noether", "endo", "--builtin", "Z4",
                                "--d", "1", "--horizon", "2")

@@ -1,0 +1,139 @@
+"""Differential test of ``matrix_invertible`` against the exhaustive scan.
+
+The oracle below scans every vector of (R/J)^n: the reduction of M is
+invertible iff v -> Mv has trivial kernel, and the preimages of the unit
+vectors are the columns of its inverse.  The inverse is then lifted by the
+same Newton iteration.  Two-sided inverses are unique, so the library and the
+oracle must return identical verdicts and identical witnesses.
+"""
+
+from __future__ import annotations
+
+import random
+
+import numpy as np
+import pytest
+
+from vicbench.rings import (
+    BUILTIN_NAMES,
+    IdealSet,
+    QuotientData,
+    RMatrix,
+    build_ring,
+    builtin_ring,
+    matrix_invertible,
+    quotient_by_radical,
+)
+
+MIXED_SPECS = (
+    "matrix_ring(zmod(3),2)",
+    "product(zmod(2),zmod(3))",
+    "product(upper_triangular(zmod(2),2),zmod(3))",
+    "zmod(12)",
+)
+
+
+def scan_matrix_invertible(m, q):
+    """Exhaustive preimage scan over the quotient, then Newton lifting.
+
+    The scan is vectorised: row k of ``vecs`` is the k-th vector of
+    ``itertools.product(Q, repeat=n)``, and its image under M is folded
+    column by column through the quotient's tables.
+    """
+    ring, qr, n = m.ring, q.quotient, m.rows
+    add, mul = np.asarray(qr.add_table), np.asarray(qr.mul_table)
+    mbar = np.asarray(m.reduce(q).entries).reshape(n, n)
+    vecs = np.stack(np.unravel_index(np.arange(qr.size ** n), (qr.size,) * n), axis=1)
+    images = np.full(vecs.shape, qr.zero)
+    for i in range(n):
+        for t in range(n):
+            images[:, i] = add[images[:, i], mul[mbar[i, t], vecs[:, t]]]
+    kernel = (images == qr.zero).all(axis=1) & (vecs != qr.zero).any(axis=1)
+    if kernel.any():
+        return False, None
+    cols = []
+    for j in range(n):
+        hits = np.flatnonzero((images == [qr.one if i == j else qr.zero
+                                          for i in range(n)]).all(axis=1))
+        if hits.size == 0:
+            return False, None
+        cols.append(vecs[hits[0]].tolist())
+    x = RMatrix(qr, n, n, [cols[j][i] for i in range(n) for j in range(n)]).lift(q)
+    ident = RMatrix.identity(ring, n)
+    two_ident = ident.add(ident)
+    for _ in range(q.nilpotency.bit_length() + 2):
+        if m.mul(x) == ident:
+            break
+        x = x.mul(two_ident.sub(m.mul(x)))
+    assert m.mul(x) == ident == x.mul(m)
+    return True, x
+
+
+def _unit_triangular(ring, n, lower, rng):
+    return RMatrix(ring, n, n, [
+        ring.one if i == j else rng.randrange(ring.size) if (i > j) == lower else ring.zero
+        for i in range(n) for j in range(n)])
+
+
+def _sample(ring, n, rng):
+    """One random matrix, one invertible by construction, one singular."""
+    yield RMatrix(ring, n, n, [rng.randrange(ring.size) for _ in range(n * n)])
+    yield (_unit_triangular(ring, n, True, rng)
+           .mul(_unit_triangular(ring, n, False, rng))
+           .mul(_unit_triangular(ring, n, True, rng)))
+    rows = [[rng.randrange(ring.size) for _ in range(n)] for _ in range(n)]
+    dep = rng.randrange(n)
+    rows[dep] = [ring.zero] * n
+    for j in range(n):
+        if j != dep:
+            c = rng.randrange(ring.size)
+            rows[dep] = [ring.add(a, ring.mul(c, b)) for a, b in zip(rows[dep], rows[j])]
+    yield RMatrix.from_rows(ring, rows)
+
+
+def _assert_agrees(m, q):
+    ok, witness = matrix_invertible(m, q)
+    ref_ok, ref_witness = scan_matrix_invertible(m, q)
+    assert ok == ref_ok, m
+    if ok:
+        assert witness.entries == ref_witness.entries, m
+    else:
+        assert witness is None
+
+
+@pytest.mark.parametrize("spec", BUILTIN_NAMES + MIXED_SPECS)
+def test_matches_scan(spec):
+    ring = builtin_ring(spec) if spec in BUILTIN_NAMES else build_ring(spec)
+    q = quotient_by_radical(ring)
+    rng = random.Random(f"invertible/{spec}")
+    for n in (1, 2, 3):
+        for m in _sample(ring, n, rng):
+            _assert_agrees(m, q)
+
+
+def test_matches_scan_f2s3_4x4():
+    ring = builtin_ring("F2S3")
+    q = quotient_by_radical(ring)
+    rng = random.Random("invertible/F2S3/4")
+    for m in _sample(ring, 4, rng):
+        _assert_agrees(m, q)
+
+
+def test_exhaustive_1x1_is_unit_test():
+    for name in BUILTIN_NAMES:
+        ring = builtin_ring(name)
+        q = quotient_by_radical(ring)
+        for a in ring.elements():
+            ok, w = matrix_invertible(RMatrix(ring, 1, 1, [a]), q)
+            assert ok == ring.is_unit(a)
+            assert w is None if not ok else w.entries == (ring.inv(a),)
+
+
+@pytest.mark.parametrize("spec", ["zmod(4)", "product(zmod(2),zmod(4))"])
+def test_quotient_with_square_characteristic_is_rejected(spec):
+    """A 'quotient' whose characteristic is not squarefree is not semisimple."""
+    ring = build_ring(spec)
+    same = tuple(ring.elements())
+    fake = QuotientData(ring, IdealSet(ring, frozenset({ring.zero})), ring, same, same, 1)
+    with pytest.raises(RuntimeError, match="not squarefree"):
+        matrix_invertible(RMatrix.identity(ring, 2), fake)

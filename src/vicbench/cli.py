@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 domain error (structured {"error": ...} payload),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -27,6 +26,7 @@ from .jsonio import (
     load_vic_morphism,
     morphism_payload,
     ovic_from_payload,
+    read_json,
     save_ring,
 )
 from .noether import (
@@ -66,8 +66,7 @@ def _load_ring_arg(args) -> tuple[FiniteRing, dict]:
 
 
 def _morphism_input(path, emb) -> tuple[OvicMorphism, dict]:
-    payload = json.loads(Path(path).read_text())
-    return ovic_from_payload(payload, emb), {"path": str(path), "sha256": file_digest(path)}
+    return ovic_from_payload(read_json(path), emb), {"path": str(path), "sha256": file_digest(path)}
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +138,7 @@ def verb_ring_wedderburn(args):
 def verb_morphism_check(args):
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
-    payload = json.loads(Path(args.infile).read_text())
-    from .jsonio import vic_from_payload
-
-    vic = vic_from_payload(payload, ring)
+    vic = load_vic_morphism(args.infile, ring)
     adapted = is_column_adapted(vic.f_dprime, emb)
     result = {
         "d": vic.d,

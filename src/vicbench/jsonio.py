@@ -11,7 +11,7 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import InvalidMorphism, UsageError
+from .errors import BadShape, InvalidMorphism, UsageError
 from .noether import ModuleElement
 from .ovic import OvicMorphism, VicMorphism
 from .rings import FiniteRing, RMatrix
@@ -30,8 +30,18 @@ def file_digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def read_json(path):
+    """Parsed contents of an input file; unreadable or non-JSON files raise."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise BadShape(f"{path} is not valid JSON: {exc}") from None
+
+
 def load_ring(path, validate: bool = True) -> FiniteRing:
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     return FiniteRing.from_payload(payload, validate=validate)
 
 
@@ -49,15 +59,42 @@ def _check_ring_reference(ref, ring: FiniteRing) -> None:
 
 
 def load_vic_morphism(path, ring: FiniteRing) -> VicMorphism:
-    payload = json.loads(Path(path).read_text())
-    return vic_from_payload(payload, ring)
+    return vic_from_payload(read_json(path), ring)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _matrix_field(payload: dict, key: str, rows: int, cols: int,
+                  ring: FiniteRing) -> RMatrix:
+    value = payload[key]
+    if (not isinstance(value, list) or len(value) != rows
+            or any(not isinstance(row, list) or len(row) != cols for row in value)):
+        raise InvalidMorphism(f"{key} must be a {rows}x{cols} matrix: "
+                              f"a list of {rows} row(s) of {cols} entries each")
+    entries = [v for row in value for v in row]
+    for v in entries:
+        if not _is_int(v) or not 0 <= v < ring.size:
+            raise InvalidMorphism(f"{key} entry {v!r} is not an element of "
+                                  f"{ring.name} (0..{ring.size - 1})")
+    return RMatrix(ring, rows, cols, entries)
 
 
 def vic_from_payload(payload: dict, ring: FiniteRing) -> VicMorphism:
+    """Validate a morphism payload against ``ring`` and build the morphism."""
+    if not isinstance(payload, dict):
+        raise InvalidMorphism("morphism payload must be a JSON object")
+    missing = [k for k in ("d", "n", "f_prime", "f_dprime") if k not in payload]
+    if missing:
+        raise InvalidMorphism(f"morphism payload lacks {', '.join(missing)}")
     _check_ring_reference(payload.get("ring"), ring)
-    d, n = int(payload["d"]), int(payload["n"])
-    f_prime = RMatrix(ring, n, d, [v for row in payload["f_prime"] for v in row])
-    f_dprime = RMatrix(ring, d, n, [v for row in payload["f_dprime"] for v in row])
+    d, n = payload["d"], payload["n"]
+    for key, v in (("d", d), ("n", n)):
+        if not _is_int(v) or v < 0:
+            raise InvalidMorphism(f"{key} must be a non-negative integer, got {v!r}")
+    f_prime = _matrix_field(payload, "f_prime", n, d, ring)
+    f_dprime = _matrix_field(payload, "f_dprime", d, n, ring)
     return VicMorphism(f_prime, f_dprime)
 
 
@@ -73,7 +110,7 @@ def morphism_payload(f: VicMorphism) -> dict:
 def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
                     ) -> list[ModuleElement]:
     """Generator file: [{"degree": n, "terms": [{"coeff": c, "morphism": {...}}]}]."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if not isinstance(payload, list):
         raise UsageError("generator file must be a JSON list")
     out = []

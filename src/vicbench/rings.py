@@ -700,13 +700,14 @@ def nilpotency_index(ring: FiniteRing, ideal: IdealSet) -> Optional[int]:
         k += 1
 
 
-def jacobson_radical(ring: FiniteRing, spot_check: bool = True,
-                     spot_check_limit: int = 16) -> IdealSet:
+def jacobson_radical(ring: FiniteRing) -> IdealSet:
     """All y such that 1 - x*y*z is a unit for every x, z.
 
-    Also verifies the Artinian characterisation: the result is a nilpotent
-    ideal, and (spot check) adjoining any element outside it destroys
-    nilpotency.
+    Also verifies that the result is a two-sided nilpotent ideal.  That it
+    contains every nilpotent ideal is guarded where R/J is decomposed:
+    ``wedderburn.semisimple_decompose`` rejects a quotient with a nonzero
+    radical, and a nilpotent ideal I strictly containing J would leave the
+    nonzero nilpotent ideal I/J there.
     """
     if ring._radical is not None:
         return ring._radical
@@ -725,14 +726,6 @@ def jacobson_radical(ring: FiniteRing, spot_check: bool = True,
     k = nilpotency_index(ring, radical)
     if k is None or k > ring.size:
         raise InvalidTables("radical_nilpotent", detail=f"nilpotency index {k}")
-    if spot_check:
-        outside = [w for w in ring.elements() if w not in radical.members]
-        if ring.size > 64:
-            outside = outside[:spot_check_limit]
-        for w in outside:
-            bigger = ideal_closure(ring, set(radical.members) | {w})
-            if nilpotency_index(ring, bigger) is not None:
-                raise InvalidTables("radical_maximal", (w,))
     ring._radical = radical
     return radical
 
@@ -783,6 +776,8 @@ def quotient_by_radical(ring: FiniteRing) -> QuotientData:
              for a in range(qsize)]
     q_mul = [[projection[ring.mul(section[a], section[b])] for b in range(qsize)]
              for a in range(qsize)]
+    # R's tables are validated and J is a verified two-sided ideal, so these
+    # tables are well defined on cosets and satisfy the ring axioms
     quotient = FiniteRing(
         name=f"{ring.name}/J",
         size=qsize,
@@ -791,33 +786,11 @@ def quotient_by_radical(ring: FiniteRing) -> QuotientData:
         add=q_add,
         mul=q_mul,
         labels=[ring.label(r) for r in reps],
+        validate=False,
     )
-    # well-definedness: operations must commute with the projection everywhere
-    for a in ring.elements():
-        pa = projection[a]
-        for b in ring.elements():
-            if projection[ring.add(a, b)] != q_add[pa][projection[b]]:
-                raise InvalidTables("quotient_add_well_defined", (a, b))
-            if projection[ring.mul(a, b)] != q_mul[pa][projection[b]]:
-                raise InvalidTables("quotient_mul_well_defined", (a, b))
     qdata = QuotientData(ring, radical, quotient, projection, section, k)
-    qrad = _definitional_radical(quotient)
-    if qrad != {quotient.zero}:
-        raise InvalidTables("quotient_radical_nonzero")
     ring._quotient = qdata
     return qdata
-
-
-def _definitional_radical(ring: FiniteRing) -> set[int]:
-    out = set()
-    for y in ring.elements():
-        if all(
-            ring.is_unit(ring.sub(ring.one, ring.mul(ring.mul(x, y), z)))
-            for x in ring.elements()
-            for z in ring.elements()
-        ):
-            out.add(y)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -143,13 +143,17 @@ def _build_corner_field(ring: FiniteRing, ebar: int) -> CornerField:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Block data of a semisimple ring: q blocks, multiplicities, field orders,
-    grouped primitive idempotents."""
+    """Block data of a semisimple ring: q blocks, multiplicities, the corner
+    field of each block, grouped primitive idempotents."""
 
     q: int
     mu: tuple[int, ...]
-    field_orders: tuple[int, ...]
+    corner_fields: tuple[CornerField, ...]
     idempotents_bar: tuple[tuple[int, ...], ...]
+
+    @property
+    def field_orders(self) -> tuple[int, ...]:
+        return tuple(f.order for f in self.corner_fields)
 
 
 def semisimple_decompose(q: QuotientData) -> Decomposition:
@@ -176,7 +180,7 @@ def semisimple_decompose(q: QuotientData) -> Decomposition:
         key=lambda cls: (len(corner_set(rbar, cls[0], cls[0])), len(cls), cls[0]),
     )
     mu = tuple(len(cls) for cls in keyed)
-    fields = [_build_corner_field(rbar, cls[0]) for cls in keyed]
+    fields = tuple(_build_corner_field(rbar, cls[0]) for cls in keyed)
     field_orders = tuple(f.order for f in fields)
 
     # Exhaustive isomorphism-class verification across the final grouping.
@@ -199,7 +203,7 @@ def semisimple_decompose(q: QuotientData) -> Decomposition:
         total *= d ** (m * m)
     if total != rbar.size:
         raise DecompositionFailed("block sizes do not multiply up to |Rbar|")
-    return Decomposition(len(keyed), mu, field_orders, tuple(tuple(c) for c in keyed))
+    return Decomposition(len(keyed), mu, fields, tuple(tuple(c) for c in keyed))
 
 
 def lift_idempotent(q: QuotientData, ebar: int, start: Optional[int] = None) -> int:
@@ -287,11 +291,15 @@ class AWData:
     quotient: QuotientData
     q: int
     mu: tuple[int, ...]
-    field_orders: tuple[int, ...]
+    corner_fields: tuple[CornerField, ...]
     idempotents_bar: tuple[tuple[int, ...], ...]
     idempotents: tuple[tuple[int, ...], ...]
     conjugators: tuple[tuple[tuple[int, int], ...], ...]
     blocks: dict
+
+    @property
+    def field_orders(self) -> tuple[int, ...]:
+        return tuple(f.order for f in self.corner_fields)
 
 
 class AWEmbedding:
@@ -338,9 +346,7 @@ class AWEmbedding:
             )
             for x in rbar.elements()
         )
-        self.corner_fields = tuple(
-            _build_corner_field(rbar, aw.idempotents_bar[k][0]) for k in range(aw.q)
-        )
+        self.corner_fields = aw.corner_fields
 
     # -- scalar level -------------------------------------------------------
 
@@ -364,9 +370,14 @@ class AWEmbedding:
     # -- matrix level ---------------------------------------------------------
 
     def phi_on_matrices(self, m: RMatrix) -> RMatrix:
+        return self._embed(m, self.ring, self._phi_entry)
+
+    def phi_bar_on_matrices(self, m: RMatrix) -> RMatrix:
+        return self._embed(m, self.qdata.quotient, self._phi_bar_entry)
+
+    def _embed(self, m: RMatrix, ring: FiniteRing, table) -> RMatrix:
+        """Replace each entry x of ``m`` by the mu x mu block ``table[x]``."""
         mu = self.mu_total
-        ring = self.ring
-        table = self._phi_entry
         out = [ring.zero] * (mu * m.rows * mu * m.cols)
         big_cols = mu * m.cols
         for r in range(m.rows):
@@ -377,21 +388,6 @@ class AWEmbedding:
                     src = p * mu
                     out[dst:dst + mu] = ent[src:src + mu]
         return RMatrix(ring, mu * m.rows, mu * m.cols, out)
-
-    def phi_bar_on_matrices(self, m: RMatrix) -> RMatrix:
-        mu = self.mu_total
-        rbar = self.qdata.quotient
-        table = self._phi_bar_entry
-        out = [rbar.zero] * (mu * m.rows * mu * m.cols)
-        big_cols = mu * m.cols
-        for r in range(m.rows):
-            for c in range(m.cols):
-                ent = table[m.get(r, c)]
-                for p in range(mu):
-                    dst = (mu * r + p) * big_cols + mu * c
-                    src = p * mu
-                    out[dst:dst + mu] = ent[src:src + mu]
-        return RMatrix(rbar, mu * m.rows, mu * m.cols, out)
 
     def recover(self, big: RMatrix) -> RMatrix:
         """Inverse of phi_on_matrices on its image; raises otherwise."""
@@ -459,7 +455,7 @@ def build_aw_data(ring: FiniteRing) -> AWData:
         quotient=q,
         q=dec.q,
         mu=dec.mu,
-        field_orders=dec.field_orders,
+        corner_fields=dec.corner_fields,
         idempotents_bar=dec.idempotents_bar,
         idempotents=lifted,
         conjugators=tuple(conjugators),

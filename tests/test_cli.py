@@ -206,7 +206,38 @@ def test_domain_error_exit_one(f2_file, tmp_path, capsys):
     assert payload["error"]["kind"] == "InvalidMorphism"
 
 
-def test_usage_error_exit_two(capsys):
+_GOOD_F2 = {"ring": "F2", "d": 1, "n": 2, "f_prime": [[1], [0]], "f_dprime": [[1, 0]]}
+
+# (case, file text, error kind, text the message must name)
+MALFORMED_MORPHISMS = [
+    ("missing-f_prime",
+     json.dumps({k: v for k, v in _GOOD_F2.items() if k != "f_prime"}),
+     "InvalidMorphism", "f_prime"),
+    ("entry-7-in-F2", json.dumps(dict(_GOOD_F2, f_dprime=[[7, 0]])),
+     "InvalidMorphism", "7"),
+    ("truncated-json", json.dumps(_GOOD_F2)[:30], "BadShape", "not valid JSON"),
+    ("ragged-f_dprime", json.dumps(dict(_GOOD_F2, f_dprime=[[1, 0], [1]])),
+     "InvalidMorphism", "f_dprime"),
+    ("d-not-integer", json.dumps(dict(_GOOD_F2, d="1")), "InvalidMorphism", "d must"),
+    ("not-an-object", json.dumps([_GOOD_F2]), "InvalidMorphism", "JSON object"),
+]
+
+
+@pytest.mark.parametrize("verb", [("morphism", "check"), ("morphism", "factor"),
+                                  ("order", "iota")])
+@pytest.mark.parametrize("case,text,kind,needle", MALFORMED_MORPHISMS,
+                         ids=[c[0] for c in MALFORMED_MORPHISMS])
+def test_malformed_morphism_is_structured_error(f2_file, tmp_path, capsys, verb,
+                                                case, text, kind, needle):
+    m = tmp_path / f"{case}.json"
+    m.write_text(text)
+    code, payload, _ = run_cli(capsys, *verb, "--ring", str(f2_file), "--in", str(m))
+    assert code == 1
+    assert payload["error"]["kind"] == kind
+    assert needle in payload["error"]["message"]
+
+
+def test_usage_error_exit_two(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ring", "describe", "--unknown-flag"])
     assert exc.value.code == 2
@@ -214,6 +245,10 @@ def test_usage_error_exit_two(capsys):
     code = main(["ring", "describe"])  # no ring given
     capsys.readouterr()
     assert code == 2
+    code = main(["morphism", "check", "--builtin", "F2",
+                 "--in", str(tmp_path / "absent.json")])
+    assert code == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_report_determinism(z4_file, capsys):

@@ -14,6 +14,7 @@ from vicbench.errors import InvalidTables, NotSquare, SizeCapExceeded
 from vicbench.rings import (
     BUILTIN_NAMES,
     FiniteRing,
+    IdealSet,
     RMatrix,
     build_ring,
     builtin_ring,
@@ -213,6 +214,17 @@ def test_ideal_closure_is_ideal(t2f2):
     ideal = ideal_closure(t2f2, {2})
     ideal.verify()
     assert 2 in ideal.members
+
+
+def test_ideal_verify_rejects_non_ideals(z4, t2f2):
+    """IdealSet.verify is what makes R/J well defined; it must fire."""
+    with pytest.raises(InvalidTables) as exc:
+        IdealSet(z4, frozenset({0, 1})).verify()
+    assert exc.value.law == "ideal_add_closed"
+    assert t2f2.label(4) == "[1,0;0,0]"  # E11
+    with pytest.raises(InvalidTables) as exc:
+        IdealSet(t2f2, frozenset({0, 4})).verify()
+    assert exc.value.law == "ideal_mul_closed"
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,14 @@ def verb_order_chain(args):
     return {"ring": digest, "a": da, "b": db}, result
 
 
+def _check_non_negative(**values) -> None:
+    for name, value in values.items():
+        if value < 0:
+            raise UsageError(f"--{name} {value}: must be non-negative")
+
+
 def verb_enumerate_ovic(args):
+    _check_non_negative(d=args.d, n=args.n)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     if args.vic:
@@ -226,6 +233,7 @@ def verb_noether_span(args):
         field = parse_field(args.k)
     except ValueError as exc:
         raise UsageError(f"--k {args.k}: {exc}") from None
+    _check_non_negative(d=args.d, horizon=args.horizon)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     gens = load_generators(args.gens, emb, field, d=args.d)
@@ -255,6 +263,7 @@ def verb_noether_span(args):
 
 
 def verb_noether_endo(args):
+    _check_non_negative(d=args.d, horizon=args.horizon)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     report = check_endo_generation(emb, args.d, args.horizon, budget=args.budget)

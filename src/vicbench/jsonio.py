@@ -41,7 +41,32 @@ def read_json(path):
 
 
 def load_ring(path, validate: bool = True) -> FiniteRing:
-    payload = read_json(path)
+    return ring_from_payload(read_json(path), validate=validate)
+
+
+def ring_from_payload(payload, validate: bool = True) -> FiniteRing:
+    """Check a ring payload's keys and types, then build (and by default
+    validate) the ring; table shapes and ranges are the ring's own checks."""
+    if not isinstance(payload, dict):
+        raise BadShape("ring payload must be a JSON object")
+    missing = [k for k in ("size", "zero", "one", "add", "mul") if k not in payload]
+    if missing:
+        raise BadShape(f"ring payload lacks {', '.join(missing)}")
+    if not _is_int(payload["size"]) or payload["size"] <= 0:
+        raise BadShape(f"size must be a positive integer, got {payload['size']!r}")
+    for key in ("zero", "one"):
+        if not _is_int(payload[key]):
+            raise BadShape(f"{key} must be an integer, got {payload[key]!r}")
+    for key in ("add", "mul"):
+        table = payload[key]
+        if not isinstance(table, list) or any(
+                not isinstance(row, list) or not all(_is_int(v) for v in row)
+                for row in table):
+            raise BadShape(f"{key} must be a table: a list of rows of integers")
+    if not isinstance(payload.get("name", ""), str):
+        raise BadShape("name must be a string")
+    if not isinstance(payload.get("labels", []), list):
+        raise BadShape("labels must be a list")
     return FiniteRing.from_payload(payload, validate=validate)
 
 
@@ -114,10 +139,23 @@ def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
     if not isinstance(payload, list):
         raise UsageError("generator file must be a JSON list")
     out = []
-    for item in payload:
-        degree = int(item["degree"])
+    for pos, item in enumerate(payload):
+        where = f"generator {pos}"
+        if not isinstance(item, dict):
+            raise BadShape(f"{where} must be a JSON object")
+        missing = [k for k in ("degree", "terms") if k not in item]
+        if missing:
+            raise BadShape(f"{where} lacks {', '.join(missing)}")
+        degree = item["degree"]
+        if not _is_int(degree) or degree < 0:
+            raise BadShape(f"{where}: degree must be a non-negative integer, "
+                           f"got {degree!r}")
+        if not isinstance(item["terms"], list):
+            raise BadShape(f"{where}: terms must be a list")
         terms = {}
-        for term in item["terms"]:
+        for t, term in enumerate(item["terms"]):
+            if not isinstance(term, dict) or not isinstance(term.get("morphism"), dict):
+                raise BadShape(f"{where}, term {t}: needs a morphism object")
             morph_payload = dict(term["morphism"])
             morph_payload.setdefault("d", d)
             morph_payload.setdefault("n", degree)
@@ -126,7 +164,11 @@ def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
                 raise InvalidMorphism(
                     f"term of rank {f.n} inside degree-{degree} generator"
                 )
-            coeff = field.parse(term.get("coeff", 1))
+            try:
+                coeff = field.parse(term.get("coeff", 1))
+            except (ValueError, ZeroDivisionError):
+                raise BadShape(f"{where}, term {t}: coeff {term['coeff']!r} is not "
+                               f"an element of {field.name}") from None
             if coeff != field.zero:
                 terms[f] = field.add(terms.get(f, field.zero), coeff)
         src_d = next(iter(terms)).d if terms else (d if d is not None else 0)

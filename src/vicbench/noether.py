@@ -21,15 +21,17 @@ from .errors import (
     ZeroElement,
 )
 from .ovic import (
+    DistinguishedIndexer,
     OvicMorphism,
     VicMorphism,
     canonical_splitting,
-    column_adapted_s_sets,
     compose_vic,
+    echelon_insert,
     factor_vic,
     is_column_adapted,
+    split_rows,
 )
-from .rings import RMatrix, iter_vectors, matvec
+from .rings import RMatrix, matrix_invertible
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -69,6 +71,8 @@ class PrimeField:
         return n % self.p
 
     def parse(self, text) -> int:
+        if isinstance(text, bool) or not isinstance(text, (int, str)):
+            raise ValueError(f"{text!r} is not an integer")
         return int(text) % self.p
 
     def format(self, a) -> str:
@@ -119,90 +123,321 @@ def parse_field(spec: str):
 # ---------------------------------------------------------------------------
 # morphism enumeration
 # ---------------------------------------------------------------------------
+#
+# Every split pair d -> n factors uniquely as an automorphism of R^d followed
+# by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
+# generated rather than filtered: the f'' of OVIC(d, n) by a search over
+# their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
+# the lifts of GL_d(R/J).  Results are cached in ``emb.enum_cache``.
 
-_hom_cache: dict = {}
+
+def _check_ranks(d: int, n: int) -> None:
+    if d < 0 or n < 0:
+        raise ValueError(f"negative rank in {d} -> {n}")
+
+
+def _check_budget(work: int, budget: int, what: str) -> None:
+    if work > budget:
+        raise BudgetExceeded(
+            f"{what} needs more than {budget} search nodes and morphisms"
+        )
+
+
+def _column_search(width: int, n: int, step, state, budget: int, what: str
+                   ) -> tuple[list, int]:
+    """Every n-tuple (n >= 1) of candidate indices 0..width-1 whose prefixes
+    all pass ``step``, with its final state, plus the search nodes visited.
+    ``step(state, c, idx)`` is the state once candidate ``idx`` is put in
+    column c, or None to cut the prefix there."""
+    found = []
+    nodes = 0
+
+    def extend(chosen: tuple, state) -> None:
+        nonlocal nodes
+        for idx in range(width):
+            nodes += 1
+            _check_budget(nodes, budget, what)
+            grown = step(state, len(chosen), idx)
+            if grown is None:
+                continue
+            if len(chosen) + 1 < n:
+                extend(chosen + (idx,), grown)
+            else:
+                found.append((chosen + (idx,), grown))
+
+    extend((), state)
+    return found, nodes
+
+
+def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
+                            ) -> tuple[list, int]:
+    """Every column-adapted d x n matrix f'' as (f'', s_sets, the columns of
+    Phi(f'')), plus the number of search nodes visited.
+
+    f'' is built one column at a time.  The pivots of block k of
+    Phi_bar(f'') are chosen left to right, and each pivot column found so far
+    is an exact block-identity indicator, so the echelon state of block k is
+    just its rank r: a new block-k column is a pivot iff it is nonzero mod J
+    at some block row >= r, and it must then be the indicator of row r.  A
+    prefix is cut at the first pivot that is not, and as soon as the columns
+    left cannot bring every block to rank mu_k * d.
+    """
+    ring = emb.ring
+    mu, q, mus = emb.mu_total, emb.aw.q, emb.mu
+    proj = emb.qdata.projection
+    zero_bar = emb.qdata.quotient.zero
+    ridx = DistinguishedIndexer(mus, d)
+    # 0-based row of Phi(f'') carrying block row i of block k
+    block_rows = [[r - 1 for r in ridx.block_positions(k + 1)] for k in range(q)]
+    phi_cols = [[emb.phi(x).col(s) for s in range(mu)] for x in ring.elements()]
+    vectors = list(itertools.product(ring.elements(), repeat=d))
+    # per candidate column v and standard position s:
+    # (block, Phi column, last block row nonzero mod J, that row if the
+    #  column is exactly its indicator else -1, position within the block)
+    table = []
+    for v in vectors:
+        entries = []
+        for s in range(mu):
+            k = emb.block_of[s]
+            col = tuple(e for x in v for e in phi_cols[x][s])
+            rows = block_rows[k]
+            last = max((i for i, r in enumerate(rows) if proj[col[r]] != zero_bar),
+                       default=-1)
+            exact = last if last >= 0 and col == tuple(
+                emb.aw.idempotents[k][0] if r == rows[last] else ring.zero
+                for r in range(mu * d)) else -1
+            entries.append((k, col, last, exact, s - ridx.prefix[k]))
+        table.append(entries)
+
+    need = [m * d for m in mus]
+
+    def step(state, c: int, idx: int):
+        ranks, pivots = state
+        ranks = list(ranks)
+        added = [[] for _ in range(q)]
+        for k, _, last, exact, r in table[idx]:
+            if last < ranks[k]:
+                continue
+            if exact != ranks[k]:
+                return None
+            ranks[k] += 1
+            added[k].append(c * mus[k] + r + 1)
+        left = n - c - 1
+        if any(ranks[k] + mus[k] * left < need[k] for k in range(q)):
+            return None
+        return ranks, tuple(p + tuple(a) for p, a in zip(pivots, added))
+
+    found, nodes = _column_search(len(vectors), n, step, ([0] * q, ((),) * q),
+                                  budget, f"OVIC({d}, {n})")
+    out = []
+    for cols, (_, pivots) in found:
+        f_dprime = RMatrix(ring, d, n, [vectors[i][rho] for rho in range(d) for i in cols])
+        out.append((f_dprime, pivots,
+                    tuple(table[i][s][1] for i in cols for s in range(mu))))
+    return out, nodes
+
+
+def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
+    """ker f, met in the middle: vectors on the first n // 2 coordinates are
+    grouped by their image, then matched against the rest."""
+    ring = f.ring
+    add, mul, zero = ring.add_table, ring.mul_table, ring.zero
+    d, n, e = f.rows, f.cols, f.entries
+    half = n // 2
+
+    def image(vec, offset):
+        out = []
+        for rho in range(d):
+            acc = zero
+            base = rho * n + offset
+            for t, x in enumerate(vec):
+                acc = add[acc][mul[e[base + t]][x]]
+            out.append(acc)
+        return tuple(out)
+
+    left: dict = {}
+    for u in itertools.product(ring.elements(), repeat=half):
+        left.setdefault(image(u, 0), []).append(u)
+    out = []
+    for w in itertools.product(ring.elements(), repeat=n - half):
+        for u in left.get(tuple(ring.neg(x) for x in image(w, half)), ()):
+            out.append(u + w)
+    return out
+
+
+def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
+    """Per column-adapted f'' of the stratum d -> n: (f'', s_sets, canonical
+    splitting psi, every K in ker(f'')^d, order-key prefix), plus the search
+    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K."""
+    key = ("splittings", d, n)
+    if key not in emb.enum_cache:
+        found, nodes = _column_adapted_dprimes(emb, d, n, budget)
+        records = []
+        for f_dprime, s_sets, cols in found:
+            kernel = _kernel(f_dprime)
+            # every K in ker(f'')^d, as n x d row-major entries
+            shifts = [tuple(combo[j][r] for r in range(n) for j in range(d))
+                      for combo in itertools.product(kernel, repeat=d)]
+            records.append((f_dprime, s_sets, canonical_splitting(s_sets, emb, m=n, n=d),
+                            shifts, (n, s_sets, cols)))
+        emb.enum_cache[key] = (records, nodes)
+    return emb.enum_cache[key]
+
+
+def _reduced_general_linear(emb: AWEmbedding, d: int, budget: int
+                            ) -> tuple[list, int]:
+    """GL_d(R/J) as tuples of columns, plus the search nodes it took; cached
+    on ``emb``.
+
+    The search runs column by column and keeps a column when each of its
+    block columns of Phi_bar is independent over D_k of the earlier ones;
+    for d = 1 it keeps the units.
+    """
+    key = ("gl_bar", d)
+    if key in emb.enum_cache:
+        return emb.enum_cache[key]
+    rbar = emb.qdata.quotient
+    mu, q = emb.mu_total, emb.aw.q
+    fields = emb.corner_fields
+    positions = [[s for s in range(mu) if emb.block_of[s] == k] for k in range(q)]
+    phi_bar = [emb.phi_bar(x) for x in rbar.elements()]
+    vectors = list(itertools.product(rbar.elements(), repeat=d))
+    block_cols = [[(emb.block_of[s],
+                    [phi_bar[x].get(p, s) for x in v for p in positions[emb.block_of[s]]])
+                   for s in range(mu)]
+                  for v in vectors]
+
+    def step(bases: list, c: int, idx: int):
+        grown = list(bases)
+        for k, vec in block_cols[idx]:
+            grown[k] = echelon_insert(fields[k], grown[k], vec)
+            if grown[k] is None:
+                return None
+        return grown
+
+    found, nodes = _column_search(len(vectors), d, step, [()] * q, budget, f"GL_{d}")
+    reduced = [tuple(vectors[i] for i in cols) for cols, _ in found]
+    emb.enum_cache[key] = (reduced, nodes)
+    return reduced, nodes
+
+
+def _general_linear(emb: AWEmbedding, d: int, reduced: list) -> list:
+    """GL_d(R) as (g, g^-1) pairs from GL_d(R/J) given by ``reduced``;
+    cached on ``emb``.  g is invertible iff its reduction mod J is, so
+    GL_d(R) is every lift of GL_d(R/J) by M_d(J).  Units are inverted by
+    the ring's unit table, larger matrices by ``matrix_invertible``."""
+    key = ("gl", d)
+    if key in emb.enum_cache:
+        return emb.enum_cache[key]
+    ring, qdata = emb.ring, emb.qdata
+    fibers = [[] for _ in qdata.quotient.elements()]
+    for x in ring.elements():
+        fibers[qdata.projection[x]].append(x)
+    pairs = []
+    inverse_of = {}  # g^-1 entries -> g, so each inverse pair is computed once
+    for cols in reduced:
+        for entries in itertools.product(*(fibers[cols[c][rho]]
+                                           for rho in range(d) for c in range(d))):
+            g = RMatrix(ring, d, d, entries)
+            g_inv = inverse_of.get(g.entries)
+            if g_inv is None and d == 1:
+                g_inv = RMatrix(ring, 1, 1, [ring.inv(entries[0])])
+            elif g_inv is None:
+                ok, g_inv = matrix_invertible(g, qdata)
+                if not ok:
+                    raise RuntimeError("lift of an invertible reduction is singular")  # bug guard
+                inverse_of[g_inv.entries] = g
+            pairs.append((g, g_inv))
+    emb.enum_cache[key] = pairs
+    return pairs
+
+
+def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
+    ring = emb.ring
+    if d == 0:
+        return [OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
+                             emb, s_sets=tuple(() for _ in range(emb.aw.q)),
+                             check=False)], 1
+    if n < d:
+        return [], 0
+    records, nodes = _splittings(emb, d, n, budget)
+    work = nodes + sum(len(rec[3]) for rec in records)
+    _check_budget(work, budget, f"OVIC({d}, {n})")
+    mu = emb.mu_total
+    add = ring.add_table
+    phis = [emb.phi(x) for x in ring.elements()]
+    # row p of Phi applied along a row v of f', for every v in R^d
+    phi_rows = {v: [tuple(e for x in v for e in phis[x].row(p)) for p in range(mu)]
+                for v in itertools.product(ring.elements(), repeat=d)}
+    out = []
+    for f_dprime, s_sets, psi, shifts, prefix in records:
+        free, _ = split_rows(emb, n, s_sets)
+        # standard row s of Phi(f') is row (s-1) % mu along row (s-1) // mu of f'
+        free_at = [((s - 1) // mu * d, (s - 1) % mu) for s in free]
+        base = psi.entries
+        for shift in shifts:
+            entries = tuple([add[a][b] for a, b in zip(base, shift)])
+            frees = tuple(phi_rows[entries[i:i + d]][p] for i, p in free_at)
+            out.append(OvicMorphism(RMatrix(ring, n, d, entries), f_dprime, emb,
+                                    s_sets=s_sets, check=False,
+                                    order_key=prefix + (frees,)))
+    out.sort(key=lambda f: f.order_key)
+    return out, work
 
 
 def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
                    budget: int = 10 ** 6) -> list[OvicMorphism]:
     """All column-adapted morphisms d -> n, sorted by the total order.
 
-    Candidate splittings are filtered by the column-adapted predicate; the
-    injections attached to each are the canonical splitting shifted by
-    kernel columns.
+    Each column-adapted f'' comes out of a column-by-column search, and
+    carries the splittings psi + K for K in ker(f'')^d, psi its canonical
+    splitting.  Order keys are assembled from a per-f'' prefix and the free
+    rows of Phi(f').  ``budget`` bounds the search nodes plus the emitted
+    morphisms; BudgetExceeded is raised past it.  The stratum is cached on
+    ``emb``: a repeated request returns the same list.
     """
-    ring = emb.ring
-    if d < 0 or n < 0:
-        raise BudgetExceeded("negative rank")
-    if d > 0 and n >= d and (ring.size ** (d * n) > budget or ring.size ** n > budget):
-        raise BudgetExceeded(
-            f"{ring.size}^{d * n} candidate splittings exceed budget {budget}"
-        )
-    key = (id(emb), d, n, "ovic")
-    if key in _hom_cache:
-        return _hom_cache[key]
-    if d == 0:
-        out = [OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                            emb, s_sets=tuple(() for _ in range(emb.aw.q)),
-                            check=False)]
-        _hom_cache[key] = out
-        return out
-    if n < d:
-        _hom_cache[key] = []
-        return []
-    zero_vec = tuple([ring.zero] * d)
-    out = []
-    for entries in itertools.product(ring.elements(), repeat=d * n):
-        f_dprime = RMatrix(ring, d, n, entries)
-        s_sets = column_adapted_s_sets(f_dprime, emb)
-        if s_sets is None:
-            continue
-        kernel = [v for v in iter_vectors(ring, n)
-                  if matvec(ring, f_dprime, v) == zero_vec]
-        psi = canonical_splitting(s_sets, emb, m=n, n=d)
-        for combo in itertools.product(kernel, repeat=d):
-            f_prime = RMatrix(
-                ring, n, d,
-                [ring.add(psi.get(r, j), combo[j][r])
-                 for r in range(n) for j in range(d)],
-            )
-            out.append(OvicMorphism(f_prime, f_dprime, emb,
-                                    s_sets=s_sets, check=False))
-    out.sort(key=lambda f: f.order_key)
-    _hom_cache[key] = out
+    _check_ranks(d, n)
+    key = ("ovic", d, n)
+    if key not in emb.enum_cache:
+        emb.enum_cache[key] = _build_ovic(emb, d, n, budget)
+    out, work = emb.enum_cache[key]
+    _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
 
 
 def enumerate_vic(emb: AWEmbedding, d: int, n: int,
                   budget: int = 10 ** 6) -> list[VicMorphism]:
-    """All split-injection pairs d -> n, deterministically sorted."""
+    """All split pairs d -> n, sorted by (f''.entries, f'.entries).
+
+    Built as OVIC(d, n) o GL_d: f'' = g f2'' and f' = psi g^-1 + K over the
+    column-adapted f2'' (canonical splitting psi), g in GL_d and K in
+    ker(f2'')^d.  Each pair arises once, because its factorisation through
+    the ordered subcategory is unique.  ``budget`` bounds the search nodes
+    of OVIC(d, n) and GL_d(R/J), the members of GL_d and the emitted pairs;
+    BudgetExceeded is raised past it.
+    """
+    _check_ranks(d, n)
     ring = emb.ring
     if d == 0:
         return [VicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
                             check=False)]
     if n < d:
         return []
-    if ring.size ** (d * n) > budget or ring.size ** n > budget:
-        raise BudgetExceeded(f"budget {budget} too small for {d}->{n}")
-    ident_cols = [
-        tuple(ring.one if i == j else ring.zero for i in range(d))
-        for j in range(d)
-    ]
+    records, nodes = _splittings(emb, d, n, budget)
+    reduced, gl_nodes = _reduced_general_linear(emb, d, budget)
+    gl_size = len(reduced) * (ring.size // emb.qdata.quotient.size) ** (d * d)
+    work = nodes + gl_nodes + gl_size * (1 + sum(len(rec[3]) for rec in records))
+    _check_budget(work, budget, f"VIC({d}, {n})")
+    gl = _general_linear(emb, d, reduced)
+    add = ring.add_table
     out = []
-    for entries in itertools.product(ring.elements(), repeat=d * n):
-        f_dprime = RMatrix(ring, d, n, entries)
-        per_col = [[] for _ in range(d)]
-        for v in iter_vectors(ring, n):
-            img = matvec(ring, f_dprime, v)
-            for j in range(d):
-                if img == ident_cols[j]:
-                    per_col[j].append(v)
-        if any(not pc for pc in per_col):
-            continue
-        for combo in itertools.product(*per_col):
-            f_prime = RMatrix(ring, n, d,
-                              [combo[j][r] for r in range(n) for j in range(d)])
-            out.append(VicMorphism(f_prime, f_dprime, check=False))
+    for f2, _, psi, shifts, _ in records:
+        for g, g_inv in gl:
+            f_dprime = g.mul(f2)
+            base = psi.mul(g_inv).entries
+            for shift in shifts:
+                f_prime = RMatrix(ring, n, d, [add[a][b] for a, b in zip(base, shift)])
+                out.append(VicMorphism(f_prime, f_dprime, check=False))
     out.sort(key=lambda f: (f.f_dprime.entries, f.f_prime.entries))
     return out
 
@@ -455,8 +690,11 @@ def check_endo_generation(emb: AWEmbedding, d: int, horizon: int,
 
 def count_identity_report(emb: AWEmbedding, d: int, n: int,
                           budget: int = 10 ** 6) -> dict:
-    """|Hom_VIC(d,n)| against |GL_d| * |Hom_OVIC(d,n)|: recorded data, not an
-    asserted invariant."""
+    """|Hom_VIC(d,n)| against |GL_d| * |Hom_OVIC(d,n)|, as recorded data.
+
+    The identity holds by construction, since ``enumerate_vic`` builds
+    VIC(d, n) as OVIC(d, n) o GL_d; the check that both lists are right is
+    carried by the tests, which compare them with brute-force filters."""
     vic = len(enumerate_vic(emb, d, n, budget=budget))
     ovic = len(enumerate_ovic(emb, d, n, budget=budget))
     gl = len(enumerate_vic(emb, d, d, budget=budget))

@@ -77,35 +77,38 @@ def _block_rows(emb: AWEmbedding, big: RMatrix, k: int,
     return [[big.get(r - 1, c - 1) for c in cols] for r in rows]
 
 
+def echelon_insert(field: CornerField, basis: tuple, vec: Sequence[int]
+                   ) -> Optional[tuple]:
+    """``basis``, a tuple of (pivot index, monic vector) pairs in echelon
+    form over a corner field, extended by ``vec``; None if ``vec`` lies in
+    its span."""
+    for piv, row in basis:
+        c = vec[piv]
+        if c != field.zero:
+            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
+    piv = next((i for i, x in enumerate(vec) if x != field.zero), None)
+    if piv is None:
+        return None
+    inv = field.inv(vec[piv])
+    return basis + ((piv, [field.mul(inv, x) for x in vec]),)
+
+
 def _greedy_pivots(rows: list[list[int]], field: CornerField) -> list[int]:
     """Left-to-right pivot columns (1-based) of a matrix over a corner field.
 
     Greedy selection returns the lexicographically smallest basis-indexing
-    subset of the column set.
+    subset of the column set: a column is a pivot iff it is independent of
+    the columns before it.
     """
-    if not rows:
-        return []
-    work = [list(r) for r in rows]
-    m = len(work)
-    ncols = len(work[0])
+    basis: tuple = ()
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
+    for c, col in enumerate(zip(*rows), start=1):
+        if len(pivots) == len(rows):
             break
-        pr = next((i for i in range(r, m) if work[i][c] != field.zero), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, e) for e in work[r]]
-        for i in range(m):
-            if i != r and work[i][c] != field.zero:
-                coef = work[i][c]
-                work[i] = [field.sub(e, field.mul(coef, p))
-                           for e, p in zip(work[i], work[r])]
-        pivots.append(c + 1)
-        r += 1
+        grown = echelon_insert(field, basis, col)
+        if grown is not None:
+            basis = grown
+            pivots.append(c)
     return pivots
 
 
@@ -235,7 +238,9 @@ class OvicMorphism(VicMorphism):
     __slots__ = ("emb", "s_sets", "_order_key")
 
     def __init__(self, f_prime: RMatrix, f_dprime: RMatrix, emb: AWEmbedding,
-                 s_sets=None, check: bool = True):
+                 s_sets=None, check: bool = True, order_key=None):
+        """``s_sets`` and ``order_key``, when given, are trusted: they must
+        equal what ``s_function`` and the ``order_key`` property compute."""
         super().__init__(f_prime, f_dprime, check=check)
         self.emb = emb
         if s_sets is None:
@@ -243,7 +248,7 @@ class OvicMorphism(VicMorphism):
             if check and not _pivot_columns_exact(f_dprime, emb, s_sets):
                 raise NotColumnAdapted("f'' is not column-adapted")
         self.s_sets = tuple(tuple(s) for s in s_sets)
-        self._order_key = None
+        self._order_key = order_key
 
     @classmethod
     def from_vic(cls, f: VicMorphism, emb: AWEmbedding) -> "OvicMorphism":
@@ -279,14 +284,20 @@ def free_rows(f: OvicMorphism) -> tuple[tuple[int, ...], tuple[int, ...]]:
     A row is dependent when its distinguished label (k, i) has i in the
     pivot set of f'' for block k.
     """
-    ridx = DistinguishedIndexer(f.emb.mu, f.n)
+    return split_rows(f.emb, f.n, f.s_sets)
+
+
+def split_rows(emb: AWEmbedding, n: int, s_sets: Sequence[Sequence[int]]
+               ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``free_rows`` of any morphism into rank n with pivot sets ``s_sets``."""
+    ridx = DistinguishedIndexer(emb.mu, n)
     dependent = sorted(
         ridx.std(k, i)
-        for k, pivots in enumerate(f.s_sets, start=1)
+        for k, pivots in enumerate(s_sets, start=1)
         for i in pivots
     )
     dep_set = set(dependent)
-    total = f.emb.mu_total * f.n
+    total = emb.mu_total * n
     free = tuple(s for s in range(1, total + 1) if s not in dep_set)
     return free, tuple(dependent)
 

@@ -806,7 +806,7 @@ class RMatrix:
         self.ring = ring
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(int(v) for v in entries)
+        self.entries = tuple(map(int, entries))
         if len(self.entries) != rows * cols:
             raise BadShape(f"{rows}x{cols} matrix needs {rows*cols} entries")
         self._hash = hash((id(ring), rows, cols, self.entries))

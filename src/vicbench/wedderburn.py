@@ -347,6 +347,9 @@ class AWEmbedding:
             for x in rbar.elements()
         )
         self.corner_fields = aw.corner_fields
+        # filled by the enumerators in ``noether``: OVIC strata, GL_d, and
+        # the per-f'' data of each stratum
+        self.enum_cache: dict = {}
 
     # -- scalar level -------------------------------------------------------
 

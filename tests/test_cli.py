@@ -162,6 +162,58 @@ def test_noether_span_cli(f2_file, tmp_path, capsys):
     assert dims == {0: 0, 1: 1, 2: 6, 3: 28}
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "ovic", "--d", "-1", "--n", "2"),
+    ("enumerate", "ovic", "--d", "-1", "--n", "2", "--vic"),
+    ("enumerate", "ovic", "--d", "1", "--n", "-2", "--vic"),
+    ("enumerate", "ovic", "--d", "1", "--n", "-2"),
+    ("noether", "endo", "--d", "-1", "--horizon", "2"),
+    ("noether", "endo", "--d", "1", "--horizon", "-3"),
+    ("noether", "span", "--d", "-1", "--horizon", "2", "--gens", "GENS"),
+    ("noether", "span", "--d", "1", "--horizon", "-2", "--gens", "GENS"),
+])
+def test_negative_rank_is_usage_error(tmp_path, capsys, argv):
+    gpath = tmp_path / "gens.json"
+    gpath.write_text("[]")
+    argv = [str(gpath) if a == "GENS" else a for a in argv]
+    code, payload, err = run_cli(capsys, *argv, "--builtin", "F2")
+    assert code == 2
+    assert payload is None
+    assert "usage error" in err and "non-negative" in err
+
+
+def test_ring_file_without_mul_is_structured_error(tmp_path, capsys):
+    payload = builtin_ring("F2").to_payload()
+    del payload["mul"]
+    path = tmp_path / "f2.json"
+    path.write_text(json.dumps(payload))
+    code, payload, _ = run_cli(capsys, "ring", "describe", "--in", str(path))
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert "mul" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("gens,needle", [
+    ([{"terms": []}], "degree"),
+    ([{"degree": 1}], "terms"),
+    ([{"degree": "1", "terms": []}], "degree"),
+    ([{"degree": 1, "terms": [{"coeff": 1}]}], "morphism"),
+    ([{"degree": 1, "terms": [{"coeff": "x", "morphism": {
+        "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}], "coeff"),
+    ([{"degree": 1, "terms": [{"coeff": 1.5, "morphism": {
+        "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}], "coeff"),
+])
+def test_malformed_generator_file_is_structured_error(tmp_path, capsys, gens, needle):
+    gpath = tmp_path / "gens.json"
+    gpath.write_text(json.dumps(gens))
+    code, payload, _ = run_cli(capsys, "noether", "span", "--builtin", "F2",
+                               "--d", "1", "--k", "F2", "--gens", str(gpath),
+                               "--horizon", "2")
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert needle in payload["error"]["message"]
+
+
 def test_noether_span_non_prime_field_is_usage_error(f2_file, tmp_path, capsys):
     gpath = tmp_path / "gens.json"
     gpath.write_text("[]")

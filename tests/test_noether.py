@@ -50,6 +50,9 @@ def test_prime_field_ops():
     assert f5.add(3, 4) == 2
     assert f5.inv(2) == 3
     assert f5.parse("7") == 2
+    for bad in (1.5, True, "1/2"):
+        with pytest.raises(ValueError):
+            f5.parse(bad)
 
 
 def test_prime_field_rejects_composite():
@@ -110,6 +113,24 @@ def test_enumerate_budget():
     emb = emb_of("F2")
     with pytest.raises(BudgetExceeded):
         enumerate_ovic(emb, 3, 4, budget=10)
+
+
+def test_budget_counts_generator_work_whatever_the_cache():
+    """The budget bounds search nodes plus emitted morphisms, not the
+    |R|^(dn) candidates, and a cached stratum gets the same verdict."""
+    emb = emb_of("Z4")
+    assert len(enumerate_ovic(emb, 3, 4)) == 7680  # 4^12 candidates
+    with pytest.raises(BudgetExceeded):
+        enumerate_ovic(emb, 3, 4, budget=7680)
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 1, 2, budget=48)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+@pytest.mark.parametrize("d,n", [(-1, 2), (1, -2), (-1, -1)])
+def test_enumerators_reject_negative_ranks(enumerate_, d, n):
+    with pytest.raises(ValueError, match="negative rank"):
+        enumerate_(emb_of("F2"), d, n)
 
 
 def test_ovic_counts_against_vic_oracle():

@@ -48,7 +48,6 @@ from .ovic import (  # noqa: F401
     s_function,
 )
 from .ordering import (  # noqa: F401
-    GeneratorPool,
     InsertionMove,
     Word,
     build_phi,

@@ -137,7 +137,7 @@ def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
     """Generator file: [{"degree": n, "terms": [{"coeff": c, "morphism": {...}}]}]."""
     payload = read_json(path)
     if not isinstance(payload, list):
-        raise UsageError("generator file must be a JSON list")
+        raise BadShape("generator file must be a JSON list")
     out = []
     for pos, item in enumerate(payload):
         where = f"generator {pos}"

@@ -4,6 +4,8 @@ P(d) in degree n is the free module on Hom(R^d, R^n); a submodule is grown
 from generators by applying every morphism into each degree up to a horizon,
 and stored as fully reduced echelon bases with pivots on the order-largest
 basis morphism.  Coefficients are exact: prime fields or rationals.
+Basis morphisms are interned per stratum on the embedding, and the action
+looks composites up in a per-embedding composition table.
 """
 
 from __future__ import annotations
@@ -394,12 +396,15 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     splitting.  Order keys are assembled from a per-f'' prefix and the free
     rows of Phi(f').  ``budget`` bounds the search nodes plus the emitted
     morphisms; BudgetExceeded is raised past it.  The stratum is cached on
-    ``emb``: a repeated request returns the same list.
+    ``emb``: a repeated request returns the same list, whose members are
+    interned for ``act``.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
-        emb.enum_cache[key] = _build_ovic(emb, d, n, budget)
+        out, work = _build_ovic(emb, d, n, budget)
+        interned = _interned(emb, d, n)
+        emb.enum_cache[key] = [interned.setdefault(f, f) for f in out], work
     out, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
@@ -502,14 +507,29 @@ class ModuleElement:
         return " + ".join(parts) if parts else "0"
 
 
+def _interned(emb: AWEmbedding, d: int, n: int) -> dict:
+    """The intern table of morphisms d -> n on ``emb``: each maps to itself."""
+    return emb.enum_cache.setdefault(("intern", d, n), {})
+
+
 def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
-    """Post-composition action, extended linearly."""
+    """Post-composition action, extended linearly.
+
+    Each term phi o f is interned: it is the object ``enumerate_ovic``
+    emitted for it, order key built, when that stratum is cached, else the
+    first composite computed.  A table on ``phi.emb`` maps (phi, f) to it,
+    so ``compose_vic`` runs once per pair and embedding."""
     if phi.d != x.degree:
         raise DegreeMismatch(f"morphism {phi.d}->{phi.n} cannot act on degree {x.degree}")
     field = x.field
+    table = phi.emb.enum_cache.setdefault(("compose", x.d, phi.d, phi.n), {})
+    row = table.setdefault(phi, {})
     terms: dict = {}
     for f, c in x.terms.items():
-        g = compose_vic(phi, f)
+        g = row.get(f)
+        if g is None:
+            g = compose_vic(phi, f)
+            g = row[f] = _interned(phi.emb, x.d, phi.n).setdefault(g, g)
         terms[g] = field.add(terms.get(g, field.zero), c)
     return ModuleElement(x.d, phi.n, field, terms)
 

@@ -19,6 +19,7 @@ from .errors import (
     SearchBudgetExceeded,
     SourceMismatch,
 )
+from .noether import enumerate_ovic
 from .ovic import (
     DistinguishedIndexer,
     OvicMorphism,
@@ -277,42 +278,20 @@ def build_phi(f: OvicMorphism, chain: Sequence[InsertionMove],
 
 
 # ---------------------------------------------------------------------------
-# strata
+# reflection probe
 # ---------------------------------------------------------------------------
 
-class GeneratorPool:
-    """Lazily enumerated, order-sorted strata of Hom(R^d, R^n)."""
-
-    def __init__(self, emb, d: int, budget: int = 10 ** 6):
-        self.emb = emb
-        self.d = d
-        self.budget = budget
-        self._strata: dict[int, tuple[OvicMorphism, ...]] = {}
-
-    def stratum(self, n: int) -> tuple[OvicMorphism, ...]:
-        if n not in self._strata:
-            from .noether import enumerate_ovic
-
-            self._strata[n] = tuple(enumerate_ovic(self.emb, self.d, n,
-                                                   budget=self.budget))
-        return self._strata[n]
-
-    def up_to(self, n_max: int) -> list[OvicMorphism]:
-        out = []
-        for n in range(n_max + 1):
-            out.extend(self.stratum(n))
-        return out
-
-
-def iota_reflection_counterexamples(pool: GeneratorPool, max_n: int,
+def iota_reflection_counterexamples(emb, d: int, max_n: int,
                                     node_cap: int = 10 ** 5) -> list[tuple]:
-    """Search for pairs where the word order holds but the insertion order
-    does not.  Reflection is not asserted anywhere; this is a probe."""
+    """Search the strata d -> n <= max_n (from ``enumerate_ovic``) for pairs
+    where the word order holds but the insertion order does not.  Reflection
+    is not asserted anywhere; this is a probe."""
+    strata = [enumerate_ovic(emb, d, n) for n in range(max_n + 1)]
     out = []
     for n in range(max_n + 1):
         for m in range(n, max_n + 1):
-            for f in pool.stratum(n):
-                for g in pool.stratum(m):
+            for f in strata[n]:
+                for g in strata[m]:
                     if f == g:
                         continue
                     if word_leq(iota(f), iota(g)):

@@ -202,6 +202,7 @@ def test_ring_file_without_mul_is_structured_error(tmp_path, capsys):
         "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}], "coeff"),
     ([{"degree": 1, "terms": [{"coeff": 1.5, "morphism": {
         "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}], "coeff"),
+    ({"a": 1}, "list"),
 ])
 def test_malformed_generator_file_is_structured_error(tmp_path, capsys, gens, needle):
     gpath = tmp_path / "gens.json"

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from vicbench.errors import InvalidMorphism, UsageError
+from vicbench.errors import BadShape, InvalidMorphism
 from vicbench.jsonio import (
     dump_payload,
     generators_payload,
@@ -64,7 +64,7 @@ def test_generator_file_must_be_list(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
     emb = build_aw_embedding(builtin_ring("F2"))
-    with pytest.raises(UsageError):
+    with pytest.raises(BadShape, match="JSON list"):
         load_generators(path, emb, parse_field("F2"), d=1)
 
 

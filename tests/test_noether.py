@@ -31,7 +31,7 @@ from vicbench.noether import (
 )
 from vicbench.ordering import total_compare, LT
 from vicbench.ovic import OvicMorphism, compose_vic
-from vicbench.rings import builtin_ring
+from vicbench.rings import RMatrix, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
 
 F2 = PrimeField(2)
@@ -222,6 +222,48 @@ def test_act_functorial():
             assert act(psi, act(phi, x)) == act(compose_vic(psi, phi), x)
 
 
+def _seeded_element(emb, field, degree, terms, seed):
+    rng = random.Random(seed)
+    pool = enumerate_ovic(emb, 1, degree)
+    support = rng.sample(pool, min(terms, len(pool)))
+    return ModuleElement(1, degree, field,
+                         {f: field.from_int(rng.randrange(1, 5)) for f in support})
+
+
+@pytest.mark.parametrize("act_first", [False, True])
+def test_act_terms_are_interned_stratum_members(act_first):
+    emb = build_aw_embedding(zmod(2))  # fresh: builtin embeddings are shared
+    x = _seeded_element(emb, F2, 2, 3, "intern")
+    phis = enumerate_ovic(emb, 2, 3)
+    if act_first:  # the target stratum is not cached yet
+        images = [act(phi, x) for phi in phis]
+    members = {id(f) for f in enumerate_ovic(emb, 1, 3)}
+    if not act_first:
+        images = [act(phi, x) for phi in phis]
+    assert all(id(g) in members for y in images for g in y.terms)
+
+
+def test_act_on_explicit_morphisms_enumerates_nothing():
+    emb = build_aw_embedding(zmod(2))
+    ring = emb.ring
+    f = OvicMorphism(RMatrix(ring, 2, 1, [1, 0]), RMatrix(ring, 1, 2, [1, 0]), emb)
+    phi = OvicMorphism(RMatrix(ring, 3, 2, [1, 0, 0, 1, 0, 0]),
+                       RMatrix(ring, 2, 3, [1, 0, 0, 0, 1, 0]), emb)
+    y = act(phi, ModuleElement.monomial(f, F2))
+    assert list(y.terms) == [compose_vic(phi, f)]
+    assert not [key for key in emb.enum_cache if key[0] == "ovic"]
+
+
+def test_repeated_act_is_equal():
+    emb = emb_of("Z4")
+    x = _seeded_element(emb, F2, 2, 2, "repeat")
+    for phi in enumerate_ovic(emb, 2, 3)[::7]:
+        first = act(phi, x)
+        again = act(phi, x)
+        assert first == again
+        assert all(a is b for a, b in zip(first.terms, again.terms))
+
+
 def test_init_term_examples():
     emb = emb_of("F2")
     fs = enumerate_ovic(emb, 1, 2)
@@ -366,6 +408,40 @@ def test_claim_equal_sinit_implies_equal_module():
             for deg in range(horizon + 1):
                 assert (m_state.bases[deg].canonical_rows()
                         == n_state.bases[deg].canonical_rows())
+
+
+def _oracle_act(phi, x):
+    """The action composing every term afresh with compose_vic."""
+    terms = {}
+    for f, c in x.terms.items():
+        g = compose_vic(phi, f)
+        terms[g] = x.field.add(terms.get(g, x.field.zero), c)
+    return ModuleElement(x.d, phi.n, x.field, terms)
+
+
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms", [
+    ("F2", "F2", 4, (2,), 3),
+    ("F3", "Q", 3, (2,), 3),
+    ("Z4", "F2", 3, (2,), 2),
+    ("T2F2", "Q", 2, (1,), 1),
+])
+def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms):
+    emb = emb_of(ring)
+    field = parse_field(field)
+    for variant in range(2):
+        gens = [_seeded_element(emb, field, deg, terms + variant, f"oracle/{variant}/{deg}")
+                for deg in degrees]
+        state = span_to_degree(gens, horizon, emb, field, d=1)
+        for n in range(horizon + 1):
+            oracle = EchelonBasis(field)
+            for g in gens:
+                if g.degree <= n:
+                    for phi in enumerate_ovic(emb, g.degree, n):
+                        oracle.insert(_oracle_act(phi, g).terms)
+            basis = state.bases[n]
+            assert basis.canonical_rows() == oracle.canonical_rows()
+            assert [f.order_key for f in basis.leading()] == [
+                f.order_key for f in oracle.leading()]
 
 
 def test_span_over_rationals():

@@ -13,7 +13,6 @@ from vicbench.ordering import (
     EQ,
     GT,
     LT,
-    GeneratorPool,
     InsertionMove,
     Word,
     build_phi,
@@ -371,16 +370,15 @@ def test_build_phi_monotone_below():
 # ---------------------------------------------------------------------------
 
 def test_generator_pool_counts():
-    pool = GeneratorPool(emb_of("F2"), 1)
-    assert [len(pool.stratum(n)) for n in range(0, 3)] == [0, 1, 6]
+    emb = emb_of("F2")
+    assert [len(enumerate_ovic(emb, 1, n)) for n in range(0, 3)] == [0, 1, 6]
 
 
 def test_wqo_pigeonhole_bounded():
     """Any sequence longer than the bounded-universe size repeats, hence
     contains a related pair."""
     emb = emb_of("F2")
-    pool = GeneratorPool(emb, 1)
-    universe = pool.up_to(2)
+    universe = [f for n in range(3) for f in enumerate_ovic(emb, 1, n)]
     rng = random.Random(0)
     seq = [universe[rng.randrange(len(universe))] for _ in range(len(universe) + 1)]
     found = False
@@ -398,9 +396,8 @@ def test_wqo_random_insertion_sequences():
     """Sequences seeded with forced insertion descendants always contain a
     related pair, and the search finds it."""
     emb = emb_of("F2")
-    pool = GeneratorPool(emb, 1)
     rng = random.Random(1)
-    base = list(pool.stratum(1)) + list(pool.stratum(2))
+    base = list(enumerate_ovic(emb, 1, 1)) + list(enumerate_ovic(emb, 1, 2))
     for trial in range(5):
         seq = []
         for _ in range(10):
@@ -430,8 +427,7 @@ def test_wqo_random_insertion_sequences():
 
 
 def test_iota_reflection_probe_runs():
-    pool = GeneratorPool(emb_of("F2"), 1)
-    found = iota_reflection_counterexamples(pool, max_n=2)
+    found = iota_reflection_counterexamples(emb_of("F2"), 1, max_n=2)
     assert isinstance(found, list)  # nothing asserted about the contents
 
 

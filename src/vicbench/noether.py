@@ -629,11 +629,6 @@ class SubmoduleState:
     def dims(self) -> dict[int, int]:
         return {n: self.bases[n].dim for n in sorted(self.bases)}
 
-    def basis_at(self, n: int) -> EchelonBasis:
-        if n not in self.bases:
-            raise HorizonExceeded(f"degree {n} beyond horizon {self.horizon}")
-        return self.bases[n]
-
 
 def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                    emb: AWEmbedding, field, d: Optional[int] = None,

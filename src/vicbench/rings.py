@@ -2,8 +2,8 @@
 
 Elements are integers ``0..size-1``; all structure (units, radical,
 quotients, matrices) is derived from the two tables.  Tables are validated
-exhaustively at construction time (vectorised with numpy, chunked so that
-rings of a few hundred elements stay cheap).
+at construction time in pure Python: the laws on three variables are checked
+over an additive generating set, in O(log|R| * |R|^2) table lookups.
 
 Index conventions: ring elements, matrix entry coordinates and vector
 coordinates are 0-based throughout this module.
@@ -16,9 +16,8 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     BadShape,
@@ -28,9 +27,6 @@ from .errors import (
 )
 
 DEFAULT_SIZE_CAP = 65536
-
-# chunk rows for the N^3 axiom checks so intermediates stay ~few MB
-_CHUNK = 16
 
 
 def _as_table(table, size: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -115,13 +111,10 @@ class FiniteRing:
     def _units(self) -> tuple[Optional[int], ...]:
         """Per element: a two-sided inverse, or None."""
         if self._unit_cache is None:
-            mul = np.asarray(self._mul, dtype=np.int32)
-            hit = mul == self.one
-            two_sided = hit & hit.T
-            found = two_sided.any(axis=1)
-            witness = two_sided.argmax(axis=1)
+            one, mul = self.one, self._mul
             self._unit_cache = tuple(
-                int(witness[x]) if found[x] else None for x in range(self.size)
+                next((y for y, v in enumerate(row) if v == one and mul[y][x] == one), None)
+                for x, row in enumerate(mul)
             )
         return self._unit_cache
 
@@ -186,66 +179,106 @@ class FiniteRing:
         )
 
 
-def _first_witness(bad: np.ndarray, offset: int = 0):
-    idx = np.argwhere(bad)
-    if idx.size == 0:
-        return None
-    w = idx[0].tolist()
-    if offset:
-        w[0] += offset
-    return tuple(int(v) for v in w)
+def _first_mismatch(got: Sequence[int], want: Sequence[int]) -> int:
+    return next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+
+
+def _additive_generators(add, zero: int) -> list[int]:
+    """Greedy A such that every element is reached from ``zero`` by steps
+    c -> c + g, g in A: the least element not yet reached joins A.
+
+    Once + is a group each new generator at least doubles the reached
+    subgroup, so |A| <= log2 |R|.
+    """
+    gens: list[int] = []
+    reached = {zero}
+    for x in range(len(add)):
+        if x in reached:
+            continue
+        gens.append(x)
+        frontier = list(reached)
+        while frontier:
+            c = frontier.pop()
+            for g in gens:
+                s = add[c][g]
+                if s not in reached:
+                    reached.add(s)
+                    frontier.append(s)
+    return gens
 
 
 def _validate_tables(ring: FiniteRing) -> None:
+    """Check the ring axioms; raise ``InvalidTables`` naming a violated law.
+
+    The range, identity, commutativity and inverse checks scan the tables.
+    The laws on three variables are checked over a greedy additive
+    generating set A (see ``_additive_generators``), k = |A| <= log2 |R|:
+
+    - additive associativity by Light's test (Clifford and Preston, *The
+      Algebraic Theory of Semigroups* I): the a with (x + a) + y =
+      x + (a + y) for all x, y are closed under +, so checking a in A
+      suffices;
+    - each distributive law by checking that x -> a*x and x -> x*a are
+      additive on A, i.e. a*(x + g) = a*x + a*g and (x + g)*a = x*a + g*a for
+      every a, x and g in A; in an abelian group this extends to all sums;
+    - multiplicative associativity on A^3 only: once both distributive laws
+      hold, the associator (ab)c - a(bc) is additive in each argument.
+
+    That is O(k * |R|^2) lookups instead of |R|^3.  Every witness violates
+    the law it names, but a table breaking several laws may be reported
+    under a different one than an |R|^3 scan in another order would give
+    (say ``left_distributive`` where that scan says ``mul_associative``).
+    """
     n = ring.size
-    add = np.asarray(ring._add, dtype=np.int32)
-    mul = np.asarray(ring._mul, dtype=np.int32)
+    add, mul = ring._add, ring._mul
     for what, tab in (("add", add), ("mul", mul)):
-        if tab.min() < 0 or tab.max() >= n:
-            raise InvalidTables(f"{what}_entry_range", _first_witness((tab < 0) | (tab >= n)))
-    if not (0 <= ring.zero < n and 0 <= ring.one < n):
+        for i, row in enumerate(tab):
+            if min(row) < 0 or max(row) >= n:
+                j = next(j for j, v in enumerate(row) if not 0 <= v < n)
+                raise InvalidTables(f"{what}_entry_range", (i, j))
+    zero, one = ring.zero, ring.one
+    if not (0 <= zero < n and 0 <= one < n):
         raise InvalidTables("identity_index_range")
-    if n > 1 and ring.zero == ring.one:
+    if n > 1 and zero == one:
         raise InvalidTables("zero_equals_one")
 
-    idx = np.arange(n, dtype=np.int32)
-    if not np.array_equal(add[ring.zero], idx):
-        raise InvalidTables("add_identity", _first_witness(add[ring.zero] != idx))
-    if not np.array_equal(add, add.T):
-        raise InvalidTables("add_commutative", _first_witness(add != add.T))
-    if not (add == ring.zero).any(axis=1).all():
-        missing = int(np.argmin((add == ring.zero).any(axis=1)))
-        raise InvalidTables("add_inverse", (missing,))
-    if not np.array_equal(mul[ring.one], idx):
-        raise InvalidTables("mul_left_identity", _first_witness(mul[ring.one] != idx))
-    if not np.array_equal(mul[:, ring.one], idx):
-        raise InvalidTables("mul_right_identity", _first_witness(mul[:, ring.one] != idx))
+    idx = tuple(range(n))
+    if add[zero] != idx:
+        raise InvalidTables("add_identity", (_first_mismatch(add[zero], idx),))
+    add_t = tuple(zip(*add))
+    if add != add_t:
+        i = next(i for i in idx if add[i] != add_t[i])
+        raise InvalidTables("add_commutative", (i, _first_mismatch(add[i], add_t[i])))
+    for i, row in enumerate(add):
+        if zero not in row:
+            raise InvalidTables("add_inverse", (i,))
+    if mul[one] != idx:
+        raise InvalidTables("mul_left_identity", (_first_mismatch(mul[one], idx),))
+    mul_t = tuple(zip(*mul))
+    if mul_t[one] != idx:
+        raise InvalidTables("mul_right_identity", (_first_mismatch(mul_t[one], idx),))
 
-    # chunked N^3 checks: associativity of both tables, distributivity
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        a = np.arange(lo, hi, dtype=np.int32)
-
-        lhs = add[add[a, :], :]
-        rhs = add[a[:, None, None], add[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            raise InvalidTables("add_associative", _first_witness(lhs != rhs, lo))
-
-        lhs = mul[mul[a, :], :]
-        rhs = mul[a[:, None, None], mul[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            raise InvalidTables("mul_associative", _first_witness(lhs != rhs, lo))
-
-        p = mul[a, :]  # p[i, t] = a_i * t
-        lhs = mul[a[:, None, None], add[None, :, :]]
-        rhs = add[p[:, :, None], p[:, None, :]]
-        if not np.array_equal(lhs, rhs):
-            raise InvalidTables("left_distributive", _first_witness(lhs != rhs, lo))
-
-        lhs = mul[add[a, :], :]
-        rhs = add[p[:, None, :], mul[None, :, :]]
-        if not np.array_equal(lhs, rhs):
-            raise InvalidTables("right_distributive", _first_witness(lhs != rhs, lo))
+    # + is commutative from here on, so add[g] is also the column x -> x + g
+    gens = _additive_generators(add, zero)
+    for a in gens:
+        plus_a = itemgetter(*add[a])
+        for x, row in enumerate(add):
+            lhs, rhs = add[row[a]], plus_a(row)  # (x + a) + y, x + (a + y)
+            if lhs != rhs:
+                raise InvalidTables("add_associative", (x, a, _first_mismatch(lhs, rhs)))
+    for g in gens:
+        plus_g = itemgetter(*add[g])
+        for a in idx:
+            row, col = mul[a], mul_t[a]
+            lhs, rhs = plus_g(row), itemgetter(*row)(add[row[g]])
+            if lhs != rhs:  # a*(x + g) against a*x + a*g
+                raise InvalidTables("left_distributive", (a, _first_mismatch(lhs, rhs), g))
+            lhs, rhs = plus_g(col), itemgetter(*col)(add[col[g]])
+            if lhs != rhs:  # (x + g)*a against x*a + g*a
+                raise InvalidTables("right_distributive", (_first_mismatch(lhs, rhs), g, a))
+    for a, b, c in itertools.product(gens, repeat=3):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            raise InvalidTables("mul_associative", (a, b, c))
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +734,11 @@ def nilpotency_index(ring: FiniteRing, ideal: IdealSet) -> Optional[int]:
 
 
 def jacobson_radical(ring: FiniteRing) -> IdealSet:
-    """All y such that 1 - x*y*z is a unit for every x, z.
+    """All y such that 1 - x*y is a unit for every x.
+
+    This is J(R) by Lam, *A First Course in Noncommutative Rings*, Lemma 4.1
+    (1 - x*y left invertible for all x; in a finite ring a left inverse is
+    two-sided), so |R|^2 lookups in the unit table.
 
     Also verifies that the result is a two-sided nilpotent ideal.  That it
     contains every nilpotent ideal is guarded where R/J is decomposed:
@@ -711,16 +748,9 @@ def jacobson_radical(ring: FiniteRing) -> IdealSet:
     """
     if ring._radical is not None:
         return ring._radical
-    mul = np.asarray(ring._mul, dtype=np.int32)
-    units = np.asarray([ring.is_unit(x) for x in ring.elements()], dtype=bool)
-    neg = np.asarray(ring._neg, dtype=np.int32)
-    one_minus = np.asarray(ring._add, dtype=np.int32)[ring.one][neg]
-    members = []
-    for y in ring.elements():
-        xy = mul[:, y]
-        xyz = mul[xy][:, :]
-        if units[one_minus[xyz]].all():
-            members.append(y)
+    one_minus_unit = [ring.is_unit(ring.sub(ring.one, t)) for t in ring.elements()]
+    members = [y for y, col in enumerate(zip(*ring._mul))
+               if all(map(one_minus_unit.__getitem__, col))]
     radical = IdealSet(ring, frozenset(members))
     radical.verify()
     k = nilpotency_index(ring, radical)
@@ -740,9 +770,6 @@ class QuotientData:
     projection: tuple[int, ...]
     section: tuple[int, ...]
     nilpotency: int
-
-    def project(self, x: int) -> int:
-        return self.projection[x]
 
     def lift(self, q: int) -> int:
         return self.section[q]
@@ -836,9 +863,6 @@ class RMatrix:
 
     def col(self, c: int) -> tuple[int, ...]:
         return self.entries[c::self.cols]
-
-    def row_list(self) -> list[tuple[int, ...]]:
-        return [self.row(r) for r in range(self.rows)]
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(r)) for r in range(self.rows)]

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import vicbench
 from vicbench.cli import main
 from vicbench.jsonio import dump_payload, load_ring, save_ring
 from vicbench.rings import builtin_ring, zmod
@@ -316,3 +321,14 @@ def test_report_determinism(z4_file, capsys):
     assert payload_without_timing(args) == payload_without_timing(args)
     args = ["ring", "wedderburn", "--builtin", "T2F2", "--seed", "0"]
     assert payload_without_timing(args) == payload_without_timing(args)
+
+
+def test_cli_import_loads_no_numpy():
+    """The runtime is pure Python; numpy is a test-only dependency."""
+    src = str(Path(vicbench.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, vicbench.cli; sys.exit('numpy' in sys.modules)"],
+        env=env, timeout=60)
+    assert proc.returncode == 0

@@ -7,8 +7,13 @@ brute-force oracles defined at the top of this file and then frozen.
 from __future__ import annotations
 
 import itertools
+import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from spec_rings import spec_rings
 
 from vicbench.errors import InvalidTables, NotSquare, SizeCapExceeded
 from vicbench.rings import (
@@ -16,6 +21,7 @@ from vicbench.rings import (
     FiniteRing,
     IdealSet,
     RMatrix,
+    _validate_tables,
     build_ring,
     builtin_ring,
     ideal_closure,
@@ -45,15 +51,137 @@ def oracle_unit(ring, x):
 
 def oracle_radical(ring):
     """Definitional triple scan, pure Python."""
+    is_unit = [oracle_unit(ring, t) is not None for t in ring.elements()]
     members = set()
     for y in ring.elements():
         if all(
-            oracle_unit(ring, ring.sub(ring.one, ring.mul(ring.mul(x, y), z))) is not None
+            is_unit[ring.sub(ring.one, ring.mul(ring.mul(x, y), z))]
             for x in ring.elements()
             for z in ring.elements()
         ):
             members.add(y)
     return members
+
+
+def _first_witness(bad, offset=0):
+    idx = np.argwhere(bad)
+    if idx.size == 0:
+        return None
+    w = idx[0].tolist()
+    if offset:
+        w[0] += offset
+    return tuple(int(v) for v in w)
+
+
+def oracle_validate_tables(ring, chunk=16):
+    """Every ring axiom on all of R^3, vectorised with numpy in row chunks."""
+    n = ring.size
+    add = np.asarray(ring._add, dtype=np.int32)
+    mul = np.asarray(ring._mul, dtype=np.int32)
+    for what, tab in (("add", add), ("mul", mul)):
+        if tab.min() < 0 or tab.max() >= n:
+            raise InvalidTables(f"{what}_entry_range", _first_witness((tab < 0) | (tab >= n)))
+    if not (0 <= ring.zero < n and 0 <= ring.one < n):
+        raise InvalidTables("identity_index_range")
+    if n > 1 and ring.zero == ring.one:
+        raise InvalidTables("zero_equals_one")
+
+    idx = np.arange(n, dtype=np.int32)
+    if not np.array_equal(add[ring.zero], idx):
+        raise InvalidTables("add_identity", _first_witness(add[ring.zero] != idx))
+    if not np.array_equal(add, add.T):
+        raise InvalidTables("add_commutative", _first_witness(add != add.T))
+    if not (add == ring.zero).any(axis=1).all():
+        missing = int(np.argmin((add == ring.zero).any(axis=1)))
+        raise InvalidTables("add_inverse", (missing,))
+    if not np.array_equal(mul[ring.one], idx):
+        raise InvalidTables("mul_left_identity", _first_witness(mul[ring.one] != idx))
+    if not np.array_equal(mul[:, ring.one], idx):
+        raise InvalidTables("mul_right_identity", _first_witness(mul[:, ring.one] != idx))
+
+    for lo in range(0, n, chunk):
+        a = np.arange(lo, min(lo + chunk, n), dtype=np.int32)
+
+        lhs = add[add[a, :], :]
+        rhs = add[a[:, None, None], add[None, :, :]]
+        if not np.array_equal(lhs, rhs):
+            raise InvalidTables("add_associative", _first_witness(lhs != rhs, lo))
+
+        lhs = mul[mul[a, :], :]
+        rhs = mul[a[:, None, None], mul[None, :, :]]
+        if not np.array_equal(lhs, rhs):
+            raise InvalidTables("mul_associative", _first_witness(lhs != rhs, lo))
+
+        p = mul[a, :]  # p[i, t] = a_i * t
+        lhs = mul[a[:, None, None], add[None, :, :]]
+        rhs = add[p[:, :, None], p[:, None, :]]
+        if not np.array_equal(lhs, rhs):
+            raise InvalidTables("left_distributive", _first_witness(lhs != rhs, lo))
+
+        lhs = mul[add[a, :], :]
+        rhs = add[p[:, None, :], mul[None, :, :]]
+        if not np.array_equal(lhs, rhs):
+            raise InvalidTables("right_distributive", _first_witness(lhs != rhs, lo))
+
+
+def violates(tables, law, witness):
+    """Evaluate a reported witness on the tables: does it break ``law``?"""
+    n, zero, one, add, mul = (tables.size, tables.zero, tables.one,
+                              tables._add, tables._mul)
+    if law.endswith("_entry_range"):
+        i, j = witness
+        return not 0 <= (add if law == "add_entry_range" else mul)[i][j] < n
+    checks = {
+        "add_identity": lambda j: add[zero][j] != j,
+        "add_commutative": lambda a, b: add[a][b] != add[b][a],
+        "add_inverse": lambda a: zero not in add[a],
+        "mul_left_identity": lambda j: mul[one][j] != j,
+        "mul_right_identity": lambda i: mul[i][one] != i,
+        "add_associative": lambda a, b, c: add[add[a][b]][c] != add[a][add[b][c]],
+        "mul_associative": lambda a, b, c: mul[mul[a][b]][c] != mul[a][mul[b][c]],
+        "left_distributive":
+            lambda a, b, c: mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]],
+        "right_distributive":
+            lambda a, b, c: mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]],
+    }
+    return checks[law](*witness)
+
+
+def verdict(validate, tables):
+    try:
+        validate(tables)
+    except InvalidTables as exc:
+        return exc
+    return None
+
+
+def corrupted(ring, what, i, j, value):
+    """The ring's tables with one entry replaced, unvalidated."""
+    add, mul = [list(r) for r in ring.add_table], [list(r) for r in ring.mul_table]
+    (add if what == "add" else mul)[i][j] = value
+    return SimpleNamespace(size=ring.size, zero=ring.zero, one=ring.one,
+                           _add=tuple(map(tuple, add)), _mul=tuple(map(tuple, mul)))
+
+
+SCANNED_LAWS = {"add_entry_range", "mul_entry_range", "add_identity", "add_commutative",
+                "add_inverse", "mul_left_identity", "mul_right_identity"}
+
+
+def assert_validators_agree(tables):
+    """Same accept/reject verdict; a rejection names a law its witness breaks.
+
+    The laws on two variables or fewer are checked in the same order, so they
+    must give the same law and witness.  A law on three variables may differ
+    from the oracle's when the tables break several, because the two
+    validators check those in different orders.
+    """
+    got, want = verdict(_validate_tables, tables), verdict(oracle_validate_tables, tables)
+    assert (got is None) == (want is None), (got, want)
+    if got is not None:
+        assert violates(tables, got.law, got.witness), got
+        assert violates(tables, want.law, want.witness), want
+        if want.law in SCANNED_LAWS:  # checked in the same order by both
+            assert (got.law, got.witness) == (want.law, want.witness)
 
 
 def oracle_matrix_inverse(m):
@@ -140,6 +268,91 @@ def test_invalid_associativity_detected():
         FiniteRing.from_payload(payload)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("what", ["add", "mul"])
+def test_validator_matches_cubic_oracle_on_corruptions(name, what):
+    """75 seeded single-entry corruptions of a builtin table, about one in
+    ten out of range; the intact tables are accepted by both."""
+    ring = builtin_ring(name)
+    assert_validators_agree(ring)
+    table = ring.add_table if what == "add" else ring.mul_table
+    rng = random.Random(f"{name}-{what}")
+    n = ring.size
+    for _ in range(75):
+        i, j = rng.randrange(n), rng.randrange(n)
+        values = range(-1, n + 1) if rng.random() < 0.1 else range(n)
+        value = rng.choice([v for v in values if v != table[i][j]])
+        assert_validators_agree(corrupted(ring, what, i, j, value))
+
+
+@st.composite
+def corrupted_spec_tables(draw):
+    """A spec-grammar ring's tables, intact or with one entry changed."""
+    ring = draw(spec_rings())
+    if draw(st.booleans()):
+        return ring
+    what = draw(st.sampled_from(["add", "mul"]))
+    i, j = (draw(st.integers(0, ring.size - 1)) for _ in range(2))
+    old = (ring.add_table if what == "add" else ring.mul_table)[i][j]
+    value = draw(st.integers(0, ring.size - 1).filter(lambda v: v != old))
+    return corrupted(ring, what, i, j, value)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(corrupted_spec_tables())
+def test_validator_matches_cubic_oracle_on_spec_rings(tables):
+    assert_validators_agree(tables)
+
+
+def near_ring_z2(opposite=False):
+    """All maps Z2 -> Z2 (index 2*f(0) + f(1)) under pointwise + and
+    composition: (f + g)h = fh + gh and associativity hold, f(g + h) =
+    fg + fh does not.  The opposite product swaps the distributive laws."""
+    def apply(f, x):
+        return f >> (1 - x) & 1
+
+    def compose(f, g):
+        return 2 * apply(f, apply(g, 0)) + apply(f, apply(g, 1))
+
+    mul = tuple(tuple(compose(b, a) if opposite else compose(a, b) for b in range(4))
+                for a in range(4))
+    return SimpleNamespace(size=4, zero=0, one=1, _mul=mul,
+                           _add=tuple(tuple(a ^ b for b in range(4)) for a in range(4)))
+
+
+def nonassociative_f2_algebra():
+    """F2 span of x, y and 1 (bits 1, 2, 4) with x*y = 1 and every other
+    product of x, y zero, extended bilinearly: (xy)x = x but x(yx) = 0."""
+    x, y, one = 1, 2, 4
+    basis_product = {(x, x): 0, (x, y): one, (y, x): 0, (y, y): 0}
+    for b in (x, y, one):
+        basis_product[one, b] = basis_product[b, one] = b
+
+    def mul(a, b):
+        out = 0
+        for u, v in basis_product:
+            if a & u and b & v:
+                out ^= basis_product[u, v]
+        return out
+
+    return SimpleNamespace(size=8, zero=0, one=one,
+                           _add=tuple(tuple(a ^ b for b in range(8)) for a in range(8)),
+                           _mul=tuple(tuple(mul(a, b) for b in range(8)) for a in range(8)))
+
+
+@pytest.mark.parametrize("tables,law", [
+    (near_ring_z2(), "left_distributive"),
+    (near_ring_z2(opposite=True), "right_distributive"),
+    (nonassociative_f2_algebra(), "mul_associative"),
+], ids=["near-ring", "opposite-near-ring", "nonassociative-algebra"])
+def test_validators_name_the_only_broken_law(tables, law):
+    """Tables breaking exactly one law; single-entry corruptions of a ring
+    usually break several, which hides a skipped check."""
+    assert_validators_agree(tables)
+    for validate in (_validate_tables, oracle_validate_tables):
+        assert verdict(validate, tables).law == law
+
+
 def test_payload_roundtrip(t2f2):
     again = FiniteRing.from_payload(t2f2.to_payload())
     assert again.same_tables(t2f2)
@@ -198,6 +411,14 @@ def test_radical_examples():
 def test_radical_matches_definitional_oracle(name):
     ring = builtin_ring(name)
     assert jacobson_radical(ring).members == oracle_radical(ring)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(spec_rings())
+def test_radical_and_units_match_oracles_on_spec_rings(ring):
+    assert jacobson_radical(ring).members == oracle_radical(ring)
+    for x in ring.elements():
+        assert ring.inv(x) == oracle_unit(ring, x)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

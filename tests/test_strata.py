@@ -4,7 +4,8 @@
 search and VIC(d, n) as OVIC(d, n) o GL_d.  The oracles below build every
 d x n matrix f'', keep the column-adapted (respectively the split) ones and
 scan all of R^n for the splittings, then sort by the same keys.  Both sides
-must return equal lists, order included.
+must return equal lists, order included.  The stratum sizes are also
+checked against the closed form through |GL_n(R)| (``closed_form_counts``).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from spec_rings import spec_rings
 
 from vicbench.noether import enumerate_ovic, enumerate_vic
 from vicbench.ovic import (
@@ -24,7 +26,6 @@ from vicbench.ovic import (
 from vicbench.rings import (
     BUILTIN_NAMES,
     RMatrix,
-    build_ring,
     builtin_ring,
     iter_vectors,
     matrix_invertible,
@@ -97,6 +98,27 @@ def filter_vic(emb, d, n):
     return out
 
 
+def gl_order(emb, n):
+    """|GL_n(R)| = |J|^(n^2) * prod_k |GL_{n m_k}(F_{q_k})|: reduction
+    GL_n(R) -> GL_n(R/J) is onto with kernel I + M_n(J), and
+    R/J = prod_k M_{m_k}(F_{q_k})."""
+    order = len(emb.qdata.ideal) ** (n * n)
+    for m, field in zip(emb.mu, emb.corner_fields):
+        q, size = field.order, n * m
+        for i in range(size):
+            order *= q ** size - q ** i
+    return order
+
+
+def closed_form_counts(emb, d, n):
+    """(|OVIC(d, n)|, |VIC(d, n)|) from Hom_VIC(d, n) = GL_n / GL_{n-d} and
+    VIC = OVIC o GL_d, with free GL_d action."""
+    if n < d:
+        return 0, 0
+    vic = gl_order(emb, n) // gl_order(emb, n - d)
+    return vic // gl_order(emb, d), vic
+
+
 def assert_strata_match(emb, d, n):
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
     assert got == want
@@ -127,6 +149,13 @@ def test_generated_strata_equal_filter_oracle(name, d, n):
     assert_strata_match(build_aw_embedding(builtin_ring(name)), d, n)
 
 
+@pytest.mark.parametrize("name,d,n", GRID, ids=[f"{r}-{d}-{n}" for r, d, n in GRID])
+def test_closed_form_counts_equal_enumeration(name, d, n):
+    emb = build_aw_embedding(builtin_ring(name))
+    assert closed_form_counts(emb, d, n) == (len(enumerate_ovic(emb, d, n)),
+                                             len(enumerate_vic(emb, d, n)))
+
+
 GL_GRID = [(name, d) for name in BUILTIN_NAMES for d in (1, 2)
            if builtin_ring(name).size ** (d * d) <= 4096]
 
@@ -145,23 +174,12 @@ def test_general_linear_equals_invertibility_filter(name, d):
         assert f.f_dprime.mul(f.f_prime) == ident == f.f_prime.mul(f.f_dprime)
 
 
-SPEC_ATOMS = ("zmod(2)", "zmod(3)", "zmod(4)", "zmod(5)", "zmod(8)", "zmod(9)",
-              "upper_triangular(zmod(2),2)", "matrix_ring(zmod(2),2)",
-              "group_ring(zmod(2),c2)", "group_ring(zmod(2),c3)",
-              "group_ring(zmod(3),c2)")
-
-
 @st.composite
 def small_strata(draw):
-    """A ring of at most 64 elements from the spec grammar (an atom or a
-    product of two), and a stratum 1 <= d <= n whose VIC filter scans at
-    most 2^15 vectors (the grid above covers d = 0 and n < d)."""
-    spec = draw(st.sampled_from(SPEC_ATOMS))
-    if draw(st.booleans()):
-        spec = f"product({spec},{draw(st.sampled_from(SPEC_ATOMS[:4]))})"
-    ring = build_ring(spec)
-    if ring.size > 64:
-        ring = build_ring("group_ring(zmod(2),s3)")
+    """A ring of at most 64 elements from the spec grammar, and a stratum
+    1 <= d <= n whose VIC filter scans at most 2^15 vectors (the grid above
+    covers d = 0 and n < d)."""
+    ring = draw(spec_rings())
     pairs = [(d, n) for d in (2, 1) for n in range(3, d - 1, -1)
              if ring.size ** ((d + 1) * n) <= 2 ** 15]
     d, n = draw(st.sampled_from(pairs))
@@ -181,6 +199,7 @@ def test_m2f2_rank_two_strata():
     # GL_2(M_2(F2)) = GL_4(F2), of order (16 - 1)(16 - 2)(16 - 4)(16 - 8)
     assert len(enumerate_vic(emb, 2, 2)) == 15 * 14 * 12 * 8 == 20160
     assert enumerate_ovic(emb, 2, 2) == [OvicMorphism.identity(emb, 2)]
+    assert closed_form_counts(emb, 2, 2) == (1, 20160)
 
 
 def test_f2s3_rank_one_strata():
@@ -195,6 +214,7 @@ def test_f2s3_rank_one_strata():
                for name in ("F2C2", "M2F2")]
     assert factors == [48, 3360]
     assert len(vic) == 48 * 3360 == 161280
+    assert closed_form_counts(emb, 1, 2) == (len(enumerate_ovic(emb, 1, 2)), 161280)
     assert len(set(vic)) == len(vic)
     ident = RMatrix.identity(ring, 1)
     assert all(f.f_dprime.mul(f.f_prime) == ident for f in vic)
@@ -209,6 +229,7 @@ def test_z4_rank_three_stratum():
     d, n = 3, 4
     assert len(enumerate_ovic(z4, d, n)) == len(enumerate_ovic(f2, d, n)) * 2 ** (2 * d * (n - d))
     assert len(enumerate_ovic(z4, d, n)) == 7680
+    assert closed_form_counts(z4, d, n)[0] == 7680
 
 
 def test_strata_cached_on_the_embedding():

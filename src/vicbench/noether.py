@@ -3,9 +3,12 @@
 P(d) in degree n is the free module on Hom(R^d, R^n); a submodule is grown
 from generators by applying every morphism into each degree up to a horizon,
 and stored as fully reduced echelon bases with pivots on the order-largest
-basis morphism.  Coefficients are exact: prime fields or rationals.
-Basis morphisms are interned per stratum on the embedding, and the action
-looks composites up in a per-embedding composition table.
+basis morphism; a column index on each basis names the rows holding a
+morphism, so a new pivot is cleared from those rows only.  Coefficients are
+exact: prime fields or rationals.  Basis morphisms are interned per stratum
+on the embedding, keyed by their (f'', f') entries, and the action looks
+composites up in a per-embedding composition table; a miss there multiplies
+entry tuples and builds a morphism only when the stratum holds none yet.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .ovic import (
     is_column_adapted,
     split_rows,
 )
-from .rings import RMatrix, matrix_invertible
+from .rings import RMatrix, matrix_invertible, mul_entries
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -404,7 +407,8 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     if key not in emb.enum_cache:
         out, work = _build_ovic(emb, d, n, budget)
         interned = _interned(emb, d, n)
-        emb.enum_cache[key] = [interned.setdefault(f, f) for f in out], work
+        emb.enum_cache[key] = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
+                               for f in out], work
     out, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
@@ -461,7 +465,7 @@ class ModuleElement:
         self.d = d
         self.degree = degree
         self.field = field
-        self.terms = {f: c for f, c in terms.items() if c != field.zero}
+        self.terms = {f: c for f, c in terms.items() if c}
         for f in self.terms:
             if f.d != d or f.n != degree:
                 raise DegreeMismatch(
@@ -508,8 +512,24 @@ class ModuleElement:
 
 
 def _interned(emb: AWEmbedding, d: int, n: int) -> dict:
-    """The intern table of morphisms d -> n on ``emb``: each maps to itself."""
+    """The intern table of morphisms d -> n on ``emb``, keyed by
+    (f''.entries, f'.entries)."""
     return emb.enum_cache.setdefault(("intern", d, n), {})
+
+
+def _composite(phi: OvicMorphism, f: OvicMorphism) -> OvicMorphism:
+    """The interned phi o f: its (f'', f') entries are multiplied out from
+    the ring tables and looked up in the intern table of its stratum;
+    ``compose_vic`` runs only when that holds no such morphism yet."""
+    d, k, n = f.d, phi.d, phi.n
+    ring = phi.emb.ring
+    key = (mul_entries(ring, f.f_dprime.entries, phi.f_dprime.entries, d, k, n),
+           mul_entries(ring, phi.f_prime.entries, f.f_prime.entries, n, k, d))
+    interned = _interned(phi.emb, d, n)
+    g = interned.get(key)
+    if g is None:
+        g = interned[key] = compose_vic(phi, f)
+    return g
 
 
 def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
@@ -518,7 +538,7 @@ def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
     Each term phi o f is interned: it is the object ``enumerate_ovic``
     emitted for it, order key built, when that stratum is cached, else the
     first composite computed.  A table on ``phi.emb`` maps (phi, f) to it,
-    so ``compose_vic`` runs once per pair and embedding."""
+    so each pair is composed once per embedding."""
     if phi.d != x.degree:
         raise DegreeMismatch(f"morphism {phi.d}->{phi.n} cannot act on degree {x.degree}")
     field = x.field
@@ -528,8 +548,7 @@ def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
     for f, c in x.terms.items():
         g = row.get(f)
         if g is None:
-            g = compose_vic(phi, f)
-            g = row[f] = _interned(phi.emb, x.d, phi.n).setdefault(g, g)
+            g = row[f] = _composite(phi, f)
         terms[g] = field.add(terms.get(g, field.zero), c)
     return ModuleElement(x.d, phi.n, field, terms)
 
@@ -551,12 +570,15 @@ class EchelonBasis:
 
     Rows are monic; no row's tail contains another row's pivot, so the stored
     form is the canonical reduced basis of the span regardless of insertion
-    order.
+    order.  ``cols`` indexes the tails: it maps each morphism to the pivots
+    whose row holds it off the pivot, so adjoining a pivot clears it from
+    exactly the rows listed under it.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows: dict[OvicMorphism, dict] = {}
+        self.cols: dict[OvicMorphism, set] = {}
 
     @property
     def dim(self) -> int:
@@ -567,48 +589,53 @@ class EchelonBasis:
 
     def reduce(self, terms: dict) -> tuple[dict, list]:
         """Remainder of ``terms`` against the basis plus the certificate
-        [(pivot, coefficient), ...] that was subtracted."""
-        field = self.field
-        vec = {f: c for f, c in terms.items() if c != field.zero}
+        [(pivot, coefficient), ...] that was subtracted, pivots descending.
+
+        Rows are fully reduced, so subtracting one never touches another
+        pivot: the pivots among the starting terms are all that is cleared."""
+        field, rows = self.field, self.rows
+        vec = {f: c for f, c in terms.items() if c}
         cert = []
-        for m in sorted(vec, key=lambda f: f.order_key, reverse=True):
-            c = vec.get(m, field.zero)
-            if c == field.zero or m not in self.rows:
-                continue
+        for m in sorted((f for f in vec if f in rows), key=lambda f: f.order_key,
+                        reverse=True):
+            c = vec[m]
             cert.append((m, c))
-            for g, rc in self.rows[m].items():
+            for g, rc in rows[m].items():
                 nv = field.sub(vec.get(g, field.zero), field.mul(c, rc))
-                if nv == field.zero:
-                    vec.pop(g, None)
-                else:
+                if nv:
                     vec[g] = nv
+                else:
+                    del vec[g]
         return vec, cert
 
     def insert(self, terms: dict) -> bool:
-        """Reduce and, if a remainder survives, adjoin it (monic) and keep
-        every other row reduced against the new pivot."""
-        field = self.field
+        """Reduce and, if a remainder survives, adjoin it (monic) and clear
+        the new pivot from the rows that hold it."""
+        field, rows, cols = self.field, self.rows, self.cols
         rem, _ = self.reduce(terms)
         if not rem:
             return False
         lead = max(rem, key=lambda f: f.order_key)
-        inv = field.inv(rem[lead])
-        new_row = {g: field.mul(inv, c) for g, c in rem.items()}
-        self.rows[lead] = new_row
-        for pivot, row in list(self.rows.items()):
-            if pivot is lead:
-                continue
-            c = row.get(lead, field.zero)
-            if c == field.zero:
-                continue
-            updated = dict(row)
-            for g, rc in new_row.items():
-                nv = field.sub(updated.get(g, field.zero), field.mul(c, rc))
-                if nv == field.zero:
-                    updated.pop(g, None)
+        inv = field.inv(rem.pop(lead))
+        tail = {g: field.mul(inv, c) for g, c in rem.items()}
+        for pivot in cols.pop(lead, ()):
+            row = rows[pivot]
+            c = row.pop(lead)
+            for g, rc in tail.items():
+                nv = field.sub(row.get(g, field.zero), field.mul(c, rc))
+                if not nv:
+                    del row[g]
+                    holders = cols[g]
+                    holders.discard(pivot)
+                    if not holders:
+                        del cols[g]
                 else:
-                    updated[g] = nv
-            self.rows[pivot] = updated
+                    if g not in row:
+                        cols.setdefault(g, set()).add(pivot)
+                    row[g] = nv
+        for g in tail:
+            cols.setdefault(g, set()).add(lead)
+        rows[lead] = {lead: field.one, **tail}
         return True
 
     def canonical_rows(self) -> dict:
@@ -703,13 +730,37 @@ def check_endo_generation(emb: AWEmbedding, d: int, horizon: int,
     return {"d": d, "per_degree": per_degree, "counterexamples": 0}
 
 
+def _gl_order(emb: AWEmbedding, n: int) -> int:
+    """|GL_n(R)| = |J|^(n^2) * prod_k |GL_{n m_k}(F_{q_k})|: reduction
+    GL_n(R) -> GL_n(R/J) is onto with kernel I + M_n(J), and
+    R/J = prod_k M_{m_k}(F_{q_k})."""
+    order = len(emb.qdata.ideal) ** (n * n)
+    for m, corner in zip(emb.mu, emb.corner_fields):
+        q, size = corner.order, n * m
+        for i in range(size):
+            order *= q ** size - q ** i
+    return order
+
+
+def closed_form_counts(emb: AWEmbedding, d: int, n: int) -> tuple[int, int]:
+    """(|OVIC(d, n)|, |VIC(d, n)|) without enumerating, from
+    Hom_VIC(d, n) = GL_n / GL_{n-d} and VIC = OVIC o GL_d with free GL_d
+    action."""
+    _check_ranks(d, n)
+    if n < d:
+        return 0, 0
+    vic = _gl_order(emb, n) // _gl_order(emb, n - d)
+    return vic // _gl_order(emb, d), vic
+
+
 def count_identity_report(emb: AWEmbedding, d: int, n: int,
                           budget: int = 10 ** 6) -> dict:
     """|Hom_VIC(d,n)| against |GL_d| * |Hom_OVIC(d,n)|, as recorded data.
 
-    The identity holds by construction, since ``enumerate_vic`` builds
-    VIC(d, n) as OVIC(d, n) o GL_d; the check that both lists are right is
-    carried by the tests, which compare them with brute-force filters."""
+    ``enumerate_vic`` builds VIC(d, n) as OVIC(d, n) o GL_d, so that
+    identity holds by construction; ``matches`` also requires both
+    enumerated counts to equal ``closed_form_counts``, which owes nothing
+    to either enumerator."""
     vic = len(enumerate_vic(emb, d, n, budget=budget))
     ovic = len(enumerate_ovic(emb, d, n, budget=budget))
     gl = len(enumerate_vic(emb, d, d, budget=budget))
@@ -720,5 +771,5 @@ def count_identity_report(emb: AWEmbedding, d: int, n: int,
         "ovic": ovic,
         "gl": gl,
         "gl_times_ovic": gl * ovic,
-        "matches": vic == gl * ovic,
+        "matches": vic == gl * ovic and (ovic, vic) == closed_form_counts(emb, d, n),
     }

@@ -870,19 +870,9 @@ class RMatrix:
     def mul(self, other: "RMatrix") -> "RMatrix":
         if self.cols != other.rows or self.ring is not other.ring:
             raise BadShape(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        add, mul = self.ring._add, self.ring._mul
-        zero = self.ring.zero
-        n, k, m = self.rows, self.cols, other.cols
-        se, oe = self.entries, other.entries
-        out = []
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    acc = add[acc][mul[se[base + t]][oe[t * m + j]]]
-                out.append(acc)
-        return RMatrix(self.ring, n, m, out)
+        return RMatrix(self.ring, self.rows, other.cols,
+                       mul_entries(self.ring, self.entries, other.entries,
+                                   self.rows, self.cols, other.cols))
 
     def add(self, other: "RMatrix") -> "RMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring is not other.ring:
@@ -940,6 +930,22 @@ class RMatrix:
 
 def iter_vectors(ring: FiniteRing, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(ring.elements(), repeat=n)
+
+
+def mul_entries(ring: FiniteRing, a: tuple, b: tuple, rows: int, inner: int,
+                cols: int) -> tuple[int, ...]:
+    """Row-major entries of the rows x cols product of the row-major
+    rows x inner and inner x cols entry tuples ``a`` and ``b``."""
+    add, mul, zero = ring._add, ring._mul, ring.zero
+    out = []
+    for i in range(rows):
+        base = i * inner
+        for j in range(cols):
+            acc = zero
+            for t in range(inner):
+                acc = add[acc][mul[a[base + t]][b[t * cols + j]]]
+            out.append(acc)
+    return tuple(out)
 
 
 def matvec(ring: FiniteRing, m: RMatrix, vec: Sequence[int]) -> tuple[int, ...]:

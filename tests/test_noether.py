@@ -20,6 +20,7 @@ from vicbench.noether import (
     RationalField,
     act,
     check_endo_generation,
+    closed_form_counts,
     count_identity_report,
     enumerate_ovic,
     enumerate_vic,
@@ -29,9 +30,10 @@ from vicbench.noether import (
     parse_field,
     span_to_degree,
 )
+from vicbench import noether
 from vicbench.ordering import total_compare, LT
 from vicbench.ovic import OvicMorphism, compose_vic
-from vicbench.rings import RMatrix, builtin_ring, zmod
+from vicbench.rings import RMatrix, build_ring, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
 
 F2 = PrimeField(2)
@@ -254,6 +256,38 @@ def test_act_on_explicit_morphisms_enumerates_nothing():
     assert not [key for key in emb.enum_cache if key[0] == "ovic"]
 
 
+def test_act_returns_the_emitted_member():
+    """On an enumerated stratum the entry-keyed lookup lands on the very
+    object ``enumerate_ovic`` emitted."""
+    emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))
+    emitted = {f: f for f in enumerate_ovic(emb, 1, 3)}
+    fs = enumerate_ovic(emb, 1, 2)
+    for phi in enumerate_ovic(emb, 2, 3)[::401]:
+        for f in fs[::7]:
+            (g,) = act(phi, ModuleElement.monomial(f, F2)).terms
+            assert g is emitted[compose_vic(phi, f)]
+
+
+@pytest.mark.parametrize("spec", ["zmod(4)", "upper_triangular(zmod(2),2)"])
+def test_act_on_a_stratum_never_enumerated(spec):
+    """Without the target stratum the composite is built once by
+    ``compose_vic``, with the pivot sets and order key a morphism built
+    from scratch gets."""
+    emb = build_aw_embedding(build_ring(spec))
+    fs = enumerate_ovic(emb, 1, 2)
+    for phi in enumerate_ovic(emb, 2, 3)[::401]:
+        for f in fs[::7]:
+            (g,) = act(phi, ModuleElement.monomial(f, F2)).terms
+            want = compose_vic(phi, f)
+            fresh = OvicMorphism(want.f_prime, want.f_dprime, emb)
+            assert g == want == fresh
+            assert g.s_sets == want.s_sets == fresh.s_sets
+            assert g.order_key == want.order_key == fresh.order_key
+            (again,) = act(phi, ModuleElement.monomial(f, F2)).terms
+            assert again is g
+    assert ("ovic", 1, 3) not in emb.enum_cache
+
+
 def test_repeated_act_is_equal():
     emb = emb_of("Z4")
     x = _seeded_element(emb, F2, 2, 2, "repeat")
@@ -410,6 +444,75 @@ def test_claim_equal_sinit_implies_equal_module():
                         == n_state.bases[deg].canonical_rows())
 
 
+class ScanEchelonBasis:
+    """Fully reduced echelon basis keyed by leading morphism.
+
+    Rows are monic; no row's tail contains another row's pivot, so the stored
+    form is the canonical reduced basis of the span regardless of insertion
+    order.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.rows: dict[OvicMorphism, dict] = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def leading(self) -> tuple[OvicMorphism, ...]:
+        return tuple(sorted(self.rows, key=lambda f: f.order_key))
+
+    def reduce(self, terms: dict) -> tuple[dict, list]:
+        """Remainder of ``terms`` against the basis plus the certificate
+        [(pivot, coefficient), ...] that was subtracted."""
+        field = self.field
+        vec = {f: c for f, c in terms.items() if c != field.zero}
+        cert = []
+        for m in sorted(vec, key=lambda f: f.order_key, reverse=True):
+            c = vec.get(m, field.zero)
+            if c == field.zero or m not in self.rows:
+                continue
+            cert.append((m, c))
+            for g, rc in self.rows[m].items():
+                nv = field.sub(vec.get(g, field.zero), field.mul(c, rc))
+                if nv == field.zero:
+                    vec.pop(g, None)
+                else:
+                    vec[g] = nv
+        return vec, cert
+
+    def insert(self, terms: dict) -> bool:
+        """Reduce and, if a remainder survives, adjoin it (monic) and keep
+        every other row reduced against the new pivot."""
+        field = self.field
+        rem, _ = self.reduce(terms)
+        if not rem:
+            return False
+        lead = max(rem, key=lambda f: f.order_key)
+        inv = field.inv(rem[lead])
+        new_row = {g: field.mul(inv, c) for g, c in rem.items()}
+        self.rows[lead] = new_row
+        for pivot, row in list(self.rows.items()):
+            if pivot is lead:
+                continue
+            c = row.get(lead, field.zero)
+            if c == field.zero:
+                continue
+            updated = dict(row)
+            for g, rc in new_row.items():
+                nv = field.sub(updated.get(g, field.zero), field.mul(c, rc))
+                if nv == field.zero:
+                    updated.pop(g, None)
+                else:
+                    updated[g] = nv
+            self.rows[pivot] = updated
+        return True
+
+    def canonical_rows(self) -> dict:
+        return {lead: dict(row) for lead, row in self.rows.items()}
+
+
 def _oracle_act(phi, x):
     """The action composing every term afresh with compose_vic."""
     terms = {}
@@ -419,29 +522,91 @@ def _oracle_act(phi, x):
     return ModuleElement(x.d, phi.n, x.field, terms)
 
 
-@pytest.mark.parametrize("ring,field,horizon,degrees,terms", [
+SPAN_CASES = [
     ("F2", "F2", 4, (2,), 3),
     ("F3", "Q", 3, (2,), 3),
     ("Z4", "F2", 3, (2,), 2),
     ("T2F2", "Q", 2, (1,), 1),
-])
+]
+
+
+def _span_case_generators(emb, field, degrees, terms, variant):
+    return [_seeded_element(emb, field, deg, terms + variant, f"oracle/{variant}/{deg}")
+            for deg in degrees]
+
+
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms", SPAN_CASES)
 def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms):
+    """The span engine (interned composites, column-indexed basis) against
+    fresh ``compose_vic`` composites in the full-scan basis: equal canonical
+    rows and leads, and equal remainders and certificates on membership
+    queries in and out of the span."""
     emb = emb_of(ring)
     field = parse_field(field)
     for variant in range(2):
-        gens = [_seeded_element(emb, field, deg, terms + variant, f"oracle/{variant}/{deg}")
-                for deg in degrees]
+        gens = _span_case_generators(emb, field, degrees, terms, variant)
         state = span_to_degree(gens, horizon, emb, field, d=1)
+        rng = random.Random(f"oracle-queries/{variant}")
         for n in range(horizon + 1):
-            oracle = EchelonBasis(field)
+            oracle = ScanEchelonBasis(field)
+            images = []
             for g in gens:
                 if g.degree <= n:
                     for phi in enumerate_ovic(emb, g.degree, n):
-                        oracle.insert(_oracle_act(phi, g).terms)
+                        images.append(_oracle_act(phi, g))
+                        oracle.insert(images[-1].terms)
             basis = state.bases[n]
             assert basis.canonical_rows() == oracle.canonical_rows()
             assert [f.order_key for f in basis.leading()] == [
                 f.order_key for f in oracle.leading()]
+            if n == 0:
+                continue
+            queries = [_seeded_element(emb, field, n, 3, f"probe/{variant}/{n}/{i}")
+                       for i in range(3)]
+            for _ in range(3 if images else 0):
+                picked = rng.sample(images, min(3, len(images)))
+                member = ModuleElement(1, n, field, {})
+                for y in picked:
+                    member = member.add(y.scale(field.from_int(rng.randrange(1, 5))))
+                queries.append(member)
+                queries.append(member.add(queries[0]))
+            for x in queries:
+                ok, cert = membership(state, x)
+                rem, want = oracle.reduce(x.terms)
+                assert (ok, cert) == (not rem, want)
+                assert basis.reduce(x.terms)[0] == rem
+
+
+def _rebuilt_index(basis):
+    index = {}
+    for pivot, row in basis.rows.items():
+        for g in row:
+            if g is not pivot:
+                index.setdefault(g, set()).add(pivot)
+    return index
+
+
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms", SPAN_CASES)
+def test_column_index_invariants(ring, field, horizon, degrees, terms):
+    """After every insert the column index is the one rebuilt from the rows,
+    every row is monic on its pivot, and no row's tail holds a pivot."""
+    emb = emb_of(ring)
+    field = parse_field(field)
+    for variant in range(2):
+        gens = _span_case_generators(emb, field, degrees, terms, variant)
+        for n in range(1, horizon + 1):
+            basis = EchelonBasis(field)
+            for g in gens:
+                if g.degree > n:
+                    continue
+                for phi in enumerate_ovic(emb, g.degree, n):
+                    basis.insert(act(phi, g).terms)
+                    assert basis.cols == _rebuilt_index(basis)
+                    assert not basis.cols.keys() & basis.rows.keys()
+                    for pivot, row in basis.rows.items():
+                        assert row[pivot] == field.one
+                        assert all(c for c in row.values())
+                        assert max(row, key=lambda f: f.order_key) is pivot
 
 
 def test_span_over_rationals():
@@ -450,6 +615,18 @@ def test_span_over_rationals():
     ident = ModuleElement.monomial(OvicMorphism.identity(emb, 1), q)
     state = span_to_degree([ident.scale(Fraction(3, 2))], 2, emb, q)
     assert state.dims()[2] == 6
+
+
+def test_full_module_over_q_at_scale():
+    """12544 rows at degree 3, one accepted insert each: a basis that scans
+    every row per insert needs quadratic time here (tens of seconds), the
+    column index well under a second."""
+    emb = emb_of("T2F2")
+    q = RationalField()
+    ident = ModuleElement.monomial(OvicMorphism.identity(emb, 1), q)
+    state = span_to_degree([ident], 3, emb, q)
+    assert state.dims() == {0: 0, 1: 1, 2: 144, 3: 12544}
+    assert all(state.dims()[n] == len(enumerate_ovic(emb, 1, n)) for n in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +658,31 @@ def test_count_identity_report():
     rep = count_identity_report(emb, 1, 2)
     assert rep["vic"] == 6 and rep["gl"] == 1
     assert set(rep) >= {"vic", "ovic", "gl", "gl_times_ovic", "matches"}
+    assert rep["matches"]
+
+
+def test_count_identity_report_checks_the_closed_form(monkeypatch):
+    """GL_d * OVIC = VIC holds by construction; a count off the closed form
+    must still fail the report."""
+    emb = emb_of("Z4")
+    assert count_identity_report(emb, 1, 2)["matches"]
+    monkeypatch.setattr(noether, "closed_form_counts", lambda emb, d, n: (24, 49))
+    rep = count_identity_report(emb, 1, 2)
+    assert rep["vic"] == rep["gl_times_ovic"] == 48
+    assert not rep["matches"]
+
+
+def test_closed_form_counts_beyond_enumeration():
+    """M_2(F_2) is semisimple with GL_n(M_2(F_2)) = GL_2n(F_2), so
+    |VIC(1, 3)| = |GL_6(F_2)| / |GL_4(F_2)| and |OVIC(1, 3)| divides that by
+    |GL_2(F_2)| = 6."""
+    gl6 = 63 * 62 * 60 * 56 * 48 * 32
+    gl4 = 15 * 14 * 12 * 8
+    assert closed_form_counts(emb_of("M2F2"), 1, 3) == (gl6 // gl4 // 6, gl6 // gl4)
+    assert closed_form_counts(emb_of("M2F2"), 1, 3)[0] == 166656
+    assert closed_form_counts(emb_of("F2"), 3, 2) == (0, 0)
+    with pytest.raises(ValueError, match="negative rank"):
+        closed_form_counts(emb_of("F2"), -1, 2)
 
 
 # ---------------------------------------------------------------------------

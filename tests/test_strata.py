@@ -5,7 +5,8 @@ search and VIC(d, n) as OVIC(d, n) o GL_d.  The oracles below build every
 d x n matrix f'', keep the column-adapted (respectively the split) ones and
 scan all of R^n for the splittings, then sort by the same keys.  Both sides
 must return equal lists, order included.  The stratum sizes are also
-checked against the closed form through |GL_n(R)| (``closed_form_counts``).
+checked against the closed form through |GL_n(R)|
+(``noether.closed_form_counts``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
-from vicbench.noether import enumerate_ovic, enumerate_vic
+from vicbench.noether import closed_form_counts, enumerate_ovic, enumerate_vic
 from vicbench.ovic import (
     OvicMorphism,
     VicMorphism,
@@ -98,27 +99,6 @@ def filter_vic(emb, d, n):
     return out
 
 
-def gl_order(emb, n):
-    """|GL_n(R)| = |J|^(n^2) * prod_k |GL_{n m_k}(F_{q_k})|: reduction
-    GL_n(R) -> GL_n(R/J) is onto with kernel I + M_n(J), and
-    R/J = prod_k M_{m_k}(F_{q_k})."""
-    order = len(emb.qdata.ideal) ** (n * n)
-    for m, field in zip(emb.mu, emb.corner_fields):
-        q, size = field.order, n * m
-        for i in range(size):
-            order *= q ** size - q ** i
-    return order
-
-
-def closed_form_counts(emb, d, n):
-    """(|OVIC(d, n)|, |VIC(d, n)|) from Hom_VIC(d, n) = GL_n / GL_{n-d} and
-    VIC = OVIC o GL_d, with free GL_d action."""
-    if n < d:
-        return 0, 0
-    vic = gl_order(emb, n) // gl_order(emb, n - d)
-    return vic // gl_order(emb, d), vic
-
-
 def assert_strata_match(emb, d, n):
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
     assert got == want
@@ -191,7 +171,10 @@ def small_strata(draw):
 def test_generated_strata_on_random_rings(stratum):
     """40 fixed examples, about 1 s on a 2-core x86 container."""
     ring, d, n = stratum
-    assert_strata_match(build_aw_embedding(ring), d, n)
+    emb = build_aw_embedding(ring)
+    assert_strata_match(emb, d, n)
+    assert closed_form_counts(emb, d, n) == (len(enumerate_ovic(emb, d, n)),
+                                             len(enumerate_vic(emb, d, n)))
 
 
 def test_m2f2_rank_two_strata():

@@ -195,6 +195,7 @@ def verb_order_iota(args):
 
 
 def verb_order_chain(args):
+    _check_non_negative(node_cap=args.node_cap)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     fa, da = _morphism_input(args.a, emb)
@@ -210,11 +211,11 @@ def verb_order_chain(args):
 def _check_non_negative(**values) -> None:
     for name, value in values.items():
         if value < 0:
-            raise UsageError(f"--{name} {value}: must be non-negative")
+            raise UsageError(f"--{name.replace('_', '-')} {value}: must be non-negative")
 
 
 def verb_enumerate_ovic(args):
-    _check_non_negative(d=args.d, n=args.n)
+    _check_non_negative(d=args.d, n=args.n, budget=args.budget)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     if args.vic:
@@ -233,7 +234,7 @@ def verb_noether_span(args):
         field = parse_field(args.k)
     except ValueError as exc:
         raise UsageError(f"--k {args.k}: {exc}") from None
-    _check_non_negative(d=args.d, horizon=args.horizon)
+    _check_non_negative(d=args.d, horizon=args.horizon, budget=args.budget)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     gens = load_generators(args.gens, emb, field, d=args.d)
@@ -263,7 +264,7 @@ def verb_noether_span(args):
 
 
 def verb_noether_endo(args):
-    _check_non_negative(d=args.d, horizon=args.horizon)
+    _check_non_negative(d=args.d, horizon=args.horizon, budget=args.budget)
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
     report = check_endo_generation(emb, args.d, args.horizon, budget=args.budget)

@@ -15,14 +15,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from fractions import Fraction
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
+    BadShape,
     BudgetExceeded,
     CounterexampleFound,
     DegreeMismatch,
     HorizonExceeded,
+    InvalidMorphism,
     ZeroElement,
 )
 from .ovic import (
@@ -36,7 +40,7 @@ from .ovic import (
     is_column_adapted,
     split_rows,
 )
-from .rings import RMatrix, matrix_invertible, mul_entries
+from .rings import RMatrix, matrix_invertible, mul_entries, newton_inverse
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -70,6 +74,8 @@ class PrimeField:
         return (a * b) % self.p
 
     def inv(self, a):
+        if not a:
+            raise ZeroDivisionError(f"0 has no inverse in {self.name}")
         return pow(a, self.p - 2, self.p)
 
     def from_int(self, n: int):
@@ -133,7 +139,9 @@ def parse_field(spec: str):
 # by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
 # their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
-# the lifts of GL_d(R/J).  Results are cached in ``emb.enum_cache``.
+# the lifts s (I + M_d(J)) of GL_d(R/J).  Members are assembled from entry
+# tuples checked once per f'' and emitted in order, group by group.  Results
+# are cached in ``emb.enum_cache``.
 
 
 def _check_ranks(d: int, n: int) -> None:
@@ -244,7 +252,7 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
 
 def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
     """ker f, met in the middle: vectors on the first n // 2 coordinates are
-    grouped by their image, then matched against the rest."""
+    grouped by the negative of their image, then matched against the rest."""
     ring = f.ring
     add, mul, zero = ring.add_table, ring.mul_table, ring.zero
     d, n, e = f.rows, f.cols, f.entries
@@ -260,12 +268,13 @@ def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
             out.append(acc)
         return tuple(out)
 
-    left: dict = {}
+    neg = ring._neg
+    left: dict = {}  # -(image of u) -> u
     for u in itertools.product(ring.elements(), repeat=half):
-        left.setdefault(image(u, 0), []).append(u)
+        left.setdefault(tuple(neg[x] for x in image(u, 0)), []).append(u)
     out = []
     for w in itertools.product(ring.elements(), repeat=n - half):
-        for u in left.get(tuple(ring.neg(x) for x in image(w, half)), ()):
+        for u in left.get(image(w, half), ()):
             out.append(u + w)
     return out
 
@@ -273,7 +282,9 @@ def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
 def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
     """Per column-adapted f'' of the stratum d -> n: (f'', s_sets, canonical
     splitting psi, every K in ker(f'')^d, order-key prefix), plus the search
-    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K."""
+    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K.
+    Phi is injective, so the prefixes (n, s_sets, Phi(f'') columns) are
+    distinct; the records come sorted by them."""
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
         found, nodes = _column_adapted_dprimes(emb, d, n, budget)
@@ -281,12 +292,25 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
         for f_dprime, s_sets, cols in found:
             kernel = _kernel(f_dprime)
             # every K in ker(f'')^d, as n x d row-major entries
-            shifts = [tuple(combo[j][r] for r in range(n) for j in range(d))
+            shifts = [tuple(itertools.chain.from_iterable(zip(*combo)))
                       for combo in itertools.product(kernel, repeat=d)]
             records.append((f_dprime, s_sets, canonical_splitting(s_sets, emb, m=n, n=d),
                             shifts, (n, s_sets, cols)))
+        records.sort(key=itemgetter(4))
         emb.enum_cache[key] = (records, nodes)
     return emb.enum_cache[key]
+
+
+def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
+                 shifts: list) -> None:
+    """What ``RMatrix`` and ``VicMorphism`` check for each member, checked
+    once for the members (base + K, f'') with K in ``shifts``: f'' is a
+    d x n matrix over ``ring``, and base and every K are n * d ints."""
+    if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
+        raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
+    if (any(len(e) != n * d for e in itertools.chain((base,), shifts))
+            or any(type(x) is not int for x in base)):
+        raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
 
 
 def _reduced_general_linear(emb: AWEmbedding, d: int, budget: int
@@ -327,32 +351,41 @@ def _reduced_general_linear(emb: AWEmbedding, d: int, budget: int
 
 
 def _general_linear(emb: AWEmbedding, d: int, reduced: list) -> list:
-    """GL_d(R) as (g, g^-1) pairs from GL_d(R/J) given by ``reduced``;
-    cached on ``emb``.  g is invertible iff its reduction mod J is, so
-    GL_d(R) is every lift of GL_d(R/J) by M_d(J).  Units are inverted by
-    the ring's unit table, larger matrices by ``matrix_invertible``."""
+    """GL_d(R) as (g, g^-1) entry-tuple pairs from GL_d(R/J) given by
+    ``reduced``; cached on ``emb``.
+
+    g is invertible iff its reduction mod J is, and M_d(J) is a two-sided
+    ideal of M_d(R), so the lifts of a reduced s-bar are s (I + M_d(J)) for
+    any one lift s, with (s k)^-1 = k^-1 s^-1.  ``matrix_invertible`` runs
+    once per element of GL_d(R/J), and not at all for one whose inverse an
+    earlier call already gave; each k^-1 comes once, by Newton iteration
+    from I."""
     key = ("gl", d)
     if key in emb.enum_cache:
         return emb.enum_cache[key]
     ring, qdata = emb.ring, emb.qdata
-    fibers = [[] for _ in qdata.quotient.elements()]
-    for x in ring.elements():
-        fibers[qdata.projection[x]].append(x)
+    add, proj, section = ring._add, qdata.projection, qdata.section
+    ident = RMatrix.identity(ring, d).entries
+    unipotent = []  # I + M_d(J) without I: s I = s needs no product
+    for shift in itertools.product(qdata.ideal.sorted_members, repeat=d * d):
+        k = tuple(add[a][b] for a, b in zip(ident, shift))
+        if k != ident:
+            unipotent.append((k, newton_inverse(ring, d, k, ident, qdata.nilpotency)))
+    lifted = {}  # reduced entries -> (s, s^-1) from an inverse already computed
     pairs = []
-    inverse_of = {}  # g^-1 entries -> g, so each inverse pair is computed once
     for cols in reduced:
-        for entries in itertools.product(*(fibers[cols[c][rho]]
-                                           for rho in range(d) for c in range(d))):
-            g = RMatrix(ring, d, d, entries)
-            g_inv = inverse_of.get(g.entries)
-            if g_inv is None and d == 1:
-                g_inv = RMatrix(ring, 1, 1, [ring.inv(entries[0])])
-            elif g_inv is None:
-                ok, g_inv = matrix_invertible(g, qdata)
-                if not ok:
-                    raise RuntimeError("lift of an invertible reduction is singular")  # bug guard
-                inverse_of[g_inv.entries] = g
-            pairs.append((g, g_inv))
+        s_bar = tuple(cols[c][rho] for rho in range(d) for c in range(d))
+        s, s_inv = lifted.get(s_bar, (None, None))
+        if s is None:
+            s = tuple(section[x] for x in s_bar)
+            ok, inv = matrix_invertible(RMatrix(ring, d, d, s), qdata)
+            if not ok:
+                raise RuntimeError("lift of an invertible reduction is singular")  # bug guard
+            s_inv = inv.entries
+            lifted[tuple(proj[x] for x in s_inv)] = (s_inv, s)
+        pairs.append((s, s_inv))
+        pairs.extend((mul_entries(ring, s, k, d, d, d), mul_entries(ring, k_inv, s_inv, d, d, d))
+                     for k, k_inv in unipotent)
     emb.enum_cache[key] = pairs
     return pairs
 
@@ -374,19 +407,25 @@ def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
     # row p of Phi applied along a row v of f', for every v in R^d
     phi_rows = {v: [tuple(e for x in v for e in phis[x].row(p)) for p in range(mu)]
                 for v in itertools.product(ring.elements(), repeat=d)}
+    new_matrix, new_morphism = RMatrix._unchecked, OvicMorphism._unchecked
     out = []
     for f_dprime, s_sets, psi, shifts, prefix in records:
+        _check_group(ring, d, n, f_dprime, psi.entries, shifts)
         free, _ = split_rows(emb, n, s_sets)
         # standard row s of Phi(f') is row (s-1) % mu along row (s-1) // mu of f'
         free_at = [((s - 1) // mu * d, (s - 1) % mu) for s in free]
-        base = psi.entries
+        rows = [add[a] for a in psi.entries]
+        members = []
         for shift in shifts:
-            entries = tuple([add[a][b] for a, b in zip(base, shift)])
-            frees = tuple(phi_rows[entries[i:i + d]][p] for i, p in free_at)
-            out.append(OvicMorphism(RMatrix(ring, n, d, entries), f_dprime, emb,
-                                    s_sets=s_sets, check=False,
-                                    order_key=prefix + (frees,)))
-    out.sort(key=lambda f: f.order_key)
+            entries = tuple(map(getitem, rows, shift))
+            members.append((tuple(phi_rows[entries[i:i + d]][p] for i, p in free_at),
+                            entries))
+        # the records come in prefix order, so sorting each by its free rows
+        # sorts the stratum
+        members.sort(key=itemgetter(0))
+        out.extend(new_morphism(new_matrix(ring, n, d, entries), f_dprime, emb,
+                                s_sets, prefix + (frees,))
+                   for frees, entries in members)
     return out, work
 
 
@@ -396,11 +435,14 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
 
     Each column-adapted f'' comes out of a column-by-column search, and
     carries the splittings psi + K for K in ker(f'')^d, psi its canonical
-    splitting.  Order keys are assembled from a per-f'' prefix and the free
-    rows of Phi(f').  ``budget`` bounds the search nodes plus the emitted
-    morphisms; BudgetExceeded is raised past it.  The stratum is cached on
-    ``emb``: a repeated request returns the same list, whose members are
-    interned for ``act``.
+    splitting.  Order keys are a per-f'' prefix (n, s_sets, Phi(f'')
+    columns) followed by the free rows of Phi(f').  Phi is injective, so no
+    two f'' share a prefix: the stratum is emitted in order by taking the
+    f'' in prefix order and the members of each in free-row order, with no
+    sort over the whole stratum.  ``budget`` bounds the search nodes plus
+    the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
+    cached on ``emb``: a repeated request returns the same list, whose
+    members are interned for ``act``.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
@@ -420,9 +462,13 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
 
     Built as OVIC(d, n) o GL_d: f'' = g f2'' and f' = psi g^-1 + K over the
     column-adapted f2'' (canonical splitting psi), g in GL_d and K in
-    ker(f2'')^d.  Each pair arises once, because its factorisation through
-    the ordered subcategory is unique.  ``budget`` bounds the search nodes
-    of OVIC(d, n) and GL_d(R/J), the members of GL_d and the emitted pairs;
+    ker(f2'')^d, on entry tuples.  Each pair arises once, because its
+    factorisation through the ordered subcategory is unique; so distinct
+    (f2'', g) give distinct f'', and the stratum is emitted in order by
+    taking the (f2'', g) groups in f'' order and the f' of each sorted, with
+    no sort over the whole stratum.  GL_d is the lifts s (I + M_d(J)) of
+    GL_d(R/J) (``_general_linear``).  ``budget`` bounds the search nodes of
+    OVIC(d, n) and GL_d(R/J), the members of GL_d and the emitted pairs;
     BudgetExceeded is raised past it.
     """
     _check_ranks(d, n)
@@ -438,16 +484,33 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     work = nodes + gl_nodes + gl_size * (1 + sum(len(rec[3]) for rec in records))
     _check_budget(work, budget, f"VIC({d}, {n})")
     gl = _general_linear(emb, d, reduced)
-    add = ring.add_table
-    out = []
+    # rows of each g and columns of each g^-1
+    gl_parts = [([g[i:i + d] for i in range(0, d * d, d)], [g_inv[j::d] for j in range(d)])
+                for g, g_inv in gl]
+    flatten = itertools.chain.from_iterable
+    groups = []
     for f2, _, psi, shifts, _ in records:
-        for g, g_inv in gl:
-            f_dprime = g.mul(f2)
-            base = psi.mul(g_inv).entries
-            for shift in shifts:
-                f_prime = RMatrix(ring, n, d, [add[a][b] for a, b in zip(base, shift)])
-                out.append(VicMorphism(f_prime, f_dprime, check=False))
-    out.sort(key=lambda f: (f.f_dprime.entries, f.f_prime.entries))
+        # g f2'' and psi g^-1 have the shapes of f2'' and psi
+        _check_group(ring, d, n, f2, psi.entries, shifts)
+        # row i of g f2'' is (row i of g) f2'', column j of psi g^-1 is
+        # psi (column j of g^-1): one product per distinct row and column
+        times_f2 = cache(lambda v: mul_entries(ring, v, f2.entries, 1, d, n))
+        psi_times = cache(lambda v: mul_entries(ring, psi.entries, v, n, d, 1))
+        for g_rows, inv_cols in gl_parts:
+            f_dprime = tuple(flatten(map(times_f2, g_rows)))
+            base = tuple(flatten(zip(*map(psi_times, inv_cols))))
+            groups.append((f_dprime, base, shifts))
+    # each f'' comes from one (f2'', g), so sorting the groups by f'' and
+    # each group's f' sorts the stratum
+    groups.sort(key=itemgetter(0))
+    add = ring.add_table
+    new_matrix, new_morphism = RMatrix._unchecked, VicMorphism._unchecked
+    out = []
+    for f_dprime, base, shifts in groups:
+        f_dprime = new_matrix(ring, d, n, f_dprime)
+        rows = [add[a] for a in base]
+        out.extend(new_morphism(new_matrix(ring, n, d, f_prime), f_dprime)
+                   for f_prime in sorted(tuple(map(getitem, rows, shift)) for shift in shifts))
     return out
 
 

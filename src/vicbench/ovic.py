@@ -194,7 +194,20 @@ class VicMorphism:
         self.n = n
         self.f_prime = f_prime
         self.f_dprime = f_dprime
-        self._hash = hash((id(ring), d, n, f_prime.entries, f_dprime.entries))
+        self._hash = None
+
+    @classmethod
+    def _unchecked(cls, f_prime: RMatrix, f_dprime: RMatrix) -> "VicMorphism":
+        """The pair (f', f''), taken as it is: for stratum enumeration, which
+        checks the rings and shapes once per group of members."""
+        f = object.__new__(cls)
+        f.ring = f_prime.ring
+        f.d = f_prime.cols
+        f.n = f_prime.rows
+        f.f_prime = f_prime
+        f.f_dprime = f_dprime
+        f._hash = None
+        return f
 
     @classmethod
     def identity(cls, ring: FiniteRing, n: int) -> "VicMorphism":
@@ -212,6 +225,11 @@ class VicMorphism:
         )
 
     def __hash__(self) -> int:
+        """hash((id(ring), d, n, f'.entries, f''.entries)), computed on the
+        first call."""
+        if self._hash is None:
+            self._hash = hash((id(self.ring), self.d, self.n,
+                               self.f_prime.entries, self.f_dprime.entries))
         return self._hash
 
     def __repr__(self) -> str:
@@ -249,6 +267,17 @@ class OvicMorphism(VicMorphism):
                 raise NotColumnAdapted("f'' is not column-adapted")
         self.s_sets = tuple(tuple(s) for s in s_sets)
         self._order_key = order_key
+
+    @classmethod
+    def _unchecked(cls, f_prime: RMatrix, f_dprime: RMatrix, emb: AWEmbedding,
+                   s_sets: tuple, order_key: tuple) -> "OvicMorphism":
+        """``VicMorphism._unchecked`` plus the embedding, the pivot sets as a
+        tuple of tuples and the order key, all trusted."""
+        f = super()._unchecked(f_prime, f_dprime)
+        f.emb = emb
+        f.s_sets = s_sets
+        f._order_key = order_key
+        return f
 
     @classmethod
     def from_vic(cls, f: VicMorphism, emb: AWEmbedding) -> "OvicMorphism":

@@ -836,7 +836,20 @@ class RMatrix:
         self.entries = tuple(map(int, entries))
         if len(self.entries) != rows * cols:
             raise BadShape(f"{rows}x{cols} matrix needs {rows*cols} entries")
-        self._hash = hash((id(ring), rows, cols, self.entries))
+        self._hash = None
+
+    @classmethod
+    def _unchecked(cls, ring: FiniteRing, rows: int, cols: int,
+                   entries: tuple) -> "RMatrix":
+        """A matrix from a tuple of rows * cols ints, taken as it is: for
+        stratum enumeration, which checks its parts once per group."""
+        m = object.__new__(cls)
+        m.ring = ring
+        m.rows = rows
+        m.cols = cols
+        m.entries = entries
+        m._hash = None
+        return m
 
     @classmethod
     def from_rows(cls, ring: FiniteRing, rows: Sequence[Sequence[int]],
@@ -922,6 +935,9 @@ class RMatrix:
         )
 
     def __hash__(self) -> int:
+        """hash((id(ring), rows, cols, entries)), computed on the first call."""
+        if self._hash is None:
+            self._hash = hash((id(self.ring), self.rows, self.cols, self.entries))
         return self._hash
 
     def __repr__(self) -> str:
@@ -1111,17 +1127,29 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
     ident_bar = RMatrix.identity(qr, n)
     if mbar.mul(inv_bar) != ident_bar or inv_bar.mul(mbar) != ident_bar:
         raise RuntimeError("quotient inverse failed verification")  # bug guard
-    # Newton lifting: error lives in Mat(J) and squares each step
-    x = inv_bar.lift(q)
-    ident = RMatrix.identity(ring, n)
-    two_ident = ident.add(ident)
+    x = newton_inverse(ring, n, m.entries, inv_bar.lift(q).entries, q.nilpotency)
+    return True, RMatrix(ring, n, n, x)
+
+
+def newton_inverse(ring: FiniteRing, n: int, m: tuple, x: tuple,
+                   nilpotency: int) -> tuple[int, ...]:
+    """Entries of the two-sided inverse of the n x n entries ``m``, lifted
+    from ``x``, an inverse of ``m`` modulo J (J^nilpotency = 0), by Newton
+    iteration X <- X(2I - MX): the error I - MX lives in M_n(J) and squares
+    each step."""
+    add, neg = ring._add, ring._neg
+    ident = RMatrix.identity(ring, n).entries
+    two_ident = tuple(add[a][a] for a in ident)
     steps = 0
-    max_steps = max(1, q.nilpotency).bit_length() + 2
-    while m.mul(x) != ident:
-        x = x.mul(two_ident.sub(m.mul(x)))
+    max_steps = max(1, nilpotency).bit_length() + 2
+    mx = mul_entries(ring, m, x, n, n, n)
+    while mx != ident:
+        x = mul_entries(ring, x, tuple(add[a][neg[b]] for a, b in zip(two_ident, mx)),
+                        n, n, n)
         steps += 1
         if steps > max_steps:
             raise RuntimeError("inverse lifting did not converge")  # bug guard
-    if x.mul(m) != ident:
+        mx = mul_entries(ring, m, x, n, n, n)
+    if mul_entries(ring, x, m, n, n, n) != ident:
         raise RuntimeError("one-sided inverse over a finite ring")  # bug guard
-    return True, x
+    return x

@@ -176,6 +176,11 @@ def test_noether_span_cli(f2_file, tmp_path, capsys):
     ("noether", "endo", "--d", "1", "--horizon", "-3"),
     ("noether", "span", "--d", "-1", "--horizon", "2", "--gens", "GENS"),
     ("noether", "span", "--d", "1", "--horizon", "-2", "--gens", "GENS"),
+    ("enumerate", "ovic", "--d", "1", "--n", "2", "--budget", "-5"),
+    ("enumerate", "ovic", "--d", "1", "--n", "2", "--vic", "--budget", "-5"),
+    ("noether", "endo", "--d", "1", "--horizon", "2", "--budget", "-1"),
+    ("noether", "span", "--d", "1", "--horizon", "2", "--gens", "GENS", "--budget", "-1"),
+    ("order", "chain", "--a", "GENS", "--b", "GENS", "--node-cap", "-1"),
 ])
 def test_negative_rank_is_usage_error(tmp_path, capsys, argv):
     gpath = tmp_path / "gens.json"

@@ -70,6 +70,14 @@ def test_rational_field_ops():
     assert q.parse("-2/5") == Fraction(-2, 5)
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RationalField()],
+                         ids=["F2", "F3", "Q"])
+def test_zero_has_no_inverse(field):
+    with pytest.raises(ZeroDivisionError):
+        field.inv(field.zero)
+    assert field.mul(field.inv(field.one), field.one) == field.one
+
+
 def test_parse_field():
     assert parse_field("F7").p == 7
     assert isinstance(parse_field("Q"), RationalField)

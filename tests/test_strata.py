@@ -17,6 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
+from vicbench import noether
+from vicbench.errors import BadShape, InvalidMorphism
 from vicbench.noether import closed_form_counts, enumerate_ovic, enumerate_vic
 from vicbench.ovic import (
     OvicMorphism,
@@ -31,6 +33,8 @@ from vicbench.rings import (
     iter_vectors,
     matrix_invertible,
     matvec,
+    mul_entries,
+    zmod,
 )
 from vicbench.wedderburn import build_aw_embedding
 
@@ -99,13 +103,49 @@ def filter_vic(emb, d, n):
     return out
 
 
+def assert_twins(got, want):
+    """Enumerated members against the oracle's, built by the public
+    constructors: equal, of the same type and shape, and hashing alike,
+    their f' and f'' matrices too."""
+    assert got == want
+    for f, g in zip(got, want):
+        assert (type(f), f.d, f.n, hash(f)) == (type(g), g.d, g.n, hash(g))
+        for a, b in ((f.f_prime, g.f_prime), (f.f_dprime, g.f_dprime)):
+            assert a == b
+            assert (a.ring, a.rows, a.cols, hash(a)) == (b.ring, b.rows, b.cols, hash(b))
+
+
 def assert_strata_match(emb, d, n):
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
-    assert got == want
+    assert_twins(got, want)
     assert [f.s_sets for f in got] == [f.s_sets for f in want]
     # the oracle's keys are computed afresh by the order_key property
     assert [f.order_key for f in got] == [f.order_key for f in want]
-    assert enumerate_vic(emb, d, n) == filter_vic(emb, d, n)
+    assert_twins(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
+
+
+def test_group_checks_reject_what_the_constructors_reject():
+    """Members are built unchecked; their parts are checked once per f''."""
+    ring = builtin_ring("Z4")
+    f2 = RMatrix(ring, 1, 2, [1, 0])
+    noether._check_group(ring, 1, 2, f2, (1, 0), [(0, 0), (0, 1)])
+    with pytest.raises(InvalidMorphism):
+        noether._check_group(ring, 1, 2, RMatrix(builtin_ring("F2"), 1, 2, [1, 0]),
+                             (1, 0), [(0, 0)])
+    with pytest.raises(InvalidMorphism):
+        noether._check_group(ring, 1, 3, f2, (1, 0), [(0, 0)])
+    for base, shifts in (((1,), [(0, 0)]), ((1, 0), [(0, 0), (0,)]), ((1.0, 0), [(0, 0)])):
+        with pytest.raises(BadShape):
+            noether._check_group(ring, 1, 2, f2, base, shifts)
+
+
+def test_member_hashes_keep_their_formula():
+    emb = build_aw_embedding(builtin_ring("Z4"))
+    for f in enumerate_ovic(emb, 1, 2) + enumerate_vic(emb, 1, 2):
+        m = f.f_prime
+        assert hash(m) == hash((id(m.ring), m.rows, m.cols, m.entries))
+        assert hash(f) == hash((id(f.ring), f.d, f.n, f.f_prime.entries,
+                                f.f_dprime.entries))
 
 
 def _grid():
@@ -152,6 +192,53 @@ def test_general_linear_equals_invertibility_filter(name, d):
     ident = RMatrix.identity(ring, d)
     for f in pairs:
         assert f.f_dprime.mul(f.f_prime) == ident == f.f_prime.mul(f.f_dprime)
+
+
+@st.composite
+def small_general_linear(draw):
+    """A ring of at most 64 elements from the spec grammar and d <= 2 with
+    at most 4096 d x d matrices to filter."""
+    ring = draw(spec_rings())
+    d = draw(st.sampled_from([d for d in (1, 2) if ring.size ** (d * d) <= 4096]))
+    return ring, d
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_general_linear())
+def test_general_linear_lifts_on_random_rings(case):
+    """GL_d(R) as the lifts s (I + M_d(J)): mutually inverse pairs whose g
+    are the matrices ``matrix_invertible`` accepts, |GL_d(R)| of them.  40
+    fixed examples, about 1 s on a 2-core x86 container."""
+    ring, d = case
+    emb = build_aw_embedding(ring)
+    reduced, _ = noether._reduced_general_linear(emb, d, 10 ** 6)
+    pairs = noether._general_linear(emb, d, reduced)
+    ident = RMatrix.identity(ring, d).entries
+    for g, g_inv in pairs:
+        assert mul_entries(ring, g, g_inv, d, d, d) == ident
+        assert mul_entries(ring, g_inv, g, d, d, d) == ident
+    expected = [e for e in itertools.product(ring.elements(), repeat=d * d)
+                if matrix_invertible(RMatrix(ring, d, d, e), emb.qdata)[0]]
+    assert sorted(g for g, _ in pairs) == expected
+    assert len(pairs) == noether._gl_order(emb, d)
+
+
+def test_general_linear_inverts_once_per_reduced_element(monkeypatch):
+    """Z8: GL_2(F2) has 6 elements, each with 4^4 lifts; only the reduced
+    elements go through ``matrix_invertible``."""
+    emb = build_aw_embedding(zmod(8))  # a fresh ring: nothing cached yet
+    reduced, _ = noether._reduced_general_linear(emb, 2, 10 ** 6)
+    calls = []
+
+    def counted(m, q):
+        calls.append(m)
+        return matrix_invertible(m, q)
+
+    monkeypatch.setattr(noether, "matrix_invertible", counted)
+    pairs = noether._general_linear(emb, 2, reduced)
+    assert len(reduced) == 6
+    assert len(pairs) == 6 * 4 ** 4
+    assert 1 <= len(calls) <= 6
 
 
 @st.composite

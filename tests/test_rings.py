@@ -6,7 +6,9 @@ brute-force oracles defined at the top of this file and then frozen.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from types import SimpleNamespace
 
@@ -251,6 +253,46 @@ def test_product_ring_componentwise():
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
         matrix_ring(zmod(4), 3)
+
+
+# SHA-256 of the compact sorted-key JSON of ``to_payload()``: names, labels
+# and both tables of every constructor, nested specs and the builtins
+PAYLOAD_DIGESTS = {
+    "zmod(2)": "2cc97b178c8381e02305d593d3bf6653f403d3fda8b49659a84e68817db6a650",
+    "zmod(6)": "ed8cdc759e2ac37b73a4d8a73c3c904d0105830ff353f1ab5104d5431da98e80",
+    "zmod(9)": "0c42b8514adeee9948c57ebf5d66da234a4acd1cc8ea725848eb84d8ee0bbbd8",
+    "matrix_ring(zmod(2),1)": "7cd400819411fd0db2a0b2a8fe19862a1f644e075fd2951555a80a0292f7e641",
+    "matrix_ring(zmod(2),2)": "8dedd7e5373f4dc6cd8682a2b742adfc24eff2ff026888a0a05e871e19664535",
+    "matrix_ring(zmod(3),2)": "f25e0169cec64f8f09d645653c3cdba72e60e304a818a2b2f165afeb3ec01be8",
+    "matrix_ring(F2C2,2)": "3f515502e22f5e36b0858a00fb00e0dbb63f5fab1135d9e0566a508e5373b703",
+    "upper_triangular(zmod(3),1)": "21863958f9f38a2c69a3bcf8709534c96452b3ec4c6229883c9aaaefc3f3c048",
+    "upper_triangular(zmod(2),2)": "b16dec539391f1401a0d28f39b16543745f77b688509f6343e2b3b4c2e95a345",
+    "upper_triangular(zmod(2),3)": "810d2c4e9ffd3e633c9925f546cfb3db5e21c417575d44a56917c9a08d5c92f1",
+    "upper_triangular(zmod(4),2)": "d52f2edf25e1e2f6aabe7b243f78d452ef6d5708f4de6baf74a98d8e043dcdee",
+    "group_ring(zmod(2),s1)": "6e828f04073c4df2ba1e4f55ac3e5115dffeb3ac531f83247e88aee0c2d21bcc",
+    "group_ring(zmod(2),c3)": "fc9065a8434dee2ef45d191feb8c09071fcffcdd490e94baae9337d98975b219",
+    "group_ring(zmod(3),c2)": "8dc95ed5f83ab4ec7af44817de32c0a29e1e8ea2e416c43e6b3a16ae8aeadcd6",
+    "group_ring(zmod(2),s3)": "84b594f7fcbc85d85eaae3328224e62d0aca1ae240dd65e22d74bde2af1b583f",
+    "group_ring(T2F2,c2)": "e797ade76336e955a6967d060a4bfd21b3c232275820a91b88a49b9c4544fd00",
+    "product(zmod(2),matrix_ring(zmod(2),2))":
+        "545d43424315c2e24ea8490ab3b8b2bceea88cdebfad9e6995d44929c4d7590e",
+    "group_ring(product(zmod(2),zmod(3)),c2)":
+        "e399ca5c502744926732880183f81155ad82256f324170556169408e565da06a",
+    "F2": "d5d596ebff3613a1dfa3f739a5dab1aae1b384767a77fd0fe9cb262162a3bbdd",
+    "F3": "2fb8b6616e912978cc1ee7bc1ef7f2d378db51d2faa42eb3c98acf873accdbe9",
+    "Z4": "9f0b7d87303ee31e5e198dca7e533704bff8f6b87ca877abbc1a28632c19cf09",
+    "Z8": "2e1964e2b85126ffe7b099774f34b82e33c8d8aeab0bc3e2c16edbabf8e42cac",
+    "F2C2": "95978681659bd9908e5a148781b1e5bd163938de57ef976702233fe6765f6b43",
+    "T2F2": "9c5b8fb8b0006defa73948d7da44cee9eff4df3a808fbe686a1f8ec33de4eb2d",
+    "M2F2": "b5c394cb2f0a66a2d16e0ecccd641170368b3bc495c989fdd4d8abc0bf86207e",
+    "F2S3": "04682608dbd853ffc9c9afa730d7be2f32d5b7ee6cc22722bf6ce65fcde68f99",
+}
+
+
+@pytest.mark.parametrize("spec", PAYLOAD_DIGESTS)
+def test_constructor_payloads_pinned(spec):
+    blob = json.dumps(build_ring(spec).to_payload(), sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PAYLOAD_DIGESTS[spec]
 
 
 def test_invalid_tables_reports_law():

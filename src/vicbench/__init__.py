@@ -27,7 +27,6 @@ from .rings import (  # noqa: F401
     zmod,
 )
 from .wedderburn import (  # noqa: F401
-    AWData,
     AWEmbedding,
     build_aw_embedding,
     lift_idempotent,

@@ -100,7 +100,6 @@ def verb_ring_describe(args):
     rad = jacobson_radical(ring)
     q = quotient_by_radical(ring)
     emb = build_aw_embedding(ring)
-    aw = emb.aw
     result = {
         "name": ring.name,
         "size": ring.size,
@@ -108,9 +107,9 @@ def verb_ring_describe(args):
         "radical": list(rad.sorted_members),
         "radical_nilpotency_index": q.nilpotency,
         "quotient_size": q.quotient.size,
-        "q": aw.q,
-        "mu": list(aw.mu),
-        "field_orders": list(aw.field_orders),
+        "q": emb.q,
+        "mu": list(emb.mu),
+        "field_orders": list(emb.field_orders),
     }
     return {"ring": digest}, result
 
@@ -118,18 +117,17 @@ def verb_ring_describe(args):
 def verb_ring_wedderburn(args):
     ring, digest = _load_ring_arg(args)
     emb = build_aw_embedding(ring)
-    aw = emb.aw
     import random
 
     flags = verify_embedding(emb, rng=random.Random(args.seed))
     result = {
-        "q": aw.q,
-        "mu": list(aw.mu),
+        "q": emb.q,
+        "mu": list(emb.mu),
         "mu_total": emb.mu_total,
-        "field_orders": list(aw.field_orders),
-        "idempotents": [list(grp) for grp in aw.idempotents],
-        "idempotents_bar": [list(grp) for grp in aw.idempotents_bar],
-        "radical_nilpotency_index": aw.quotient.nilpotency,
+        "field_orders": list(emb.field_orders),
+        "idempotents": [list(grp) for grp in emb.idempotents],
+        "idempotents_bar": [list(grp) for grp in emb.idempotents_bar],
+        "radical_nilpotency_index": emb.qdata.nilpotency,
         "invariants": dict(sorted(flags.items())),
     }
     return {"ring": digest}, result

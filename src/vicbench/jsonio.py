@@ -40,13 +40,13 @@ def read_json(path):
         raise BadShape(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_ring(path, validate: bool = True) -> FiniteRing:
-    return ring_from_payload(read_json(path), validate=validate)
+def load_ring(path) -> FiniteRing:
+    return ring_from_payload(read_json(path))
 
 
-def ring_from_payload(payload, validate: bool = True) -> FiniteRing:
-    """Check a ring payload's keys and types, then build (and by default
-    validate) the ring; table shapes and ranges are the ring's own checks."""
+def ring_from_payload(payload) -> FiniteRing:
+    """Check a ring payload's keys and types, then build and validate the
+    ring; the size cap, table shapes and ranges are the ring's own checks."""
     if not isinstance(payload, dict):
         raise BadShape("ring payload must be a JSON object")
     missing = [k for k in ("size", "zero", "one", "add", "mul") if k not in payload]
@@ -67,7 +67,7 @@ def ring_from_payload(payload, validate: bool = True) -> FiniteRing:
         raise BadShape("name must be a string")
     if not isinstance(payload.get("labels", []), list):
         raise BadShape("labels must be a list")
-    return FiniteRing.from_payload(payload, validate=validate)
+    return FiniteRing.from_payload(payload)
 
 
 def save_ring(path, ring: FiniteRing) -> None:

@@ -196,7 +196,7 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
     left cannot bring every block to rank mu_k * d.
     """
     ring = emb.ring
-    mu, q, mus = emb.mu_total, emb.aw.q, emb.mu
+    mu, q, mus = emb.mu_total, emb.q, emb.mu
     proj = emb.qdata.projection
     zero_bar = emb.qdata.quotient.zero
     ridx = DistinguishedIndexer(mus, d)
@@ -217,7 +217,7 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
             last = max((i for i, r in enumerate(rows) if proj[col[r]] != zero_bar),
                        default=-1)
             exact = last if last >= 0 and col == tuple(
-                emb.aw.idempotents[k][0] if r == rows[last] else ring.zero
+                emb.idempotents[k][0] if r == rows[last] else ring.zero
                 for r in range(mu * d)) else -1
             entries.append((k, col, last, exact, s - ridx.prefix[k]))
         table.append(entries)
@@ -326,7 +326,7 @@ def _reduced_general_linear(emb: AWEmbedding, d: int, budget: int
     if key in emb.enum_cache:
         return emb.enum_cache[key]
     rbar = emb.qdata.quotient
-    mu, q = emb.mu_total, emb.aw.q
+    mu, q = emb.mu_total, emb.q
     fields = emb.corner_fields
     positions = [[s for s in range(mu) if emb.block_of[s] == k] for k in range(q)]
     phi_bar = [emb.phi_bar(x) for x in rbar.elements()]
@@ -394,7 +394,7 @@ def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
     ring = emb.ring
     if d == 0:
         return [OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                             emb, s_sets=tuple(() for _ in range(emb.aw.q)),
+                             emb, s_sets=tuple(() for _ in range(emb.q)),
                              check=False)], 1
     if n < d:
         return [], 0

@@ -123,7 +123,7 @@ def s_function(h: RMatrix, emb: AWEmbedding) -> tuple[tuple[int, ...], ...]:
     hbar = h.reduce(emb.qdata)
     big = emb.phi_bar_on_matrices(hbar)
     out = []
-    for k in range(1, emb.aw.q + 1):
+    for k in range(1, emb.q + 1):
         rows = _block_rows(emb, big, k, d, n)
         field = emb.corner_fields[k - 1]
         pivots = _greedy_pivots(rows, field)
@@ -162,7 +162,7 @@ def _pivot_columns_exact(h: RMatrix, emb: AWEmbedding,
     cidx = DistinguishedIndexer(emb.mu, n)
     rows_total = emb.mu_total * d
     for k, pivots in enumerate(s_sets, start=1):
-        e1 = emb.aw.idempotents[k - 1][0]
+        e1 = emb.idempotents[k - 1][0]
         for i, j in enumerate(pivots, start=1):
             col = big.col(cidx.std(k, j) - 1)
             target_row = ridx.std(k, i) - 1
@@ -256,9 +256,9 @@ class OvicMorphism(VicMorphism):
     __slots__ = ("emb", "s_sets", "_order_key")
 
     def __init__(self, f_prime: RMatrix, f_dprime: RMatrix, emb: AWEmbedding,
-                 s_sets=None, check: bool = True, order_key=None):
-        """``s_sets`` and ``order_key``, when given, are trusted: they must
-        equal what ``s_function`` and the ``order_key`` property compute."""
+                 s_sets=None, check: bool = True):
+        """``s_sets``, when given, is trusted: it must equal what
+        ``s_function`` computes."""
         super().__init__(f_prime, f_dprime, check=check)
         self.emb = emb
         if s_sets is None:
@@ -266,7 +266,7 @@ class OvicMorphism(VicMorphism):
             if check and not _pivot_columns_exact(f_dprime, emb, s_sets):
                 raise NotColumnAdapted("f'' is not column-adapted")
         self.s_sets = tuple(tuple(s) for s in s_sets)
-        self._order_key = order_key
+        self._order_key = None
 
     @classmethod
     def _unchecked(cls, f_prime: RMatrix, f_dprime: RMatrix, emb: AWEmbedding,
@@ -289,7 +289,7 @@ class OvicMorphism(VicMorphism):
         ident = RMatrix.identity(emb.ring, n)
         mu = emb.mu
         s_sets = tuple(
-            tuple(range(1, mu[k] * n + 1)) for k in range(emb.aw.q)
+            tuple(range(1, mu[k] * n + 1)) for k in range(emb.q)
         )
         return cls(ident, ident, emb, s_sets=s_sets, check=False)
 
@@ -360,8 +360,8 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
     h o (this matrix) = id.
     """
     mu = emb.mu
-    if len(s_sets) != emb.aw.q:
-        raise BadShape(f"need {emb.aw.q} pivot sets")
+    if len(s_sets) != emb.q:
+        raise BadShape(f"need {emb.q} pivot sets")
     for k, pivots in enumerate(s_sets):
         if len(pivots) != mu[k] * n:
             raise BadShape(f"pivot set {k + 1} must have {mu[k] * n} entries")
@@ -374,7 +374,7 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
     entries = [ring.zero] * (mu_total * m * mu_total * n)
     big_cols = mu_total * n
     for k, pivots in enumerate(s_sets, start=1):
-        e1 = emb.aw.idempotents[k - 1][0]
+        e1 = emb.idempotents[k - 1][0]
         for i, j in enumerate(pivots, start=1):
             r = ridx.std(k, j) - 1
             c = cidx.std(k, i) - 1

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -26,7 +28,7 @@ from .errors import (
     SizeCapExceeded,
 )
 
-DEFAULT_SIZE_CAP = 65536
+SIZE_CAP = 65536  # most elements a ring may have
 
 
 def _as_table(table, size: int, what: str) -> tuple[tuple[int, ...], ...]:
@@ -53,12 +55,11 @@ class FiniteRing:
         mul,
         labels: Optional[Sequence[str]] = None,
         validate: bool = True,
-        size_cap: int = DEFAULT_SIZE_CAP,
     ):
         if size <= 0:
             raise InvalidTables("size", detail="size must be positive")
-        if size > size_cap:
-            raise SizeCapExceeded(f"ring size {size} exceeds cap {size_cap}")
+        if size > SIZE_CAP:
+            raise SizeCapExceeded(f"ring size {size} exceeds cap {SIZE_CAP}")
         self.name = name
         self.size = size
         self.zero = int(zero)
@@ -166,7 +167,7 @@ class FiniteRing:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     @classmethod
-    def from_payload(cls, payload: dict, validate: bool = True) -> "FiniteRing":
+    def from_payload(cls, payload: dict) -> "FiniteRing":
         return cls(
             name=payload.get("name", "ring"),
             size=payload["size"],
@@ -175,7 +176,6 @@ class FiniteRing:
             add=payload["add"],
             mul=payload["mul"],
             labels=payload.get("labels"),
-            validate=validate,
         )
 
 
@@ -285,122 +285,109 @@ def _validate_tables(ring: FiniteRing) -> None:
 # constructors
 # ---------------------------------------------------------------------------
 
+def _check_cap(base_size: int, width: int, what: str) -> int:
+    """``base_size ** width``, the size of a free module of rank ``width``;
+    refused before any table is built, and before so large a power is
+    formed, when it exceeds ``SIZE_CAP``."""
+    if (base_size > 1 and width >= SIZE_CAP.bit_length()) or base_size ** width > SIZE_CAP:
+        raise SizeCapExceeded(f"{what} would have more than {SIZE_CAP} elements")
+    return base_size ** width
+
+
 def zmod(n: int, name: Optional[str] = None) -> FiniteRing:
     """Z/nZ with elements 0..n-1."""
     if n <= 0:
         raise SizeCapExceeded("modulus must be positive")
+    _check_cap(n, 1, f"Z{n}")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]
     return FiniteRing(name or f"Z{n}", n, 0, 1, add, mul)
 
 
-def _encode_digits(digits: Sequence[int], base: int) -> int:
-    # first digit most significant (row-major mixed radix)
-    v = 0
-    for d in digits:
-        v = v * base + d
-    return v
+def _monomial_algebra(base: FiniteRing, width: int, product, unit, label,
+                      name: str) -> FiniteRing:
+    """The free ``base``-module on e_0, .., e_{width-1} with
+    e_a * e_b = e_{product(a, b)}, or 0 where that is None, extended
+    bilinearly: (x*y)_c sums x_a * y_b over the (a, b) with product c.
+
+    An element is its coefficient vector, indexed mixed-radix with the
+    coefficient of e_0 most significant; the identity is the sum of the e_a
+    for a in ``unit``, and ``label`` names a coefficient vector.  Callers
+    check the size with ``_check_cap`` first.
+    """
+    bs, badd, bmul, zero = base.size, base._add, base._mul, base.zero
+    weights = [bs ** (width - 1 - t) for t in range(width)]
+
+    def index(vec) -> int:
+        return sum(map(operator.mul, vec, weights))
+
+    vecs = list(itertools.product(range(bs), repeat=width))
+    support = [[(a, c) for a, c in enumerate(v) if c != zero] for v in vecs]
+    prod = [[product(a, b) for b in range(width)] for a in range(width)]
+    mul = []
+    for xs in support:
+        row = []
+        for ys in support:
+            out = [zero] * width
+            for a, ca in xs:
+                pa, ma = prod[a], bmul[ca]
+                for b, cb in ys:
+                    c = pa[b]
+                    if c is not None:
+                        out[c] = badd[out[c]][ma[cb]]
+            row.append(index(out))
+        mul.append(row)
+    add = [[index([badd[a][b] for a, b in zip(x, y)]) for y in vecs] for x in vecs]
+    one = index([base.one if a in unit else zero for a in range(width)])
+    return FiniteRing(name, len(vecs), index([zero] * width), one, add, mul,
+                      [label(v) for v in vecs])
 
 
-def _decode_digits(value: int, base: int, width: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(width):
-        value, d = divmod(value, base)
-        out.append(d)
-    return tuple(reversed(out))
+def _matrix_units(base: FiniteRing, k: int, upper: bool, name: str) -> FiniteRing:
+    """The k x k matrices over ``base`` (the upper triangular ones if
+    ``upper``) as the span of the matrix units e_ij, e_ij * e_jl = e_il.
 
-
-def _check_cap(size: int, cap: int, what: str) -> None:
-    if size > cap:
-        raise SizeCapExceeded(f"{what} would have {size} elements (cap {cap})")
-
-
-def matrix_ring(base: FiniteRing, k: int, name: Optional[str] = None,
-                size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Full k x k matrix ring over ``base``.
-
-    Element index encodes the k*k entries in row-major mixed-radix order,
-    entry (0,0) most significant.
+    Element index encodes the entries (i, j) in row-major order, entry (0,0)
+    most significant; entries below the diagonal of a triangular matrix are
+    zero and not encoded.
     """
     if k <= 0:
         raise BadShape("matrix size must be positive")
-    size = base.size ** (k * k)
-    _check_cap(size, size_cap, "matrix ring")
-    n2 = k * k
-    all_mats = [_decode_digits(v, base.size, n2) for v in range(size)]
-    badd, bmul, bs = base._add, base._mul, base.size
+    _check_cap(base.size, k * (k + 1) // 2 if upper else k * k,
+               "upper triangular ring" if upper else "matrix ring")
+    positions = [(i, j) for i in range(k) for j in range(i if upper else 0, k)]
+    cell = {p: t for t, p in enumerate(positions)}
+    zero_label = base.label(base.zero)
 
-    def mat_add(x, y):
-        return tuple(badd[a][b] for a, b in zip(x, y))
+    def product(a: int, b: int) -> Optional[int]:
+        (i, j), (t, l) = positions[a], positions[b]
+        return cell[(i, l)] if j == t else None
 
-    def mat_mul(x, y):
-        out = []
-        for i in range(k):
-            for j in range(k):
-                acc = base.zero
-                for t in range(k):
-                    acc = badd[acc][bmul[x[i * k + t]][y[t * k + j]]]
-                out.append(acc)
-        return tuple(out)
+    def label(v) -> str:
+        return "[" + ";".join(
+            ",".join(base.label(v[cell[(i, j)]]) if (i, j) in cell else zero_label
+                     for j in range(k))
+            for i in range(k)) + "]"
 
-    add = [[_encode_digits(mat_add(x, y), bs) for y in all_mats] for x in all_mats]
-    mul = [[_encode_digits(mat_mul(x, y), bs) for y in all_mats] for x in all_mats]
-    zero = 0
-    one = _encode_digits(
-        tuple(base.one if i == j else base.zero for i in range(k) for j in range(k)), bs
-    )
-    labels = ["[" + ";".join(",".join(base.label(m[i * k + j]) for j in range(k))
-                             for i in range(k)) + "]" for m in all_mats]
-    return FiniteRing(name or f"M{k}({base.name})", size, zero, one, add, mul, labels)
+    return _monomial_algebra(base, len(positions), product,
+                             [cell[(i, i)] for i in range(k)], label, name)
 
 
-def upper_triangular(base: FiniteRing, k: int, name: Optional[str] = None,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
-    """Upper-triangular k x k matrices over ``base``.
-
-    Index encodes the k(k+1)/2 entries (i,j), i<=j, in row-major order,
-    first position most significant.
-    """
-    if k <= 0:
-        raise BadShape("matrix size must be positive")
-    positions = [(i, j) for i in range(k) for j in range(i, k)]
-    width = len(positions)
-    size = base.size ** width
-    _check_cap(size, size_cap, "upper triangular ring")
-    pos_index = {p: t for t, p in enumerate(positions)}
-    all_mats = [_decode_digits(v, base.size, width) for v in range(size)]
-    badd, bmul, bs = base._add, base._mul, base.size
-
-    def entry(x, i, j):
-        return x[pos_index[(i, j)]] if i <= j else base.zero
-
-    def mat_add(x, y):
-        return tuple(badd[a][b] for a, b in zip(x, y))
-
-    def mat_mul(x, y):
-        out = []
-        for i, j in positions:
-            acc = base.zero
-            for t in range(i, j + 1):
-                acc = badd[acc][bmul[entry(x, i, t)][entry(y, t, j)]]
-            out.append(acc)
-        return tuple(out)
-
-    add = [[_encode_digits(mat_add(x, y), bs) for y in all_mats] for x in all_mats]
-    mul = [[_encode_digits(mat_mul(x, y), bs) for y in all_mats] for x in all_mats]
-    one = _encode_digits(
-        tuple(base.one if i == j else base.zero for (i, j) in positions), bs
-    )
-    labels = ["[" + ";".join(",".join(base.label(entry(m, i, j)) for j in range(k))
-                             for i in range(k)) + "]" for m in all_mats]
-    return FiniteRing(name or f"T{k}({base.name})", size, 0, one, add, mul, labels)
+def matrix_ring(base: FiniteRing, k: int, name: Optional[str] = None) -> FiniteRing:
+    """Full k x k matrix ring over ``base``; index encodes the k*k entries in
+    row-major mixed-radix order, entry (0,0) most significant."""
+    return _matrix_units(base, k, False, name or f"M{k}({base.name})")
 
 
-def product_ring(r1: FiniteRing, r2: FiniteRing, name: Optional[str] = None,
-                 size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+def upper_triangular(base: FiniteRing, k: int, name: Optional[str] = None) -> FiniteRing:
+    """Upper-triangular k x k matrices over ``base``; index encodes the
+    k(k+1)/2 entries (i,j), i<=j, in row-major order, first most significant."""
+    return _matrix_units(base, k, True, name or f"T{k}({base.name})")
+
+
+def product_ring(r1: FiniteRing, r2: FiniteRing, name: Optional[str] = None) -> FiniteRing:
     """Direct product; index (a, b) -> a * |r2| + b."""
-    size = r1.size * r2.size
-    _check_cap(size, size_cap, "product ring")
+    size = _check_cap(r1.size * r2.size, 1, "product ring")
     n2 = r2.size
 
     def enc(a, b):
@@ -443,8 +430,7 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> int:
 
 def group_ring(base: FiniteRing, group_table: Sequence[Sequence[int]],
                name: Optional[str] = None,
-               elem_names: Optional[Sequence[str]] = None,
-               size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+               elem_names: Optional[Sequence[str]] = None) -> FiniteRing:
     """Group algebra ``base[G]`` for G given by a multiplication table.
 
     An element is a coefficient vector indexed by group elements; the ring
@@ -452,47 +438,20 @@ def group_ring(base: FiniteRing, group_table: Sequence[Sequence[int]],
     most significant.
     """
     g = len(group_table)
-    _validate_group_table(group_table)
-    size = base.size ** g
-    _check_cap(size, size_cap, "group ring")
+    _check_cap(base.size, g, "group ring")
+    identity = _validate_group_table(group_table)
     if elem_names is None:
         elem_names = [f"g{i}" for i in range(g)]
-    all_vecs = [_decode_digits(v, base.size, g) for v in range(size)]
-    badd, bmul, bs = base._add, base._mul, base.size
-    gt = [list(r) for r in group_table]
-    identity = _validate_group_table(group_table)
 
-    def vec_add(x, y):
-        return tuple(badd[a][b] for a, b in zip(x, y))
-
-    def vec_mul(x, y):
-        out = [base.zero] * g
-        for a in range(g):
-            xa = x[a]
-            if xa == base.zero:
-                continue
-            for b in range(g):
-                yb = y[b]
-                if yb == base.zero:
-                    continue
-                t = gt[a][b]
-                out[t] = badd[out[t]][bmul[xa][yb]]
-        return tuple(out)
-
-    add = [[_encode_digits(vec_add(x, y), bs) for y in all_vecs] for x in all_vecs]
-    mul = [[_encode_digits(vec_mul(x, y), bs) for y in all_vecs] for x in all_vecs]
-    one_vec = tuple(base.one if i == identity else base.zero for i in range(g))
-
-    def vec_label(v):
+    def label(v) -> str:
         parts = [
             elem_names[i] if base.label(c) == "1" else f"{base.label(c)}*{elem_names[i]}"
             for i, c in enumerate(v) if c != base.zero
         ]
         return "+".join(parts) if parts else "0"
 
-    labels = [vec_label(v) for v in all_vecs]
-    return FiniteRing(name or f"{base.name}[G{g}]", size, 0,
-                      _encode_digits(one_vec, bs), add, mul, labels)
+    return _monomial_algebra(base, g, lambda a, b: group_table[a][b], [identity],
+                             label, name or f"{base.name}[G{g}]")
 
 
 def cyclic_group_table(n: int) -> list[list[int]]:
@@ -550,6 +509,12 @@ _builtin_cache: dict[str, FiniteRing] = {}
 
 
 def builtin_ring(name: str) -> FiniteRing:
+    """The builtin ring ``name``, built once per process.
+
+    ``builtin_ring(name) is builtin_ring(name)``: callers (and tests) rely on
+    that identity, and share the radical, quotient and embedding cached on
+    the ring, with every stratum cached on the embedding.
+    """
     if name not in _BUILTIN_BUILDERS:
         raise KeyError(f"unknown builtin ring {name!r}; known: {', '.join(BUILTIN_NAMES)}")
     if name not in _builtin_cache:
@@ -571,70 +536,75 @@ def _tokenize_spec(text: str) -> list[str]:
     return out
 
 
-def build_ring(spec, size_cap: int = DEFAULT_SIZE_CAP) -> FiniteRing:
+def build_ring(spec) -> FiniteRing:
     """Build a ring from explicit tables (dict payload) or an expression.
 
     Expression grammar: builtin name | ``zmod(n)`` | ``matrix_ring(S,k)`` |
     ``upper_triangular(S,k)`` | ``product(S1,S2)`` | ``group_ring(S,cN)`` |
-    ``group_ring(S,sN)``.
+    ``group_ring(S,sN)``.  A malformed or truncated expression raises
+    ``BadShape``; a ring past ``SIZE_CAP`` raises ``SizeCapExceeded`` before
+    its tables (or its group's table) are built.
     """
     if isinstance(spec, dict):
-        ring = FiniteRing.from_payload(spec)
-        if ring.size > size_cap:
-            raise SizeCapExceeded(f"ring size {ring.size} exceeds cap {size_cap}")
-        return ring
-    tokens = _tokenize_spec(str(spec))
+        return FiniteRing.from_payload(spec)
+    text = str(spec)
+    tokens = _tokenize_spec(text)
+
+    def at(i: int) -> str:
+        if i >= len(tokens):
+            raise BadShape(f"ring spec {text!r} ends early")
+        return tokens[i]
 
     def parse(i: int) -> tuple[FiniteRing, int]:
-        tok = tokens[i]
+        tok = at(i)
         if tok in _BUILTIN_BUILDERS and (i + 1 == len(tokens) or tokens[i + 1] != "("):
             return builtin_ring(tok), i + 1
         if tok == "zmod":
-            n, j = _expect_int_args(i + 1)
-            return zmod(n), j
+            if at(i + 1) != "(" or not at(i + 2).isdigit() or at(i + 3) != ")":
+                raise BadShape("expected (n)")
+            return zmod(int(tokens[i + 2])), i + 4
         if tok in ("matrix_ring", "upper_triangular"):
-            if tokens[i + 1] != "(":
+            if at(i + 1) != "(":
                 raise BadShape(f"expected '(' after {tok}")
             inner, j = parse(i + 2)
-            if tokens[j] != "," or not tokens[j + 1].isdigit() or tokens[j + 2] != ")":
+            if at(j) != "," or not at(j + 1).isdigit() or at(j + 2) != ")":
                 raise BadShape(f"expected ',k)' in {tok}(...)")
             k = int(tokens[j + 1])
             fn = matrix_ring if tok == "matrix_ring" else upper_triangular
-            return fn(inner, k, size_cap=size_cap), j + 3
+            return fn(inner, k), j + 3
         if tok == "product":
-            if tokens[i + 1] != "(":
+            if at(i + 1) != "(":
                 raise BadShape("expected '(' after product")
             left, j = parse(i + 2)
-            if tokens[j] != ",":
+            if at(j) != ",":
                 raise BadShape("expected ',' in product(...)")
             right, j = parse(j + 1)
-            if tokens[j] != ")":
+            if at(j) != ")":
                 raise BadShape("expected ')' in product(...)")
-            return product_ring(left, right, size_cap=size_cap), j + 1
+            return product_ring(left, right), j + 1
         if tok == "group_ring":
-            if tokens[i + 1] != "(":
+            if at(i + 1) != "(":
                 raise BadShape("expected '(' after group_ring")
             inner, j = parse(i + 2)
-            if tokens[j] != ",":
+            if at(j) != ",":
                 raise BadShape("expected ',' in group_ring(...)")
-            gname = tokens[j + 1].lower()
-            if tokens[j + 2] != ")":
+            gname = at(j + 1).lower()
+            if at(j + 2) != ")":
                 raise BadShape("expected ')' in group_ring(...)")
             m = re.fullmatch(r"([cs])(\d+)", gname)
             if not m:
                 raise BadShape(f"unknown group {gname!r} (use cN or sN)")
-            order = int(m.group(2))
+            n = int(m.group(2))
+            # |S_n| = n! passes the cap's bit length from n = 4 on, so n is
+            # clipped before the factorial; the table is built after the check
+            _check_cap(inner.size, n if m.group(1) == "c" else math.factorial(min(n, 20)),
+                       "group ring")
             if m.group(1) == "c":
-                table, names = cyclic_group_table(order), None
+                table, names = cyclic_group_table(n), None
             else:
-                table, names = symmetric_group_table(order)
-            return group_ring(inner, table, elem_names=names, size_cap=size_cap), j + 3
+                table, names = symmetric_group_table(n)
+            return group_ring(inner, table, elem_names=names), j + 3
         raise BadShape(f"unknown ring spec token {tok!r}")
-
-    def _expect_int_args(i: int) -> tuple[int, int]:
-        if tokens[i] != "(" or not tokens[i + 1].isdigit() or tokens[i + 2] != ")":
-            raise BadShape("expected (n)")
-        return int(tokens[i + 1]), i + 3
 
     ring, end = parse(0)
     if end != len(tokens):

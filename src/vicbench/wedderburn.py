@@ -283,27 +283,21 @@ def lift_system(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class AWData:
-    """Complete lifted idempotent system with block data."""
-
-    ring: FiniteRing
-    quotient: QuotientData
-    q: int
-    mu: tuple[int, ...]
-    corner_fields: tuple[CornerField, ...]
-    idempotents_bar: tuple[tuple[int, ...], ...]
-    idempotents: tuple[tuple[int, ...], ...]
-    conjugators: tuple[tuple[tuple[int, int], ...], ...]
-    blocks: dict
-
-    @property
-    def field_orders(self) -> tuple[int, ...]:
-        return tuple(f.order for f in self.corner_fields)
+def _block_table(ring: FiniteRing, a: Sequence[int], b: Sequence[int]) -> tuple:
+    """Per element x of ``ring``, the row-major block (a_p * x * b_s)."""
+    return tuple(tuple(ring.mul(ring.mul(ap, x), bs) for ap in a for bs in b)
+                 for x in ring.elements())
 
 
 class AWEmbedding:
     """The embedding x -> (a_i^h x b_j^k) of R into Mat_mu(R).
+
+    Built from ``ring`` by the full pipeline: radical, quotient, block
+    decomposition, lifted complete orthogonal idempotent system
+    (``idempotents``, block-major, over ``idempotents_bar`` in R/J),
+    conjugators (a, b) with a*b = e_1 and b*a = e_i per block, and the
+    corner groups ``blocks[(h, k)]`` = L_hk = e_h R e_k of the first
+    idempotents.
 
     ``phi`` is an injective ring homomorphism whose image consists of the
     matrices with (h,k)-block entries in L_hk; the image identity is the
@@ -311,45 +305,65 @@ class AWEmbedding:
     ``recover`` inverts ``phi_on_matrices`` on that image.
     """
 
-    def __init__(self, aw: AWData):
-        self.aw = aw
-        self.ring = aw.ring
-        self.qdata = aw.quotient
-        self.mu = aw.mu
-        self.mu_total = sum(aw.mu)
-        # flat distinguished positions: block k, slot i, in block-major order
-        self.positions = tuple(
-            (k, i) for k in range(aw.q) for i in range(aw.mu[k])
-        )
-        self.block_of = tuple(k for k, _ in self.positions)
-        ring = aw.ring
-        self._a = tuple(ab[0] for conj in aw.conjugators for ab in conj)
-        self._b = tuple(ab[1] for conj in aw.conjugators for ab in conj)
-        proj = aw.quotient.projection
-        self._a_bar = tuple(proj[a] for a in self._a)
-        self._b_bar = tuple(proj[b] for b in self._b)
-        mu = self.mu_total
-        self._phi_entry = tuple(
-            tuple(
-                ring.mul(ring.mul(self._a[p], x), self._b[s])
-                for p in range(mu)
-                for s in range(mu)
-            )
-            for x in ring.elements()
-        )
-        rbar = aw.quotient.quotient
-        self._phi_bar_entry = tuple(
-            tuple(
-                rbar.mul(rbar.mul(self._a_bar[p], x), self._b_bar[s])
-                for p in range(mu)
-                for s in range(mu)
-            )
-            for x in rbar.elements()
-        )
-        self.corner_fields = aw.corner_fields
+    def __init__(self, ring: FiniteRing):
+        q = quotient_by_radical(ring)
+        dec = semisimple_decompose(q)
+        lifted = lift_system(q, dec.idempotents_bar)
+        conjugators = []
+        for k in range(dec.q):
+            e1 = lifted[k][0]
+            per_block = [(e1, e1)]
+            for i in range(1, dec.mu[k]):
+                pair = find_conjugator(ring, e1, lifted[k][i])
+                if pair is None:
+                    raise ConjugatorNotFound(
+                        f"no conjugator between idempotents {e1} and {lifted[k][i]}"
+                    )
+                per_block.append(pair)
+            conjugators.append(tuple(per_block))
+        blocks = {
+            (h, k): frozenset(corner_set(ring, lifted[h][0], lifted[k][0]))
+            for h in range(dec.q)
+            for k in range(dec.q)
+        }
+        # L_hk lands in the radical off the diagonal, and L_kk covers D_k mod J
+        proj = q.projection
+        rbar = q.quotient
+        for h in range(dec.q):
+            for k in range(dec.q):
+                if h != k:
+                    if not blocks[(h, k)] <= q.ideal.members:
+                        raise DecompositionFailed(f"block ({h},{k}) not inside the radical")
+                else:
+                    reduced = {proj[x] for x in blocks[(k, k)]}
+                    if reduced != set(corner_set(rbar, dec.idempotents_bar[k][0],
+                                                 dec.idempotents_bar[k][0])):
+                        raise DecompositionFailed(f"block ({k},{k}) does not reduce onto D_{k}")
+
+        self.ring = ring
+        self.qdata = q
+        self.q = dec.q
+        self.mu = dec.mu
+        self.mu_total = sum(dec.mu)
+        self.corner_fields = dec.corner_fields
+        self.idempotents_bar = dec.idempotents_bar
+        self.idempotents = lifted
+        self.conjugators = tuple(conjugators)
+        self.blocks = blocks
+        # block of each flat distinguished position, in block-major order
+        self.block_of = tuple(k for k in range(dec.q) for _ in range(dec.mu[k]))
+        self._a = tuple(a for conj in conjugators for a, _ in conj)
+        self._b = tuple(b for conj in conjugators for _, b in conj)
+        self._phi_entry = _block_table(ring, self._a, self._b)
+        self._phi_bar_entry = _block_table(rbar, [proj[a] for a in self._a],
+                                           [proj[b] for b in self._b])
         # filled by the enumerators in ``noether``: OVIC strata, GL_d, and
         # the per-f'' data of each stratum
         self.enum_cache: dict = {}
+
+    @property
+    def field_orders(self) -> tuple[int, ...]:
+        return tuple(f.order for f in self.corner_fields)
 
     # -- scalar level -------------------------------------------------------
 
@@ -415,78 +429,28 @@ class AWEmbedding:
         return result
 
     def in_block(self, h: int, k: int, value: int) -> bool:
-        return value in self.aw.blocks[(h, k)]
-
-
-def build_aw_data(ring: FiniteRing) -> AWData:
-    q = quotient_by_radical(ring)
-    dec = semisimple_decompose(q)
-    lifted = lift_system(q, dec.idempotents_bar)
-    conjugators = []
-    for k in range(dec.q):
-        e1 = lifted[k][0]
-        per_block = [(e1, e1)]
-        for i in range(1, dec.mu[k]):
-            pair = find_conjugator(ring, e1, lifted[k][i])
-            if pair is None:
-                raise ConjugatorNotFound(
-                    f"no conjugator between idempotents {e1} and {lifted[k][i]}"
-                )
-            per_block.append(pair)
-        conjugators.append(tuple(per_block))
-    blocks = {
-        (h, k): frozenset(corner_set(ring, lifted[h][0], lifted[k][0]))
-        for h in range(dec.q)
-        for k in range(dec.q)
-    }
-    # L_hk lands in the radical off the diagonal, and L_kk covers D_k mod J
-    proj = q.projection
-    rad = q.ideal.members
-    rbar = q.quotient
-    for h in range(dec.q):
-        for k in range(dec.q):
-            if h != k:
-                if not all(x in rad for x in blocks[(h, k)]):
-                    raise DecompositionFailed(f"block ({h},{k}) not inside the radical")
-            else:
-                reduced = {proj[x] for x in blocks[(k, k)]}
-                if reduced != set(corner_set(rbar, dec.idempotents_bar[k][0],
-                                             dec.idempotents_bar[k][0])):
-                    raise DecompositionFailed(f"block ({k},{k}) does not reduce onto D_{k}")
-    return AWData(
-        ring=ring,
-        quotient=q,
-        q=dec.q,
-        mu=dec.mu,
-        corner_fields=dec.corner_fields,
-        idempotents_bar=dec.idempotents_bar,
-        idempotents=lifted,
-        conjugators=tuple(conjugators),
-        blocks=blocks,
-    )
+        return value in self.blocks[(h, k)]
 
 
 def build_aw_embedding(ring: FiniteRing) -> AWEmbedding:
-    """Full pipeline: radical, quotient, decompose, lift, conjugators, phi."""
+    """The embedding of ``ring``, built on first use and cached on the ring."""
     if ring._aw is None:
-        ring._aw = AWEmbedding(build_aw_data(ring))
+        ring._aw = AWEmbedding(ring)
     return ring._aw
 
 
 def verify_embedding(emb: AWEmbedding, rng: Optional[random.Random] = None,
-                     roundtrip_samples: int = 500,
-                     exhaustive_limit: int = 64) -> dict:
+                     roundtrip_samples: int = 500) -> dict:
     """Executable invariant checks; returns {flag_name: bool}.
 
-    Homomorphism/action checks run over all pairs when |R| <= exhaustive_limit,
-    otherwise over seeded samples.
+    Homomorphism/action checks run over all pairs when |R| <= 64, otherwise
+    over 2000 seeded samples.
     """
     ring = emb.ring
-    aw = emb.aw
     rng = rng or random.Random(0)
     flags = {}
 
-    flat = [e for grp in aw.idempotents for e in grp]
+    flat = [e for grp in emb.idempotents for e in grp]
     ok = all(ring.mul(e, e) == e for e in flat)
     s = ring.zero
     for i, e in enumerate(flat):
@@ -495,27 +459,27 @@ def verify_embedding(emb: AWEmbedding, rng: Optional[random.Random] = None,
         s = ring.add(s, e)
     flags["complete_orthogonal_system"] = ok and s == ring.one
 
-    proj = aw.quotient.projection
+    proj = emb.qdata.projection
     flags["idempotents_reduce"] = all(
         proj[e] == ebar
-        for grp, grp_bar in zip(aw.idempotents, aw.idempotents_bar)
+        for grp, grp_bar in zip(emb.idempotents, emb.idempotents_bar)
         for e, ebar in zip(grp, grp_bar)
     )
 
     conj_ok = True
-    for k in range(aw.q):
-        e1 = aw.idempotents[k][0]
-        for i, (a, b) in enumerate(aw.conjugators[k]):
-            ei = aw.idempotents[k][i]
+    for k in range(emb.q):
+        e1 = emb.idempotents[k][0]
+        for i, (a, b) in enumerate(emb.conjugators[k]):
+            ei = emb.idempotents[k][i]
             conj_ok = conj_ok and ring.mul(a, b) == e1 and ring.mul(b, a) == ei
     flags["conjugator_identities"] = conj_ok
 
     total = 1
-    for d, m in zip(aw.field_orders, aw.mu):
+    for d, m in zip(emb.field_orders, emb.mu):
         total *= d ** (m * m)
-    flags["counting_identity"] = total == aw.quotient.quotient.size
+    flags["counting_identity"] = total == emb.qdata.quotient.size
 
-    if ring.size <= exhaustive_limit:
+    if ring.size <= 64:
         pairs = [(x, y) for x in ring.elements() for y in ring.elements()]
     else:
         pairs = [(rng.randrange(ring.size), rng.randrange(ring.size))
@@ -535,7 +499,7 @@ def verify_embedding(emb: AWEmbedding, rng: Optional[random.Random] = None,
         for x in ring.elements()
     )
 
-    rad = aw.quotient.ideal.members
+    rad = emb.qdata.ideal.members
     off = True
     block_ok = True
     mu = emb.mu_total

@@ -203,6 +203,15 @@ def test_ring_file_without_mul_is_structured_error(tmp_path, capsys):
     assert "mul" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("spec", ["matrix_ring(", "zmod(", "product(F2", "group_ring(F2,",
+                                  "upper_triangular(F2,2"])
+def test_truncated_ring_spec_is_structured_error(capsys, spec):
+    code, payload, _ = run_cli(capsys, "ring", "build", "--spec", spec)
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert spec in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("gens,needle", [
     ([{"terms": []}], "degree"),
     ([{"degree": 1}], "terms"),

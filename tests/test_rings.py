@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
 from vicbench.errors import InvalidTables, NotSquare, SizeCapExceeded
+from vicbench.jsonio import ring_from_payload
 from vicbench.rings import (
     BUILTIN_NAMES,
     FiniteRing,
@@ -26,6 +28,8 @@ from vicbench.rings import (
     _validate_tables,
     build_ring,
     builtin_ring,
+    cyclic_group_table,
+    group_ring,
     ideal_closure,
     iter_vectors,
     jacobson_radical,
@@ -250,9 +254,25 @@ def test_product_ring_componentwise():
     assert r.mul(a, a) == 1 * 3 + 1
 
 
-def test_size_cap():
+SIZE_CAP_CASES = {
+    "zmod": lambda: zmod(70000),
+    "matrix_ring": lambda: matrix_ring(zmod(4), 3),
+    "upper_triangular": lambda: upper_triangular(zmod(4), 4),
+    "product_ring": lambda: product_ring(zmod(256), zmod(257)),
+    "group_ring": lambda: group_ring(zmod(2), cyclic_group_table(17)),
+    "spec-c600": lambda: build_ring("group_ring(zmod(2),c600)"),
+    "spec-s7": lambda: build_ring("group_ring(zmod(2),s7)"),
+    "payload": lambda: ring_from_payload(dict(zmod(2).to_payload(), size=70000)),
+}
+
+
+@pytest.mark.parametrize("case", SIZE_CAP_CASES)
+def test_size_cap(case):
+    """Refused before any table (or group table) is built: quickly."""
+    start = time.perf_counter()
     with pytest.raises(SizeCapExceeded):
-        matrix_ring(zmod(4), 3)
+        SIZE_CAP_CASES[case]()
+    assert time.perf_counter() - start < 0.5
 
 
 # SHA-256 of the compact sorted-key JSON of ``to_payload()``: names, labels

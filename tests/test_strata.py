@@ -45,7 +45,7 @@ def filter_ovic(emb, d, n):
     ring = emb.ring
     if d == 0:
         return [OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                             emb, s_sets=tuple(() for _ in range(emb.aw.q)),
+                             emb, s_sets=tuple(() for _ in range(emb.q)),
                              check=False)]
     if n < d:
         return []

@@ -10,6 +10,7 @@ from vicbench.errors import NotIdempotent, NotSemisimple, RecoverOutsideImage
 from vicbench.rings import (
     BUILTIN_NAMES,
     RMatrix,
+    build_ring,
     builtin_ring,
     matrix_ring,
     quotient_by_radical,
@@ -183,10 +184,12 @@ def test_recover_outside_image(t2f2):
 
 
 def test_embedding_deterministic(t2f2):
-    emb1 = build_aw_embedding(t2f2)
-    emb2 = build_aw_embedding(t2f2)
-    assert emb1 is emb2  # cached
-    data1 = build_aw_embedding(builtin_ring("F2S3")).aw
-    data2 = build_aw_embedding(builtin_ring("F2S3")).aw
-    assert data1.idempotents == data2.idempotents
-    assert data1.conjugators == data2.conjugators
+    assert build_aw_embedding(t2f2) is build_aw_embedding(t2f2)  # cached
+    # two rings built apart: distinct embeddings, the same choices
+    emb1, emb2 = (build_aw_embedding(build_ring("group_ring(zmod(2),s3)"))
+                  for _ in range(2))
+    assert emb1 is not emb2
+    assert emb1.idempotents == emb2.idempotents
+    assert emb1.conjugators == emb2.conjugators
+    assert ([emb1.phi(x).entries for x in emb1.ring.elements()]
+            == [emb2.phi(x).entries for x in emb2.ring.elements()])

@@ -13,7 +13,9 @@ entry tuples and builds a morphism only when the stratum holds none yet.
 
 from __future__ import annotations
 
+import gc
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from fractions import Fraction
@@ -142,6 +144,26 @@ def parse_field(spec: str):
 # the lifts s (I + M_d(J)) of GL_d(R/J).  Members are assembled from entry
 # tuples checked once per f'' and emitted in order, group by group.  Results
 # are cached in ``emb.enum_cache``.
+#
+# A stratum build allocates tens of thousands of members, and each burst of
+# allocations would make CPython's cyclic collector walk them and every
+# stratum already cached.  Builds therefore run with the collector paused
+# (``_collector_paused``).  The pause defers no freeing: members hold only
+# rings, embeddings, tuples and ints, and a build makes no reference cycle,
+# so reference counting frees whatever it drops.
+
+
+@contextmanager
+def _collector_paused():
+    """Run the block with the cyclic garbage collector off; on exit, normal
+    or by an exception, switch it back on if it was on before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_ranks(d: int, n: int) -> None:
@@ -159,26 +181,31 @@ def _check_budget(work: int, budget: int, what: str) -> None:
 def _column_search(width: int, n: int, step, state, budget: int, what: str
                    ) -> tuple[list, int]:
     """Every n-tuple (n >= 1) of candidate indices 0..width-1 whose prefixes
-    all pass ``step``, with its final state, plus the search nodes visited.
-    ``step(state, c, idx)`` is the state once candidate ``idx`` is put in
-    column c, or None to cut the prefix there."""
+    all pass ``step``, with its final state, in lexicographic order, plus the
+    search nodes visited.  ``step(state, c, idx)`` is the state once
+    candidate ``idx`` is put in column c, or None to cut the prefix there.
+
+    The prefixes still to extend sit on an explicit stack, smallest on top,
+    so a search leaves no reference cycle for the collector to free."""
     found = []
     nodes = 0
-
-    def extend(chosen: tuple, state) -> None:
-        nonlocal nodes
+    stack = [((), state)]
+    while stack:
+        chosen, state = stack.pop()
+        c = len(chosen)
+        full = c + 1 == n
+        children = []
         for idx in range(width):
             nodes += 1
             _check_budget(nodes, budget, what)
-            grown = step(state, len(chosen), idx)
+            grown = step(state, c, idx)
             if grown is None:
                 continue
-            if len(chosen) + 1 < n:
-                extend(chosen + (idx,), grown)
-            else:
+            if full:
                 found.append((chosen + (idx,), grown))
-
-    extend((), state)
+            else:
+                children.append((chosen + (idx,), grown))
+        stack.extend(reversed(children))
     return found, nodes
 
 
@@ -291,9 +318,11 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
         records = []
         for f_dprime, s_sets, cols in found:
             kernel = _kernel(f_dprime)
-            # every K in ker(f'')^d, as n x d row-major entries
-            shifts = [tuple(itertools.chain.from_iterable(zip(*combo)))
-                      for combo in itertools.product(kernel, repeat=d)]
+            # every K in ker(f'')^d, as n x d row-major entries; for d = 1
+            # those are the kernel vectors themselves
+            shifts = kernel if d == 1 else [
+                tuple(itertools.chain.from_iterable(zip(*combo)))
+                for combo in itertools.product(kernel, repeat=d)]
             records.append((f_dprime, s_sets, canonical_splitting(s_sets, emb, m=n, n=d),
                             shifts, (n, s_sets, cols)))
         records.sort(key=itemgetter(4))
@@ -442,15 +471,18 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     sort over the whole stratum.  ``budget`` bounds the search nodes plus
     the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
     cached on ``emb``: a repeated request returns the same list, whose
-    members are interned for ``act``.
+    members are interned for ``act``.  It is built with the cyclic collector
+    paused: the build leaves no reference cycle, so the pause only saves the
+    collector's passes over the new members and the strata already cached.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
-        out, work = _build_ovic(emb, d, n, budget)
-        interned = _interned(emb, d, n)
-        emb.enum_cache[key] = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
-                               for f in out], work
+        with _collector_paused():
+            out, work = _build_ovic(emb, d, n, budget)
+            interned = _interned(emb, d, n)
+            emb.enum_cache[key] = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
+                                   for f in out], work
     out, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
@@ -469,7 +501,8 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     no sort over the whole stratum.  GL_d is the lifts s (I + M_d(J)) of
     GL_d(R/J) (``_general_linear``).  ``budget`` bounds the search nodes of
     OVIC(d, n) and GL_d(R/J), the members of GL_d and the emitted pairs;
-    BudgetExceeded is raised past it.
+    BudgetExceeded is raised past it.  The stratum is built with the cyclic
+    collector paused, as in ``enumerate_ovic``.
     """
     _check_ranks(d, n)
     ring = emb.ring
@@ -478,6 +511,12 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
                             check=False)]
     if n < d:
         return []
+    with _collector_paused():
+        return _build_vic(emb, d, n, budget)
+
+
+def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphism]:
+    ring = emb.ring
     records, nodes = _splittings(emb, d, n, budget)
     reduced, gl_nodes = _reduced_general_linear(emb, d, budget)
     gl_size = len(reduced) * (ring.size // emb.qdata.quotient.size) ** (d * d)

@@ -296,8 +296,8 @@ def _check_cap(base_size: int, width: int, what: str) -> int:
 
 def zmod(n: int, name: Optional[str] = None) -> FiniteRing:
     """Z/nZ with elements 0..n-1."""
-    if n <= 0:
-        raise SizeCapExceeded("modulus must be positive")
+    if n < 2:
+        raise BadShape("modulus must be at least 2")
     _check_cap(n, 1, f"Z{n}")
     add = [[(a + b) % n for b in range(n)] for a in range(n)]
     mul = [[(a * b) % n for b in range(n)] for a in range(n)]

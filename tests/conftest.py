@@ -1,8 +1,20 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from vicbench.rings import builtin_ring
+
+
+@pytest.fixture(autouse=True)
+def collector_left_enabled():
+    """Fail a test that leaves the cyclic garbage collector switched off."""
+    enabled = gc.isenabled()
+    yield
+    if enabled and not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,14 @@ def test_truncated_ring_spec_is_structured_error(capsys, spec):
     assert spec in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("spec", ["zmod(0)", "zmod(1)", "matrix_ring(zmod(1),2)"])
+def test_modulus_below_two_is_structured_error(capsys, spec):
+    code, payload, _ = run_cli(capsys, "ring", "build", "--spec", spec)
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert "modulus must be at least 2" in payload["error"]["message"]
+
+
 @pytest.mark.parametrize("gens,needle", [
     ([{"terms": []}], "degree"),
     ([{"degree": 1}], "terms"),

@@ -11,6 +11,7 @@ checked against the closed form through |GL_n(R)|
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
 from vicbench import noether
-from vicbench.errors import BadShape, InvalidMorphism
+from vicbench.errors import BadShape, BudgetExceeded, InvalidMorphism
 from vicbench.noether import closed_form_counts, enumerate_ovic, enumerate_vic
 from vicbench.ovic import (
     OvicMorphism,
@@ -29,6 +30,7 @@ from vicbench.ovic import (
 from vicbench.rings import (
     BUILTIN_NAMES,
     RMatrix,
+    build_ring,
     builtin_ring,
     iter_vectors,
     matrix_invertible,
@@ -308,3 +310,85 @@ def test_strata_cached_on_the_embedding():
     first = enumerate_ovic(emb, 1, 2)
     assert enumerate_ovic(emb, 1, 2) is first
     assert ("ovic", 1, 2) in emb.enum_cache
+
+
+def test_column_search_order_and_nodes():
+    """Prefixes kept while their sum is at most 3: the kept triples in
+    lexicographic order, and one node per candidate of every kept prefix
+    shorter than 3 (the empty one included)."""
+    width, n = 3, 3
+
+    def step(total, c, idx):
+        return total + idx if total + idx <= 3 else None
+
+    found, nodes = noether._column_search(width, n, step, 0, 10 ** 6, "toy")
+    words = list(itertools.product(range(width), repeat=n))
+    assert found == [(w, sum(w)) for w in words if sum(w) <= 3]
+    kept = [w for k in range(n) for w in itertools.product(range(width), repeat=k)
+            if sum(w) <= 3]
+    assert nodes == width * len(kept)
+    with pytest.raises(BudgetExceeded):
+        noether._column_search(width, n, step, 0, nodes - 1, "toy")
+
+
+@pytest.mark.parametrize("spec,d,n", [
+    ("zmod(2)", 1, 3), ("zmod(4)", 2, 3), ("upper_triangular(zmod(2),2)", 1, 3),
+    ("zmod(8)", 2, 2), ("zmod(2)", 3, 4),
+])
+def test_stratum_builds_leave_no_cyclic_garbage(spec, d, n):
+    """Builds run with the collector paused; what they drop must then be
+    freed by reference counting alone, so a collection finds nothing."""
+    emb = build_aw_embedding(build_ring(spec))  # a fresh ring: nothing cached yet
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_ovic(emb, d, n)
+        enumerate_vic(emb, d, n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_builds_run_with_the_collector_paused(monkeypatch):
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append((fn.__name__, gc.isenabled()))
+            return fn(*args)
+        return wrapped
+
+    for name in ("_splittings", "_general_linear"):
+        monkeypatch.setattr(noether, name, recording(getattr(noether, name)))
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    enumerate_ovic(emb, 1, 2)
+    assert gc.isenabled()
+    enumerate_vic(emb, 1, 2)
+    assert gc.isenabled()
+    assert seen == [("_splittings", False), ("_splittings", False),
+                    ("_general_linear", False)]
+
+
+def test_collector_back_on_after_budget_exceeded():
+    """Z4 1 -> 2: the OVIC work is 40 (16 search nodes, 24 members), the
+    VIC work 68, so a budget of 40 fails inside the paused VIC build after
+    its column search has passed."""
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 1, 2, budget=40)
+    assert gc.isenabled()
+    assert len(enumerate_ovic(emb, 1, 2, budget=40)) == 24
+    assert gc.isenabled()
+
+
+def test_builds_leave_a_disabled_collector_disabled():
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    gc.disable()
+    try:
+        enumerate_ovic(emb, 1, 2)
+        enumerate_vic(emb, 1, 2)
+        with pytest.raises(BudgetExceeded):
+            enumerate_vic(emb, 1, 2, budget=40)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()

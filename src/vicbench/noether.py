@@ -3,12 +3,24 @@
 P(d) in degree n is the free module on Hom(R^d, R^n); a submodule is grown
 from generators by applying every morphism into each degree up to a horizon,
 and stored as fully reduced echelon bases with pivots on the order-largest
-basis morphism; a column index on each basis names the rows holding a
-morphism, so a new pivot is cleared from those rows only.  Coefficients are
-exact: prime fields or rationals.  Basis morphisms are interned per stratum
-on the embedding, keyed by their (f'', f') entries, and the action looks
-composites up in a per-embedding composition table; a miss there multiplies
-entry tuples and builds a morphism only when the stratum holds none yet.
+basis morphism.  Coefficients are exact: prime fields or rationals.
+
+The engine works on ranks.  ``enumerate_ovic`` emits each stratum OVIC(d, n)
+in strict total order, so a member's position in that list, its rank,
+compares as the member does.  The rank view of a stratum
+(``StratumRanks``) is that list plus a member -> rank map; the engine builds
+it on first use and caches it on the embedding beside the stratum.
+``span_to_degree`` turns each generator into ranks once, maps (phi, rank of
+f) to the rank of phi o f through one composition memo per (d, k, n), and
+inserts rank-keyed images straight into ``EchelonBasis``, whose rows, column
+index and pivots are ints; morphisms come back only at the basis's public
+methods.  The target strata OVIC(d, n) are always enumerated and count
+against the span's budget.
+
+``act`` composes morphisms outside the engine.  Each composite is interned:
+its (f'', f') entries are looked up in the per-stratum intern table on the
+embedding, which ``enumerate_ovic`` fills, and ``compose_vic`` runs only
+when that holds no such morphism yet.
 """
 
 from __future__ import annotations
@@ -311,13 +323,18 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
     splitting psi, every K in ker(f'')^d, order-key prefix), plus the search
     nodes it took; cached on ``emb``.  The splittings of f'' are psi + K.
     Phi is injective, so the prefixes (n, s_sets, Phi(f'') columns) are
-    distinct; the records come sorted by them."""
+    distinct; the records come sorted by them.  The nodes plus the
+    splittings so far bound the work of either stratum from below, so
+    BudgetExceeded is raised as soon as they pass ``budget``."""
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
         found, nodes = _column_adapted_dprimes(emb, d, n, budget)
         records = []
+        work = nodes
         for f_dprime, s_sets, cols in found:
             kernel = _kernel(f_dprime)
+            work += len(kernel) ** d
+            _check_budget(work, budget, f"OVIC({d}, {n})")
             # every K in ker(f'')^d, as n x d row-major entries; for d = 1
             # those are the kernel vectors themselves
             shifts = kernel if d == 1 else [
@@ -471,9 +488,12 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     sort over the whole stratum.  ``budget`` bounds the search nodes plus
     the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
     cached on ``emb``: a repeated request returns the same list, whose
-    members are interned for ``act``.  It is built with the cyclic collector
-    paused: the build leaves no reference cycle, so the pause only saves the
-    collector's passes over the new members and the strata already cached.
+    members are interned for ``act``.  The order is strict, so position i
+    in the list is rank i; the span engine builds its rank view
+    (``StratumRanks``) from this list, and this function never does.  The
+    stratum is built with the cyclic collector paused: the build leaves no
+    reference cycle, so the pause only saves the collector's passes over the
+    new members and the strata already cached.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
@@ -637,20 +657,15 @@ def _composite(phi: OvicMorphism, f: OvicMorphism) -> OvicMorphism:
 def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
     """Post-composition action, extended linearly.
 
-    Each term phi o f is interned: it is the object ``enumerate_ovic``
-    emitted for it, order key built, when that stratum is cached, else the
-    first composite computed.  A table on ``phi.emb`` maps (phi, f) to it,
-    so each pair is composed once per embedding."""
+    Each term phi o f is interned (``_composite``): it is the object
+    ``enumerate_ovic`` emitted for it, order key built, when that stratum is
+    cached, else the first composite computed.  ``act`` enumerates nothing."""
     if phi.d != x.degree:
         raise DegreeMismatch(f"morphism {phi.d}->{phi.n} cannot act on degree {x.degree}")
     field = x.field
-    table = phi.emb.enum_cache.setdefault(("compose", x.d, phi.d, phi.n), {})
-    row = table.setdefault(phi, {})
     terms: dict = {}
     for f, c in x.terms.items():
-        g = row.get(f)
-        if g is None:
-            g = row[f] = _composite(phi, f)
+        g = _composite(phi, f)
         terms[g] = field.add(terms.get(g, field.zero), c)
     return ModuleElement(x.d, phi.n, field, terms)
 
@@ -664,42 +679,88 @@ def init_term(x: ModuleElement) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# echelon bases and spans
+# stratum ranks, echelon bases and spans
 # ---------------------------------------------------------------------------
 
-class EchelonBasis:
-    """Fully reduced echelon basis keyed by leading morphism.
+class StratumRanks:
+    """The rank view of a stratum: ``members`` is the list ``enumerate_ovic``
+    returned, so ``members[i]`` has rank i, and ``rank`` maps each member
+    back.  The list is in strict total order, so ranks compare as their
+    members do."""
 
-    Rows are monic; no row's tail contains another row's pivot, so the stored
-    form is the canonical reduced basis of the span regardless of insertion
-    order.  ``cols`` indexes the tails: it maps each morphism to the pivots
-    whose row holds it off the pivot, so adjoining a pivot clears it from
-    exactly the rows listed under it.
+    __slots__ = ("members", "rank")
+
+    def __init__(self, members: list):
+        self.members = members
+        self.rank = {f: i for i, f in enumerate(members)}
+
+
+def _stratum_ranks(emb: AWEmbedding, d: int, n: int, budget: int = 10 ** 6
+                   ) -> StratumRanks:
+    """The rank view of OVIC(d, n), built on first use and cached on ``emb``;
+    the stratum's budget verdict holds as in ``enumerate_ovic``."""
+    members = enumerate_ovic(emb, d, n, budget=budget)
+    key = ("ranks", d, n)
+    view = emb.enum_cache.get(key)
+    if view is None:
+        view = emb.enum_cache[key] = StratumRanks(members)
+    return view
+
+
+class EchelonBasis:
+    """Fully reduced echelon basis of a subspace spanned by members of one
+    stratum, kept in their ranks (``ranks``).
+
+    Rows are keyed by their pivot, the largest rank they hold, and map ranks
+    to coefficients.  Rows are monic; no row's tail contains another row's
+    pivot, so the stored form is the canonical reduced basis of the span
+    regardless of insertion order.  ``cols`` indexes the tails: it maps each
+    rank to the pivots whose row holds it off the pivot, so adjoining a pivot
+    clears it from exactly the rows listed under it.  ``insert`` takes
+    rank-keyed terms; ``leading``, ``reduce`` and ``canonical_rows`` speak in
+    members.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, ranks: StratumRanks):
         self.field = field
-        self.rows: dict[OvicMorphism, dict] = {}
-        self.cols: dict[OvicMorphism, set] = {}
+        self.ranks = ranks
+        self.rows: dict[int, dict] = {}
+        self.cols: dict[int, set] = {}
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def leading(self) -> tuple[OvicMorphism, ...]:
-        return tuple(sorted(self.rows, key=lambda f: f.order_key))
+        members = self.ranks.members
+        return tuple(members[r] for r in sorted(self.rows))
 
     def reduce(self, terms: dict) -> tuple[dict, list]:
-        """Remainder of ``terms`` against the basis plus the certificate
-        [(pivot, coefficient), ...] that was subtracted, pivots descending.
+        """Remainder of the member-keyed ``terms`` against the basis plus the
+        certificate [(pivot, coefficient), ...] that was subtracted, pivots
+        descending.  A term outside the stratum is in no row, so it stays in
+        the remainder."""
+        rank, members = self.ranks.rank, self.ranks.members
+        vec, rem = {}, {}
+        for f, c in terms.items():
+            if c:
+                r = rank.get(f)
+                if r is None:
+                    rem[f] = c
+                else:
+                    vec[r] = c
+        cert = self._clear_pivots(vec)
+        rem.update((members[r], c) for r, c in vec.items())
+        return rem, [(members[m], c) for m, c in cert]
+
+    def _clear_pivots(self, vec: dict) -> list:
+        """Reduce the rank-keyed ``vec`` in place; return the certificate.
 
         Rows are fully reduced, so subtracting one never touches another
         pivot: the pivots among the starting terms are all that is cleared."""
         field, rows = self.field, self.rows
-        vec = {f: c for f, c in terms.items() if c}
         cert = []
-        for m in sorted((f for f in vec if f in rows), key=lambda f: f.order_key,
-                        reverse=True):
+        for m in sorted(vec.keys() & rows.keys(), reverse=True):
             c = vec[m]
             cert.append((m, c))
             for g, rc in rows[m].items():
@@ -708,16 +769,18 @@ class EchelonBasis:
                     vec[g] = nv
                 else:
                     del vec[g]
-        return vec, cert
+        return cert
 
     def insert(self, terms: dict) -> bool:
-        """Reduce and, if a remainder survives, adjoin it (monic) and clear
-        the new pivot from the rows that hold it."""
+        """Reduce the rank-keyed ``terms`` and, if a remainder survives,
+        adjoin it (monic) and clear the new pivot from the rows that hold
+        it."""
         field, rows, cols = self.field, self.rows, self.cols
-        rem, _ = self.reduce(terms)
+        rem = {r: c for r, c in terms.items() if c}
+        self._clear_pivots(rem)
         if not rem:
             return False
-        lead = max(rem, key=lambda f: f.order_key)
+        lead = max(rem)
         inv = field.inv(rem.pop(lead))
         tail = {g: field.mul(inv, c) for g, c in rem.items()}
         for pivot in cols.pop(lead, ()):
@@ -741,7 +804,9 @@ class EchelonBasis:
         return True
 
     def canonical_rows(self) -> dict:
-        return {lead: dict(row) for lead, row in self.rows.items()}
+        members = self.ranks.members
+        return {members[lead]: {members[g]: c for g, c in row.items()}
+                for lead, row in self.rows.items()}
 
 
 @dataclass
@@ -765,8 +830,19 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     """Smallest submodule containing the generators, truncated at ``horizon``.
 
     Because the action is functorial, single applications of morphisms from
-    each generator degree span everything: M_n is generated by act(phi, g)
-    over generators g and morphisms phi into degree n.
+    each generator degree span everything: M_n is generated by phi o g over
+    generators g and morphisms phi into degree n.
+
+    The work is in ranks: each generator's terms are ranked once in
+    OVIC(d, its degree), and each image phi o f comes from the composition
+    memo of (d, k, n) on ``emb``, keyed by the rank of phi in OVIC(k, n) and
+    of f, with ``_composite`` on a miss.  Post-composition is injective, so
+    an image has one term per term of g.
+
+    ``budget`` bounds each stratum's enumeration and the morphisms
+    enumerated in total: the target OVIC(d, n) for every n <= horizon, which
+    is always enumerated, plus OVIC(k, n) once per generator of degree
+    k <= n.  BudgetExceeded is raised past it.
     """
     gens = tuple(gens)
     if d is None:
@@ -776,20 +852,49 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     if any(g.d != d for g in gens):
         raise DegreeMismatch("generators disagree on source rank")
     enumerated = 0
+
+    def count(stratum: list) -> None:
+        nonlocal enumerated
+        enumerated += len(stratum)
+        if enumerated > budget:
+            raise BudgetExceeded(f"enumerated {enumerated} morphisms, budget {budget}")
+
     state = SubmoduleState(d, field, emb, gens, horizon)
+    # per generator, from its own degree on: (its stratum's members, its
+    # terms as (rank, coefficient) pairs)
+    ranked = [None] * len(gens)
     for n in range(horizon + 1):
-        basis = EchelonBasis(field)
-        for g in gens:
-            if g.degree > n or g.is_zero:
+        target = _stratum_ranks(emb, d, n, budget)
+        count(target.members)
+        rank = target.rank
+        for i, g in enumerate(gens):
+            if g.degree == n and not g.is_zero:
+                try:
+                    ranked[i] = target.members, [(rank[f], c) for f, c in g.terms.items()]
+                except KeyError:
+                    raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
+                                          "of this embedding") from None
+        basis = EchelonBasis(field, target)
+        for g, generator in zip(gens, ranked):
+            if generator is None:
                 continue
-            homs = enumerate_ovic(emb, g.degree, n, budget=budget)
-            enumerated += len(homs)
-            if enumerated > budget:
-                raise BudgetExceeded(
-                    f"enumerated {enumerated} morphisms, budget {budget}"
-                )
-            for phi in homs:
-                basis.insert(act(phi, g).terms)
+            source, terms = generator
+            k = g.degree
+            homs = enumerate_ovic(emb, k, n, budget=budget)
+            count(homs)
+            memo = emb.enum_cache.setdefault(("composite-ranks", d, k, n), {})
+            for i, phi in enumerate(homs):
+                images = memo.get(i)
+                if images is None:
+                    images = memo[i] = {}
+                try:
+                    image = {images[r]: c for r, c in terms}
+                except KeyError:
+                    for r, _ in terms:
+                        if r not in images:
+                            images[r] = rank[_composite(phi, source[r])]
+                    image = {images[r]: c for r, c in terms}
+                basis.insert(image)
         state.bases[n] = basis
     return state
 

@@ -19,7 +19,6 @@ from .errors import (
     SearchBudgetExceeded,
     SourceMismatch,
 )
-from .noether import enumerate_ovic
 from .ovic import (
     DistinguishedIndexer,
     OvicMorphism,
@@ -275,30 +274,3 @@ def build_phi(f: OvicMorphism, chain: Sequence[InsertionMove],
     if expect is not None and current != expect:
         raise InvalidChain("chain does not lead to the expected morphism")
     return phi
-
-
-# ---------------------------------------------------------------------------
-# reflection probe
-# ---------------------------------------------------------------------------
-
-def iota_reflection_counterexamples(emb, d: int, max_n: int,
-                                    node_cap: int = 10 ** 5) -> list[tuple]:
-    """Search the strata d -> n <= max_n (from ``enumerate_ovic``) for pairs
-    where the word order holds but the insertion order does not.  Reflection
-    is not asserted anywhere; this is a probe."""
-    strata = [enumerate_ovic(emb, d, n) for n in range(max_n + 1)]
-    out = []
-    for n in range(max_n + 1):
-        for m in range(n, max_n + 1):
-            for f in strata[n]:
-                for g in strata[m]:
-                    if f == g:
-                        continue
-                    if word_leq(iota(f), iota(g)):
-                        try:
-                            chain = partial_leq(f, g, node_cap=node_cap)
-                        except SearchBudgetExceeded:
-                            continue
-                        if chain is None:
-                            out.append((f, g))
-    return out

@@ -664,24 +664,6 @@ def additive_closure(ring: FiniteRing, seed) -> frozenset:
     return frozenset(members)
 
 
-def ideal_closure(ring: FiniteRing, generators) -> IdealSet:
-    """Two-sided ideal generated by ``generators``."""
-    members = set(additive_closure(ring, generators))
-    changed = True
-    while changed:
-        changed = False
-        new = set()
-        for a in members:
-            for x in ring.elements():
-                for v in (ring.mul(x, a), ring.mul(a, x)):
-                    if v not in members:
-                        new.add(v)
-        if new:
-            members = set(additive_closure(ring, members | new))
-            changed = True
-    return IdealSet(ring, frozenset(members))
-
-
 def ideal_product(ring: FiniteRing, left: frozenset, right: frozenset) -> frozenset:
     prods = {ring.mul(a, b) for a in left for b in right}
     return additive_closure(ring, prods)
@@ -834,10 +816,6 @@ class RMatrix:
         return cls(ring, n, n,
                    [ring.one if i == j else ring.zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, ring: FiniteRing, rows: int, cols: int) -> "RMatrix":
-        return cls(ring, rows, cols, [ring.zero] * (rows * cols))
-
     def get(self, r: int, c: int) -> int:
         return self.entries[r * self.cols + c]
 
@@ -870,10 +848,6 @@ class RMatrix:
         r = self.ring
         return RMatrix(r, self.rows, self.cols,
                        [r.sub(a, b) for a, b in zip(self.entries, other.entries)])
-
-    def transpose(self) -> "RMatrix":
-        return RMatrix(self.ring, self.cols, self.rows,
-                       [self.get(r, c) for c in range(self.cols) for r in range(self.rows)])
 
     def reduce(self, q: QuotientData) -> "RMatrix":
         proj = q.projection

@@ -11,6 +11,7 @@ from vicbench.errors import (
     BudgetExceeded,
     DegreeMismatch,
     HorizonExceeded,
+    InvalidMorphism,
     ZeroElement,
 )
 from vicbench.noether import (
@@ -30,10 +31,10 @@ from vicbench.noether import (
     parse_field,
     span_to_degree,
 )
-from vicbench import noether
+from vicbench import noether, rings
 from vicbench.ordering import total_compare, LT
 from vicbench.ovic import OvicMorphism, compose_vic
-from vicbench.rings import RMatrix, build_ring, builtin_ring, zmod
+from vicbench.rings import BUILTIN_NAMES, RMatrix, build_ring, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
 
 F2 = PrimeField(2)
@@ -137,6 +138,20 @@ def test_budget_counts_generator_work_whatever_the_cache():
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+def test_splittings_stop_at_the_budget(monkeypatch, enumerate_):
+    """The budget is checked as the splittings of each f'' are counted, so a
+    stratum far past it stops after a few kernels instead of computing the
+    kernel of all 196 f'' of T2F2 1 -> 3 (64 splittings each) first."""
+    emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))
+    kernel = noether._kernel
+    calls = []
+    monkeypatch.setattr(noether, "_kernel", lambda f: calls.append(f) or kernel(f))
+    with pytest.raises(BudgetExceeded):
+        enumerate_(emb, 1, 3, budget=2000)
+    assert 0 < len(calls) <= 2000 // 64 + 1
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
 @pytest.mark.parametrize("d,n", [(-1, 2), (1, -2), (-1, -1)])
 def test_enumerators_reject_negative_ranks(enumerate_, d, n):
     with pytest.raises(ValueError, match="negative rank"):
@@ -232,11 +247,11 @@ def test_act_functorial():
             assert act(psi, act(phi, x)) == act(compose_vic(psi, phi), x)
 
 
-def _seeded_element(emb, field, degree, terms, seed):
+def _seeded_element(emb, field, degree, terms, seed, d=1):
     rng = random.Random(seed)
-    pool = enumerate_ovic(emb, 1, degree)
+    pool = enumerate_ovic(emb, d, degree)
     support = rng.sample(pool, min(terms, len(pool)))
-    return ModuleElement(1, degree, field,
+    return ModuleElement(d, degree, field,
                          {f: field.from_int(rng.randrange(1, 5)) for f in support})
 
 
@@ -327,10 +342,11 @@ def test_init_term_examples():
 def test_echelon_insert_reduce():
     emb = emb_of("F2")
     fs = enumerate_ovic(emb, 1, 2)
-    basis = EchelonBasis(F2)
-    assert basis.insert({fs[0]: 1, fs[1]: 1})
-    assert not basis.insert({fs[0]: 1, fs[1]: 1})
-    assert basis.insert({fs[1]: 1})
+    ranks = noether._stratum_ranks(emb, 1, 2)
+    basis = EchelonBasis(F2, ranks)
+    assert basis.insert({0: 1, 1: 1})  # ranks of fs[0], fs[1]
+    assert not basis.insert({0: 1, 1: 1})
+    assert basis.insert({1: 1})
     rem, cert = basis.reduce({fs[0]: 1})
     assert not rem and cert
 
@@ -401,6 +417,17 @@ def test_membership_examples():
     assert missing
     ok, cert = membership(state, ModuleElement.monomial(missing[0], F2))
     assert not ok
+
+
+def test_membership_of_another_source_rank_is_false():
+    """A term outside the basis's stratum is in no row: it stays in the
+    remainder."""
+    emb = emb_of("F2")
+    ident = ModuleElement.monomial(OvicMorphism.identity(emb, 1), F2)
+    state = span_to_degree([ident], 2, emb, F2)
+    other = ModuleElement.monomial(OvicMorphism.identity(emb, 2), F2)
+    assert membership(state, other) == (False, [])
+    assert state.bases[2].reduce(other.terms) == (other.terms, [])
 
 
 def test_membership_horizon():
@@ -531,29 +558,53 @@ def _oracle_act(phi, x):
 
 
 SPAN_CASES = [
-    ("F2", "F2", 4, (2,), 3),
-    ("F3", "Q", 3, (2,), 3),
-    ("Z4", "F2", 3, (2,), 2),
-    ("T2F2", "Q", 2, (1,), 1),
+    # (ring, coefficient field, horizon, generator degrees, terms, source rank)
+    ("F2", "F2", 4, (2,), 3, 1),
+    ("F3", "Q", 3, (2,), 3, 1),
+    ("Z4", "F2", 3, (2,), 2, 1),
+    ("T2F2", "Q", 2, (1,), 1, 1),
+    ("F2", "Q", 4, (3,), 3, 2),
+    ("zmod(4)", "F3", 3, (2, 3), 2, 1),  # fresh ring: no stratum cached yet
 ]
+SPAN_IDS = ["F2-F2-4-degrees0-3", "F3-Q-3-degrees1-3", "Z4-F2-3-degrees2-2",
+            "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon"]
 
 
-def _span_case_generators(emb, field, degrees, terms, variant):
-    return [_seeded_element(emb, field, deg, terms + variant, f"oracle/{variant}/{deg}")
-            for deg in degrees]
+def _case_emb(ring):
+    """The shared embedding of a builtin, or a fresh one for a ring spec."""
+    return emb_of(ring) if ring in BUILTIN_NAMES else build_aw_embedding(build_ring(ring))
 
 
-@pytest.mark.parametrize("ring,field,horizon,degrees,terms", SPAN_CASES)
-def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms):
-    """The span engine (interned composites, column-indexed basis) against
-    fresh ``compose_vic`` composites in the full-scan basis: equal canonical
-    rows and leads, and equal remainders and certificates on membership
-    queries in and out of the span."""
-    emb = emb_of(ring)
+def _span_case_generators(emb, field, horizon, degrees, terms, variant, d):
+    """Seeded generators of source rank d.  One at the horizon is phi o x for
+    a seeded x one degree lower: building it enumerates no stratum into the
+    horizon, so on a fresh embedding the engine builds the target stratum
+    itself."""
+    gens = []
+    for deg in degrees:
+        seed = f"oracle/{variant}/{deg}"
+        if deg < horizon:
+            gens.append(_seeded_element(emb, field, deg, terms + variant, seed, d))
+            continue
+        x = _seeded_element(emb, field, deg - 1, terms + variant, seed, d)
+        phis = enumerate_ovic(emb, deg - 1, deg)
+        gens.append(act(phis[random.Random(seed).randrange(len(phis))], x))
+    return gens
+
+
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
+def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms, d):
+    """The span engine (ranks, composition memo, column-indexed basis)
+    against fresh ``compose_vic`` composites in the full-scan basis: equal
+    canonical rows and leads, and equal remainders and certificates on
+    membership queries in and out of the span."""
     field = parse_field(field)
     for variant in range(2):
-        gens = _span_case_generators(emb, field, degrees, terms, variant)
-        state = span_to_degree(gens, horizon, emb, field, d=1)
+        emb = _case_emb(ring)
+        gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
+        if ring not in BUILTIN_NAMES and max(degrees) == horizon:
+            assert ("ovic", d, horizon) not in emb.enum_cache
+        state = span_to_degree(gens, horizon, emb, field, d=d)
         rng = random.Random(f"oracle-queries/{variant}")
         for n in range(horizon + 1):
             oracle = ScanEchelonBasis(field)
@@ -567,13 +618,13 @@ def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms):
             assert basis.canonical_rows() == oracle.canonical_rows()
             assert [f.order_key for f in basis.leading()] == [
                 f.order_key for f in oracle.leading()]
-            if n == 0:
+            if n < d:
                 continue
-            queries = [_seeded_element(emb, field, n, 3, f"probe/{variant}/{n}/{i}")
+            queries = [_seeded_element(emb, field, n, 3, f"probe/{variant}/{n}/{i}", d)
                        for i in range(3)]
             for _ in range(3 if images else 0):
                 picked = rng.sample(images, min(3, len(images)))
-                member = ModuleElement(1, n, field, {})
+                member = ModuleElement(d, n, field, {})
                 for y in picked:
                     member = member.add(y.scale(field.from_int(rng.randrange(1, 5))))
                 queries.append(member)
@@ -589,32 +640,92 @@ def _rebuilt_index(basis):
     index = {}
     for pivot, row in basis.rows.items():
         for g in row:
-            if g is not pivot:
+            if g != pivot:
                 index.setdefault(g, set()).add(pivot)
     return index
 
 
-@pytest.mark.parametrize("ring,field,horizon,degrees,terms", SPAN_CASES)
-def test_column_index_invariants(ring, field, horizon, degrees, terms):
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
+def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
     """After every insert the column index is the one rebuilt from the rows,
-    every row is monic on its pivot, and no row's tail holds a pivot."""
-    emb = emb_of(ring)
+    every row is monic on its pivot, no row's tail holds a pivot, and each
+    pivot is the largest rank in its row."""
     field = parse_field(field)
     for variant in range(2):
-        gens = _span_case_generators(emb, field, degrees, terms, variant)
+        emb = _case_emb(ring)
+        gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
         for n in range(1, horizon + 1):
-            basis = EchelonBasis(field)
+            ranks = noether._stratum_ranks(emb, d, n)
+            basis = EchelonBasis(field, ranks)
             for g in gens:
                 if g.degree > n:
                     continue
                 for phi in enumerate_ovic(emb, g.degree, n):
-                    basis.insert(act(phi, g).terms)
+                    basis.insert({ranks.rank[f]: c for f, c in act(phi, g).terms.items()})
                     assert basis.cols == _rebuilt_index(basis)
                     assert not basis.cols.keys() & basis.rows.keys()
                     for pivot, row in basis.rows.items():
                         assert row[pivot] == field.one
                         assert all(c for c in row.values())
-                        assert max(row, key=lambda f: f.order_key) is pivot
+                        assert max(row) == pivot
+
+
+def test_ranks_follow_the_total_order():
+    """On every stratum d <= 2, n <= 3 of each builtin that fits the default
+    budget, rank i is position i, rank order is ``order_key`` order, and
+    neighbours compare LT under ``total_compare``.  Each ring is built
+    afresh, so its strata are freed after the test."""
+    skipped = []
+    for name in BUILTIN_NAMES:
+        emb = build_aw_embedding(rings._BUILTIN_BUILDERS[name]())
+        for d in range(3):
+            for n in range(4):
+                # a stratum with more members than the budget cannot fit it
+                if closed_form_counts(emb, d, n)[0] > 10 ** 6:
+                    skipped.append((name, d, n))
+                    continue
+                ranks = noether._stratum_ranks(emb, d, n)
+                members = ranks.members
+                assert [ranks.rank[f] for f in members] == list(range(len(members)))
+                keys = [f.order_key for f in members]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
+                assert all(total_compare(a, b) == LT for a, b in zip(members, members[1:]))
+    assert skipped == [("F2S3", 1, 3), ("F2S3", 2, 3)]
+
+
+def test_enumerate_ovic_builds_no_rank_view():
+    emb = build_aw_embedding(zmod(2))
+    enumerate_ovic(emb, 1, 3)
+    enumerate_vic(emb, 1, 3)
+    assert not [key for key in emb.enum_cache if key[0] == "ranks"]
+    span_to_degree([], 3, emb, F2, d=1)
+    assert [key for key in emb.enum_cache if key[0] == "ranks"] == [
+        ("ranks", 1, n) for n in range(4)]
+
+
+def test_span_budget_counts_the_target_stratum():
+    """A generator at the horizon acts only through OVIC(4, 4), one member;
+    the target OVIC(1, 4) alone is past the budget, and that raises."""
+    emb = build_aw_embedding(zmod(2))
+    ring = emb.ring
+    f = OvicMorphism(RMatrix(ring, 4, 1, [1, 0, 0, 0]), RMatrix(ring, 1, 4, [1, 0, 0, 0]), emb)
+    gen = ModuleElement.monomial(f, F2)
+    with pytest.raises(BudgetExceeded, match=r"OVIC\(1, 4\)"):
+        span_to_degree([gen], 4, emb, F2, budget=100)
+    assert span_to_degree([gen], 4, emb, F2, budget=1000).dims() == {
+        0: 0, 1: 0, 2: 0, 3: 0, 4: 1}
+    # each stratum fits 150, but the targets OVIC(1, n <= 4) together are 155
+    with pytest.raises(BudgetExceeded, match="enumerated 155 morphisms"):
+        span_to_degree([gen], 4, emb, F2, budget=150)
+
+
+def test_span_rejects_a_term_outside_the_embedding():
+    """Generators are ranked in the strata of the embedding given; a term
+    over another copy of the ring is not a member of them."""
+    other = build_aw_embedding(zmod(2))
+    x = ModuleElement.monomial(enumerate_ovic(other, 1, 2)[0], F2)
+    with pytest.raises(InvalidMorphism):
+        span_to_degree([x], 2, build_aw_embedding(zmod(2)), F2)
 
 
 def test_span_over_rationals():

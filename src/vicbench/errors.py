@@ -119,6 +119,10 @@ class DegreeMismatch(WorkbenchError):
     pass
 
 
+class FieldMismatch(WorkbenchError):
+    """An element's coefficient field is not the one of the span it meets."""
+
+
 class ZeroElement(WorkbenchError):
     pass
 

@@ -3,19 +3,26 @@
 P(d) in degree n is the free module on Hom(R^d, R^n); a submodule is grown
 from generators by applying every morphism into each degree up to a horizon,
 and stored as fully reduced echelon bases with pivots on the order-largest
-basis morphism.  Coefficients are exact: prime fields or rationals.
+basis morphism.  Coefficients are exact: prime fields or rationals.  A
+``ModuleElement`` reduces each coefficient into its field, and the engine
+refuses an element over another field than the span's (``FieldMismatch``).
 
 The engine works on ranks.  ``enumerate_ovic`` emits each stratum OVIC(d, n)
 in strict total order, so a member's position in that list, its rank,
 compares as the member does.  The rank view of a stratum
 (``StratumRanks``) is that list plus a member -> rank map; the engine builds
 it on first use and caches it on the embedding beside the stratum.
-``span_to_degree`` turns each generator into ranks once, maps (phi, rank of
-f) to the rank of phi o f through one composition memo per (d, k, n), and
-inserts rank-keyed images straight into ``EchelonBasis``, whose rows, column
-index and pivots are ints; morphisms come back only at the basis's public
-methods.  The target strata OVIC(d, n) are always enumerated and count
-against the span's budget.
+``span_to_degree`` turns each generator into ranks, and its coefficients
+into ints, once; it maps (phi, rank of f) to the rank of phi o f through one
+composition memo per (d, k, n), skips an image whose composite ranks the
+same generator already gave in that degree, and inserts the others straight
+into ``EchelonBasis``.  The basis keeps rows, column index and pivots as
+ints, with coefficients as ints too: residues with pivot entry 1 over F_p,
+primitive integer vectors with a positive pivot entry over Q.  The field
+classes supply the row operations on them, so inserting builds no Fraction;
+morphisms and field elements come back only at the basis's public methods.
+The target strata OVIC(d, n) are always enumerated and count against the
+span's budget.
 
 ``act`` composes morphisms outside the engine.  Each composite is interned:
 its (f'', f') entries are looked up in the per-stratum intern table on the
@@ -31,6 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from fractions import Fraction
+from math import gcd, lcm
 from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
@@ -39,6 +47,7 @@ from .errors import (
     BudgetExceeded,
     CounterexampleFound,
     DegreeMismatch,
+    FieldMismatch,
     HorizonExceeded,
     InvalidMorphism,
     ZeroElement,
@@ -65,7 +74,10 @@ MAX_PRIME = 97
 # ---------------------------------------------------------------------------
 
 class PrimeField:
-    """F_p for p prime (p <= 97); elements are ints 0..p-1."""
+    """F_p for p prime (p <= 97); elements are ints 0..p-1.
+
+    The echelon kernel keeps a row as a dict of residues scaled so that its
+    pivot entry is 1, so a stored entry is already the field element."""
 
     def __init__(self, p: int):
         if p < 2 or p > MAX_PRIME or any(p % q == 0 for q in range(2, p)):
@@ -95,6 +107,13 @@ class PrimeField:
     def from_int(self, n: int):
         return n % self.p
 
+    def coerce(self, c) -> int:
+        """An int or Fraction as its residue; a denominator divisible by p
+        raises ZeroDivisionError."""
+        if c.denominator == 1:
+            return c.numerator % self.p
+        return c.numerator * self.inv(c.denominator % self.p) % self.p
+
     def parse(self, text) -> int:
         if isinstance(text, bool) or not isinstance(text, (int, str)):
             raise ValueError(f"{text!r} is not an integer")
@@ -103,9 +122,41 @@ class PrimeField:
     def format(self, a) -> str:
         return str(a)
 
+    # echelon rows: dicts of residues 1..p-1, pivot entry 1
+
+    def integral(self, coeffs: list) -> list[int]:
+        return [c % self.p for c in coeffs]
+
+    def clear(self, v: dict, m: int, row: dict) -> None:
+        """Subtract v[m] times ``row`` (pivot m) from v in place."""
+        p, c = self.p, v[m]
+        for g, r in row.items():
+            nv = (v.get(g, 0) - c * r) % p
+            if nv:
+                v[g] = nv
+            else:
+                del v[g]
+
+    def normalise(self, v: dict, lead: int) -> None:
+        """Scale v in place to pivot entry 1 at ``lead``."""
+        p = self.p
+        inv = pow(v[lead], p - 2, p)
+        if inv != 1:
+            for g in v:
+                v[g] = v[g] * inv % p
+
+    def entry(self, x: int, pivot_entry: int) -> int:
+        """A stored entry as an element of the row scaled to pivot entry 1."""
+        return x
+
 
 class RationalField:
-    """Exact rationals via fractions.Fraction."""
+    """Exact rationals via fractions.Fraction.
+
+    The echelon kernel keeps a row as a primitive integer vector (entries
+    with gcd 1) whose pivot entry is positive; the row it stands for is that
+    vector divided by its pivot entry.  Fractions are built only when a
+    stored entry is read back (``entry``)."""
 
     name = "Q"
     zero = Fraction(0)
@@ -129,11 +180,59 @@ class RationalField:
     def from_int(self, n: int):
         return Fraction(n)
 
+    def coerce(self, c) -> Fraction:
+        return c if type(c) is Fraction else Fraction(c)
+
     def parse(self, text) -> Fraction:
         return Fraction(str(text))
 
     def format(self, a) -> str:
         return str(a)
+
+    # echelon rows: primitive int dicts with a positive pivot entry
+
+    def integral(self, coeffs: list) -> list[int]:
+        """The coefficients times the lcm of their denominators."""
+        scale = lcm(*(c.denominator for c in coeffs))
+        return [c.numerator * (scale // c.denominator) for c in coeffs]
+
+    def clear(self, v: dict, m: int, row: dict) -> None:
+        """v := (a v - b row) / gcd in place, a = row[m] and b = v[m]: v
+        loses coordinate m and comes out primitive.  a > 0, so a coordinate
+        that ``row`` does not hold keeps its sign; a stored row cleared by a
+        new one keeps a positive pivot entry."""
+        a, b = row[m], v[m]
+        common = gcd(a, b)
+        if common != 1:
+            a //= common
+            b //= common
+        if a != 1:
+            for g in v:
+                v[g] *= a
+        for g, r in row.items():
+            nv = v.get(g, 0) - b * r
+            if nv:
+                v[g] = nv
+            else:
+                del v[g]
+        content = gcd(*v.values())
+        if content > 1:
+            for g in v:
+                v[g] //= content
+
+    def normalise(self, v: dict, lead: int) -> None:
+        """Divide v in place by its content, signed so that v[lead] > 0."""
+        content = gcd(*v.values())
+        if v[lead] < 0:
+            content = -content
+        if content != 1:
+            for g in v:
+                v[g] //= content
+
+    def entry(self, x: int, pivot_entry: int) -> Fraction:
+        """A stored entry as an element of the row divided by its pivot
+        entry."""
+        return Fraction(x, pivot_entry)
 
 
 def parse_field(spec: str):
@@ -579,7 +678,9 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
 
 class ModuleElement:
     """A finite combination of degree-n basis morphisms with exact
-    coefficients; zero coefficients are never stored."""
+    coefficients.  Each coefficient is reduced into ``field``
+    (``field.coerce``: a residue 0..p-1 over F_p, a Fraction over Q), and
+    one that is then zero is not stored."""
 
     __slots__ = ("d", "degree", "field", "terms")
 
@@ -587,7 +688,12 @@ class ModuleElement:
         self.d = d
         self.degree = degree
         self.field = field
-        self.terms = {f: c for f, c in terms.items() if c}
+        coerce = field.coerce
+        self.terms = {}
+        for f, c in terms.items():
+            c = coerce(c)
+            if c:
+                self.terms[f] = c
         for f in self.terms:
             if f.d != d or f.n != degree:
                 raise DegreeMismatch(
@@ -712,13 +818,20 @@ class EchelonBasis:
     stratum, kept in their ranks (``ranks``).
 
     Rows are keyed by their pivot, the largest rank they hold, and map ranks
-    to coefficients.  Rows are monic; no row's tail contains another row's
-    pivot, so the stored form is the canonical reduced basis of the span
-    regardless of insertion order.  ``cols`` indexes the tails: it maps each
-    rank to the pivots whose row holds it off the pivot, so adjoining a pivot
-    clears it from exactly the rows listed under it.  ``insert`` takes
-    rank-keyed terms; ``leading``, ``reduce`` and ``canonical_rows`` speak in
-    members.
+    to plain ints in the form the field keeps them: monic residue vectors
+    over F_p, primitive integer vectors with a positive pivot entry over Q
+    (the true row is the vector over its pivot entry).  No row's tail
+    contains another row's pivot, so the true rows are the canonical reduced
+    basis of the span regardless of insertion order.  ``cols`` indexes the
+    tails: it maps each rank to the pivots whose row holds it off the pivot,
+    so adjoining a pivot clears it from exactly the rows listed under it.
+
+    ``insert`` takes rank-keyed ints (``field.integral`` of the
+    coefficients; over Q any nonzero multiple of a vector spans the same
+    line) and does all its work through the field's row operations
+    (``clear``, ``normalise``), so no Fraction is built there.  ``leading``,
+    ``reduce`` and ``canonical_rows`` speak in members and field elements;
+    ``field.entry`` reads a stored entry back.
     """
 
     def __init__(self, field, ranks: StratumRanks):
@@ -738,8 +851,11 @@ class EchelonBasis:
     def reduce(self, terms: dict) -> tuple[dict, list]:
         """Remainder of the member-keyed ``terms`` against the basis plus the
         certificate [(pivot, coefficient), ...] that was subtracted, pivots
-        descending.  A term outside the stratum is in no row, so it stays in
+        descending.  Rows are fully reduced, so subtracting one never touches
+        another pivot: the certificate holds the query's own coefficient at
+        each pivot.  A term outside the stratum is in no row, so it stays in
         the remainder."""
+        field, rows = self.field, self.rows
         rank, members = self.ranks.rank, self.ranks.members
         vec, rem = {}, {}
         for f, c in terms.items():
@@ -749,63 +865,57 @@ class EchelonBasis:
                     rem[f] = c
                 else:
                     vec[r] = c
-        cert = self._clear_pivots(vec)
-        rem.update((members[r], c) for r, c in vec.items())
-        return rem, [(members[m], c) for m, c in cert]
-
-    def _clear_pivots(self, vec: dict) -> list:
-        """Reduce the rank-keyed ``vec`` in place; return the certificate.
-
-        Rows are fully reduced, so subtracting one never touches another
-        pivot: the pivots among the starting terms are all that is cleared."""
-        field, rows = self.field, self.rows
         cert = []
         for m in sorted(vec.keys() & rows.keys(), reverse=True):
             c = vec[m]
-            cert.append((m, c))
-            for g, rc in rows[m].items():
-                nv = field.sub(vec.get(g, field.zero), field.mul(c, rc))
+            cert.append((members[m], c))
+            row = rows[m]
+            pivot_entry = row[m]
+            for g, x in row.items():
+                nv = field.sub(vec.get(g, field.zero), field.mul(c, field.entry(x, pivot_entry)))
                 if nv:
                     vec[g] = nv
                 else:
                     del vec[g]
-        return cert
+        rem.update((members[r], c) for r, c in vec.items())
+        return rem, cert
 
     def insert(self, terms: dict) -> bool:
-        """Reduce the rank-keyed ``terms`` and, if a remainder survives,
-        adjoin it (monic) and clear the new pivot from the rows that hold
+        """Reduce the rank-keyed ints ``terms`` and, if a remainder
+        survives, adjoin it and clear the new pivot from the rows that hold
         it."""
         field, rows, cols = self.field, self.rows, self.cols
-        rem = {r: c for r, c in terms.items() if c}
-        self._clear_pivots(rem)
-        if not rem:
+        v = {r: c for r, c in terms.items() if c}
+        # rows are fully reduced, so clearing one pivot brings in no other
+        for m in v.keys() & rows.keys():
+            field.clear(v, m, rows[m])
+        if not v:
             return False
-        lead = max(rem)
-        inv = field.inv(rem.pop(lead))
-        tail = {g: field.mul(inv, c) for g, c in rem.items()}
+        lead = max(v)
+        field.normalise(v, lead)
+        tail = [g for g in v if g != lead]
         for pivot in cols.pop(lead, ()):
             row = rows[pivot]
-            c = row.pop(lead)
-            for g, rc in tail.items():
-                nv = field.sub(row.get(g, field.zero), field.mul(c, rc))
-                if not nv:
-                    del row[g]
-                    holders = cols[g]
-                    holders.discard(pivot)
-                    if not holders:
-                        del cols[g]
-                else:
-                    if g not in row:
+            held = [g in row for g in tail]
+            field.clear(row, lead, v)
+            for g, was in zip(tail, held):
+                if was != (g in row):
+                    if was:
+                        holders = cols[g]
+                        holders.discard(pivot)
+                        if not holders:
+                            del cols[g]
+                    else:
                         cols.setdefault(g, set()).add(pivot)
-                    row[g] = nv
         for g in tail:
             cols.setdefault(g, set()).add(lead)
-        rows[lead] = {lead: field.one, **tail}
+        rows[lead] = v
         return True
 
     def canonical_rows(self) -> dict:
-        members = self.ranks.members
-        return {members[lead]: {members[g]: c for g, c in row.items()}
+        """The true rows, member-keyed, with pivot coefficient one."""
+        field, members = self.field, self.ranks.members
+        return {members[lead]: {members[g]: field.entry(x, row[lead]) for g, x in row.items()}
                 for lead, row in self.rows.items()}
 
 
@@ -824,6 +934,11 @@ class SubmoduleState:
         return {n: self.bases[n].dim for n in sorted(self.bases)}
 
 
+def _check_field(x: ModuleElement, field) -> None:
+    if x.field.name != field.name:
+        raise FieldMismatch(f"element over {x.field.name} used with a span over {field.name}")
+
+
 def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                    emb: AWEmbedding, field, d: Optional[int] = None,
                    budget: int = 10 ** 6) -> SubmoduleState:
@@ -834,10 +949,14 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     generators g and morphisms phi into degree n.
 
     The work is in ranks: each generator's terms are ranked once in
-    OVIC(d, its degree), and each image phi o f comes from the composition
+    OVIC(d, its degree) and its coefficients scaled to ints once
+    (``field.integral``), and each image phi o f comes from the composition
     memo of (d, k, n) on ``emb``, keyed by the rank of phi in OVIC(k, n) and
     of f, with ``_composite`` on a miss.  Post-composition is injective, so
-    an image has one term per term of g.
+    an image has one term per term of g, and its tuple of composite ranks
+    fixes it: an image whose tuple the generator already gave in degree n
+    is not inserted again.  Every generator must be over ``field`` (by
+    name), else FieldMismatch is raised.
 
     ``budget`` bounds each stratum's enumeration and the morphisms
     enumerated in total: the target OVIC(d, n) for every n <= horizon, which
@@ -845,6 +964,8 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     k <= n.  BudgetExceeded is raised past it.
     """
     gens = tuple(gens)
+    for g in gens:
+        _check_field(g, field)
     if d is None:
         if not gens:
             raise DegreeMismatch("need generators or an explicit source rank")
@@ -861,7 +982,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
 
     state = SubmoduleState(d, field, emb, gens, horizon)
     # per generator, from its own degree on: (its stratum's members, its
-    # terms as (rank, coefficient) pairs)
+    # terms as (rank, coefficient as an int) pairs)
     ranked = [None] * len(gens)
     for n in range(horizon + 1):
         target = _stratum_ranks(emb, d, n, budget)
@@ -870,10 +991,12 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
         for i, g in enumerate(gens):
             if g.degree == n and not g.is_zero:
                 try:
-                    ranked[i] = target.members, [(rank[f], c) for f, c in g.terms.items()]
+                    ranks = [rank[f] for f in g.terms]
                 except KeyError:
                     raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
                                           "of this embedding") from None
+                coeffs = field.integral(list(g.terms.values()))
+                ranked[i] = target.members, list(zip(ranks, coeffs))
         basis = EchelonBasis(field, target)
         for g, generator in zip(gens, ranked):
             if generator is None:
@@ -883,6 +1006,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
             homs = enumerate_ovic(emb, k, n, budget=budget)
             count(homs)
             memo = emb.enum_cache.setdefault(("composite-ranks", d, k, n), {})
+            seen = set()
             for i, phi in enumerate(homs):
                 images = memo.get(i)
                 if images is None:
@@ -894,7 +1018,11 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                         if r not in images:
                             images[r] = rank[_composite(phi, source[r])]
                     image = {images[r]: c for r, c in terms}
-                basis.insert(image)
+                # the ranks fix the image: the coefficients are the generator's
+                key = tuple(image)
+                if key not in seen:
+                    seen.add(key)
+                    basis.insert(image)
         state.bases[n] = basis
     return state
 
@@ -909,7 +1037,9 @@ def initial_module_to_degree(state: SubmoduleState, horizon: int) -> dict:
 
 def membership(state: SubmoduleState, x: ModuleElement) -> tuple[bool, list]:
     """Reduce against the echelon basis at x's degree; the certificate lists
-    the (pivot, coefficient) reductions applied."""
+    the (pivot, coefficient) reductions applied.  x must be over the
+    state's field (by name), else FieldMismatch is raised."""
+    _check_field(x, state.field)
     if x.degree > state.horizon:
         raise HorizonExceeded(f"degree {x.degree} beyond horizon {state.horizon}")
     rem, cert = state.bases[x.degree].reduce(x.terms)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from vicbench.errors import (
     BudgetExceeded,
     DegreeMismatch,
+    FieldMismatch,
     HorizonExceeded,
     InvalidMorphism,
     ZeroElement,
@@ -180,6 +182,38 @@ def test_module_element_drops_zeros():
     f = enumerate_ovic(emb, 1, 2)[0]
     x = ModuleElement(1, 2, F2, {f: 0})
     assert x.is_zero
+
+
+def test_module_element_reduces_coefficients_into_its_field():
+    """Coefficients become residues over F_p and Fractions over Q; one that
+    is zero in the field is dropped, so 3 f over F3 spans nothing."""
+    emb = emb_of("F2")
+    f, g = enumerate_ovic(emb, 1, 2)[:2]
+    f3, q = PrimeField(3), RationalField()
+    x = ModuleElement(1, 2, f3, {f: 3})
+    assert x.is_zero
+    assert span_to_degree([x], 3, emb, f3).dims() == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert ModuleElement(1, 2, f3, {f: -1, g: 7}).terms == {f: 2, g: 1}
+    assert ModuleElement(1, 2, f3, {f: Fraction(1, 2), g: Fraction(6, 4)}).terms == {f: 2}
+    y = ModuleElement(1, 2, q, {f: 3, g: 0})
+    assert y.terms == {f: Fraction(3)} and type(y.terms[f]) is Fraction
+
+
+def test_span_rejects_generators_over_another_field():
+    emb = emb_of("F2")
+    x = ModuleElement.monomial(enumerate_ovic(emb, 1, 2)[0], RationalField(), Fraction(1, 2))
+    with pytest.raises(FieldMismatch):
+        span_to_degree([x], 3, emb, PrimeField(3))
+
+
+def test_membership_rejects_an_element_over_another_field():
+    emb = emb_of("F2")
+    f = enumerate_ovic(emb, 1, 2)[0]
+    f3 = PrimeField(3)
+    state = span_to_degree([ModuleElement.monomial(f, f3)], 3, emb, f3)
+    assert membership(state, ModuleElement.monomial(f, PrimeField(3), 2)) == (True, [(f, 2)])
+    with pytest.raises(FieldMismatch):
+        membership(state, ModuleElement.monomial(f, RationalField(), Fraction(1, 2)))
 
 
 def test_module_element_degree_check():
@@ -565,9 +599,10 @@ SPAN_CASES = [
     ("T2F2", "Q", 2, (1,), 1, 1),
     ("F2", "Q", 4, (3,), 3, 2),
     ("zmod(4)", "F3", 3, (2, 3), 2, 1),  # fresh ring: no stratum cached yet
+    ("Z4", "F5", 3, (2,), 3, 1),
 ]
 SPAN_IDS = ["F2-F2-4-degrees0-3", "F3-Q-3-degrees1-3", "Z4-F2-3-degrees2-2",
-            "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon"]
+            "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon", "Z4-F5-3"]
 
 
 def _case_emb(ring):
@@ -636,6 +671,12 @@ def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms, d
                 assert basis.reduce(x.terms)[0] == rem
 
 
+def _ranked_ints(ranks, field, terms):
+    """Member-keyed field coefficients as the rank-keyed ints ``insert``
+    takes."""
+    return dict(zip([ranks.rank[f] for f in terms], field.integral(list(terms.values()))))
+
+
 def _rebuilt_index(basis):
     index = {}
     for pivot, row in basis.rows.items():
@@ -648,8 +689,10 @@ def _rebuilt_index(basis):
 @pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
 def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
     """After every insert the column index is the one rebuilt from the rows,
-    every row is monic on its pivot, no row's tail holds a pivot, and each
-    pivot is the largest rank in its row."""
+    no row's tail holds a pivot, each pivot is the largest rank in its row,
+    and every true row is monic on its pivot.  Stored rows are nonzero ints:
+    over Q primitive with a positive pivot entry, over F_p residues
+    1..p-1."""
     field = parse_field(field)
     for variant in range(2):
         emb = _case_emb(ring)
@@ -661,13 +704,68 @@ def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
                 if g.degree > n:
                     continue
                 for phi in enumerate_ovic(emb, g.degree, n):
-                    basis.insert({ranks.rank[f]: c for f, c in act(phi, g).terms.items()})
+                    basis.insert(_ranked_ints(ranks, field, act(phi, g).terms))
                     assert basis.cols == _rebuilt_index(basis)
                     assert not basis.cols.keys() & basis.rows.keys()
                     for pivot, row in basis.rows.items():
-                        assert row[pivot] == field.one
-                        assert all(c for c in row.values())
+                        assert field.entry(row[pivot], row[pivot]) == field.one
+                        assert all(type(c) is int and c for c in row.values())
                         assert max(row) == pivot
+                        if field.name == "Q":
+                            assert row[pivot] > 0 and math.gcd(*row.values()) == 1
+                        else:
+                            assert all(0 < c < field.p for c in row.values())
+
+
+@pytest.mark.parametrize("field", ["F2", "F3", "F97", "Q"])
+def test_echelon_kernel_matches_scan_oracle(field):
+    """Seeded sparse inserts with negative coefficients (and over Q large
+    denominators), a third of them combinations of earlier ones, against
+    the full-scan basis after every insert: the same accept verdicts (both
+    occur), canonical rows and leads, and remainders and certificates of
+    queries in and out of the span.  Over Q some insert must clear its
+    pivot from a stored row whose pivot entry is not 1."""
+    field = parse_field(field)
+    emb = emb_of("F2")
+    ranks = noether._stratum_ranks(emb, 1, 3)
+    rng = random.Random(f"kernel/{field.name}")
+    pool = rng.sample(ranks.members, 14)
+    if field.name == "Q":
+        coeffs = [Fraction(-13, 4), Fraction(7, 9), Fraction(-5), Fraction(2, 3),
+                  Fraction(11, 6), Fraction(-1), Fraction(3)]
+    else:
+        coeffs = [c for c in range(-200, 200) if c % field.p]
+
+    def random_element(size):
+        support = rng.sample(pool, size)
+        return ModuleElement(1, 3, field, {f: rng.choice(coeffs) for f in support})
+
+    basis, oracle = EchelonBasis(field, ranks), ScanEchelonBasis(field)
+    inserted, accepts, odd_pivots = [], 0, 0
+    for _ in range(80):
+        if len(inserted) > 1 and rng.random() < 0.35:
+            x = ModuleElement(1, 3, field, {})
+            for y in rng.sample(inserted, 2):
+                x = x.add(y.scale(rng.choice(coeffs)))
+        else:
+            x = random_element(rng.randrange(1, 5))
+        pivot_entries = {p: row[p] for p, row in basis.rows.items()}
+        holders = {g: set(hs) for g, hs in basis.cols.items()}
+        accepted = basis.insert(_ranked_ints(ranks, field, x.terms))
+        assert accepted == oracle.insert(x.terms)
+        inserted.append(x)
+        if accepted:
+            accepts += 1
+            (new,) = basis.rows.keys() - pivot_entries.keys()
+            odd_pivots += any(pivot_entries[h] != 1 for h in holders.get(new, ()))
+        assert basis.canonical_rows() == oracle.canonical_rows()
+        assert basis.leading() == oracle.leading()
+        member = x.add(rng.choice(inserted).scale(rng.choice(coeffs)))
+        for query in (member, random_element(3), member.add(random_element(2))):
+            assert basis.reduce(query.terms) == oracle.reduce(query.terms)
+    assert 0 < accepts < len(inserted)
+    if field.name == "Q":
+        assert odd_pivots
 
 
 def test_ranks_follow_the_total_order():

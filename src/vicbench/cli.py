@@ -12,8 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import __version__
 from .errors import UsageError, WorkbenchError
@@ -28,28 +27,23 @@ from .jsonio import (
     ovic_from_payload,
     read_json,
     save_ring,
+    write_text,
 )
-from .noether import (
-    check_endo_generation,
-    enumerate_ovic,
-    enumerate_vic,
-    initial_module_to_degree,
-    parse_field,
-    span_to_degree,
-)
-from .ordering import compare_name, iota, partial_leq, total_compare
-from .ovic import OvicMorphism, factor_vic, free_rows, is_column_adapted, s_function
 from .rings import (
     BUILTIN_NAMES,
     FiniteRing,
     build_ring,
     builtin_ring,
     jacobson_radical,
-    nilpotency_index,
     quotient_by_radical,
 )
-from .selftest import run_selftest
-from .wedderburn import build_aw_embedding, verify_embedding
+
+if TYPE_CHECKING:
+    from .ovic import OvicMorphism
+    from .wedderburn import AWEmbedding
+
+# Each verb imports the layers it calls in its own body, so a request loads
+# only those: rings and jsonio are the only layers every verb shares.
 
 
 def _load_ring_arg(args) -> tuple[FiniteRing, dict]:
@@ -63,6 +57,14 @@ def _load_ring_arg(args) -> tuple[FiniteRing, dict]:
         raise UsageError("need --builtin or a ring file")
     ring = load_ring(path)
     return ring, {"path": str(path), "sha256": file_digest(path)}
+
+
+def _load_embedding_arg(args) -> tuple[AWEmbedding, dict]:
+    """The ring of _load_ring_arg, embedded, plus its input digest."""
+    from .wedderburn import build_aw_embedding
+
+    ring, digest = _load_ring_arg(args)
+    return build_aw_embedding(ring), digest
 
 
 def _morphism_input(path, emb) -> tuple[OvicMorphism, dict]:
@@ -96,6 +98,8 @@ def verb_ring_build(args):
 
 
 def verb_ring_describe(args):
+    from .wedderburn import build_aw_embedding
+
     ring, digest = _load_ring_arg(args)
     rad = jacobson_radical(ring)
     q = quotient_by_radical(ring)
@@ -115,10 +119,11 @@ def verb_ring_describe(args):
 
 
 def verb_ring_wedderburn(args):
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
     import random
 
+    from .wedderburn import verify_embedding
+
+    emb, digest = _load_embedding_arg(args)
     flags = verify_embedding(emb, rng=random.Random(args.seed))
     result = {
         "q": emb.q,
@@ -134,9 +139,10 @@ def verb_ring_wedderburn(args):
 
 
 def verb_morphism_check(args):
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
-    vic = load_vic_morphism(args.infile, ring)
+    from .ovic import OvicMorphism, free_rows, is_column_adapted
+
+    emb, digest = _load_embedding_arg(args)
+    vic = load_vic_morphism(args.infile, emb.ring)
     adapted = is_column_adapted(vic.f_dprime, emb)
     result = {
         "d": vic.d,
@@ -156,9 +162,10 @@ def verb_morphism_check(args):
 
 
 def verb_morphism_factor(args):
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
-    vic = load_vic_morphism(args.infile, ring)
+    from .ovic import factor_vic, is_column_adapted
+
+    emb, digest = _load_embedding_arg(args)
+    vic = load_vic_morphism(args.infile, emb.ring)
     f1, f2 = factor_vic(vic, emb)
     result = {
         "f1": morphism_payload(f1),
@@ -176,8 +183,9 @@ def verb_morphism_factor(args):
 
 
 def verb_order_compare(args):
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    from .ordering import compare_name, total_compare
+
+    emb, digest = _load_embedding_arg(args)
     fa, da = _morphism_input(args.a, emb)
     fb, db = _morphism_input(args.b, emb)
     result = {"result": compare_name(total_compare(fa, fb))}
@@ -185,17 +193,19 @@ def verb_order_compare(args):
 
 
 def verb_order_iota(args):
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    from .ordering import iota
+
+    emb, digest = _load_embedding_arg(args)
     f, dm = _morphism_input(args.infile, emb)
     return ({"ring": digest, "morphism": dm},
             {"letters": iota(f).to_payload()})
 
 
 def verb_order_chain(args):
+    from .ordering import partial_leq
+
     _check_non_negative(node_cap=args.node_cap)
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    emb, digest = _load_embedding_arg(args)
     fa, da = _morphism_input(args.a, emb)
     fb, db = _morphism_input(args.b, emb)
     chain = partial_leq(fa, fb, node_cap=args.node_cap)
@@ -213,9 +223,10 @@ def _check_non_negative(**values) -> None:
 
 
 def verb_enumerate_ovic(args):
+    from .noether import enumerate_ovic, enumerate_vic
+
     _check_non_negative(d=args.d, n=args.n, budget=args.budget)
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    emb, digest = _load_embedding_arg(args)
     if args.vic:
         morphs = enumerate_vic(emb, args.d, args.n, budget=args.budget)
     else:
@@ -228,13 +239,14 @@ def verb_enumerate_ovic(args):
 
 
 def verb_noether_span(args):
+    from .noether import initial_module_to_degree, parse_field, span_to_degree
+
     try:
         field = parse_field(args.k)
     except ValueError as exc:
         raise UsageError(f"--k {args.k}: {exc}") from None
     _check_non_negative(d=args.d, horizon=args.horizon, budget=args.budget)
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    emb, digest = _load_embedding_arg(args)
     gens = load_generators(args.gens, emb, field, d=args.d)
     timings = {}
     t0 = time.perf_counter()
@@ -262,9 +274,10 @@ def verb_noether_span(args):
 
 
 def verb_noether_endo(args):
+    from .noether import check_endo_generation
+
     _check_non_negative(d=args.d, horizon=args.horizon, budget=args.budget)
-    ring, digest = _load_ring_arg(args)
-    emb = build_aw_embedding(ring)
+    emb, digest = _load_embedding_arg(args)
     report = check_endo_generation(emb, args.d, args.horizon, budget=args.budget)
     return {"ring": digest}, {
         "d": report["d"],
@@ -274,6 +287,8 @@ def verb_noether_endo(args):
 
 
 def verb_selftest(args):
+    from .selftest import run_selftest
+
     results = run_selftest(args.profile, seed=args.seed,
                            inject_fault=args.inject_fault,
                            log=lambda line: print(line, file=sys.stderr))
@@ -405,41 +420,41 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(parser_args, report: dict) -> None:
     text = dump_payload(report)
     if parser_args.out:
-        Path(parser_args.out).write_text(text)
+        write_text(parser_args.out, text)
     else:
         sys.stdout.write(text)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> tuple[dict, int]:
+    """The report of one parsed request and its exit code."""
+    verb = f"{args.group}.{getattr(args, 'verb', '')}".rstrip(".")
     start = time.perf_counter()
     try:
         outcome = args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except UsageError:
+        raise
     except WorkbenchError as exc:
-        report = {
-            "verb": f"{args.group}.{getattr(args, 'verb', '')}".rstrip("."),
-            "error": {"kind": exc.kind, "message": str(exc)},
-        }
-        _emit(args, report)
-        return 1
+        return {"verb": verb, "error": {"kind": exc.kind, "message": str(exc)}}, 1
     if len(outcome) == 3:
         inputs, result, timings = outcome
     else:
         inputs, result = outcome
         timings = {}
     timings["wall_time_s"] = round(time.perf_counter() - start, 6)
-    verb = f"{args.group}.{getattr(args, 'verb', '')}".rstrip(".")
-    if args.group == "selftest":
-        verb = "selftest"
     report = {"verb": verb, "inputs": inputs, "result": result, "timing": timings}
-    _emit(args, report)
-    if args.group == "selftest" and not result["passed"]:
-        return 1
-    return 0
+    return report, 1 if args.group == "selftest" and not result["passed"] else 0
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report, code = _run(args)
+        _emit(args, report)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

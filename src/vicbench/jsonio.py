@@ -9,21 +9,31 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import BadShape, InvalidMorphism, UsageError
-from .noether import ModuleElement
-from .ovic import OvicMorphism, VicMorphism
 from .rings import FiniteRing, RMatrix
-from .wedderburn import AWEmbedding
+
+if TYPE_CHECKING:
+    from .noether import ModuleElement
+    from .ovic import OvicMorphism, VicMorphism
+    from .wedderburn import AWEmbedding
 
 
 def dump_payload(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def write_text(path, text: str) -> None:
+    """Write an output file; an unwritable target is a usage error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def write_payload(path, payload: dict) -> None:
-    Path(path).write_text(dump_payload(payload))
+    write_text(path, dump_payload(payload))
 
 
 def file_digest(path) -> str:
@@ -108,6 +118,8 @@ def _matrix_field(payload: dict, key: str, rows: int, cols: int,
 
 def vic_from_payload(payload: dict, ring: FiniteRing) -> VicMorphism:
     """Validate a morphism payload against ``ring`` and build the morphism."""
+    from .ovic import VicMorphism
+
     if not isinstance(payload, dict):
         raise InvalidMorphism("morphism payload must be a JSON object")
     missing = [k for k in ("d", "n", "f_prime", "f_dprime") if k not in payload]
@@ -124,6 +136,8 @@ def vic_from_payload(payload: dict, ring: FiniteRing) -> VicMorphism:
 
 
 def ovic_from_payload(payload: dict, emb: AWEmbedding) -> OvicMorphism:
+    from .ovic import OvicMorphism
+
     vic = vic_from_payload(payload, emb.ring)
     return OvicMorphism.from_vic(vic, emb)
 
@@ -135,6 +149,8 @@ def morphism_payload(f: VicMorphism) -> dict:
 def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
                     ) -> list[ModuleElement]:
     """Generator file: [{"degree": n, "terms": [{"coeff": c, "morphism": {...}}]}]."""
+    from .noether import ModuleElement
+
     payload = read_json(path)
     if not isinstance(payload, list):
         raise BadShape("generator file must be a JSON list")

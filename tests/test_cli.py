@@ -331,6 +331,21 @@ def test_usage_error_exit_two(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("argv", [
+    ("--out", "TARGET", "ring", "describe", "--builtin", "F2"),
+    ("--out", "TARGET", "ring", "build", "--spec", "zmod(1)"),  # error report
+    ("ring", "build", "--builtin", "F2", "--out", "TARGET"),
+], ids=["report", "error-report", "ring"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    path = tmp_path / "absent" / "out.json" if target == "missing-dir" else tmp_path
+    code = main([str(path) if a == "TARGET" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"cannot write {path}: " in captured.err
+    assert captured.out == ""
+
+
 def test_report_determinism(z4_file, capsys):
     def payload_without_timing(args):
         code = main(args)
@@ -345,12 +360,91 @@ def test_report_determinism(z4_file, capsys):
     assert payload_without_timing(args) == payload_without_timing(args)
 
 
-def test_cli_import_loads_no_numpy():
-    """The runtime is pure Python; numpy is a test-only dependency."""
+def _python(*args) -> subprocess.CompletedProcess:
+    """Run this interpreter in a fresh process with the package on its path."""
     src = str(Path(vicbench.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, vicbench.cli; sys.exit('numpy' in sys.modules)"],
-        env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_cli_import_loads_no_numpy():
+    """The runtime is pure Python; numpy is a test-only dependency."""
+    proc = _python("-c", "import sys, vicbench.cli; sys.exit('numpy' in sys.modules)")
     assert proc.returncode == 0
+
+
+def test_package_import_loads_no_submodule():
+    proc = _python("-c", "import sys, vicbench; "
+                         "print(sorted(m for m in sys.modules if m.startswith('vicbench.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# `python -m vicbench ARGS`, then the loaded vicbench submodules on stderr's
+# last line.
+_VERB_PROBE = """\
+import runpy, sys
+try:
+    runpy.run_module("vicbench", run_name="__main__", alter_sys=True)
+finally:
+    print(" ".join(sorted(m[len("vicbench."):] for m in sys.modules
+                          if m.startswith("vicbench."))), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,used,unused", [
+    (("ring", "describe", "--builtin", "Z8"),
+     {"rings", "wedderburn"}, {"noether", "ovic", "ordering", "selftest"}),
+    (("morphism", "check", "--builtin", "F2", "--in", "MORPH"),
+     {"wedderburn", "ovic"}, {"noether", "ordering", "selftest"}),
+    (("noether", "span", "--builtin", "F2", "--d", "1", "--k", "F2",
+      "--gens", "GENS", "--horizon", "2"),
+     {"wedderburn", "ovic", "noether"}, {"ordering", "selftest"}),
+], ids=["ring-describe", "morphism-check", "noether-span"])
+def test_cli_verb_loads_only_its_layers(tmp_path, argv, used, unused):
+    morph = write_morphism(tmp_path / "m.json", "F2", 1, 2, [[1], [0]], [[1, 0]])
+    gens = tmp_path / "gens.json"
+    gens.write_text(json.dumps([{"degree": 1, "terms": [{"coeff": 1, "morphism": {
+        "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}]))
+    files = {"MORPH": str(morph), "GENS": str(gens)}
+    proc = _python("-c", _VERB_PROBE, *(files.get(a, a) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split())
+    assert used <= loaded
+    assert not unused & loaded
+
+
+def test_package_exports_are_the_defining_objects():
+    import importlib
+
+    assert vicbench.__all__ and set(vicbench.__all__) <= set(dir(vicbench))
+    for name in vicbench.__all__:
+        module = importlib.import_module(f"vicbench.{vicbench._EXPORTS[name]}")
+        value = getattr(vicbench, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__
+
+
+def test_package_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        vicbench.no_such_name  # noqa: B018
+    assert not hasattr(vicbench, "no_such_name")
+
+
+def test_package_submodules_stay_reachable():
+    proc = _python("-c", "import sys, vicbench; "
+                         "assert vicbench.rings.zmod is vicbench.zmod; "
+                         "from vicbench import noether; "
+                         "assert noether is vicbench.noether is sys.modules['vicbench.noether']")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_version_and_help():
+    proc = _python("-m", "vicbench", "--version")
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == vicbench.__version__
+    proc = _python("-m", "vicbench", "--help")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: vicbench")

@@ -58,12 +58,11 @@ from .ovic import (
     VicMorphism,
     canonical_splitting,
     compose_vic,
-    echelon_insert,
     factor_vic,
     is_column_adapted,
     split_rows,
 )
-from .rings import RMatrix, matrix_invertible, mul_entries, newton_inverse
+from .rings import RMatrix, _additive_generators, mul_entries
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -184,7 +183,12 @@ class RationalField:
         return c if type(c) is Fraction else Fraction(c)
 
     def parse(self, text) -> Fraction:
-        return Fraction(str(text))
+        """``text`` as a Fraction; ValueError if it is no rational or one
+        whose numerator or denominator is too long for ``str`` to write
+        back (Python's int -> str digit limit)."""
+        value = Fraction(str(text))
+        str(value)
+        return value
 
     def format(self, a) -> str:
         return str(a)
@@ -252,9 +256,10 @@ def parse_field(spec: str):
 # by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
 # their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
-# the lifts s (I + M_d(J)) of GL_d(R/J).  Members are assembled from entry
-# tuples checked once per f'' and emitted in order, group by group.  Results
-# are cached in ``emb.enum_cache``.
+# the closure of transvections and diagonal units, each element found with
+# its inverse.  Members are assembled from entry tuples checked once per f''
+# and emitted in order, group by group.  Results are cached in
+# ``emb.enum_cache``.
 #
 # A stratum build allocates tens of thousands of members, and each burst of
 # allocations would make CPython's cyclic collector walk them and every
@@ -458,81 +463,62 @@ def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
         raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
 
 
-def _reduced_general_linear(emb: AWEmbedding, d: int, budget: int
-                            ) -> tuple[list, int]:
-    """GL_d(R/J) as tuples of columns, plus the search nodes it took; cached
-    on ``emb``.
+def _gl_generators(ring, d: int) -> list[tuple[int, int, int, int]]:
+    """Generators of GL_d(R) as (a, b, y, z): s = I + y E_ab with s^-1 =
+    I + z E_ab.
 
-    The search runs column by column and keeps a column when each of its
-    block columns of Phi_bar is independent over D_k of the earlier ones;
-    for d = 1 it keeps the units.
-    """
-    key = ("gl_bar", d)
-    if key in emb.enum_cache:
-        return emb.enum_cache[key]
-    rbar = emb.qdata.quotient
-    mu, q = emb.mu_total, emb.q
-    fields = emb.corner_fields
-    positions = [[s for s in range(mu) if emb.block_of[s] == k] for k in range(q)]
-    phi_bar = [emb.phi_bar(x) for x in rbar.elements()]
-    vectors = list(itertools.product(rbar.elements(), repeat=d))
-    block_cols = [[(emb.block_of[s],
-                    [phi_bar[x].get(p, s) for x in v for p in positions[emb.block_of[s]]])
-                   for s in range(mu)]
-                  for v in vectors]
-
-    def step(bases: list, c: int, idx: int):
-        grown = list(bases)
-        for k, vec in block_cols[idx]:
-            grown[k] = echelon_insert(fields[k], grown[k], vec)
-            if grown[k] is None:
-                return None
-        return grown
-
-    found, nodes = _column_search(len(vectors), d, step, [()] * q, budget, f"GL_{d}")
-    reduced = [tuple(vectors[i] for i in cols) for cols, _ in found]
-    emb.enum_cache[key] = (reduced, nodes)
-    return reduced, nodes
+    A finite ring is semilocal, so it has stable rank 1 and GL_d(R) =
+    E_d(R) GL_1(R) (Bass, *K-theory and stable algebra*, 1964): the
+    transvections I + x E_ij (i != j, x an additive generator of R) and the
+    diag(u, 1, .., 1) = I + (u - 1) E_00 (u a unit other than 1) generate
+    it."""
+    add, neg, one = ring._add, ring._neg, ring.one
+    gens = [(i, j, x, neg[x]) for i in range(d) for j in range(d) if i != j
+            for x in _additive_generators(add, ring.zero)]
+    gens += [(0, 0, add[u][neg[one]], add[ring.inv(u)][neg[one]])
+             for u in ring.elements() if u != one and ring.is_unit(u)]
+    return gens
 
 
-def _general_linear(emb: AWEmbedding, d: int, reduced: list) -> list:
-    """GL_d(R) as (g, g^-1) entry-tuple pairs from GL_d(R/J) given by
-    ``reduced``; cached on ``emb``.
+def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
+    """GL_d(R) as (g, g^-1) entry-tuple pairs, plus the products it took;
+    cached on ``emb``.
 
-    g is invertible iff its reduction mod J is, and M_d(J) is a two-sided
-    ideal of M_d(R), so the lifts of a reduced s-bar are s (I + M_d(J)) for
-    any one lift s, with (s k)^-1 = k^-1 s^-1.  ``matrix_invertible`` runs
-    once per element of GL_d(R/J), and not at all for one whose inverse an
-    earlier call already gave; each k^-1 comes once, by Newton iteration
-    from I."""
+    A breadth-first closure from I multiplies every element g by every
+    generator s (``_gl_generators``) once, on the right: g s adds column a
+    of g times y to column b, and its inverse s^-1 g^-1 adds z times row b
+    of g^-1 to row a.  That is |GL_d(R)| |generators| products; past
+    ``budget`` BudgetExceeded is raised, before the closure runs.  A closure
+    of other than ``_gl_order`` elements is a bug."""
     key = ("gl", d)
-    if key in emb.enum_cache:
-        return emb.enum_cache[key]
-    ring, qdata = emb.ring, emb.qdata
-    add, proj, section = ring._add, qdata.projection, qdata.section
-    ident = RMatrix.identity(ring, d).entries
-    unipotent = []  # I + M_d(J) without I: s I = s needs no product
-    for shift in itertools.product(qdata.ideal.sorted_members, repeat=d * d):
-        k = tuple(add[a][b] for a, b in zip(ident, shift))
-        if k != ident:
-            unipotent.append((k, newton_inverse(ring, d, k, ident, qdata.nilpotency)))
-    lifted = {}  # reduced entries -> (s, s^-1) from an inverse already computed
-    pairs = []
-    for cols in reduced:
-        s_bar = tuple(cols[c][rho] for rho in range(d) for c in range(d))
-        s, s_inv = lifted.get(s_bar, (None, None))
-        if s is None:
-            s = tuple(section[x] for x in s_bar)
-            ok, inv = matrix_invertible(RMatrix(ring, d, d, s), qdata)
-            if not ok:
-                raise RuntimeError("lift of an invertible reduction is singular")  # bug guard
-            s_inv = inv.entries
-            lifted[tuple(proj[x] for x in s_inv)] = (s_inv, s)
-        pairs.append((s, s_inv))
-        pairs.extend((mul_entries(ring, s, k, d, d, d), mul_entries(ring, k_inv, s_inv, d, d, d))
-                     for k, k_inv in unipotent)
-    emb.enum_cache[key] = pairs
-    return pairs
+    if key not in emb.enum_cache:
+        ring = emb.ring
+        add, mul = ring._add, ring._mul
+        gens = _gl_generators(ring, d)
+        order = _gl_order(emb, d)
+        _check_budget(order * len(gens), budget, f"GL_{d}")
+        ident = RMatrix.identity(ring, d).entries
+        seen = {ident}
+        pairs = [(ident, ident)]
+        for g, g_inv in pairs:  # grows while it is walked: breadth first
+            for a, b, y, z in gens:
+                h = list(g)
+                for r in range(0, d * d, d):
+                    h[r + b] = add[g[r + b]][mul[g[r + a]][y]]
+                h = tuple(h)
+                if h not in seen:
+                    seen.add(h)
+                    h_inv = list(g_inv)
+                    row_a, row_b = a * d, b * d
+                    for c in range(d):
+                        h_inv[row_a + c] = add[g_inv[row_a + c]][mul[z][g_inv[row_b + c]]]
+                    pairs.append((h, tuple(h_inv)))
+        if len(pairs) != order:
+            raise RuntimeError(f"closure found {len(pairs)} of |GL_{d}| = {order}")  # bug guard
+        emb.enum_cache[key] = pairs, order * len(gens)
+    pairs, products = emb.enum_cache[key]
+    _check_budget(products, budget, f"GL_{d}")
+    return pairs, products
 
 
 def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
@@ -617,15 +603,20 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     factorisation through the ordered subcategory is unique; so distinct
     (f2'', g) give distinct f'', and the stratum is emitted in order by
     taking the (f2'', g) groups in f'' order and the f' of each sorted, with
-    no sort over the whole stratum.  GL_d is the lifts s (I + M_d(J)) of
-    GL_d(R/J) (``_general_linear``).  ``budget`` bounds the search nodes of
-    OVIC(d, n) and GL_d(R/J), the members of GL_d and the emitted pairs;
-    BudgetExceeded is raised past it.  The stratum is built with the cyclic
-    collector paused, as in ``enumerate_ovic``.
+    no sort over the whole stratum.  GL_d is a closure from I under right
+    multiplication by transvections and diagonal units
+    (``_general_linear``).  ``budget`` bounds the work: the search nodes of
+    OVIC(d, n), the |GL_d| |generators| products of the closure, and per g
+    in GL_d one plus the splittings of every f2''; VIC(0, n) is work 1.
+    That work is counted from |GL_d| in closed form, so BudgetExceeded is
+    raised past it before GL_d is built, and a cached GL_d gets the same
+    verdict.  The stratum is built with the cyclic collector paused, as in
+    ``enumerate_ovic``.
     """
     _check_ranks(d, n)
     ring = emb.ring
     if d == 0:
+        _check_budget(1, budget, f"VIC(0, {n})")
         return [VicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
                             check=False)]
     if n < d:
@@ -637,11 +628,12 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
 def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphism]:
     ring = emb.ring
     records, nodes = _splittings(emb, d, n, budget)
-    reduced, gl_nodes = _reduced_general_linear(emb, d, budget)
-    gl_size = len(reduced) * (ring.size // emb.qdata.quotient.size) ** (d * d)
-    work = nodes + gl_nodes + gl_size * (1 + sum(len(rec[3]) for rec in records))
+    # the closure's products, then per g in GL_d one pair and its splittings
+    order = _gl_order(emb, d)
+    work = nodes + order * (len(_gl_generators(ring, d)) + 1
+                            + sum(len(rec[3]) for rec in records))
     _check_budget(work, budget, f"VIC({d}, {n})")
-    gl = _general_linear(emb, d, reduced)
+    gl, _ = _general_linear(emb, d, budget)
     # rows of each g and columns of each g^-1
     gl_parts = [([g[i:i + d] for i in range(0, d * d, d)], [g_inv[j::d] for j in range(d)])
                 for g, g_inv in gl]

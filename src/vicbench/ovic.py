@@ -77,37 +77,28 @@ def _block_rows(emb: AWEmbedding, big: RMatrix, k: int,
     return [[big.get(r - 1, c - 1) for c in cols] for r in rows]
 
 
-def echelon_insert(field: CornerField, basis: tuple, vec: Sequence[int]
-                   ) -> Optional[tuple]:
-    """``basis``, a tuple of (pivot index, monic vector) pairs in echelon
-    form over a corner field, extended by ``vec``; None if ``vec`` lies in
-    its span."""
-    for piv, row in basis:
-        c = vec[piv]
-        if c != field.zero:
-            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, row)]
-    piv = next((i for i, x in enumerate(vec) if x != field.zero), None)
-    if piv is None:
-        return None
-    inv = field.inv(vec[piv])
-    return basis + ((piv, [field.mul(inv, x) for x in vec]),)
-
-
 def _greedy_pivots(rows: list[list[int]], field: CornerField) -> list[int]:
     """Left-to-right pivot columns (1-based) of a matrix over a corner field.
 
     Greedy selection returns the lexicographically smallest basis-indexing
     subset of the column set: a column is a pivot iff it is independent of
-    the columns before it.
+    the columns before it, i.e. it does not reduce to zero against the
+    echelon basis of (pivot index, monic vector) pairs kept so far.
     """
-    basis: tuple = ()
+    zero, sub, mul = field.zero, field.sub, field.mul
+    basis = []
     pivots = []
-    for c, col in enumerate(zip(*rows), start=1):
+    for c, vec in enumerate(zip(*rows), start=1):
         if len(pivots) == len(rows):
             break
-        grown = echelon_insert(field, basis, col)
-        if grown is not None:
-            basis = grown
+        for piv, row in basis:
+            x = vec[piv]
+            if x != zero:
+                vec = [sub(v, mul(x, y)) for v, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x != zero), None)
+        if lead is not None:
+            inv = field.inv(vec[lead])
+            basis.append((lead, [mul(inv, x) for x in vec]))
             pivots.append(c)
     return pivots
 

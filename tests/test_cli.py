@@ -242,6 +242,20 @@ def test_malformed_generator_file_is_structured_error(tmp_path, capsys, gens, ne
     assert needle in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("coeff", ["1e5000", "1e-5000", "1.5e5000"])
+def test_q_coefficient_too_long_to_write_is_structured_error(tmp_path, coeff):
+    """Exponent form reaches past Python's int -> str digit limit, which
+    would fail only when the payload is written; parsing refuses it."""
+    gpath = tmp_path / "gens.json"
+    gpath.write_text(json.dumps([{"degree": 1, "terms": [{"coeff": coeff, "morphism": {
+        "d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}}]}]))
+    proc = _python("-m", "vicbench", "noether", "span", "--builtin", "F2", "--d", "1",
+                   "--k", "Q", "--gens", str(gpath), "--horizon", "2")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["error"]["kind"] == "BadShape"
+    assert "Traceback" not in proc.stderr
+
+
 def test_noether_span_non_prime_field_is_usage_error(f2_file, tmp_path, capsys):
     gpath = tmp_path / "gens.json"
     gpath.write_text("[]")

@@ -128,15 +128,40 @@ def test_enumerate_budget():
         enumerate_ovic(emb, 3, 4, budget=10)
 
 
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+def test_rank_zero_stratum_counts_its_member(enumerate_):
+    """OVIC(0, n) and VIC(0, n) hold one member each, which is work 1."""
+    emb = emb_of("F2")
+    with pytest.raises(BudgetExceeded):
+        enumerate_(emb, 0, 2, budget=0)
+    assert len(enumerate_(emb, 0, 2, budget=1)) == 1
+
+
 def test_budget_counts_generator_work_whatever_the_cache():
     """The budget bounds search nodes plus emitted morphisms, not the
-    |R|^(dn) candidates, and a cached stratum gets the same verdict."""
+    |R|^(dn) candidates, and a cached stratum gets the same verdict.
+
+    Z8 VIC(2, 2) is 128 search nodes, then per g in GL_2 (1536 of them) 5
+    closure products, one pair and 1 splitting: 10880 in all.  The 5
+    generators outweigh 1 + 1, so a count without the closure would pass
+    10879.  The verdict is the same before GL_2 is cached, once it is cached
+    alone and once the stratum is built."""
     emb = emb_of("Z4")
     assert len(enumerate_ovic(emb, 3, 4)) == 7680  # 4^12 candidates
     with pytest.raises(BudgetExceeded):
         enumerate_ovic(emb, 3, 4, budget=7680)
     with pytest.raises(BudgetExceeded):
         enumerate_vic(emb, 1, 2, budget=48)
+    work = 128 + 1536 * (5 + 1 + 1)
+    emb = build_aw_embedding(build_ring("zmod(8)"))  # a fresh ring: nothing cached yet
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 2, 2, budget=work - 1)
+    noether._general_linear(emb, 2, 10 ** 6)
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 2, 2, budget=work - 1)
+    assert len(enumerate_vic(emb, 2, 2, budget=work)) == 1536
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 2, 2, budget=work - 1)
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])

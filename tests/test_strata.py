@@ -1,12 +1,14 @@
 """Generated strata against the brute-force filters they replaced.
 
 ``enumerate_ovic`` and ``enumerate_vic`` generate OVIC(d, n) by a column
-search and VIC(d, n) as OVIC(d, n) o GL_d.  The oracles below build every
-d x n matrix f'', keep the column-adapted (respectively the split) ones and
-scan all of R^n for the splittings, then sort by the same keys.  Both sides
-must return equal lists, order included.  The stratum sizes are also
-checked against the closed form through |GL_n(R)|
-(``noether.closed_form_counts``).
+search and VIC(d, n) as OVIC(d, n) o GL_d, GL_d a closure of transvections
+and diagonal units that finds each element with its inverse.  The oracles
+below build every d x n matrix f'', keep the column-adapted (respectively
+the split) ones and scan all of R^n for the splittings, then sort by the
+same keys; GL_d is checked against every d x d matrix that
+``matrix_invertible`` accepts.  Both sides must return equal lists, order
+included.  The stratum sizes are also checked against the closed form
+through |GL_n(R)| (``noether.closed_form_counts``).
 """
 
 from __future__ import annotations
@@ -178,7 +180,7 @@ def test_closed_form_counts_equal_enumeration(name, d, n):
                                              len(enumerate_vic(emb, d, n)))
 
 
-GL_GRID = [(name, d) for name in BUILTIN_NAMES for d in (1, 2)
+GL_GRID = [(name, d) for name in BUILTIN_NAMES for d in (1, 2, 3)
            if builtin_ring(name).size ** (d * d) <= 4096]
 
 
@@ -207,14 +209,14 @@ def small_general_linear(draw):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(small_general_linear())
-def test_general_linear_lifts_on_random_rings(case):
-    """GL_d(R) as the lifts s (I + M_d(J)): mutually inverse pairs whose g
-    are the matrices ``matrix_invertible`` accepts, |GL_d(R)| of them.  40
-    fixed examples, about 1 s on a 2-core x86 container."""
+def test_general_linear_on_random_rings(case):
+    """GL_d(R) as the closure of transvections and diagonal units: mutually
+    inverse pairs whose g are the matrices ``matrix_invertible`` accepts,
+    |GL_d(R)| of them.  40 fixed examples, about 1 s on a 2-core x86
+    container."""
     ring, d = case
     emb = build_aw_embedding(ring)
-    reduced, _ = noether._reduced_general_linear(emb, d, 10 ** 6)
-    pairs = noether._general_linear(emb, d, reduced)
+    pairs, _ = noether._general_linear(emb, d, 10 ** 6)
     ident = RMatrix.identity(ring, d).entries
     for g, g_inv in pairs:
         assert mul_entries(ring, g, g_inv, d, d, d) == ident
@@ -225,22 +227,50 @@ def test_general_linear_lifts_on_random_rings(case):
     assert len(pairs) == noether._gl_order(emb, d)
 
 
-def test_general_linear_inverts_once_per_reduced_element(monkeypatch):
-    """Z8: GL_2(F2) has 6 elements, each with 4^4 lifts; only the reduced
-    elements go through ``matrix_invertible``."""
+def test_general_linear_multiplies_each_element_by_each_generator_once():
+    """Z8, d = 2: 1536 elements; generators are the transvections I + E_01
+    and I + E_10 (1 generates Z8 additively) and diag(u, 1) for u = 3, 5,
+    7.  The closure's products count against the budget before it runs."""
     emb = build_aw_embedding(zmod(8))  # a fresh ring: nothing cached yet
-    reduced, _ = noether._reduced_general_linear(emb, 2, 10 ** 6)
+    gens = noether._gl_generators(emb.ring, 2)
+    assert len(gens) == 5
+    with pytest.raises(BudgetExceeded):
+        noether._general_linear(emb, 2, 1536 * 5 - 1)
+    assert ("gl", 2) not in emb.enum_cache
+    pairs, products = noether._general_linear(emb, 2, 1536 * 5)
+    assert len(pairs) == len({g for g, _ in pairs}) == 1536
+    assert products == 1536 * 5
+    assert noether._general_linear(emb, 2, 1536 * 5) == (pairs, products)
+    with pytest.raises(BudgetExceeded):
+        noether._general_linear(emb, 2, 1536 * 5 - 1)
+
+
+def test_general_linear_guards_its_count(monkeypatch):
+    """A closure that misses elements is a bug, not a smaller group."""
+    emb = build_aw_embedding(zmod(8))
+    gens = noether._gl_generators(emb.ring, 2)
+    monkeypatch.setattr(noether, "_gl_generators", lambda ring, d: gens[:1])
+    with pytest.raises(RuntimeError, match="closure"):
+        noether._general_linear(emb, 2, 10 ** 6)
+
+
+@pytest.mark.parametrize("spec", ["zmod(8)", "matrix_ring(zmod(2),2)"])
+def test_over_budget_vic_refuses_before_the_closure(monkeypatch, spec):
+    """The VIC work is counted from |GL_d| in closed form, so a request past
+    the budget never builds GL_d.  A budget of the OVIC(2, 2) work lets the
+    column search pass and leaves the VIC work (1536 or 20160 elements of
+    GL_2 times 5 or 13 generators, plus 2 each) over it."""
     calls = []
-
-    def counted(m, q):
-        calls.append(m)
-        return matrix_invertible(m, q)
-
-    monkeypatch.setattr(noether, "matrix_invertible", counted)
-    pairs = noether._general_linear(emb, 2, reduced)
-    assert len(reduced) == 6
-    assert len(pairs) == 6 * 4 ** 4
-    assert 1 <= len(calls) <= 6
+    closure = noether._general_linear
+    monkeypatch.setattr(noether, "_general_linear",
+                        lambda *args: calls.append(args) or closure(*args))
+    emb = build_aw_embedding(build_ring(spec))
+    enumerate_ovic(emb, 2, 2)
+    _, ovic_work = emb.enum_cache[("ovic", 2, 2)]
+    with pytest.raises(BudgetExceeded):
+        enumerate_vic(emb, 2, 2, budget=ovic_work)
+    assert calls == []
+    assert ("gl", 2) not in emb.enum_cache
 
 
 @st.composite

@@ -148,8 +148,11 @@ def morphism_payload(f: VicMorphism) -> dict:
 
 def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
                     ) -> list[ModuleElement]:
-    """Generator file: [{"degree": n, "terms": [{"coeff": c, "morphism": {...}}]}]."""
-    from .noether import ModuleElement
+    """Generator file: [{"degree": n, "terms": [{"coeff": c, "morphism": {...}}]}].
+
+    Terms on one morphism are summed; a sum that ``str`` could not write
+    back (Python's int -> str digit limit) is BadShape."""
+    from .noether import ModuleElement, check_writable
 
     payload = read_json(path)
     if not isinstance(payload, list):
@@ -185,8 +188,15 @@ def load_generators(path, emb: AWEmbedding, field, d: Optional[int] = None
             except (ValueError, ZeroDivisionError):
                 raise BadShape(f"{where}, term {t}: coeff {term['coeff']!r} is not "
                                f"an element of {field.name}") from None
-            if coeff != field.zero:
-                terms[f] = field.add(terms.get(f, field.zero), coeff)
+            if coeff == field.zero:
+                continue
+            if f in terms:
+                try:
+                    coeff = check_writable(field.add(terms[f], coeff))
+                except ValueError:
+                    raise BadShape(f"{where}, term {t}: the coefficients of its morphism "
+                                   f"sum past Python's int -> str digit limit") from None
+            terms[f] = coeff
         src_d = next(iter(terms)).d if terms else (d if d is not None else 0)
         out.append(ModuleElement(src_d, degree, field, terms))
     return out

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache
@@ -185,10 +186,22 @@ class RationalField:
     def parse(self, text) -> Fraction:
         """``text`` as a Fraction; ValueError if it is no rational or one
         whose numerator or denominator is too long for ``str`` to write
-        back (Python's int -> str digit limit)."""
-        value = Fraction(str(text))
-        str(value)
-        return value
+        back (Python's int -> str digit limit).  Building 10^e costs time in
+        e, so exponent form never builds it for a zero mantissa, and is
+        refused unbuilt when |e| alone puts a nonzero value past 10^limit or
+        below 10^-limit: the mantissa lies in [10^-len, 10^len)."""
+        text = str(text).strip()
+        mantissa, e, exp = text.replace("E", "e").partition("e")
+        if e:
+            # text with each exponent digit 0: as valid as text, and cheap
+            value = Fraction(mantissa + e + "".join("0" if c.isdecimal() else c
+                                                    for c in exp))
+            if not value:
+                return value
+            limit = _int_max_str_digits()
+            if limit and abs(int(exp)) > limit + len(text):
+                raise ValueError("exponent past the int -> str digit limit")
+        return check_writable(Fraction(text))
 
     def format(self, a) -> str:
         return str(a)
@@ -239,6 +252,17 @@ class RationalField:
         return Fraction(x, pivot_entry)
 
 
+# 3.10 releases before 3.10.7 have no int -> str digit limit
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def check_writable(value):
+    """``value`` if ``str`` can write it back; ValueError if its numerator
+    or denominator is past Python's int -> str digit limit."""
+    str(value)
+    return value
+
+
 def parse_field(spec: str):
     spec = spec.strip()
     if spec in ("Q", "QQ"):
@@ -266,17 +290,67 @@ def parse_field(spec: str):
 # stratum already cached.  Builds therefore run with the collector paused
 # (``_collector_paused``).  The pause defers no freeing: members hold only
 # rings, embeddings, tuples and ints, and a build makes no reference cycle,
-# so reference counting frees whatever it drops.
+# so reference counting frees whatever it drops.  Re-enabling alone would
+# still leave the collector counting the pause's allocations, so its next
+# young passes would walk every member just built and free nothing.  A
+# finished build therefore tenures them: ``gc.freeze(); gc.unfreeze()``
+# moves everything tracked into the oldest generation, two list splices
+# that walk no object.  The tenure also zeroes the collector's counts, so
+# a caller that allocates little between builds would never again reach
+# the count at which CPython starts a collection, and cyclic garbage it
+# makes would never be freed.  Each tenured build therefore starts with a
+# sweep (``_sweep``): a collection of the young generations, which then
+# hold only the caller's objects made since the last build, so it is short
+# and the tenure moves nothing unexamined but the build's own members.  The
+# sweep is a full collection as often as CPython's schedule gave one when
+# every build's burst started a young collection: once threshold1 x
+# threshold2 builds (100 at the default thresholds) have passed since the
+# last, and the objects moved into the oldest generation since then pass a
+# quarter of what it kept.  The sweep and the tenure are skipped while any
+# object is frozen, since ``unfreeze`` would thaw it; that includes CPython
+# 3.12, which starts with the ``__mro__`` and ``__bases__`` tuples of its
+# static types frozen, so builds there are paused but not tenured.  They
+# are also skipped when automatic collection is off (threshold0 is 0).
+
+# sweeps since the last full one, objects moved into the oldest generation
+# since then, and the tracked objects counted after it
+_tenure = [0, 0, 0]
+
+
+def _sweep() -> None:
+    """Collect the young generations before a tenured build, or all of them
+    once the schedule above calls for a full collection."""
+    _tenure[0] += 1
+    _tenure[1] += gc.get_count()[0]
+    sweeps, moved, kept = _tenure
+    _, middle, oldest = gc.get_threshold()
+    if sweeps > middle * oldest and moved > kept // 4:
+        gc.collect()
+        gc.freeze()
+        _tenure[:] = [0, 0, gc.get_freeze_count()]
+        gc.unfreeze()
+    else:
+        gc.collect(1)
 
 
 @contextmanager
 def _collector_paused():
-    """Run the block with the cyclic garbage collector off; on exit, normal
-    or by an exception, switch it back on if it was on before."""
+    """Run the block with the cyclic garbage collector off.  Unless any
+    object is frozen, sweep the caller's young objects first (``_sweep``)
+    and, on a normal exit, tenure what the block allocated into the oldest
+    generation; on any exit switch the collector back on if it was on
+    before."""
     enabled = gc.isenabled()
+    tenure = enabled and gc.get_threshold()[0] and not gc.get_freeze_count()
+    if tenure:
+        _sweep()
     gc.disable()
     try:
         yield
+        if tenure:
+            _tenure[1] += gc.get_count()[0]
+            gc.freeze()
+            gc.unfreeze()
     finally:
         if enabled:
             gc.enable()
@@ -576,9 +650,11 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     members are interned for ``act``.  The order is strict, so position i
     in the list is rank i; the span engine builds its rank view
     (``StratumRanks``) from this list, and this function never does.  The
-    stratum is built with the cyclic collector paused: the build leaves no
-    reference cycle, so the pause only saves the collector's passes over the
-    new members and the strata already cached.
+    stratum is built with the cyclic collector paused, after a collection
+    of the caller's young objects, and a finished build tenures what it
+    allocated into the oldest generation: the build leaves no reference
+    cycle, so this only saves the collector's passes over the new members
+    and the strata already cached.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
@@ -610,8 +686,8 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     in GL_d one plus the splittings of every f2''; VIC(0, n) is work 1.
     That work is counted from |GL_d| in closed form, so BudgetExceeded is
     raised past it before GL_d is built, and a cached GL_d gets the same
-    verdict.  The stratum is built with the cyclic collector paused, as in
-    ``enumerate_ovic``.
+    verdict.  The stratum is built with the cyclic collector paused and
+    tenured once finished, as in ``enumerate_ovic``.
     """
     _check_ranks(d, n)
     ring = emb.ring

@@ -17,6 +17,17 @@ def collector_left_enabled():
         pytest.fail("the test left the cyclic garbage collector disabled")
 
 
+@pytest.fixture(autouse=True)
+def no_objects_left_frozen():
+    """Fail a test that leaves more objects frozen (``gc.freeze``) than it
+    found, after thawing them so later tests start unfrozen."""
+    frozen = gc.get_freeze_count()
+    yield
+    if gc.get_freeze_count() > frozen:
+        gc.unfreeze()
+        pytest.fail("the test left objects frozen in the permanent generation")
+
+
 @pytest.fixture(scope="session")
 def f2():
     return builtin_ring("F2")

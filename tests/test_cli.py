@@ -256,6 +256,22 @@ def test_q_coefficient_too_long_to_write_is_structured_error(tmp_path, coeff):
     assert "Traceback" not in proc.stderr
 
 
+def test_q_coefficients_summing_too_long_to_write_is_structured_error(tmp_path):
+    """Each coefficient is writable, but the two on one morphism sum to a
+    denominator past the digit limit."""
+    gpath = tmp_path / "gens.json"
+    morphism = {"d": 1, "n": 1, "f_prime": [[1]], "f_dprime": [[1]]}
+    gpath.write_text(json.dumps([{"degree": 1, "terms": [
+        {"coeff": f"1/{10 ** 2500 + 1}", "morphism": morphism},
+        {"coeff": f"1/{10 ** 2500 + 3}", "morphism": morphism}]}]))
+    proc = _python("-m", "vicbench", "noether", "span", "--builtin", "F2", "--d", "1",
+                   "--k", "Q", "--gens", str(gpath), "--horizon", "2")
+    assert proc.returncode == 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["kind"] == "BadShape" and "generator 0" in error["message"]
+    assert "Traceback" not in proc.stderr
+
+
 def test_noether_span_non_prime_field_is_usage_error(f2_file, tmp_path, capsys):
     gpath = tmp_path / "gens.json"
     gpath.write_text("[]")

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vicbench.errors import (
     BudgetExceeded,
@@ -71,6 +74,97 @@ def test_rational_field_ops():
     q = RationalField()
     assert q.inv(Fraction(2, 3)) == Fraction(3, 2)
     assert q.parse("-2/5") == Fraction(-2, 5)
+
+
+@pytest.mark.parametrize("text", ["1e100000000", "-2.5E-100000000", "3_0e1_000_000_000",
+                                  " 1.e100000000 ", ".5e-100000000", "1e" + "9" * 5000],
+                         ids=["plain", "negative", "underscores", "spaces", "point",
+                              "long-exponent"])
+def test_rational_parse_refuses_a_huge_exponent_before_building(monkeypatch, text):
+    """Building 10^e costs time in e: the exponent is judged on the text, so
+    ``Fraction`` never sees it (the stand-in fails rather than build it)."""
+    monkeypatch.setattr(noether, "Fraction", _small_exponents_only)
+    with pytest.raises(ValueError):
+        RationalField().parse(text)
+    assert RationalField().parse("-25e-1") == Fraction(-5, 2)
+
+
+@pytest.mark.parametrize("text", ["0e100000000", "-0.000E-100000000", " 0.0e-99999999 "])
+def test_rational_parse_reads_a_zero_mantissa_without_its_exponent(monkeypatch, text):
+    monkeypatch.setattr(noether, "Fraction", _small_exponents_only)
+    assert RationalField().parse(text) == 0
+
+
+def _small_exponents_only(text: str) -> Fraction:
+    """``Fraction(text)``, failing the test if ``text`` has an exponent of
+    a million or more."""
+    exponent = text.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+    if len(exponent.lstrip("0")) > 6:
+        pytest.fail(f"Fraction was asked to build {text[:20]!r}")
+    return Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["0/5e3", "0e 5", "0 e5", "0e", "e5", "0e5_", "0e+5",
+                                  " 0E-5 ", "1/2e5", "0.e5", "-.0e5", "0e5e5", "1e0", "0_0e1_0", "0e\u0665", "0e1__0"])
+def test_rational_parse_reads_exponent_forms_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            RationalField().parse(text)
+    else:
+        assert RationalField().parse(text) == expected
+
+
+@contextmanager
+def digit_limit(limit: int):
+    """Python's int -> str digit limit set to ``limit`` for the block."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _parses(text: str) -> bool:
+    try:
+        RationalField().parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _writable(text: str) -> bool:
+    try:
+        str(Fraction(text))
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "-", "+"]), st.text("0123456789", max_size=4),
+       st.one_of(st.none(), st.text("0123456789", max_size=4)),
+       st.one_of(st.integers(630, 650), st.integers(-650, -630)))
+def test_rational_parse_accepts_exactly_the_writable_exponent_forms(sign, whole, frac, exp):
+    """Near the digit limit (640 here) the check on the text refuses only
+    values the exact check after building refuses too."""
+    text = f"{sign}{whole or '1'}{'' if frac is None else '.' + frac}e{exp}"
+    with digit_limit(640):
+        assert _parses(text) == _writable(text)
+
+
+@pytest.mark.parametrize("text", ["1e4299", "1e-4299", "5e-4300", "2.5e-4300", "0e99999",
+                                  "-0.000e-99999"])
+def test_rational_parse_keeps_writable_values_at_the_default_limit(text):
+    with digit_limit(4300):
+        assert RationalField().parse(text) == Fraction(text)
+
+
+def test_rational_parse_without_a_digit_limit():
+    with digit_limit(0):
+        assert RationalField().parse("1e5000") == 10 ** 5000
 
 
 @pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3), RationalField()],

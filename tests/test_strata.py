@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -422,3 +423,109 @@ def test_builds_leave_a_disabled_collector_disabled():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+tenured = pytest.mark.skipif(
+    gc.get_freeze_count() > 0,
+    reason="objects are frozen (CPython 3.12 freezes its static types' __mro__ and "
+           "__bases__), so builds are not tenured")
+
+
+class _Node:
+    """A container that can hold a reference cycle and a weak reference."""
+
+
+def _cycle() -> weakref.ref:
+    """A weak reference to a fresh reference cycle that only it reaches."""
+    node = _Node()
+    node.self = node
+    return weakref.ref(node)
+
+
+@tenured
+def test_finished_builds_start_no_collection_over_their_members(monkeypatch):
+    """A finished build tenures its members into the oldest generation, so
+    no collection walks them: over Z4 2 -> 3 (43456 members) the only
+    collections are the two builds' sweeps of the young generations, each
+    started with few young objects."""
+    monkeypatch.setattr(noether, "_tenure", [0, 0, 0])
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    gc.collect()
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append((info["generation"], gc.get_count()[0] < 700))
+
+    gc.callbacks.append(count)
+    try:
+        built = enumerate_ovic(emb, 2, 3) + enumerate_vic(emb, 2, 3)
+        after = [[i] for i in range(100)]
+    finally:
+        gc.callbacks.remove(count)
+    assert len(built) == 43456 and len(after) == 100
+    assert started == [(1, True), (1, True)]
+
+
+@tenured
+def test_cycles_made_between_builds_are_freed():
+    """A caller that builds in a loop and allocates little in between still
+    has its cyclic garbage freed without calling the collector: each build
+    first sweeps the young generations."""
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    refs = []
+    for _ in range(20):
+        enumerate_vic(emb, 1, 2)
+        refs.append(_cycle())
+    enumerate_vic(emb, 1, 2)
+    assert [ref() for ref in refs] == [None] * 20
+
+
+def test_cycles_tenured_while_alive_are_freed_by_a_later_full_sweep(monkeypatch):
+    """A cycle still reachable at a build's sweep is tenured with the
+    build; once it is garbage, the full collection that the sweeps start
+    after threshold1 x threshold2 builds frees it."""
+    monkeypatch.setattr(noether, "_tenure", [0, 0, 0])
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    node = _Node()
+    node.self = node
+    ref = weakref.ref(node)
+    enumerate_vic(emb, 1, 2)
+    del node
+    _, middle, oldest = gc.get_threshold()
+    for _ in range(middle * oldest):
+        enumerate_vic(emb, 1, 2)
+    assert ref() is None
+
+
+def test_builds_sweep_nothing_with_automatic_collection_off():
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    thresholds = gc.get_threshold()
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.set_threshold(0)
+    gc.callbacks.append(count)
+    try:
+        enumerate_vic(emb, 1, 2)
+        enumerate_vic(emb, 1, 2)
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert started == []
+
+
+def test_builds_keep_the_callers_frozen_objects_frozen():
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        assert frozen
+        enumerate_ovic(emb, 1, 2)
+        enumerate_vic(emb, 1, 2)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

@@ -375,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ring_flag(p)
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
-    p.add_argument("--node-cap", type=int, default=10 ** 6)
+    p.add_argument("--node-cap", type=int, default=10 ** 6,
+                   help="give up after this many insertion moves tried")
     p.set_defaults(fn=verb_order_chain)
 
     enum = sub.add_parser("enumerate", help="morphism enumeration")

@@ -6,6 +6,13 @@ a non-pivot column; an embedding of morphisms into words over a finite
 alphabet (dependent rows masked out) ordered by a dominance-constrained
 subsequence relation; and, for each covering move, an explicit morphism that
 completes f to g and is monotone on everything below f.
+
+``partial_leq`` prunes with the embedding.  A move (a, b) copies a pivot-free
+column, so neither band a of Phi(h') nor the copy has a masked row, and
+``insert_successor`` keeps the draft's free rows: iota of the successor is
+iota(h) with letter a copied after position b, dominated by the original.
+So iota(h) <= iota(successor), f <= g implies iota(f) <= iota(g), and no
+chain passes through a word that does not embed in iota(g).
 """
 
 from __future__ import annotations
@@ -102,22 +109,17 @@ def insert_successor(h: OvicMorphism, move: InsertionMove) -> OvicMorphism:
     return reconstruct_from_free(g_dprime, fragment, h.emb)
 
 
-def _column_values(f: OvicMorphism) -> list[tuple[int, ...]]:
-    return [f.f_dprime.col(c) for c in range(f.n)]
-
-
-def _is_subsequence(short: Sequence, long: Sequence) -> bool:
-    it = iter(long)
-    return all(any(x == y for y in it) for x in short)
-
-
 def partial_leq(f: OvicMorphism, g: OvicMorphism,
                 node_cap: int = 10 ** 6) -> Optional[list[InsertionMove]]:
     """A witnessing move chain from f to g, or None.
 
     Backtracking over all valid moves, ordered by (a, b), memoised on
-    intermediate morphisms.  Raises SearchBudgetExceeded past ``node_cap``
-    expansions (an "unknown" signal, never a wrong answer).
+    intermediate morphisms.  A pair whose words do not embed is answered
+    before any move is tried; a move is followed only when the successor's
+    word (known before it is built, see the module docstring) embeds in
+    iota(g).  Raises SearchBudgetExceeded rather than try more than
+    ``node_cap`` moves, pruned or followed (an "unknown" signal, never a
+    wrong answer).
     """
     if f.ring is not g.ring or f.d != g.d:
         raise SourceMismatch("different source data")
@@ -125,13 +127,14 @@ def partial_leq(f: OvicMorphism, g: OvicMorphism,
         return []
     if f.n >= g.n:
         return None
-    g_cols = _column_values(g)
-    if not _is_subsequence(_column_values(f), g_cols):
+    g_word = iota(g).letters
+    f_word = iota(f).letters
+    if not word_leq_letters(f_word, g_word):
         return None
     failed: set[OvicMorphism] = set()
     nodes = 0
 
-    def dfs(h: OvicMorphism) -> Optional[list[InsertionMove]]:
+    def dfs(h: OvicMorphism, word: tuple) -> Optional[list[InsertionMove]]:
         nonlocal nodes
         if h.n == g.n:
             return [] if h == g else None
@@ -141,16 +144,16 @@ def partial_leq(f: OvicMorphism, g: OvicMorphism,
             nodes += 1
             if nodes > node_cap:
                 raise SearchBudgetExceeded(f"gave up after {node_cap} nodes")
-            h2 = insert_successor(h, move)
-            if not _is_subsequence(_column_values(h2), g_cols):
+            word2 = word[:move.b] + (word[move.a - 1],) + word[move.b:]
+            if not word_leq_letters(word2, g_word):
                 continue
-            rest = dfs(h2)
+            rest = dfs(insert_successor(h, move), word2)
             if rest is not None:
                 return [move] + rest
         failed.add(h)
         return None
 
-    return dfs(f)
+    return dfs(f, f_word)
 
 
 # ---------------------------------------------------------------------------

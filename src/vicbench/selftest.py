@@ -32,7 +32,6 @@ from .ordering import (
     build_phi,
     insert_successor,
     iota,
-    partial_leq,
     total_compare,
     valid_moves,
     word_leq,

@@ -371,10 +371,6 @@ class AWEmbedding:
         mu = self.mu_total
         return RMatrix(self.ring, mu, mu, self._phi_entry[x])
 
-    def phi_bar(self, xbar: int) -> RMatrix:
-        mu = self.mu_total
-        return RMatrix(self.qdata.quotient, mu, mu, self._phi_bar_entry[xbar])
-
     def psi(self, y: int) -> RMatrix:
         """Column vector embedding R -> R^mu compatible with phi (left action)."""
         ring = self.ring

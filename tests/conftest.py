@@ -20,11 +20,14 @@ def collector_left_enabled():
 @pytest.fixture(autouse=True)
 def no_objects_left_frozen():
     """Fail a test that leaves more objects frozen (``gc.freeze``) than it
-    found, after thawing them so later tests start unfrozen."""
+    found.  When it found none, thaw them so later tests start unfrozen;
+    otherwise leave them, since ``gc.unfreeze`` would also thaw what was
+    frozen before (CPython 3.12 starts with objects frozen)."""
     frozen = gc.get_freeze_count()
     yield
     if gc.get_freeze_count() > frozen:
-        gc.unfreeze()
+        if not frozen:
+            gc.unfreeze()
         pytest.fail("the test left objects frozen in the permanent generation")
 
 

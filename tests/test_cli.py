@@ -141,6 +141,29 @@ def test_order_chain(f2_file, tmp_path, capsys):
     assert payload["result"]["chain"] == [[2, 2]]
 
 
+CLI_DATA = Path(__file__).resolve().parents[1] / "bench" / "data" / "cli"
+
+
+def test_order_chain_node_cap_counts_the_moves_tried(capsys):
+    """A pair whose words do not embed is answered before any move is
+    tried, so even a zero node cap returns its verdict; a related pair needs
+    moves and still exceeds that cap with a structured error."""
+    def chain(a, b, *extra):
+        return run_cli(capsys, "order", "chain", "--ring", str(CLI_DATA / "f2.json"),
+                       "--a", str(CLI_DATA / f"{a}.json"),
+                       "--b", str(CLI_DATA / f"{b}.json"), *extra)
+
+    code, payload, _ = chain("f2_o12_0", "f2_o14_7", "--node-cap", "0")
+    assert code == 0
+    assert payload["result"] == {"related": False, "chain": None}
+    code, payload, _ = chain("f2_o12_1", "f2_o14_7", "--node-cap", "0")
+    assert code == 1
+    assert payload["error"]["kind"] == "SearchBudgetExceeded"
+    code, payload, _ = chain("f2_o12_1", "f2_o14_7")
+    assert code == 0
+    assert payload["result"] == {"related": True, "chain": [[2, 2], [2, 2]]}
+
+
 def test_enumerate_counts(capsys):
     code, payload, _ = run_cli(capsys, "enumerate", "ovic", "--builtin", "F2",
                                "--d", "1", "--n", "2", "--count-only")

@@ -8,7 +8,13 @@ import random
 import pytest
 
 from vicbench.errors import InvalidMove, SourceMismatch
-from vicbench.noether import enumerate_ovic
+from vicbench.noether import (
+    ModuleElement,
+    enumerate_ovic,
+    initial_module_to_degree,
+    parse_field,
+    span_to_degree,
+)
 from vicbench.ordering import (
     EQ,
     GT,
@@ -208,6 +214,78 @@ def test_partial_leq_multi_step():
     assert cur == g2
 
 
+def _columns(f):
+    return [f.f_dprime.col(c) for c in range(f.n)]
+
+
+def _is_subsequence(short, long) -> bool:
+    it = iter(long)
+    return all(any(x == y for y in it) for x in short)
+
+
+def _partial_leq_oracle(f, g):
+    """The search without the word embedding: every valid move in (a, b)
+    order, memoised on intermediate morphisms, pruned only when the f''
+    columns stop embedding in those of g (moves only duplicate columns)."""
+    if f == g:
+        return []
+    if f.n >= g.n:
+        return None
+    g_cols = _columns(g)
+    if not _is_subsequence(_columns(f), g_cols):
+        return None
+    failed = set()
+
+    def dfs(h):
+        if h.n == g.n:
+            return [] if h == g else None
+        if h in failed:
+            return None
+        for move in valid_moves(h):
+            h2 = insert_successor(h, move)
+            if not _is_subsequence(_columns(h2), g_cols):
+                continue
+            rest = dfs(h2)
+            if rest is not None:
+                return [move] + rest
+        failed.add(h)
+        return None
+
+    return dfs(f)
+
+
+@pytest.mark.parametrize("name,horizon,degrees,terms,seed,sample", [
+    ("F2", 4, (2, 2, 3), 2, 0, 600),
+    ("Z4", 3, (2, 2, 2), 2, 0, 600),
+    ("T2F2", 3, (2,), 2, 1, None),
+])
+def test_partial_leq_matches_the_unpruned_search(name, horizon, degrees, terms, seed, sample):
+    """Whole chains, not only verdicts, agree with the search that never
+    looks at words, on pairs of leading morphisms of a seeded span; the pairs
+    include related ones and ones whose f'' columns embed but whose words
+    do not."""
+    emb = emb_of(name)
+    field = parse_field("F2")
+    rng = random.Random(seed)
+    gens = [
+        ModuleElement(1, n, field, {f: 1 for f in rng.sample(enumerate_ovic(emb, 1, n), terms)})
+        for n in degrees
+    ]
+    leading = initial_module_to_degree(span_to_degree(gens, horizon, emb, field), horizon)
+    pairs = [(f, g) for a in leading for b in leading if a < b
+             for f in leading[a] for g in leading[b]]
+    if sample is not None:
+        pairs = rng.sample(pairs, sample)
+    related = columns_only = 0
+    for f, g in pairs:
+        chain = partial_leq(f, g)
+        assert chain == _partial_leq_oracle(f, g)
+        related += chain is not None
+        columns_only += (_is_subsequence(_columns(f), _columns(g))
+                         and not word_leq(iota(f), iota(g)))
+    assert related and columns_only
+
+
 # ---------------------------------------------------------------------------
 # word embedding and word order
 # ---------------------------------------------------------------------------
@@ -288,6 +366,24 @@ def test_iota_order_preserving():
                     nxt = insert_successor(cur, move)
                     assert word_leq(iota(f), iota(nxt))
                     frontier.append((base, nxt))
+
+
+@pytest.mark.parametrize("name,d,n", [
+    (name, d, n)
+    for name, nmax in [("F2", 3), ("F3", 2), ("Z4", 2), ("Z8", 2), ("F2C2", 2), ("T2F2", 2)]
+    for d in (1, 2)
+    for n in range(d + 1, nmax + 1)
+] + [("M2F2", 1, 2)])
+def test_a_move_copies_one_letter_of_the_word(name, d, n):
+    """iota(successor) is iota(h) with letter a copied after position b: the
+    fact that lets partial_leq prune a move before building its successor."""
+    moves = 0
+    for h in enumerate_ovic(emb_of(name), d, n):
+        w = iota(h).letters
+        for m in valid_moves(h):
+            assert iota(insert_successor(h, m)).letters == w[:m.b] + (w[m.a - 1],) + w[m.b:]
+            moves += 1
+    assert moves
 
 
 def test_word_payload():

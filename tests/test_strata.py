@@ -15,7 +15,11 @@ from __future__ import annotations
 
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -518,14 +522,30 @@ def test_builds_sweep_nothing_with_automatic_collection_off():
     assert started == []
 
 
+_FREEZE_THEN_BUILD = """
+import gc
+from vicbench.noether import enumerate_ovic, enumerate_vic
+from vicbench.rings import build_ring
+from vicbench.wedderburn import build_aw_embedding
+emb = build_aw_embedding(build_ring("zmod(4)"))
+gc.freeze()
+frozen = gc.get_freeze_count()
+enumerate_ovic(emb, 1, 2)
+enumerate_vic(emb, 1, 2)
+print(frozen, gc.get_freeze_count())
+"""
+
+
 def test_builds_keep_the_callers_frozen_objects_frozen():
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        assert frozen
-        enumerate_ovic(emb, 1, 2)
-        enumerate_vic(emb, 1, 2)
-        assert gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
+    """Runs in a fresh interpreter: undoing the ``gc.freeze`` here would
+    take ``gc.unfreeze``, which also thaws the objects CPython 3.12 starts
+    with frozen."""
+    src = str(Path(noether.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_THEN_BUILD], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    frozen, after = map(int, proc.stdout.split())
+    assert frozen
+    assert after == frozen

@@ -10,17 +10,21 @@ refuses an element over another field than the span's (``FieldMismatch``).
 The engine works on ranks.  ``enumerate_ovic`` emits each stratum OVIC(d, n)
 in strict total order, so a member's position in that list, its rank,
 compares as the member does.  The rank view of a stratum
-(``StratumRanks``) is that list plus a member -> rank map; the engine builds
-it on first use and caches it on the embedding beside the stratum.
-``span_to_degree`` turns each generator into ranks, and its coefficients
-into ints, once; it maps (phi, rank of f) to the rank of phi o f through one
-composition memo per (d, k, n), skips an image whose composite ranks the
-same generator already gave in that degree, and inserts the others straight
-into ``EchelonBasis``.  The basis keeps rows, column index and pivots as
-ints, with coefficients as ints too: residues with pivot entry 1 over F_p,
-primitive integer vectors with a positive pivot entry over Q.  The field
-classes supply the row operations on them, so inserting builds no Fraction;
-morphisms and field elements come back only at the basis's public methods.
+(``StratumRanks``) is that list, a member -> rank map and a record index
+by entries, the index built only when a span first reads it; the engine
+builds the view on first use and caches it on the embedding beside the
+stratum.  ``span_to_degree`` turns each generator into ranks, and its
+coefficients into ints, once.  Per source term f of OVIC(d, k) it keeps one
+composite column on the embedding: the rank of phi o f for every phi in
+OVIC(k, n), built in one pass over OVIC(k, n) with one f'' product per
+record of it (``_composite_column``).  The columns' rows are the images'
+rank tuples; the engine skips a tuple the same generator already gave in
+that degree and inserts the others straight into ``EchelonBasis``.  The
+basis keeps rows, column index and pivots as ints, with coefficients as
+ints too: residues with pivot entry 1 over F_p, primitive integer vectors
+with a positive pivot entry over Q.  The field classes supply the row
+operations on them, so inserting builds no Fraction; morphisms and field
+elements come back only at the basis's public methods.
 The target strata OVIC(d, n) are always enumerated and count against the
 span's budget.
 
@@ -860,13 +864,75 @@ class StratumRanks:
     """The rank view of a stratum: ``members`` is the list ``enumerate_ovic``
     returned, so ``members[i]`` has rank i, and ``rank`` maps each member
     back.  The list is in strict total order, so ranks compare as their
-    members do."""
+    members do.
 
-    __slots__ = ("members", "rank")
+    ``rank`` is keyed by the morphisms themselves, so it finds only members
+    over this embedding's ring.  ``records`` indexes the same ranks by entry
+    tuples, f''.entries -> {f'.entries -> rank}, one inner dict per record
+    (the run of members sharing one f''); it is built on first use, so a
+    view only the generators and ``reduce`` read never builds it."""
+
+    __slots__ = ("members", "rank", "_records")
 
     def __init__(self, members: list):
         self.members = members
         self.rank = {f: i for i, f in enumerate(members)}
+        self._records = None
+
+    @property
+    def records(self) -> dict:
+        if self._records is None:
+            records = self._records = {}
+            for f, i in self.rank.items():
+                records.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
+        return self._records
+
+
+class _RowProducts(dict):
+    """v f' for row vectors v of R^k, each multiplied out on first use."""
+
+    __slots__ = ("ring", "f_prime", "k", "d")
+
+    def __init__(self, f: OvicMorphism):
+        super().__init__()
+        self.ring, self.f_prime, self.k, self.d = f.ring, f.f_prime.entries, f.n, f.d
+
+    def __missing__(self, v: tuple) -> tuple:
+        out = self[v] = mul_entries(self.ring, v, self.f_prime, 1, self.k, self.d)
+        return out
+
+
+def _composite_column(target: StratumRanks, homs: list, f: OvicMorphism, n: int
+                      ) -> list[int]:
+    """The rank in ``target`` of phi o f for every phi in ``homs`` (OVIC(k,
+    n), k = f.n), in the order of ``homs``.
+
+    The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
+    record, so it is multiplied out once per record and looked up in
+    ``target.records``.  Row j of phi' f' is (row j of phi') f', so the f'
+    half is assembled from a table of v f' over the rows v of R^k met.  A
+    composite missing from ``target`` is a bug: RuntimeError."""
+    d, k = f.d, f.n
+    ring, f_dprime = f.ring, f.f_dprime.entries
+    records = target.records
+    times_f = _RowProducts(f)
+    flatten = itertools.chain.from_iterable
+    column = []
+    last = None
+    try:
+        for phi in homs:
+            # the members of a record share one f'' object
+            if phi.f_dprime is not last:
+                last = phi.f_dprime
+                record = records[mul_entries(ring, f_dprime, last.entries, d, k, n)]
+            # the rows of phi' (none for k = 0, where f' and phi' f' are
+            # empty), each times f'
+            rows = zip(*[iter(phi.f_prime.entries)] * k)
+            column.append(record[tuple(flatten(map(times_f.__getitem__, rows)))])
+    except KeyError:
+        raise RuntimeError(f"a composite of OVIC({k}, {n}) after OVIC({d}, {k}) "
+                           f"is not in OVIC({d}, {n})") from None  # bug guard
+    return column
 
 
 def _stratum_ranks(emb: AWEmbedding, d: int, n: int, budget: int = 10 ** 6
@@ -1018,13 +1084,14 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
 
     The work is in ranks: each generator's terms are ranked once in
     OVIC(d, its degree) and its coefficients scaled to ints once
-    (``field.integral``), and each image phi o f comes from the composition
-    memo of (d, k, n) on ``emb``, keyed by the rank of phi in OVIC(k, n) and
-    of f, with ``_composite`` on a miss.  Post-composition is injective, so
-    an image has one term per term of g, and its tuple of composite ranks
-    fixes it: an image whose tuple the generator already gave in degree n
-    is not inserted again.  Every generator must be over ``field`` (by
-    name), else FieldMismatch is raised.
+    (``field.integral``).  Each term f of degree k has one composite column
+    per n, memoised on ``emb`` under (d, k, n) by the rank of f: the rank of
+    phi o f for every phi in OVIC(k, n), in phi order
+    (``_composite_column``).  Post-composition is injective, so an image has
+    one term per term of g, and its tuple of composite ranks, a row across
+    the columns of g's terms, fixes it: an image whose tuple the generator
+    already gave in degree n is not inserted again.  Every generator must
+    be over ``field`` (by name), else FieldMismatch is raised.
 
     ``budget`` bounds each stratum's enumeration and the morphisms
     enumerated in total: the target OVIC(d, n) for every n <= horizon, which
@@ -1050,7 +1117,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
 
     state = SubmoduleState(d, field, emb, gens, horizon)
     # per generator, from its own degree on: (its stratum's members, its
-    # terms as (rank, coefficient as an int) pairs)
+    # terms' ranks, their coefficients as ints)
     ranked = [None] * len(gens)
     for n in range(horizon + 1):
         target = _stratum_ranks(emb, d, n, budget)
@@ -1064,33 +1131,29 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                     raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
                                           "of this embedding") from None
                 coeffs = field.integral(list(g.terms.values()))
-                ranked[i] = target.members, list(zip(ranks, coeffs))
+                ranked[i] = target.members, ranks, coeffs
         basis = EchelonBasis(field, target)
         for g, generator in zip(gens, ranked):
             if generator is None:
                 continue
-            source, terms = generator
+            source, ranks, coeffs = generator
             k = g.degree
             homs = enumerate_ovic(emb, k, n, budget=budget)
             count(homs)
-            memo = emb.enum_cache.setdefault(("composite-ranks", d, k, n), {})
+            memo = emb.enum_cache.setdefault(("composite-columns", d, k, n), {})
+            columns = []
+            for r in ranks:
+                column = memo.get(r)
+                if column is None:
+                    column = memo[r] = _composite_column(target, homs, source[r], n)
+                columns.append(column)
             seen = set()
-            for i, phi in enumerate(homs):
-                images = memo.get(i)
-                if images is None:
-                    images = memo[i] = {}
-                try:
-                    image = {images[r]: c for r, c in terms}
-                except KeyError:
-                    for r, _ in terms:
-                        if r not in images:
-                            images[r] = rank[_composite(phi, source[r])]
-                    image = {images[r]: c for r, c in terms}
-                # the ranks fix the image: the coefficients are the generator's
-                key = tuple(image)
+            # each tuple is one image's composite ranks, which fix the image:
+            # the coefficients are the generator's
+            for key in zip(*columns):
                 if key not in seen:
                     seen.add(key)
-                    basis.insert(image)
+                    basis.insert(dict(zip(key, coeffs)))
         state.bases[n] = basis
     return state
 

@@ -7,6 +7,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,8 @@ from vicbench.noether import (
     span_to_degree,
 )
 from vicbench import noether, rings
-from vicbench.ordering import total_compare, LT
+from vicbench.jsonio import load_generators, load_ring
+from vicbench.ordering import LT, insert_successor, total_compare, valid_moves
 from vicbench.ovic import OvicMorphism, compose_vic
 from vicbench.rings import BUILTIN_NAMES, RMatrix, build_ring, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
@@ -790,6 +792,85 @@ def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms, d
                 assert basis.reduce(x.terms)[0] == rem
 
 
+COLUMN_CASES = [
+    # (ring, d, k, n): source members in OVIC(d, k), phi in OVIC(k, n)
+    ("F2", 1, 2, 4),
+    ("F2", 2, 3, 4),
+    ("Z4", 1, 2, 3),
+    ("T2F2", 1, 2, 3),   # noncommutative
+    ("F2S3", 1, 1, 2),   # noncommutative
+    ("F2", 0, 0, 3),     # k = 0: empty rows
+    ("Z4", 0, 2, 3),     # d = 0: empty f'
+    ("F2", 1, 4, 3),     # OVIC(4, 3) is empty
+]
+
+
+@pytest.mark.parametrize("ring,d,k,n", COLUMN_CASES)
+def test_composite_column_matches_compose_vic(ring, d, k, n):
+    """For seeded sources f, entry i of f's composite column is the rank of
+    ``compose_vic(homs[i], f)`` in OVIC(d, n)."""
+    emb = emb_of(ring)
+    sources = enumerate_ovic(emb, d, k)
+    view = noether._stratum_ranks(emb, d, n)
+    homs = enumerate_ovic(emb, k, n)
+    for f in random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources))):
+        column = noether._composite_column(view, homs, f, n)
+        assert column == [view.rank[compose_vic(phi, f)] for phi in homs]
+
+
+def test_composite_column_missing_from_the_target_is_a_bug():
+    """A composite whose f'' (the wrong stratum) or f' (a view short of
+    members) the target does not index raises RuntimeError naming
+    (d, k, n)."""
+    emb = emb_of("F2")
+    f = enumerate_ovic(emb, 1, 2)[1]
+    homs = enumerate_ovic(emb, 2, 3)
+    with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
+        noether._composite_column(noether._stratum_ranks(emb, 1, 2), homs, f, 3)
+    short = noether.StratumRanks(enumerate_ovic(emb, 1, 3)[:1])
+    with pytest.raises(RuntimeError, match=r"not in OVIC\(1, 3\)"):
+        noether._composite_column(short, homs, f, 3)
+
+
+def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
+    """On a fresh embedding, a span composes no (phi, term) pair: it makes
+    at most one f'' product per record of OVIC(k, n) and one row product
+    per row vector of R^k, per source term, far fewer than the pairs."""
+    emb = build_aw_embedding(zmod(4))  # fresh: no column memoised yet
+    horizon, field = 3, PrimeField(5)
+    gens = _span_case_generators(emb, field, horizon, (2,), 3, 0, 1)
+    for n in range(2, horizon + 1):
+        enumerate_ovic(emb, 2, n)
+    calls = []
+    real = noether.mul_entries
+
+    def counting(ring, a, b, rows, inner, cols):
+        calls.append(cols)
+        return real(ring, a, b, rows, inner, cols)
+
+    def forbidden(*args):
+        raise AssertionError("a (phi, term) pair was composed")
+
+    monkeypatch.setattr(noether, "mul_entries", counting)
+    monkeypatch.setattr(noether, "_composite", forbidden)
+    monkeypatch.setattr(noether, "compose_vic", forbidden)
+    span_to_degree(gens, horizon, emb, field, d=1)
+    (g,) = gens
+    terms = len(g.terms)
+    assert terms == 3
+    records = sum(len({phi.f_dprime.entries for phi in enumerate_ovic(emb, 2, n)})
+                  for n in range(2, horizon + 1))
+    pairs = sum(len(enumerate_ovic(emb, 2, n)) for n in range(2, horizon + 1))
+    rows_per_column = len(emb.ring.elements()) ** 2  # |R|^k
+    # f'' products are 1 x n (n >= 2), row products v f' are 1 x 1
+    products = [c for c in calls if c > 1]
+    row_products = [c for c in calls if c == 1]
+    assert 0 < len(products) <= terms * records
+    # one column per term and per n = 2..horizon
+    assert 0 < len(row_products) <= terms * (horizon - 1) * rows_per_column
+    assert len(calls) < terms * pairs / 4
+
+
 def _ranked_ints(ranks, field, terms):
     """Member-keyed field coefficients as the rank-keyed ints ``insert``
     takes."""
@@ -918,6 +999,8 @@ def test_enumerate_ovic_builds_no_rank_view():
     span_to_degree([], 3, emb, F2, d=1)
     assert [key for key in emb.enum_cache if key[0] == "ranks"] == [
         ("ranks", 1, n) for n in range(4)]
+    # no generator acts, so no record index is built either
+    assert all(emb.enum_cache[("ranks", 1, n)]._records is None for n in range(4))
 
 
 def test_span_budget_counts_the_target_stratum():
@@ -968,6 +1051,44 @@ def test_full_module_over_q_at_scale():
 # ---------------------------------------------------------------------------
 # generation witnesses
 # ---------------------------------------------------------------------------
+
+CLI_DATA = Path(__file__).resolve().parents[1] / "bench" / "data" / "cli"
+
+
+def _upper_set_misses(leads: dict) -> tuple[int, list]:
+    """The insertion moves tried from the leads of each degree n - 1, and
+    the (f, move) whose successor is not a lead of degree n."""
+    moves, misses = 0, []
+    for n in sorted(leads):
+        if n - 1 not in leads:
+            continue
+        for f in leads[n - 1]:
+            for move in valid_moves(f):
+                moves += 1
+                if insert_successor(f, move) not in leads[n]:
+                    misses.append((f, move))
+    return moves, misses
+
+
+@pytest.mark.parametrize("ring,gens,horizon,moves", [
+    ("f2", "gens_f2_0", 5, 721),
+    ("f2", "gens_f2_1", 5, 733),
+    ("f2", "gens_f2_2", 5, 836),
+    ("z4", "gens_z4_0", 4, 235),
+])
+def test_initial_module_is_an_upper_set(ring, gens, horizon, moves):
+    """The first step of the Groebner argument on real spans: every
+    insertion move from a lead of degree n - 1 gives a lead of degree n.
+    Dropping a lead that is such a successor is seen as a miss."""
+    emb = build_aw_embedding(load_ring(CLI_DATA / f"{ring}.json"))
+    gens = load_generators(CLI_DATA / f"{gens}.json", emb, F2, d=1)
+    state = span_to_degree(gens, horizon, emb, F2, d=1)
+    leads = {n: set(fs) for n, fs in initial_module_to_degree(state, horizon).items()}
+    assert _upper_set_misses(leads) == (moves, [])
+    f = next(f for f in leads[horizon - 1] if valid_moves(f))
+    successor = insert_successor(f, valid_moves(f)[0])
+    leads[horizon].discard(successor)
+    assert _upper_set_misses(leads)[1]
 
 def test_endo_generation_f2():
     emb = emb_of("F2")

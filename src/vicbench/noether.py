@@ -30,8 +30,10 @@ span's budget.
 
 ``act`` composes morphisms outside the engine.  Each composite is interned:
 its (f'', f') entries are looked up in the per-stratum intern table on the
-embedding, which ``enumerate_ovic`` fills, and ``compose_vic`` runs only
-when that holds no such morphism yet.
+embedding, and ``compose_vic`` runs only when that holds no such morphism
+yet.  ``act`` makes the table on first use, from the cached stratum when
+there is one; enumeration makes none, and routes a stratum's members
+through the table only when ``act`` made it first.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cache
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem, itemgetter
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -286,7 +288,10 @@ def parse_field(spec: str):
 # their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
 # the closure of transvections and diagonal units, each element found with
 # its inverse.  Members are assembled from entry tuples checked once per f''
-# and emitted in order, group by group.  Results are cached in
+# and emitted in order, a record (one f'') or group (one f'' and g) at a
+# time: the entries and free rows of its members are read a position at a
+# time through ``itemgetter`` tables, and one batch constructor call per
+# class builds its matrices and morphisms.  Results are cached in
 # ``emb.enum_cache``.
 #
 # A stratum build allocates tens of thousands of members, and each burst of
@@ -472,11 +477,24 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
 
 
 def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
-    """ker f, met in the middle: vectors on the first n // 2 coordinates are
+    """ker f.  For one row (a_0 .. a_{n-1}), by partial sums: every prefix
+    (v_0 .. v_{n-2}) carries a_0 v_0 + .. + a_{n-2} v_{n-2}, and the last
+    coordinate is read off a preimage table of x -> a_{n-1} x.  For more
+    rows, met in the middle: vectors on the first n // 2 coordinates are
     grouped by the negative of their image, then matched against the rest."""
     ring = f.ring
     add, mul, zero = ring.add_table, ring.mul_table, ring.zero
     d, n, e = f.rows, f.cols, f.entries
+    if d == 1:
+        sums = [((), zero)]
+        for a in e[:-1]:
+            times_a = mul[a]
+            sums = [(u + (x,), add[s][ax]) for u, s in sums for x, ax in enumerate(times_a)]
+        last: dict = {}  # -(a_{n-1} x) -> every such (x,)
+        neg = ring._neg
+        for x, ax in enumerate(mul[e[-1]]):
+            last.setdefault(neg[ax], []).append((x,))
+        return [u + x for u, s in sums for x in last.get(s, ())]
     half = n // 2
 
     def image(vec, offset):
@@ -502,14 +520,23 @@ def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
 
 def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
     """Per column-adapted f'' of the stratum d -> n: (f'', s_sets, canonical
-    splitting psi, every K in ker(f'')^d, order-key prefix), plus the search
-    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K.
-    Phi is injective, so the prefixes (n, s_sets, Phi(f'') columns) are
-    distinct; the records come sorted by them.  The nodes plus the
-    splittings so far bound the work of either stratum from below, so
-    BudgetExceeded is raised as soon as they pass ``budget``."""
+    splitting psi, |ker(f'')^d|, order-key prefix, pickers), plus the search
+    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K for
+    K in ker(f'')^d.  Phi is injective, so the prefixes (n, s_sets, Phi(f'')
+    columns) are distinct; the records come sorted by them.  The nodes plus
+    the splittings so far bound the work of either stratum from below, so
+    BudgetExceeded is raised as soon as they pass ``budget``.  Each record
+    passes ``_check_group`` as it is made, so both builds take its members'
+    parts as they are.
+
+    The shifts K are kept a position at a time: picker i takes a row of the
+    addition table (x + . for an entry x of the base) to the tuple of its
+    entries at position i of every K, in one fixed order of the K.  So a
+    build turns a base into the entry tuples of all its splittings with
+    n d getter calls and one ``zip``, and no loop over the members."""
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
+        ring = emb.ring
         found, nodes = _column_adapted_dprimes(emb, d, n, budget)
         records = []
         work = nodes
@@ -522,11 +549,22 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
             shifts = kernel if d == 1 else [
                 tuple(itertools.chain.from_iterable(zip(*combo)))
                 for combo in itertools.product(kernel, repeat=d)]
-            records.append((f_dprime, s_sets, canonical_splitting(s_sets, emb, m=n, n=d),
-                            shifts, (n, s_sets, cols)))
+            psi = canonical_splitting(s_sets, emb, m=n, n=d)
+            _check_group(ring, d, n, f_dprime, psi.entries, shifts)
+            records.append((f_dprime, s_sets, psi, len(shifts), (n, s_sets, cols),
+                            [_picker(col) for col in zip(*shifts)]))
         records.sort(key=itemgetter(4))
         emb.enum_cache[key] = (records, nodes)
     return emb.enum_cache[key]
+
+
+def _picker(indices: tuple):
+    """seq -> the tuple of its items at ``indices``: ``itemgetter``, which
+    gives a bare item for one index."""
+    if len(indices) == 1:
+        i, = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
@@ -536,7 +574,7 @@ def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
     d x n matrix over ``ring``, and base and every K are n * d ints."""
     if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
         raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
-    if (any(len(e) != n * d for e in itertools.chain((base,), shifts))
+    if (len(base) != n * d or set(map(len, shifts)) - {n * d}
             or any(type(x) is not int for x in base)):
         raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
 
@@ -608,33 +646,37 @@ def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
     if n < d:
         return [], 0
     records, nodes = _splittings(emb, d, n, budget)
-    work = nodes + sum(len(rec[3]) for rec in records)
+    work = nodes + sum(rec[3] for rec in records)
     _check_budget(work, budget, f"OVIC({d}, {n})")
     mu = emb.mu_total
     add = ring.add_table
     phis = [emb.phi(x) for x in ring.elements()]
-    # row p of Phi applied along a row v of f', for every v in R^d
-    phi_rows = {v: [tuple(e for x in v for e in phis[x].row(p)) for p in range(mu)]
-                for v in itertools.product(ring.elements(), repeat=d)}
-    new_matrix, new_morphism = RMatrix._unchecked, OvicMorphism._unchecked
+    # per row p of Phi: row p of Phi applied along a row of f', indexed by
+    # its element for d = 1 and keyed by the row for d > 1
+    if d == 1:
+        phi_rows = [[phi.row(p) for phi in phis] for p in range(mu)]
+    else:
+        phi_rows = [{v: tuple(e for x in v for e in phis[x].row(p))
+                     for v in itertools.product(ring.elements(), repeat=d)}
+                    for p in range(mu)]
     out = []
-    for f_dprime, s_sets, psi, shifts, prefix in records:
-        _check_group(ring, d, n, f_dprime, psi.entries, shifts)
+    for f_dprime, s_sets, psi, count, prefix, pickers in records:
+        # entry i of f' over the members of the record, then row i of f'
+        cols = [pick(add[a]) for pick, a in zip(pickers, psi.entries)]
+        f_rows = cols if d == 1 else [list(zip(*cols[i:i + d])) for i in range(0, n * d, d)]
+        # standard row s of Phi(f') is row (s-1) % mu of Phi along row
+        # (s-1) // mu of f', so a free row over the members is one lookup
+        # per member in one table; n = d leaves no free row, and a single
+        # member per record
         free, _ = split_rows(emb, n, s_sets)
-        # standard row s of Phi(f') is row (s-1) % mu along row (s-1) // mu of f'
-        free_at = [((s - 1) // mu * d, (s - 1) % mu) for s in free]
-        rows = [add[a] for a in psi.entries]
-        members = []
-        for shift in shifts:
-            entries = tuple(map(getitem, rows, shift))
-            members.append((tuple(phi_rows[entries[i:i + d]][p] for i, p in free_at),
-                            entries))
+        frees = zip(*[_picker(f_rows[(s - 1) // mu])(phi_rows[(s - 1) % mu])
+                      for s in free]) if free else [()] * count
         # the records come in prefix order, so sorting each by its free rows
-        # sorts the stratum
-        members.sort(key=itemgetter(0))
-        out.extend(new_morphism(new_matrix(ring, n, d, entries), f_dprime, emb,
-                                s_sets, prefix + (frees,))
-                   for frees, entries in members)
+        # sorts the stratum; no two members of a record share free rows
+        members = sorted(zip(frees, zip(*cols)))
+        out += OvicMorphism._batch(
+            RMatrix._batch(ring, n, d, map(itemgetter(1), members)), f_dprime, emb,
+            s_sets, prefix, map(itemgetter(0), members))
     return out, work
 
 
@@ -650,8 +692,10 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     f'' in prefix order and the members of each in free-row order, with no
     sort over the whole stratum.  ``budget`` bounds the search nodes plus
     the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
-    cached on ``emb``: a repeated request returns the same list, whose
-    members are interned for ``act``.  The order is strict, so position i
+    cached on ``emb``: a repeated request returns the same list.  Where
+    ``act`` already interned composites d -> n, the list holds those
+    objects; otherwise no intern table is made here (``act`` makes it from
+    the cached list on first use).  The order is strict, so position i
     in the list is rank i; the span engine builds its rank view
     (``StratumRanks``) from this list, and this function never does.  The
     stratum is built with the cyclic collector paused, after a collection
@@ -665,9 +709,12 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     if key not in emb.enum_cache:
         with _collector_paused():
             out, work = _build_ovic(emb, d, n, budget)
-            interned = _interned(emb, d, n)
-            emb.enum_cache[key] = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
-                                   for f in out], work
+            # ``act`` met the stratum first: keep the composites it interned
+            interned = emb.enum_cache.get(("intern", d, n))
+            if interned is not None:
+                out = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
+                       for f in out]
+            emb.enum_cache[key] = out, work
     out, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
@@ -711,7 +758,7 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
     # the closure's products, then per g in GL_d one pair and its splittings
     order = _gl_order(emb, d)
     work = nodes + order * (len(_gl_generators(ring, d)) + 1
-                            + sum(len(rec[3]) for rec in records))
+                            + sum(rec[3] for rec in records))
     _check_budget(work, budget, f"VIC({d}, {n})")
     gl, _ = _general_linear(emb, d, budget)
     # rows of each g and columns of each g^-1
@@ -719,9 +766,7 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
                 for g, g_inv in gl]
     flatten = itertools.chain.from_iterable
     groups = []
-    for f2, _, psi, shifts, _ in records:
-        # g f2'' and psi g^-1 have the shapes of f2'' and psi
-        _check_group(ring, d, n, f2, psi.entries, shifts)
+    for f2, _, psi, _, _, pickers in records:
         # row i of g f2'' is (row i of g) f2'', column j of psi g^-1 is
         # psi (column j of g^-1): one product per distinct row and column
         times_f2 = cache(lambda v: mul_entries(ring, v, f2.entries, 1, d, n))
@@ -729,18 +774,16 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
         for g_rows, inv_cols in gl_parts:
             f_dprime = tuple(flatten(map(times_f2, g_rows)))
             base = tuple(flatten(zip(*map(psi_times, inv_cols))))
-            groups.append((f_dprime, base, shifts))
+            groups.append((f_dprime, base, pickers))
     # each f'' comes from one (f2'', g), so sorting the groups by f'' and
     # each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
     add = ring.add_table
-    new_matrix, new_morphism = RMatrix._unchecked, VicMorphism._unchecked
     out = []
-    for f_dprime, base, shifts in groups:
-        f_dprime = new_matrix(ring, d, n, f_dprime)
-        rows = [add[a] for a in base]
-        out.extend(new_morphism(new_matrix(ring, n, d, f_prime), f_dprime)
-                   for f_prime in sorted(tuple(map(getitem, rows, shift)) for shift in shifts))
+    for f_dprime, (_, base, pickers) in zip(
+            RMatrix._batch(ring, d, n, map(itemgetter(0), groups)), groups):
+        f_primes = sorted(zip(*[pick(add[a]) for pick, a in zip(pickers, base)]))
+        out += VicMorphism._batch(RMatrix._batch(ring, n, d, f_primes), f_dprime)
     return out
 
 
@@ -813,8 +856,15 @@ class ModuleElement:
 
 def _interned(emb: AWEmbedding, d: int, n: int) -> dict:
     """The intern table of morphisms d -> n on ``emb``, keyed by
-    (f''.entries, f'.entries)."""
-    return emb.enum_cache.setdefault(("intern", d, n), {})
+    (f''.entries, f'.entries).  It is made on first use, holding every
+    member of OVIC(d, n) when that stratum is cached and nothing else."""
+    key = ("intern", d, n)
+    interned = emb.enum_cache.get(key)
+    if interned is None:
+        stratum = emb.enum_cache.get(("ovic", d, n))
+        interned = emb.enum_cache[key] = {} if stratum is None else {
+            (f.f_dprime.entries, f.f_prime.entries): f for f in stratum[0]}
+    return interned
 
 
 def _composite(phi: OvicMorphism, f: OvicMorphism) -> OvicMorphism:
@@ -837,7 +887,10 @@ def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
 
     Each term phi o f is interned (``_composite``): it is the object
     ``enumerate_ovic`` emitted for it, order key built, when that stratum is
-    cached, else the first composite computed.  ``act`` enumerates nothing."""
+    cached, else the first composite computed.  The intern table of the
+    target stratum is made on the first call that needs it, from the cached
+    stratum when there is one (``_interned``).  ``act`` enumerates
+    nothing."""
     if phi.d != x.degree:
         raise DegreeMismatch(f"morphism {phi.d}->{phi.n} cannot act on degree {x.degree}")
     field = x.field

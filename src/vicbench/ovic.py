@@ -188,17 +188,24 @@ class VicMorphism:
         self._hash = None
 
     @classmethod
-    def _unchecked(cls, f_prime: RMatrix, f_dprime: RMatrix) -> "VicMorphism":
-        """The pair (f', f''), taken as it is: for stratum enumeration, which
-        checks the rings and shapes once per group of members."""
-        f = object.__new__(cls)
-        f.ring = f_prime.ring
-        f.d = f_prime.cols
-        f.n = f_prime.rows
-        f.f_prime = f_prime
-        f.f_dprime = f_dprime
-        f._hash = None
-        return f
+    def _batch(cls, f_primes, f_dprime: RMatrix) -> list["VicMorphism"]:
+        """The pair (f', f'') for each f' in ``f_primes``, taken as it is:
+        for stratum enumeration, which checks the rings and shapes once per
+        record."""
+        new = object.__new__
+        ring, d, n = f_dprime.ring, f_dprime.rows, f_dprime.cols
+        out = []
+        append = out.append
+        for f_prime in f_primes:
+            f = new(cls)
+            f.ring = ring
+            f.d = d
+            f.n = n
+            f.f_prime = f_prime
+            f.f_dprime = f_dprime
+            f._hash = None
+            append(f)
+        return out
 
     @classmethod
     def identity(cls, ring: FiniteRing, n: int) -> "VicMorphism":
@@ -260,15 +267,18 @@ class OvicMorphism(VicMorphism):
         self._order_key = None
 
     @classmethod
-    def _unchecked(cls, f_prime: RMatrix, f_dprime: RMatrix, emb: AWEmbedding,
-                   s_sets: tuple, order_key: tuple) -> "OvicMorphism":
-        """``VicMorphism._unchecked`` plus the embedding, the pivot sets as a
-        tuple of tuples and the order key, all trusted."""
-        f = super()._unchecked(f_prime, f_dprime)
-        f.emb = emb
-        f.s_sets = s_sets
-        f._order_key = order_key
-        return f
+    def _batch(cls, f_primes, f_dprime: RMatrix, emb: AWEmbedding, s_sets: tuple,
+               key_prefix: tuple, frees) -> list["OvicMorphism"]:
+        """``VicMorphism._batch`` plus the embedding and the pivot sets as a
+        tuple of tuples, all trusted; each member's order key is
+        ``key_prefix`` + (its free rows,), the free rows of ``frees`` taken
+        in step with ``f_primes``."""
+        out = super()._batch(f_primes, f_dprime)
+        for f, free in zip(out, frees):
+            f.emb = emb
+            f.s_sets = s_sets
+            f._order_key = key_prefix + (free,)
+        return out
 
     @classmethod
     def from_vic(cls, f: VicMorphism, emb: AWEmbedding) -> "OvicMorphism":

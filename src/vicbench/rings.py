@@ -791,17 +791,22 @@ class RMatrix:
         self._hash = None
 
     @classmethod
-    def _unchecked(cls, ring: FiniteRing, rows: int, cols: int,
-                   entries: tuple) -> "RMatrix":
-        """A matrix from a tuple of rows * cols ints, taken as it is: for
-        stratum enumeration, which checks its parts once per group."""
-        m = object.__new__(cls)
-        m.ring = ring
-        m.rows = rows
-        m.cols = cols
-        m.entries = entries
-        m._hash = None
-        return m
+    def _batch(cls, ring: FiniteRing, rows: int, cols: int, entries) -> list["RMatrix"]:
+        """One rows x cols matrix per tuple of rows * cols ints in
+        ``entries``, each taken as it is: for stratum enumeration, which
+        checks its parts once per record."""
+        new = object.__new__
+        out = []
+        append = out.append
+        for e in entries:
+            m = new(cls)
+            m.ring = ring
+            m.rows = rows
+            m.cols = cols
+            m.entries = e
+            m._hash = None
+            append(m)
+        return out
 
     @classmethod
     def from_rows(cls, ring: FiniteRing, rows: Sequence[Sequence[int]],

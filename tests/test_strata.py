@@ -157,6 +157,50 @@ def test_member_hashes_keep_their_formula():
                                 f.f_dprime.entries))
 
 
+KERNEL_STRATA = [("F2", 1, 3), ("F2", 2, 3), ("F2", 3, 4), ("Z4", 1, 3), ("Z4", 2, 3),
+                 ("Z4", 3, 4), ("T2F2", 1, 3), ("M2F2", 1, 2), ("F2S3", 1, 1)]
+
+
+@pytest.mark.parametrize("name,d,n", KERNEL_STRATA,
+                         ids=[f"{r}-{d}-{n}" for r, d, n in KERNEL_STRATA])
+def test_kernel_equals_the_scan(name, d, n):
+    """``_kernel`` (partial sums for one row, met in the middle for more)
+    against a scan of R^n, for every column-adapted f'' of the stratum.  No
+    entry of a T2F2 f'' need be a unit, so its last coordinate can have
+    many preimages or none; M2F2 and F2S3 have mu > 1."""
+    emb = build_aw_embedding(builtin_ring(name))
+    ring = emb.ring
+    zero_vec = (ring.zero,) * d
+    f_dprimes = {f.f_dprime for f in enumerate_ovic(emb, d, n)}
+    assert f_dprimes
+    for f_dprime in f_dprimes:
+        kernel = noether._kernel(f_dprime)
+        assert len(set(kernel)) == len(kernel)
+        assert set(kernel) == {v for v in iter_vectors(ring, n)
+                               if matvec(ring, f_dprime, v) == zero_vec}
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+@pytest.mark.parametrize("d", [1, 2])
+def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
+    """The group check runs once per record, as ``_splittings`` makes it: a
+    kernel vector short of an entry is refused by either build."""
+    kernel = noether._kernel
+    monkeypatch.setattr(noether, "_kernel", lambda f: kernel(f) + [(0,) * (f.cols - 1)])
+    with pytest.raises(BadShape):
+        enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
+
+
+def test_enumeration_makes_no_intern_table():
+    """Only ``act`` makes the intern table of a stratum."""
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    for d, n in ((0, 2), (1, 2), (1, 3), (2, 3), (2, 1)):
+        enumerate_ovic(emb, d, n)
+        enumerate_vic(emb, d, n)
+    assert emb.enum_cache
+    assert not [key for key in emb.enum_cache if key[0] == "intern"]
+
+
 def _grid():
     """(ring, d, n) with d, n <= 4, at most 4096 candidate f'' and at most
     2^18 vectors scanned by the VIC filter.  The second bound leaves out

@@ -139,7 +139,7 @@ def ovic_from_payload(payload: dict, emb: AWEmbedding) -> OvicMorphism:
     from .ovic import OvicMorphism
 
     vic = vic_from_payload(payload, emb.ring)
-    return OvicMorphism.from_vic(vic, emb)
+    return OvicMorphism(vic.f_prime, vic.f_dprime, emb)
 
 
 def morphism_payload(f: VicMorphism) -> dict:

@@ -10,30 +10,25 @@ refuses an element over another field than the span's (``FieldMismatch``).
 The engine works on ranks.  ``enumerate_ovic`` emits each stratum OVIC(d, n)
 in strict total order, so a member's position in that list, its rank,
 compares as the member does.  The rank view of a stratum
-(``StratumRanks``) is that list, a member -> rank map and a record index
-by entries, the index built only when a span first reads it; the engine
-builds the view on first use and caches it on the embedding beside the
-stratum.  ``span_to_degree`` turns each generator into ranks, and its
-coefficients into ints, once.  Per source term f of OVIC(d, k) it keeps one
-composite column on the embedding: the rank of phi o f for every phi in
-OVIC(k, n), built in one pass over OVIC(k, n) with one f'' product per
-record of it (``_composite_column``).  The columns' rows are the images'
-rank tuples; the engine skips a tuple the same generator already gave in
-that degree and inserts the others straight into ``EchelonBasis``.  The
-basis keeps rows, column index and pivots as ints, with coefficients as
-ints too: residues with pivot entry 1 over F_p, primitive integer vectors
-with a positive pivot entry over Q.  The field classes supply the row
-operations on them, so inserting builds no Fraction; morphisms and field
-elements come back only at the basis's public methods.
+(``StratumRanks``) is that list and one index by entries,
+f''.entries -> {f'.entries -> rank}; the engine builds the view on first
+use and caches it on the embedding beside the stratum.  ``span_to_degree``
+turns each generator into ranks, and its coefficients into ints, once.  Per
+source term f of OVIC(d, k) it keeps one composite column on the embedding:
+the rank of phi o f for every phi in OVIC(k, n), built in one pass over
+OVIC(k, n) with one f'' product per record of it (``_composite_column``).
+The columns' rows are the images' rank tuples; the engine skips a tuple the
+same generator already gave in that degree and inserts the others straight
+into ``EchelonBasis``.  The basis keeps rows, column index and pivots as
+ints, with coefficients as ints too: residues with pivot entry 1 over F_p,
+primitive integer vectors with a positive pivot entry over Q.  The field
+classes supply the row operations on them, so inserting builds no Fraction;
+morphisms and field elements come back only at the basis's public methods.
 The target strata OVIC(d, n) are always enumerated and count against the
 span's budget.
 
-``act`` composes morphisms outside the engine.  Each composite is interned:
-its (f'', f') entries are looked up in the per-stratum intern table on the
-embedding, and ``compose_vic`` runs only when that holds no such morphism
-yet.  ``act`` makes the table on first use, from the cached stratum when
-there is one; enumeration makes none, and routes a stratum's members
-through the table only when ``act`` made it first.
+``act`` composes morphisms outside the engine, each term by ``compose_vic``;
+it shares no state with enumeration.
 """
 
 from __future__ import annotations
@@ -692,29 +687,20 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     f'' in prefix order and the members of each in free-row order, with no
     sort over the whole stratum.  ``budget`` bounds the search nodes plus
     the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
-    cached on ``emb``: a repeated request returns the same list.  Where
-    ``act`` already interned composites d -> n, the list holds those
-    objects; otherwise no intern table is made here (``act`` makes it from
-    the cached list on first use).  The order is strict, so position i
-    in the list is rank i; the span engine builds its rank view
-    (``StratumRanks``) from this list, and this function never does.  The
-    stratum is built with the cyclic collector paused, after a collection
-    of the caller's young objects, and a finished build tenures what it
-    allocated into the oldest generation: the build leaves no reference
-    cycle, so this only saves the collector's passes over the new members
-    and the strata already cached.
+    cached on ``emb``: a repeated request returns the same list.  The order
+    is strict, so position i in the list is rank i; the span engine builds
+    its rank view (``StratumRanks``) from this list, and this function
+    never does.  The stratum is built with the cyclic collector paused,
+    after a collection of the caller's young objects, and a finished build
+    tenures what it allocated into the oldest generation: the build leaves
+    no reference cycle, so this only saves the collector's passes over the
+    new members and the strata already cached.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
         with _collector_paused():
-            out, work = _build_ovic(emb, d, n, budget)
-            # ``act`` met the stratum first: keep the composites it interned
-            interned = emb.enum_cache.get(("intern", d, n))
-            if interned is not None:
-                out = [interned.setdefault((f.f_dprime.entries, f.f_prime.entries), f)
-                       for f in out]
-            emb.enum_cache[key] = out, work
+            emb.enum_cache[key] = _build_ovic(emb, d, n, budget)
     out, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return out
@@ -854,49 +840,16 @@ class ModuleElement:
         return " + ".join(parts) if parts else "0"
 
 
-def _interned(emb: AWEmbedding, d: int, n: int) -> dict:
-    """The intern table of morphisms d -> n on ``emb``, keyed by
-    (f''.entries, f'.entries).  It is made on first use, holding every
-    member of OVIC(d, n) when that stratum is cached and nothing else."""
-    key = ("intern", d, n)
-    interned = emb.enum_cache.get(key)
-    if interned is None:
-        stratum = emb.enum_cache.get(("ovic", d, n))
-        interned = emb.enum_cache[key] = {} if stratum is None else {
-            (f.f_dprime.entries, f.f_prime.entries): f for f in stratum[0]}
-    return interned
-
-
-def _composite(phi: OvicMorphism, f: OvicMorphism) -> OvicMorphism:
-    """The interned phi o f: its (f'', f') entries are multiplied out from
-    the ring tables and looked up in the intern table of its stratum;
-    ``compose_vic`` runs only when that holds no such morphism yet."""
-    d, k, n = f.d, phi.d, phi.n
-    ring = phi.emb.ring
-    key = (mul_entries(ring, f.f_dprime.entries, phi.f_dprime.entries, d, k, n),
-           mul_entries(ring, phi.f_prime.entries, f.f_prime.entries, n, k, d))
-    interned = _interned(phi.emb, d, n)
-    g = interned.get(key)
-    if g is None:
-        g = interned[key] = compose_vic(phi, f)
-    return g
-
-
 def act(phi: OvicMorphism, x: ModuleElement) -> ModuleElement:
-    """Post-composition action, extended linearly.
-
-    Each term phi o f is interned (``_composite``): it is the object
-    ``enumerate_ovic`` emitted for it, order key built, when that stratum is
-    cached, else the first composite computed.  The intern table of the
-    target stratum is made on the first call that needs it, from the cached
-    stratum when there is one (``_interned``).  ``act`` enumerates
-    nothing."""
+    """Post-composition action, extended linearly: each term f goes to
+    ``compose_vic(phi, f)``, so phi and f must be over one ring
+    (``RankMismatch`` otherwise).  ``act`` enumerates nothing."""
     if phi.d != x.degree:
         raise DegreeMismatch(f"morphism {phi.d}->{phi.n} cannot act on degree {x.degree}")
     field = x.field
     terms: dict = {}
     for f, c in x.terms.items():
-        g = _composite(phi, f)
+        g = compose_vic(phi, f)
         terms[g] = field.add(terms.get(g, field.zero), c)
     return ModuleElement(x.d, phi.n, field, terms)
 
@@ -915,30 +868,29 @@ def init_term(x: ModuleElement) -> tuple:
 
 class StratumRanks:
     """The rank view of a stratum: ``members`` is the list ``enumerate_ovic``
-    returned, so ``members[i]`` has rank i, and ``rank`` maps each member
-    back.  The list is in strict total order, so ranks compare as their
-    members do.
+    returned, so ``members[i]`` has rank i.  The list is in strict total
+    order, so ranks compare as their members do.  ``records`` indexes the
+    ranks by entry tuples, f''.entries -> {f'.entries -> rank}, one inner
+    dict per record (the run of members sharing one f'')."""
 
-    ``rank`` is keyed by the morphisms themselves, so it finds only members
-    over this embedding's ring.  ``records`` indexes the same ranks by entry
-    tuples, f''.entries -> {f'.entries -> rank}, one inner dict per record
-    (the run of members sharing one f''); it is built on first use, so a
-    view only the generators and ``reduce`` read never builds it."""
-
-    __slots__ = ("members", "rank", "_records")
+    __slots__ = ("members", "records")
 
     def __init__(self, members: list):
         self.members = members
-        self.rank = {f: i for i, f in enumerate(members)}
-        self._records = None
+        self.records = records = {}
+        for i, f in enumerate(members):
+            records.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
 
-    @property
-    def records(self) -> dict:
-        if self._records is None:
-            records = self._records = {}
-            for f, i in self.rank.items():
-                records.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
-        return self._records
+    def rank(self, f: VicMorphism) -> Optional[int]:
+        """The rank of ``f``, or None when it is no member: entry tuples
+        find a member only of the same ring (by identity) and type."""
+        if not self.members:
+            return None
+        head = self.members[0]
+        if f.ring is not head.ring or (f.d, f.n) != (head.d, head.n):
+            return None
+        record = self.records.get(f.f_dprime.entries)
+        return None if record is None else record.get(f.f_prime.entries)
 
 
 class _RowProducts(dict):
@@ -1040,14 +992,15 @@ class EchelonBasis:
         certificate [(pivot, coefficient), ...] that was subtracted, pivots
         descending.  Rows are fully reduced, so subtracting one never touches
         another pivot: the certificate holds the query's own coefficient at
-        each pivot.  A term outside the stratum is in no row, so it stays in
+        each pivot.  A term with no rank in the stratum (another ring or type
+        included, see ``StratumRanks.rank``) is in no row, so it stays in
         the remainder."""
         field, rows = self.field, self.rows
         rank, members = self.ranks.rank, self.ranks.members
         vec, rem = {}, {}
         for f, c in terms.items():
             if c:
-                r = rank.get(f)
+                r = rank(f)
                 if r is None:
                     rem[f] = c
                 else:
@@ -1175,14 +1128,12 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     for n in range(horizon + 1):
         target = _stratum_ranks(emb, d, n, budget)
         count(target.members)
-        rank = target.rank
         for i, g in enumerate(gens):
             if g.degree == n and not g.is_zero:
-                try:
-                    ranks = [rank[f] for f in g.terms]
-                except KeyError:
+                ranks = list(map(target.rank, g.terms))
+                if None in ranks:
                     raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
-                                          "of this embedding") from None
+                                          "of this embedding")
                 coeffs = field.integral(list(g.terms.values()))
                 ranked[i] = target.members, ranks, coeffs
         basis = EchelonBasis(field, target)

@@ -281,10 +281,6 @@ class OvicMorphism(VicMorphism):
         return out
 
     @classmethod
-    def from_vic(cls, f: VicMorphism, emb: AWEmbedding) -> "OvicMorphism":
-        return cls(f.f_prime, f.f_dprime, emb)
-
-    @classmethod
     def identity(cls, ring_or_emb, n: int) -> "OvicMorphism":
         emb = ring_or_emb
         ident = RMatrix.identity(emb.ring, n)

@@ -18,6 +18,7 @@ from vicbench.errors import (
     FieldMismatch,
     HorizonExceeded,
     InvalidMorphism,
+    RankMismatch,
     ZeroElement,
 )
 from vicbench.noether import (
@@ -40,7 +41,7 @@ from vicbench.noether import (
 from vicbench import noether, rings
 from vicbench.jsonio import load_generators, load_ring
 from vicbench.ordering import LT, insert_successor, total_compare, valid_moves
-from vicbench.ovic import OvicMorphism, compose_vic
+from vicbench.ovic import OvicMorphism, VicMorphism, compose_vic
 from vicbench.rings import BUILTIN_NAMES, RMatrix, build_ring, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
 
@@ -410,17 +411,18 @@ def _seeded_element(emb, field, degree, terms, seed, d=1):
                          {f: field.from_int(rng.randrange(1, 5)) for f in support})
 
 
-@pytest.mark.parametrize("act_first", [False, True])
-def test_act_terms_are_interned_stratum_members(act_first):
-    emb = build_aw_embedding(zmod(2))  # fresh: builtin embeddings are shared
-    x = _seeded_element(emb, F2, 2, 3, "intern")
-    phis = enumerate_ovic(emb, 2, 3)
-    if act_first:  # the target stratum is not cached yet
-        images = [act(phi, x) for phi in phis]
-    members = {id(f) for f in enumerate_ovic(emb, 1, 3)}
-    if not act_first:
-        images = [act(phi, x) for phi in phis]
-    assert all(id(g) in members for y in images for g in y.terms)
+@pytest.mark.parametrize("target_cached", [False, True])
+def test_act_refuses_terms_over_another_ring(target_cached):
+    """phi over one ``zmod(2)`` cannot act on terms over a second one built
+    apart, whether or not the target stratum is cached: the rings differ by
+    identity, so the composite does not exist."""
+    emb, other = build_aw_embedding(zmod(2)), build_aw_embedding(zmod(2))
+    if target_cached:
+        enumerate_ovic(emb, 1, 3)
+    phi = enumerate_ovic(emb, 2, 3)[0]
+    x = _seeded_element(other, F2, 2, 3, "foreign")
+    with pytest.raises(RankMismatch):
+        act(phi, x)
 
 
 def test_act_on_explicit_morphisms_enumerates_nothing():
@@ -435,15 +437,19 @@ def test_act_on_explicit_morphisms_enumerates_nothing():
 
 
 def test_act_returns_the_emitted_member():
-    """On an enumerated stratum the entry-keyed lookup lands on the very
-    object ``enumerate_ovic`` emitted."""
+    """On an enumerated stratum each composite equals the member
+    ``enumerate_ovic`` emitted for it, with the same pivot sets and order
+    key."""
     emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))
     emitted = {f: f for f in enumerate_ovic(emb, 1, 3)}
     fs = enumerate_ovic(emb, 1, 2)
     for phi in enumerate_ovic(emb, 2, 3)[::401]:
         for f in fs[::7]:
             (g,) = act(phi, ModuleElement.monomial(f, F2)).terms
-            assert g is emitted[compose_vic(phi, f)]
+            member = emitted[compose_vic(phi, f)]
+            assert g == member
+            assert g.s_sets == member.s_sets
+            assert g.order_key == member.order_key
 
 
 @pytest.mark.parametrize("spec", ["zmod(4)", "upper_triangular(zmod(2),2)"])
@@ -461,8 +467,6 @@ def test_act_on_a_stratum_never_enumerated(spec):
             assert g == want == fresh
             assert g.s_sets == want.s_sets == fresh.s_sets
             assert g.order_key == want.order_key == fresh.order_key
-            (again,) = act(phi, ModuleElement.monomial(f, F2)).terms
-            assert again is g
     assert ("ovic", 1, 3) not in emb.enum_cache
 
 
@@ -473,7 +477,6 @@ def test_repeated_act_is_equal():
         first = act(phi, x)
         again = act(phi, x)
         assert first == again
-        assert all(a is b for a, b in zip(first.terms, again.terms))
 
 
 def test_init_term_examples():
@@ -815,7 +818,7 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     homs = enumerate_ovic(emb, k, n)
     for f in random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources))):
         column = noether._composite_column(view, homs, f, n)
-        assert column == [view.rank[compose_vic(phi, f)] for phi in homs]
+        assert column == [view.rank(compose_vic(phi, f)) for phi in homs]
 
 
 def test_composite_column_missing_from_the_target_is_a_bug():
@@ -852,7 +855,6 @@ def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
         raise AssertionError("a (phi, term) pair was composed")
 
     monkeypatch.setattr(noether, "mul_entries", counting)
-    monkeypatch.setattr(noether, "_composite", forbidden)
     monkeypatch.setattr(noether, "compose_vic", forbidden)
     span_to_degree(gens, horizon, emb, field, d=1)
     (g,) = gens
@@ -874,7 +876,7 @@ def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
 def _ranked_ints(ranks, field, terms):
     """Member-keyed field coefficients as the rank-keyed ints ``insert``
     takes."""
-    return dict(zip([ranks.rank[f] for f in terms], field.integral(list(terms.values()))))
+    return dict(zip(map(ranks.rank, terms), field.integral(list(terms.values()))))
 
 
 def _rebuilt_index(basis):
@@ -984,7 +986,7 @@ def test_ranks_follow_the_total_order():
                     continue
                 ranks = noether._stratum_ranks(emb, d, n)
                 members = ranks.members
-                assert [ranks.rank[f] for f in members] == list(range(len(members)))
+                assert list(map(ranks.rank, members)) == list(range(len(members)))
                 keys = [f.order_key for f in members]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 assert all(total_compare(a, b) == LT for a, b in zip(members, members[1:]))
@@ -999,8 +1001,42 @@ def test_enumerate_ovic_builds_no_rank_view():
     span_to_degree([], 3, emb, F2, d=1)
     assert [key for key in emb.enum_cache if key[0] == "ranks"] == [
         ("ranks", 1, n) for n in range(4)]
-    # no generator acts, so no record index is built either
-    assert all(emb.enum_cache[("ranks", 1, n)]._records is None for n in range(4))
+
+
+def _foreign_terms(emb):
+    """(n, term, its look-alike in OVIC(1, n) of ``emb``) for two terms
+    whose entry tuples equal a member's: a VIC pair 2 -> 2 over the same
+    ring, and a member of OVIC(1, 2) over a ``zmod(2)`` built apart."""
+    ring = emb.ring
+    square = RMatrix(ring, 2, 2, [1, 1, 0, 1])  # its own inverse over F2
+    vic = VicMorphism(square, square)
+    (twin,) = [f for f in enumerate_ovic(emb, 1, 4)
+               if f.f_dprime.entries == f.f_prime.entries == square.entries]
+    other = enumerate_ovic(build_aw_embedding(zmod(2)), 1, 2)[1]
+    (double,) = [f for f in enumerate_ovic(emb, 1, 2)
+                 if (f.f_dprime.entries, f.f_prime.entries)
+                 == (other.f_dprime.entries, other.f_prime.entries)]
+    return [(4, vic, twin), (2, other, double)]
+
+
+def test_stratum_rank_needs_the_ring_and_type():
+    """A term with a member's entry tuples but another type, or over
+    another ring, has no rank: ``reduce`` leaves it in the remainder even
+    when its look-alike is a pivot, and a span refuses it as a
+    generator."""
+    emb = build_aw_embedding(zmod(2))
+    for n, term, twin in _foreign_terms(emb):
+        ranks = noether._stratum_ranks(emb, 1, n)
+        assert ranks.rank(twin) is not None
+        assert ranks.rank(term) is None
+        basis = EchelonBasis(F2, ranks)
+        basis.insert({ranks.rank(twin): 1})
+        assert basis.reduce({twin: 1}) == ({}, [(twin, 1)])
+        assert basis.reduce({term: 1}) == ({term: 1}, [])
+        x = ModuleElement(1, n, F2, {})
+        x.terms[term] = 1  # set directly: a 2 -> 2 term fails the type check
+        with pytest.raises(InvalidMorphism):
+            span_to_degree([x], n, emb, F2)
 
 
 def test_span_budget_counts_the_target_stratum():

@@ -191,16 +191,6 @@ def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
 
 
-def test_enumeration_makes_no_intern_table():
-    """Only ``act`` makes the intern table of a stratum."""
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    for d, n in ((0, 2), (1, 2), (1, 3), (2, 3), (2, 1)):
-        enumerate_ovic(emb, d, n)
-        enumerate_vic(emb, d, n)
-    assert emb.enum_cache
-    assert not [key for key in emb.enum_cache if key[0] == "intern"]
-
-
 def _grid():
     """(ring, d, n) with d, n <= 4, at most 4096 candidate f'' and at most
     2^18 vectors scanned by the VIC filter.  The second bound leaves out

@@ -17,13 +17,15 @@ turns each generator into ranks, and its coefficients into ints, once.  Per
 source term f of OVIC(d, k) it keeps one composite column on the embedding:
 the rank of phi o f for every phi in OVIC(k, n), built in one pass over
 OVIC(k, n) with one f'' product per record of it (``_composite_column``).
-The columns' rows are the images' rank tuples; the engine skips a tuple the
-same generator already gave in that degree and inserts the others straight
-into ``EchelonBasis``.  The basis keeps rows, column index and pivots as
-ints, with coefficients as ints too: residues with pivot entry 1 over F_p,
-primitive integer vectors with a positive pivot entry over Q.  The field
-classes supply the row operations on them, so inserting builds no Fraction;
-morphisms and field elements come back only at the basis's public methods.
+The columns' rows are the images' rank tuples; the engine hands all of a
+generator's tuples in one degree, with its coefficients, to one
+``EchelonBasis.extend`` call, which skips a tuple it has already seen and
+reduces the others straight into the basis.  The basis keeps rows, column
+index and pivots as ints, with coefficients as ints too: residues with
+pivot entry 1 over F_p, primitive integer vectors with a positive pivot
+entry over Q.  The field classes supply the row operations on them, so
+inserting builds no Fraction; morphisms and field elements come back only
+at the basis's public methods.
 The target strata OVIC(d, n) are always enumerated and count against the
 span's budget.
 
@@ -965,10 +967,12 @@ class EchelonBasis:
     tails: it maps each rank to the pivots whose row holds it off the pivot,
     so adjoining a pivot clears it from exactly the rows listed under it.
 
-    ``insert`` takes rank-keyed ints (``field.integral`` of the
-    coefficients; over Q any nonzero multiple of a vector spans the same
-    line) and does all its work through the field's row operations
-    (``clear``, ``normalise``), so no Fraction is built there.  ``leading``,
+    ``extend`` is the one insertion kernel: it takes tuples of ranks and
+    one list of ints (``field.integral`` of the coefficients; over Q any
+    nonzero multiple of a vector spans the same line), inserts one vector
+    per tuple, and does all its work through the field's row operations
+    (``clear``, ``normalise``), so no Fraction is built there.  ``insert``
+    is ``extend`` with a single rank-keyed vector.  ``leading``,
     ``reduce`` and ``canonical_rows`` speak in members and field elements;
     ``field.entry`` reads a stored entry back.
     """
@@ -1021,36 +1025,54 @@ class EchelonBasis:
         return rem, cert
 
     def insert(self, terms: dict) -> bool:
-        """Reduce the rank-keyed ints ``terms`` and, if a remainder
-        survives, adjoin it and clear the new pivot from the rows that hold
-        it."""
-        field, rows, cols = self.field, self.rows, self.cols
+        """Adjoin the rank-keyed ints ``terms`` (``extend`` with one key)."""
         v = {r: c for r, c in terms.items() if c}
-        # rows are fully reduced, so clearing one pivot brings in no other
-        for m in v.keys() & rows.keys():
-            field.clear(v, m, rows[m])
-        if not v:
-            return False
-        lead = max(v)
-        field.normalise(v, lead)
-        tail = [g for g in v if g != lead]
-        for pivot in cols.pop(lead, ()):
-            row = rows[pivot]
-            held = [g in row for g in tail]
-            field.clear(row, lead, v)
-            for g, was in zip(tail, held):
-                if was != (g in row):
-                    if was:
-                        holders = cols[g]
+        return self.extend([tuple(v)], tuple(v.values())) == 1
+
+    def extend(self, keys, coeffs: Sequence[int]) -> int:
+        """Insert sum_i coeffs[i] e_key[i] for each tuple of distinct ranks
+        ``key`` in ``keys``, skipping a key seen before in this call, and
+        return how many rows were adjoined.  Each vector is reduced against
+        the basis; a surviving remainder is adjoined and its pivot cleared
+        from the rows that hold it."""
+        rows, cols = self.rows, self.cols
+        clear, normalise = self.field.clear, self.field.normalise
+        cols_get = cols.get
+        adjoined = 0
+        for key in dict.fromkeys(keys):
+            v = dict(zip(key, coeffs))
+            # rows are fully reduced, so clearing one pivot brings in no other
+            for m in key:
+                if m in rows:
+                    clear(v, m, rows[m])
+            if not v:
+                continue
+            lead = max(v)
+            normalise(v, lead)
+            for pivot in cols.pop(lead, ()):
+                row = rows[pivot]
+                clear(row, lead, v)
+                for g in v:
+                    holders = cols_get(g)
+                    if g in row:
+                        if holders is None:
+                            cols[g] = {pivot}
+                        else:
+                            holders.add(pivot)
+                    elif holders is not None:
                         holders.discard(pivot)
                         if not holders:
                             del cols[g]
+            for g in v:
+                if g != lead:
+                    holders = cols_get(g)
+                    if holders is None:
+                        cols[g] = {lead}
                     else:
-                        cols.setdefault(g, set()).add(pivot)
-        for g in tail:
-            cols.setdefault(g, set()).add(lead)
-        rows[lead] = v
-        return True
+                        holders.add(lead)
+            rows[lead] = v
+            adjoined += 1
+        return adjoined
 
     def canonical_rows(self) -> dict:
         """The true rows, member-keyed, with pivot coefficient one."""
@@ -1095,9 +1117,10 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     phi o f for every phi in OVIC(k, n), in phi order
     (``_composite_column``).  Post-composition is injective, so an image has
     one term per term of g, and its tuple of composite ranks, a row across
-    the columns of g's terms, fixes it: an image whose tuple the generator
-    already gave in degree n is not inserted again.  Every generator must
-    be over ``field`` (by name), else FieldMismatch is raised.
+    the columns of g's terms, fixes it: all of g's tuples in degree n go
+    to one ``EchelonBasis.extend`` call with g's ints, which skips a tuple
+    it has already seen.  Every generator must be over ``field`` (by name),
+    else FieldMismatch is raised.
 
     ``budget`` bounds each stratum's enumeration and the morphisms
     enumerated in total: the target OVIC(d, n) for every n <= horizon, which
@@ -1151,13 +1174,9 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                 if column is None:
                     column = memo[r] = _composite_column(target, homs, source[r], n)
                 columns.append(column)
-            seen = set()
             # each tuple is one image's composite ranks, which fix the image:
             # the coefficients are the generator's
-            for key in zip(*columns):
-                if key not in seen:
-                    seen.add(key)
-                    basis.insert(dict(zip(key, coeffs)))
+            basis.extend(zip(*columns), coeffs)
         state.bases[n] = basis
     return state
 
@@ -1173,8 +1192,12 @@ def initial_module_to_degree(state: SubmoduleState, horizon: int) -> dict:
 def membership(state: SubmoduleState, x: ModuleElement) -> tuple[bool, list]:
     """Reduce against the echelon basis at x's degree; the certificate lists
     the (pivot, coefficient) reductions applied.  x must be over the
-    state's field (by name), else FieldMismatch is raised."""
+    state's field (by name), else FieldMismatch is raised, and its terms
+    over the state's ring (by identity), else InvalidMorphism is raised."""
     _check_field(x, state.field)
+    ring = state.emb.ring
+    if any(f.ring is not ring for f in x.terms):
+        raise InvalidMorphism("an element term is over another ring than the span's")
     if x.degree > state.horizon:
         raise HorizonExceeded(f"degree {x.degree} beyond horizon {state.horizon}")
     rem, cert = state.bases[x.degree].reduce(x.terms)

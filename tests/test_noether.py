@@ -919,6 +919,53 @@ def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
                             assert all(0 < c < field.p for c in row.values())
 
 
+class _CountingClears:
+    """A field whose ``clear`` calls are counted; everything else is the
+    wrapped field's."""
+
+    def __init__(self, field):
+        self.field, self.clears = field, 0
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def clear(self, v, m, row):
+        self.clears += 1
+        self.field.clear(v, m, row)
+
+
+@pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
+def test_extend_matches_scan_oracle(ring, field, horizon, degrees, terms, d):
+    """One ``extend`` call per generator and degree, fed every image's
+    composite ranks (from ``compose_vic``) and the generator's ints, against
+    the full-scan basis fed the images one at a time: the call returns the
+    oracle's accept count, leaves the oracle's canonical rows and leads and
+    an exact column index.  A key repeated within one call is adjoined once
+    and reduced only once."""
+    field = parse_field(field)
+    for variant in range(2):
+        emb = _case_emb(ring)
+        gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
+        for n in range(horizon + 1):
+            ranks = noether._stratum_ranks(emb, d, n)
+            basis, oracle = EchelonBasis(field, ranks), ScanEchelonBasis(field)
+            for g in gens:
+                if g.degree > n or g.is_zero:
+                    continue
+                homs = enumerate_ovic(emb, g.degree, n)
+                keys = [tuple(ranks.rank(compose_vic(phi, f)) for f in g.terms) for phi in homs]
+                coeffs = field.integral(list(g.terms.values()))
+                accepts = sum(oracle.insert(_oracle_act(phi, g).terms) for phi in homs)
+                assert basis.extend(keys, coeffs) == accepts
+                assert basis.cols == _rebuilt_index(basis)
+                assert basis.canonical_rows() == oracle.canonical_rows()
+                assert basis.leading() == oracle.leading()
+                if keys:
+                    fresh = EchelonBasis(_CountingClears(field), ranks)
+                    assert fresh.extend([keys[0], keys[0]], coeffs) == 1
+                    assert fresh.dim == 1 and fresh.field.clears == 0
+
+
 @pytest.mark.parametrize("field", ["F2", "F3", "F97", "Q"])
 def test_echelon_kernel_matches_scan_oracle(field):
     """Seeded sparse inserts with negative coefficients (and over Q large
@@ -1037,6 +1084,17 @@ def test_stratum_rank_needs_the_ring_and_type():
         x.terms[term] = 1  # set directly: a 2 -> 2 term fails the type check
         with pytest.raises(InvalidMorphism):
             span_to_degree([x], n, emb, F2)
+
+
+def test_membership_refuses_terms_over_another_ring():
+    """An element whose term is over a ``zmod(2)`` built apart is refused,
+    not answered as a non-member, even when its look-alike is a pivot."""
+    emb = build_aw_embedding(zmod(2))
+    (n, term, twin), = [case for case in _foreign_terms(emb) if case[0] == 2]
+    state = span_to_degree([ModuleElement.monomial(twin, F2)], n, emb, F2)
+    assert membership(state, ModuleElement.monomial(twin, F2)) == (True, [(twin, 1)])
+    with pytest.raises(InvalidMorphism):
+        membership(state, ModuleElement.monomial(term, F2))
 
 
 def test_span_budget_counts_the_target_stratum():

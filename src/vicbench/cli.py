@@ -310,16 +310,10 @@ def verb_selftest(args):
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_ring_source(p, with_in: bool = True):
-    if with_in:
-        p.add_argument("--in", dest="infile", metavar="FILE",
-                       help="ring JSON file")
-    p.add_argument("--builtin", choices=BUILTIN_NAMES,
-                   help="use a built-in ring instead of a file")
-
-
-def _add_ring_flag(p):
-    p.add_argument("--ring", metavar="FILE", help="ring JSON file")
+def _add_ring_source(p, flag: str):
+    """The ring JSON file under ``flag`` ("--in" or "--ring"), or --builtin."""
+    p.add_argument(flag, dest="infile" if flag == "--in" else "ring",
+                   metavar="FILE", help="ring JSON file")
     p.add_argument("--builtin", choices=BUILTIN_NAMES,
                    help="use a built-in ring instead of a file")
 
@@ -342,37 +336,37 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the ring JSON here (report still goes to stdout)")
     p.set_defaults(fn=verb_ring_build)
     p = ring_sub.add_parser("describe", help="radical, quotient, block shape")
-    _add_ring_source(p)
+    _add_ring_source(p, "--in")
     p.set_defaults(fn=verb_ring_describe)
     p = ring_sub.add_parser("wedderburn", help="full decomposition report")
-    _add_ring_source(p)
+    _add_ring_source(p, "--in")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=verb_ring_wedderburn)
 
     morphism = sub.add_parser("morphism", help="morphism calculus commands")
     m_sub = morphism.add_subparsers(dest="verb", required=True)
     p = m_sub.add_parser("check", help="column-adapted predicate and pivot data")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_morphism_check)
     p = m_sub.add_parser("factor", help="factor through the ordered subcategory")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_morphism_factor)
 
     order = sub.add_parser("order", help="ordering commands")
     o_sub = order.add_subparsers(dest="verb", required=True)
     p = o_sub.add_parser("compare", help="total-order comparison")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.set_defaults(fn=verb_order_compare)
     p = o_sub.add_parser("iota", help="word image of a morphism")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_order_iota)
     p = o_sub.add_parser("chain", help="insertion-move witness chain")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.add_argument("--node-cap", type=int, default=10 ** 6,
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="morphism enumeration")
     e_sub = enum.add_subparsers(dest="verb", required=True)
     p = e_sub.add_parser("ovic", help="enumerate morphisms d -> n")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--vic", action="store_true",
@@ -394,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     noether = sub.add_parser("noether", help="module engine")
     n_sub = noether.add_subparsers(dest="verb", required=True)
     p = n_sub.add_parser("span", help="degree-truncated span of generators")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", default="F2", help="coefficient field (Fp or Q)")
     p.add_argument("--gens", required=True, metavar="FILE")
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(fn=verb_noether_span)
     p = n_sub.add_parser("endo", help="generation-by-endomorphisms witness")
-    _add_ring_flag(p)
+    _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 6)

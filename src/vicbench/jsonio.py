@@ -41,13 +41,16 @@ def file_digest(path) -> str:
 
 
 def read_json(path):
-    """Parsed contents of an input file; unreadable or non-JSON files raise."""
+    """Parsed contents of an input file; unreadable or non-JSON files raise,
+    and so do files nested too deeply for the decoder."""
     try:
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise BadShape(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise BadShape(f"{path} nests too deeply to decode") from None
 
 
 def load_ring(path) -> FiniteRing:

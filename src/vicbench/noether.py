@@ -31,6 +31,13 @@ span's budget.
 
 ``act`` composes morphisms outside the engine, each term by ``compose_vic``;
 it shares no state with enumeration.
+
+Leads move only along completions.  Post-composition does not keep the
+total order, so init(phi o x) need not be phi o init(x) (see ``ordering``),
+and one degree's leads are not the images of the last degree's leads.  The
+engine therefore reduces every image in full and reads the leads off the
+echelon basis; only the completion of an insertion move on f keeps
+everything below f below.
 """
 
 from __future__ import annotations

@@ -13,6 +13,15 @@ column, so neither band a of Phi(h') nor the copy has a masked row, and
 iota(h) with letter a copied after position b, dominated by the original.
 So iota(h) <= iota(successor), f <= g implies iota(f) <= iota(g), and no
 chain passes through a word that does not embed in iota(g).
+
+The successor comes from the canonical splitting psi of its pivot sets: for
+g'' the duplicated f'' and X the duplicated f', X + psi (I - g'' X) splits
+g'' and keeps the free rows of X.
+
+Leads move only along completions: the completion of a move on f keeps
+everything below f below, but post-composition in general does not keep
+the total order (over F2, f < f' in OVIC(1, 2) and phi o f > phi o f' for a
+phi in OVIC(2, 3)), so init(phi o x) need not be phi o init(x).
 """
 
 from __future__ import annotations
@@ -23,17 +32,15 @@ from typing import Hashable, Optional, Sequence
 from .errors import (
     InvalidChain,
     InvalidMove,
+    NotColumnAdapted,
     SearchBudgetExceeded,
     SourceMismatch,
 )
 from .ovic import (
-    DistinguishedIndexer,
     OvicMorphism,
     canonical_splitting,
     compose_vic,
     free_rows,
-    reconstruct_from_free,
-    s_function,
 )
 from .rings import RMatrix, matvec
 
@@ -63,50 +70,44 @@ class InsertionMove:
     b: int
 
 
-def pivot_standard_columns(f: OvicMorphism) -> frozenset:
-    cidx = DistinguishedIndexer(f.emb.mu, f.n)
-    return frozenset(
-        cidx.std(k, j)
-        for k, pivots in enumerate(f.s_sets, start=1)
-        for j in pivots
-    )
+def _pivot_free_columns(f: OvicMorphism) -> list[int]:
+    """Columns a of f'' holding no pivot: no standard index of their band is
+    a dependent row of Phi(f')."""
+    mu = f.emb.mu_total
+    dependent = set(free_rows(f)[1])
+    return [a for a in range(1, f.n + 1)
+            if dependent.isdisjoint(range((a - 1) * mu + 1, a * mu + 1))]
 
 
 def valid_moves(f: OvicMorphism) -> list[InsertionMove]:
     """All moves whose duplicated column is pivot-free."""
-    mu = f.emb.mu_total
-    pivot_std = pivot_standard_columns(f)
-    out = []
-    for a in range(1, f.n + 1):
-        band = range((a - 1) * mu + 1, a * mu + 1)
-        if any(s in pivot_std for s in band):
-            continue
-        out.extend(InsertionMove(a, b) for b in range(a, f.n + 1))
-    return out
+    return [InsertionMove(a, b) for a in _pivot_free_columns(f) for b in range(a, f.n + 1)]
 
 
 def insert_successor(h: OvicMorphism, move: InsertionMove) -> OvicMorphism:
-    """Apply one column-duplication move; dependent rows are recomputed so
-    the splitting identity survives."""
+    """Apply one column-duplication move: g'' is f'' with column a copied
+    after position b, and X is f' with row a copied there.
+
+    The copy is pivot-free, so the pivot sets of g'' are those of f'' with
+    each label past position b moved up one band.  For psi their canonical
+    splitting, X + psi (I - g'' X) splits g'' and keeps the free rows of X,
+    psi being zero there."""
     a, b = move.a, move.b
     if not (1 <= a <= b <= h.n):
         raise InvalidMove(f"move ({a}, {b}) out of range for rank {h.n}")
-    mu = h.emb.mu_total
-    pivot_std = pivot_standard_columns(h)
-    if any(s in pivot_std for s in range((a - 1) * mu + 1, a * mu + 1)):
+    if a not in _pivot_free_columns(h):
         raise InvalidMove(f"column {a} is a pivot column")
+    emb = h.emb
     g_dprime = h.f_dprime.insert_col(b, h.f_dprime.col(a - 1))
-    draft_prime = h.f_prime.insert_row(b, h.f_prime.row(a - 1))
-    s_sets = s_function(g_dprime, h.emb)
-    big = h.emb.phi_on_matrices(draft_prime)
-    ridx = DistinguishedIndexer(h.emb.mu, h.n + 1)
-    dep = {
-        ridx.std(k, i)
-        for k, pivots in enumerate(s_sets, start=1)
-        for i in pivots
-    }
-    fragment = [big.row(r - 1) for r in range(1, mu * (h.n + 1) + 1) if r not in dep]
-    return reconstruct_from_free(g_dprime, fragment, h.emb)
+    draft = h.f_prime.insert_row(b, h.f_prime.row(a - 1))
+    s_sets = tuple(tuple(j + m if j > b * m else j for j in pivots)
+                   for m, pivots in zip(emb.mu, h.s_sets))
+    psi = canonical_splitting(s_sets, emb, m=h.n + 1, n=h.d)
+    ident = RMatrix.identity(h.ring, h.d)
+    if g_dprime.mul(psi) != ident:
+        raise NotColumnAdapted("the successor's splitting is not column-adapted")  # bug guard
+    f_prime = draft.add(psi.mul(ident.sub(g_dprime.mul(draft))))
+    return OvicMorphism(f_prime, g_dprime, emb, s_sets=s_sets, check=False)
 
 
 def partial_leq(f: OvicMorphism, g: OvicMorphism,

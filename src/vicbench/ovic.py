@@ -8,6 +8,16 @@ column-adapted predicate, composition, canonical splittings, the
 factorisation of an arbitrary pair through a column-adapted one, and
 reconstruction from free rows.
 
+The canonical splitting psi_S of pivot sets S carries the pivot layout, and
+the rest is derived from it rather than from scans of pivot columns:
+- h is column-adapted iff ``s_function(h)`` succeeds and h psi_S(h) = I;
+- the change of basis of ``factor_vic`` is g = f'' psi_S(f'');
+- when f'' psi = I, X + psi (I - f'' X) splits f'' for any X, and keeps
+  the free rows of X, Phi(psi) being zero off the dependent rows.  Moves build
+  successors this way (``ordering.insert_successor``), and
+  ``reconstruct_from_free`` does it under Phi, with the free rows given and
+  zero dependent rows.
+
 Index conventions: pivot sets, distinguished positions (k, j) and row/column
 indices exposed by this module are **1-based**, matching the usual way the
 calculus is written; raw matrix access stays 0-based.
@@ -146,22 +156,11 @@ def column_adapted_s_sets(h: RMatrix, emb: AWEmbedding
 
 def _pivot_columns_exact(h: RMatrix, emb: AWEmbedding,
                          s_sets: Sequence[Sequence[int]]) -> bool:
-    d, n = h.rows, h.cols
-    big = emb.phi_on_matrices(h)
-    ring = emb.ring
-    ridx = DistinguishedIndexer(emb.mu, d)
-    cidx = DistinguishedIndexer(emb.mu, n)
-    rows_total = emb.mu_total * d
-    for k, pivots in enumerate(s_sets, start=1):
-        e1 = emb.idempotents[k - 1][0]
-        for i, j in enumerate(pivots, start=1):
-            col = big.col(cidx.std(k, j) - 1)
-            target_row = ridx.std(k, i) - 1
-            for r in range(rows_total):
-                want = e1 if r == target_row else ring.zero
-                if col[r] != want:
-                    return False
-    return True
+    """Whether each pivot column of Phi(h) is the matching block-identity
+    column: Phi(psi) for psi the canonical splitting of ``s_sets`` picks out
+    exactly those columns, so this is h psi = I."""
+    psi = canonical_splitting(s_sets, emb, m=h.cols, n=h.rows)
+    return h.mul(psi) == RMatrix.identity(emb.ring, h.rows)
 
 
 class VicMorphism:
@@ -297,10 +296,8 @@ class OvicMorphism(VicMorphism):
         if self._order_key is None:
             big_dd = self.emb.phi_on_matrices(self.f_dprime)
             cols = tuple(big_dd.col(c) for c in range(big_dd.cols))
-            big_p = self.emb.phi_on_matrices(self.f_prime)
-            free, _ = free_rows(self)
-            frees = tuple(big_p.row(r - 1) for r in free)
-            self._order_key = (self.n, self.s_sets, cols, frees)
+            self._order_key = (self.n, self.s_sets, cols,
+                               tuple(extract_free_fragment(self)))
         return self._order_key
 
 
@@ -354,7 +351,12 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
     """The m x n splitting determined by pivot data alone.
 
     For every column-adapted h: R^m -> R^n with pivot sets ``s_sets``,
-    h o (this matrix) = id.
+    h o (this matrix) = id.  Its image under Phi has the block idempotent
+    e_1 at row (k, j) and column (k, i) for j the i-th pivot of block k, and
+    zeros elsewhere.  Phi(b_p a_s) is e_1 at position (p, s) of its block,
+    for the conjugators (a, b) of positions p and s of block k, so entry
+    (r, c) is the sum of b_p a_s over the pivots whose row lies in band r
+    at position p and whose column lies in band c at position s.
     """
     mu = emb.mu
     if len(s_sets) != emb.q:
@@ -365,43 +367,26 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
         if any(not 1 <= j <= mu[k] * m for j in pivots):
             raise BadShape(f"pivot set {k + 1} out of range for ambient rank {m}")
     ring = emb.ring
-    mu_total = emb.mu_total
-    ridx = DistinguishedIndexer(mu, m)
-    cidx = DistinguishedIndexer(mu, n)
-    entries = [ring.zero] * (mu_total * m * mu_total * n)
-    big_cols = mu_total * n
-    for k, pivots in enumerate(s_sets, start=1):
-        e1 = emb.idempotents[k - 1][0]
-        for i, j in enumerate(pivots, start=1):
-            r = ridx.std(k, j) - 1
-            c = cidx.std(k, i) - 1
-            entries[r * big_cols + c] = e1
-    big = RMatrix(ring, mu_total * m, big_cols, entries)
-    return emb.recover(big)
+    entries = [ring.zero] * (m * n)
+    for mk, conj, pivots in zip(mu, emb.conjugators, s_sets):
+        for i, j in enumerate(pivots):
+            r, p = divmod(j - 1, mk)
+            c, s = divmod(i, mk)
+            x = ring.mul(conj[p][1], conj[s][0])
+            entries[r * n + c] = ring.add(entries[r * n + c], x)
+    return RMatrix(ring, m, n, entries)
 
 
 def factor_vic(f: VicMorphism, emb: AWEmbedding) -> tuple[VicMorphism, "OvicMorphism"]:
     """Split f as f2 o f1 with f1 an automorphism pair and f2 column-adapted.
 
-    The change of basis g collects the pivot columns of Phi(f''); its
+    The change of basis is g = f'' psi, psi the canonical splitting of the
+    pivot sets of f'': Phi(g) collects the pivot columns of Phi(f'').  Its
     invertibility is certified through the quotient (reduction invertible
     implies invertible, with an explicit two-sided inverse)."""
-    ring = f.ring
     d, n = f.d, f.n
     s_sets = s_function(f.f_dprime, emb)
-    big = emb.phi_on_matrices(f.f_dprime)
-    mu_total = emb.mu_total
-    ridx = DistinguishedIndexer(emb.mu, d)
-    cidx = DistinguishedIndexer(emb.mu, n)
-    entries = [ring.zero] * (mu_total * d * mu_total * d)
-    big_cols = mu_total * d
-    for k, pivots in enumerate(s_sets, start=1):
-        for i, j in enumerate(pivots, start=1):
-            src_col = cidx.std(k, j) - 1
-            dst_col = ridx.std(k, i) - 1
-            for r in range(mu_total * d):
-                entries[r * big_cols + dst_col] = big.get(r, src_col)
-    g = emb.recover(RMatrix(ring, mu_total * d, big_cols, entries))
+    g = f.f_dprime.mul(canonical_splitting(s_sets, emb, m=n, n=d))
     ok, g_inv = matrix_invertible(g, emb.qdata)
     if not ok:
         raise InvalidMorphism("pivot-column matrix not invertible")  # bug guard
@@ -424,10 +409,11 @@ def reconstruct_from_free(f_dprime: RMatrix, fragment: Sequence[Sequence[int]],
                           emb: AWEmbedding) -> OvicMorphism:
     """The unique column-adapted morphism with the given f'' and free rows.
 
-    Dependent rows fall out of Phi(f'') Phi(f') = Phi(id) by direct
-    substitution: each pivot column of Phi(f'') carries a block identity, so
-    the dependent row under it equals the identity-pattern row minus the
-    free-row contributions.
+    Dependent rows fall out of Phi(f'') Phi(f') = Phi(id): each pivot column
+    of Phi(f'') carries a block identity, so the dependent row under it is
+    the identity-pattern row minus the free-row contributions.  For psi the
+    canonical splitting and Y the free rows with zero dependent rows, that
+    is Phi(f') = Y + Phi(psi) - Phi(psi f'') Y.
     """
     try:
         s_sets = s_function(f_dprime, emb)
@@ -437,41 +423,20 @@ def reconstruct_from_free(f_dprime: RMatrix, fragment: Sequence[Sequence[int]],
         raise NotColumnAdapted("f'' is not column-adapted")
     ring = emb.ring
     d, n = f_dprime.rows, f_dprime.cols
-    mu_total = emb.mu_total
-    big_a = emb.phi_on_matrices(f_dprime)          # mu*d x mu*n
-    ident = emb.identity_pattern(d)                # mu*d x mu*d
-    ridx = DistinguishedIndexer(emb.mu, n)
-    dep_rows = sorted(
-        (ridx.std(k, pivots[i - 1]), k, i)
-        for k, pivots in enumerate(s_sets, start=1)
-        for i in range(1, len(pivots) + 1)
-    )
-    free = [s for s in range(1, mu_total * n + 1)
-            if s not in {r for r, _, _ in dep_rows}]
+    width = emb.mu_total * d
+    free, _ = split_rows(emb, n, s_sets)
     if len(fragment) != len(free):
         raise NoSolution(f"fragment has {len(fragment)} rows, need {len(free)}")
-    width = mu_total * d
-    rows: list[Optional[list[int]]] = [None] * (mu_total * n)
+    rows = [[ring.zero] * width for _ in range(emb.mu_total * n)]
     for s, frag_row in zip(free, fragment):
         row = [int(v) for v in frag_row]
         if len(row) != width:
             raise NoSolution(f"fragment rows must have {width} entries")
         rows[s - 1] = row
-    # dependent row at pivot (k, i): the identity-pattern row for the target
-    # label (k, i) minus sum over free rows s of A[target, s] * X[s, :]
-    didx = DistinguishedIndexer(emb.mu, d)
-    for s_row, k, i in dep_rows:
-        target = didx.std(k, i) - 1
-        acc = list(ident.row(target))
-        for s in free:
-            coeff = big_a.get(target, s - 1)
-            if coeff == ring.zero:
-                continue
-            frag_row = rows[s - 1]
-            for c in range(width):
-                acc[c] = ring.sub(acc[c], ring.mul(coeff, frag_row[c]))
-        rows[s_row - 1] = acc
-    big_x = RMatrix(ring, mu_total * n, width, [v for r in rows for v in r])
+    big_y = RMatrix(ring, len(rows), width, [v for r in rows for v in r])
+    psi = canonical_splitting(s_sets, emb, m=n, n=d)
+    big_x = big_y.add(emb.phi_on_matrices(psi).sub(
+        emb.phi_on_matrices(psi.mul(f_dprime)).mul(big_y)))
     f_prime = emb.recover(big_x)
     out = OvicMorphism(f_prime, f_dprime, emb, s_sets=s_sets, check=False)
     if f_dprime.mul(f_prime) != RMatrix.identity(ring, d):

@@ -541,9 +541,9 @@ def build_ring(spec) -> FiniteRing:
 
     Expression grammar: builtin name | ``zmod(n)`` | ``matrix_ring(S,k)`` |
     ``upper_triangular(S,k)`` | ``product(S1,S2)`` | ``group_ring(S,cN)`` |
-    ``group_ring(S,sN)``.  A malformed or truncated expression raises
-    ``BadShape``; a ring past ``SIZE_CAP`` raises ``SizeCapExceeded`` before
-    its tables (or its group's table) are built.
+    ``group_ring(S,sN)``.  A malformed, truncated or too deeply nested
+    expression raises ``BadShape``; a ring past ``SIZE_CAP`` raises
+    ``SizeCapExceeded`` before its tables (or its group's table) are built.
     """
     if isinstance(spec, dict):
         return FiniteRing.from_payload(spec)
@@ -606,7 +606,10 @@ def build_ring(spec) -> FiniteRing:
             return group_ring(inner, table, elem_names=names), j + 3
         raise BadShape(f"unknown ring spec token {tok!r}")
 
-    ring, end = parse(0)
+    try:
+        ring, end = parse(0)
+    except RecursionError:
+        raise BadShape(f"ring spec {text[:40]!r}... nests too deeply") from None
     if end != len(tokens):
         raise BadShape(f"trailing tokens in ring spec: {tokens[end:]}")
     return ring

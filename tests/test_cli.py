@@ -235,6 +235,30 @@ def test_truncated_ring_spec_is_structured_error(capsys, spec):
     assert spec in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("head", ["product(", "matrix_ring("])
+def test_deeply_nested_ring_spec_is_structured_error(capsys, head):
+    code, payload, err = run_cli(capsys, "ring", "build", "--spec", head * 3000)
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert "nests too deeply" in payload["error"]["message"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["ring", "describe", "--in"],
+    ["morphism", "check", "--builtin", "F2", "--in"],
+    ["noether", "span", "--builtin", "F2", "--d", "1", "--horizon", "1", "--gens"],
+])
+def test_deeply_nested_json_is_structured_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, payload, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert payload["error"]["kind"] == "BadShape"
+    assert "nests too deeply" in payload["error"]["message"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("spec", ["zmod(0)", "zmod(1)", "matrix_ring(zmod(1),2)"])
 def test_modulus_below_two_is_structured_error(capsys, spec):
     code, payload, _ = run_cli(capsys, "ring", "build", "--spec", spec)

@@ -189,6 +189,43 @@ def test_column_adapted_counts_f2():
     assert ca == [(0, 1), (1, 0), (1, 1)]
 
 
+def pivot_columns_exact(h, emb):
+    """Oracle: the definition of column-adapted.  h is surjective, and each
+    pivot column (k, j) of Phi(h), j the i-th pivot of block k, is the
+    column with the block idempotent e_1 at row (k, i) and zeros elsewhere."""
+    try:
+        s_sets = s_function(h, emb)
+    except NotSurjective:
+        return False
+    big = emb.phi_on_matrices(h)
+    ridx = DistinguishedIndexer(emb.mu, h.rows)
+    cidx = DistinguishedIndexer(emb.mu, h.cols)
+    for k, pivots in enumerate(s_sets, start=1):
+        for i, j in enumerate(pivots, start=1):
+            want = [emb.ring.zero] * big.rows
+            want[ridx.std(k, i) - 1] = emb.idempotents[k - 1][0]
+            if big.col(cidx.std(k, j) - 1) != tuple(want):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name,d,n", [
+    ("F3", 2, 3), ("Z8", 2, 2), ("T2F2", 1, 3), ("M2F2", 1, 2),
+])
+def test_column_adapted_is_the_pivot_column_scan(name, d, n):
+    """h psi = I for psi the canonical splitting of s(h) is the definitional
+    scan, on every d x n matrix."""
+    emb = emb_of(name)
+    ring = emb.ring
+    adapted = 0
+    for entries in itertools.product(ring.elements(), repeat=d * n):
+        h = RMatrix(ring, d, n, entries)
+        want = pivot_columns_exact(h, emb)
+        assert is_column_adapted(h, emb) == want, h
+        adapted += want
+    assert adapted
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -314,6 +351,36 @@ def test_factor_all_small(name, d, n):
         assert f1.f_prime.mul(f1.f_dprime) == ident  # two-sided automorphism pair
         assert is_column_adapted(f2.f_dprime, emb)
         assert compose_vic(f2, f1) == f
+
+
+def pivot_column_matrix(f_dprime, emb):
+    """Oracle: the d x d matrix whose column (k, i) under Phi is pivot column
+    (k, j) of Phi(f''), j the i-th pivot of block k."""
+    d, n = f_dprime.rows, f_dprime.cols
+    big = emb.phi_on_matrices(f_dprime)
+    ridx = DistinguishedIndexer(emb.mu, d)
+    cidx = DistinguishedIndexer(emb.mu, n)
+    cols = [None] * (emb.mu_total * d)
+    for k, pivots in enumerate(s_function(f_dprime, emb), start=1):
+        for i, j in enumerate(pivots, start=1):
+            cols[ridx.std(k, i) - 1] = big.col(cidx.std(k, j) - 1)
+    return emb.recover(RMatrix.from_rows(emb.ring, zip(*cols), cols=len(cols)))
+
+
+@pytest.mark.parametrize("name,d,n", [("Z4", 2, 3), ("M2F2", 1, 2)])
+def test_factor_change_of_basis_is_the_pivot_column_matrix(name, d, n):
+    """f1 = (g^-1, g) with g the pivot-column matrix, on every VIC pair (the
+    engine's enumeration supplies the pairs; g^-1 is unique, and
+    ``test_factor_all_small`` checks it)."""
+    from vicbench.noether import enumerate_vic
+
+    emb = emb_of(name)
+    expected = {}
+    for f in enumerate_vic(emb, d, n, budget=10 ** 6):
+        f1, _ = factor_vic(f, emb)
+        if f.f_dprime not in expected:
+            expected[f.f_dprime] = pivot_column_matrix(f.f_dprime, emb)
+        assert f1.f_dprime == expected[f.f_dprime], f
 
 
 # ---------------------------------------------------------------------------

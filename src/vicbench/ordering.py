@@ -7,12 +7,20 @@ alphabet (dependent rows masked out) ordered by a dominance-constrained
 subsequence relation; and, for each covering move, an explicit morphism that
 completes f to g and is monotone on everything below f.
 
-``partial_leq`` prunes with the embedding.  A move (a, b) copies a pivot-free
+The word order is the move order.  A move (a, b) copies a pivot-free
 column, so neither band a of Phi(h') nor the copy has a masked row, and
 ``insert_successor`` keeps the draft's free rows: iota of the successor is
 iota(h) with letter a copied after position b, dominated by the original.
-So iota(h) <= iota(successor), f <= g implies iota(f) <= iota(g), and no
-chain passes through a word that does not embed in iota(g).
+So f <= g implies iota(f) <= iota(g).  Conversely, let s = iota(f) embed in
+t = iota(g) with f.n < g.n, and let j be the first position of t that the
+embedding leaves unmatched.  Dominance makes t_j equal to a letter s_a
+matched before j; with b the number of letters matched before j, a <= b.
+t_j has no masked row, since two columns of g with equal masked letters
+would carry the same pivot, so column a of f is pivot-free, (a, b) is a
+valid move, and its successor's word, s with s_a copied after position b,
+embeds in t with the copy at j.  By induction, and as iota is injective,
+f <= g.  So a move whose successor's word embeds in iota(g) never leads to
+a dead end, and ``partial_leq`` builds its chain in one forward pass.
 
 The successor comes from the canonical splitting psi of its pivot sets: for
 g'' the duplicated f'' and X the duplicated f', X + psi (I - g'' X) splits
@@ -114,13 +122,13 @@ def partial_leq(f: OvicMorphism, g: OvicMorphism,
                 node_cap: int = 10 ** 6) -> Optional[list[InsertionMove]]:
     """A witnessing move chain from f to g, or None.
 
-    Backtracking over all valid moves, ordered by (a, b), memoised on
-    intermediate morphisms.  A pair whose words do not embed is answered
-    before any move is tried; a move is followed only when the successor's
-    word (known before it is built, see the module docstring) embeds in
-    iota(g).  Raises SearchBudgetExceeded rather than try more than
-    ``node_cap`` moves, pruned or followed (an "unknown" signal, never a
-    wrong answer).
+    f <= g exactly when iota(f) <= iota(g) (see the module docstring), so a
+    pair whose words do not embed is answered before any move is tried, and
+    otherwise the chain is built forward: at each step, the first valid move
+    in (a, b) order whose successor's word (known before it is built) still
+    embeds in iota(g), until rank g.n.  Raises SearchBudgetExceeded rather
+    than try more than ``node_cap`` moves, embedding or not (an "unknown"
+    signal, never a wrong answer).
     """
     if f.ring is not g.ring or f.d != g.d:
         raise SourceMismatch("different source data")
@@ -129,32 +137,27 @@ def partial_leq(f: OvicMorphism, g: OvicMorphism,
     if f.n >= g.n:
         return None
     g_word = iota(g).letters
-    f_word = iota(f).letters
-    if not word_leq_letters(f_word, g_word):
+    word = iota(f).letters
+    if not word_leq_letters(word, g_word):
         return None
-    failed: set[OvicMorphism] = set()
+    chain = []
     nodes = 0
-
-    def dfs(h: OvicMorphism, word: tuple) -> Optional[list[InsertionMove]]:
-        nonlocal nodes
-        if h.n == g.n:
-            return [] if h == g else None
-        if h in failed:
-            return None
+    h = f
+    while h.n < g.n:
         for move in valid_moves(h):
             nodes += 1
             if nodes > node_cap:
                 raise SearchBudgetExceeded(f"gave up after {node_cap} nodes")
-            word2 = word[:move.b] + (word[move.a - 1],) + word[move.b:]
-            if not word_leq_letters(word2, g_word):
-                continue
-            rest = dfs(insert_successor(h, move), word2)
-            if rest is not None:
-                return [move] + rest
-        failed.add(h)
-        return None
-
-    return dfs(f, f_word)
+            step = word[:move.b] + (word[move.a - 1],) + word[move.b:]
+            if word_leq_letters(step, g_word):
+                break
+        else:
+            raise InvalidChain("no move keeps the word embedded")  # bug guard
+        h, word = insert_successor(h, move), step
+        chain.append(move)
+    if h != g:
+        raise InvalidChain("the chain does not end at g")  # bug guard
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +208,23 @@ def iota(f: OvicMorphism) -> Word:
 
 def word_leq_letters(s: Sequence[Hashable], t: Sequence[Hashable]) -> bool:
     """Subsequence embedding with dominance: s embeds into t strictly
-    increasingly, and every prefix letter of t is matched by an equal letter
-    embedded at or before it."""
+    increasingly, and every letter of t left unmatched equals a letter of s
+    matched before it.
+
+    One greedy scan decides it: match each s_i at the first equal letter of
+    t not yet passed.  Matching early only grows the set of matched letters
+    that may dominate later positions, so an embedding exists exactly when
+    the greedy one does."""
     n = len(s)
-    prefix_sets: list[set] = [set()]
-    for letter in s:
-        prefix_sets.append(prefix_sets[-1] | {letter})
-    reach = {0}
+    i = 0
+    matched = set()
     for letter in t:
-        nxt = set()
-        for i in reach:
-            if letter in prefix_sets[i]:
-                nxt.add(i)                      # skip: already dominated
-            if i < n and s[i] == letter:
-                nxt.add(i + 1)                  # match here
-        reach = nxt
-        if not reach:
+        if i < n and s[i] == letter:
+            matched.add(letter)
+            i += 1
+        elif letter not in matched:
             return False
-    return n in reach
+    return i == n
 
 
 def word_leq(s: Word, t: Word) -> bool:

@@ -15,8 +15,8 @@ the rest is derived from it rather than from scans of pivot columns:
 - when f'' psi = I, X + psi (I - f'' X) splits f'' for any X, and keeps
   the free rows of X, Phi(psi) being zero off the dependent rows.  Moves build
   successors this way (``ordering.insert_successor``), and
-  ``reconstruct_from_free`` does it under Phi, with the free rows given and
-  zero dependent rows.
+  ``reconstruct_from_free`` does it for X recovered from the free rows given
+  and zero dependent rows.
 
 Index conventions: pivot sets, distinguished positions (k, j) and row/column
 indices exposed by this module are **1-based**, matching the usual way the
@@ -409,36 +409,34 @@ def reconstruct_from_free(f_dprime: RMatrix, fragment: Sequence[Sequence[int]],
                           emb: AWEmbedding) -> OvicMorphism:
     """The unique column-adapted morphism with the given f'' and free rows.
 
-    Dependent rows fall out of Phi(f'') Phi(f') = Phi(id): each pivot column
-    of Phi(f'') carries a block identity, so the dependent row under it is
-    the identity-pattern row minus the free-row contributions.  For psi the
-    canonical splitting and Y the free rows with zero dependent rows, that
-    is Phi(f') = Y + Phi(psi) - Phi(psi f'') Y.
+    Y, the free rows with zero dependent rows, lies in the image of Phi:
+    band by band it is Phi((1 - E) x), for E the idempotents of the masked
+    positions.  So X = recover(Y) has the given free rows, and X + psi (I -
+    f'' X), for psi the canonical splitting, splits f'' and keeps them.
+
+    Every entry must be an int (bool excluded) in 0..|R| - 1, the rule of
+    morphism files; any other entry or shape raises NoSolution, and free
+    rows that no morphism has raise RecoverOutsideImage.
     """
-    try:
-        s_sets = s_function(f_dprime, emb)
-    except NotSurjective as exc:
-        raise NotColumnAdapted(str(exc))
-    if not _pivot_columns_exact(f_dprime, emb, s_sets):
+    s_sets = column_adapted_s_sets(f_dprime, emb)
+    if s_sets is None:
         raise NotColumnAdapted("f'' is not column-adapted")
     ring = emb.ring
     d, n = f_dprime.rows, f_dprime.cols
     width = emb.mu_total * d
     free, _ = split_rows(emb, n, s_sets)
-    if len(fragment) != len(free):
-        raise NoSolution(f"fragment has {len(fragment)} rows, need {len(free)}")
-    rows = [[ring.zero] * width for _ in range(emb.mu_total * n)]
-    for s, frag_row in zip(free, fragment):
-        row = [int(v) for v in frag_row]
-        if len(row) != width:
-            raise NoSolution(f"fragment rows must have {width} entries")
-        rows[s - 1] = row
-    big_y = RMatrix(ring, len(rows), width, [v for r in rows for v in r])
+    if not isinstance(fragment, (list, tuple)) or len(fragment) != len(free):
+        raise NoSolution(f"fragment must be a list of {len(free)} rows")
+    entries = [ring.zero] * (emb.mu_total * n * width)
+    for s, row in zip(free, fragment):
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise NoSolution(f"fragment rows must be lists of {width} entries")
+        for v in row:
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < ring.size:
+                raise NoSolution(f"fragment entry {v!r} is not an element of "
+                                 f"{ring.name} (0..{ring.size - 1})")
+        entries[(s - 1) * width:s * width] = row
+    x = emb.recover(RMatrix(ring, emb.mu_total * n, width, entries))
     psi = canonical_splitting(s_sets, emb, m=n, n=d)
-    big_x = big_y.add(emb.phi_on_matrices(psi).sub(
-        emb.phi_on_matrices(psi.mul(f_dprime)).mul(big_y)))
-    f_prime = emb.recover(big_x)
-    out = OvicMorphism(f_prime, f_dprime, emb, s_sets=s_sets, check=False)
-    if f_dprime.mul(f_prime) != RMatrix.identity(ring, d):
-        raise NoSolution("fragment inconsistent with the splitting identity")  # bug guard
-    return out
+    f_prime = x.add(psi.mul(RMatrix.identity(ring, d).sub(f_dprime.mul(x))))
+    return OvicMorphism(f_prime, f_dprime, emb, s_sets=s_sets, check=False)

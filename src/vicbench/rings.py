@@ -917,17 +917,7 @@ def mul_entries(ring: FiniteRing, a: tuple, b: tuple, rows: int, inner: int,
 
 
 def matvec(ring: FiniteRing, m: RMatrix, vec: Sequence[int]) -> tuple[int, ...]:
-    add, mul = ring._add, ring._mul
-    zero = ring.zero
-    out = []
-    e = m.entries
-    for i in range(m.rows):
-        base = i * m.cols
-        acc = zero
-        for t in range(m.cols):
-            acc = add[acc][mul[e[base + t]][vec[t]]]
-        out.append(acc)
-    return tuple(out)
+    return mul_entries(ring, m.entries, vec, m.rows, m.cols, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,9 @@ CLI_DATA = Path(__file__).resolve().parents[1] / "bench" / "data" / "cli"
 def test_order_chain_node_cap_counts_the_moves_tried(capsys):
     """A pair whose words do not embed is answered before any move is
     tried, so even a zero node cap returns its verdict; a related pair needs
-    moves and still exceeds that cap with a structured error."""
+    moves and still exceeds that cap with a structured error.  The chain
+    [[2, 2], [2, 2]] takes one move tried per step, so a cap of 1 gives up
+    and a cap of 2 returns it."""
     def chain(a, b, *extra):
         return run_cli(capsys, "order", "chain", "--ring", str(CLI_DATA / "f2.json"),
                        "--a", str(CLI_DATA / f"{a}.json"),
@@ -159,9 +161,14 @@ def test_order_chain_node_cap_counts_the_moves_tried(capsys):
     code, payload, _ = chain("f2_o12_1", "f2_o14_7", "--node-cap", "0")
     assert code == 1
     assert payload["error"]["kind"] == "SearchBudgetExceeded"
-    code, payload, _ = chain("f2_o12_1", "f2_o14_7")
-    assert code == 0
-    assert payload["result"] == {"related": True, "chain": [[2, 2], [2, 2]]}
+    code, payload, _ = chain("f2_o12_1", "f2_o14_7", "--node-cap", "1")
+    assert code == 1
+    assert payload["error"]["kind"] == "SearchBudgetExceeded"
+    assert "gave up after 1 nodes" in payload["error"]["message"]
+    for extra in (("--node-cap", "2"), ()):
+        code, payload, _ = chain("f2_o12_1", "f2_o14_7", *extra)
+        assert code == 0
+        assert payload["result"] == {"related": True, "chain": [[2, 2], [2, 2]]}
 
 
 def test_enumerate_counts(capsys):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from vicbench.errors import InvalidMove, SourceMismatch
+from vicbench.errors import InvalidMove, SearchBudgetExceeded, SourceMismatch
 from vicbench.noether import (
     ModuleElement,
     act,
@@ -310,6 +310,89 @@ def test_partial_leq_matches_the_unpruned_search(name, horizon, degrees, terms, 
     assert related and columns_only
 
 
+def _word_leq_reach(s, t):
+    """The word order decided by the set of counts of letters of s matched
+    so far that some embedding of each prefix of t reaches."""
+    n = len(s)
+    prefix_sets = [set()]
+    for letter in s:
+        prefix_sets.append(prefix_sets[-1] | {letter})
+    reach = {0}
+    for letter in t:
+        nxt = set()
+        for i in reach:
+            if letter in prefix_sets[i]:
+                nxt.add(i)                      # skip: already dominated
+            if i < n and s[i] == letter:
+                nxt.add(i + 1)                  # match here
+        reach = nxt
+        if not reach:
+            return False
+    return n in reach
+
+
+def _word_pruned_search(f, g, f_word, g_word):
+    """Backtracking over every valid move in (a, b) order, memoised on
+    intermediate morphisms, following a move only when its successor's word
+    embeds in iota(g): (chain or None, moves tried)."""
+    if not _word_leq_reach(f_word, g_word):
+        return None, 0
+    failed = set()
+    nodes = 0
+
+    def dfs(h, word):
+        nonlocal nodes
+        if h.n == g.n:
+            return [] if h == g else None
+        if h in failed:
+            return None
+        for move in valid_moves(h):
+            nodes += 1
+            word2 = word[:move.b] + (word[move.a - 1],) + word[move.b:]
+            if not _word_leq_reach(word2, g_word):
+                continue
+            rest = dfs(insert_successor(h, move), word2)
+            if rest is not None:
+                return [move] + rest
+        failed.add(h)
+        return None
+
+    return dfs(f, f_word), nodes
+
+
+@pytest.mark.parametrize("name,d,top", [
+    ("F2", 1, 4), ("F3", 1, 3), ("Z4", 1, 3), ("F2C2", 1, 3),
+    ("M2F2", 1, 2), ("Z8", 1, 2), ("T2F2", 1, 2), ("F2", 2, 4),
+])
+def test_partial_leq_is_the_backtracking_search(name, d, top):
+    """Every f in OVIC(d, m) and g in OVIC(d, m') with m < m' <= top.  For
+    top = d + 1 the only f is the identity, which has no pivot-free column,
+    so each member of rank top is paired with its one-move successors too.
+    A pair is related exactly when its words embed, and the forward pass
+    returns the backtracking search's chain after as many moves tried, so
+    both give up below the same node cap.  The greedy scan decides each
+    word pair as the reach sets do."""
+    emb = emb_of(name)
+    pool = [(f, iota(f).letters) for m in range(d, top + 1) for f in enumerate_ovic(emb, d, m)]
+    pairs = [(f, f_word, g, g_word) for f, f_word in pool for g, g_word in pool if f.n < g.n]
+    for f, f_word in pool:
+        if f.n == top == d + 1:
+            for move in valid_moves(f):
+                g = insert_successor(f, move)
+                pairs.append((f, f_word, g, iota(g).letters))
+    related = 0
+    for f, f_word, g, g_word in pairs:
+        assert word_leq_letters(f_word, g_word) == _word_leq_reach(f_word, g_word)
+        chain, nodes = _word_pruned_search(f, g, f_word, g_word)
+        assert (chain is not None) == word_leq_letters(f_word, g_word)
+        assert partial_leq(f, g, node_cap=nodes) == chain
+        if nodes:
+            with pytest.raises(SearchBudgetExceeded):
+                partial_leq(f, g, node_cap=nodes - 1)
+        related += chain is not None
+    assert related
+
+
 # ---------------------------------------------------------------------------
 # word embedding and word order
 # ---------------------------------------------------------------------------
@@ -338,6 +421,13 @@ def test_word_leq_reflexive_transitive_exhaustive():
         for u in words:
             if rel[(t, u)]:
                 assert rel[(s, u)]
+
+
+def test_word_leq_scan_is_the_reach_sets():
+    words = [w for length in range(7) for w in itertools.product("ab", repeat=length)]
+    for s in words:
+        for t in words:
+            assert word_leq_letters(s, t) == _word_leq_reach(s, t), (s, t)
 
 
 def test_iota_identity_all_masked():
@@ -473,7 +563,7 @@ def test_build_phi_chain():
 
 @pytest.mark.parametrize("name,d,n", [
     ("F2", 1, 2), ("F3", 1, 2), ("Z4", 1, 2), ("Z8", 1, 2), ("F2C2", 1, 2),
-    ("T2F2", 1, 2), ("M2F2", 1, 2), ("F2", 1, 3),
+    ("T2F2", 1, 2), ("M2F2", 1, 2), ("F2", 1, 3), ("F2", 2, 3), ("F3", 2, 3),
 ])
 def test_build_phi_monotone_below(name, d, n):
     """Exhaustive: for every move on f, its completion phi keeps every h < f

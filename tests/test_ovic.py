@@ -12,7 +12,14 @@ import itertools
 
 import pytest
 
-from vicbench.errors import NotColumnAdapted, NotSurjective, RankMismatch
+from vicbench.errors import (
+    NoSolution,
+    NotColumnAdapted,
+    NotSurjective,
+    RankMismatch,
+    RecoverOutsideImage,
+)
+from vicbench.noether import enumerate_ovic
 from vicbench.ovic import (
     DistinguishedIndexer,
     OvicMorphism,
@@ -25,6 +32,7 @@ from vicbench.ovic import (
     is_column_adapted,
     reconstruct_from_free,
     s_function,
+    split_rows,
 )
 from vicbench.rings import RMatrix, builtin_ring, iter_vectors, matvec
 from vicbench.wedderburn import build_aw_embedding
@@ -435,6 +443,73 @@ def test_reconstruct_roundtrip(name, d, n):
         frag = extract_free_fragment(f)
         again = reconstruct_from_free(f.f_dprime, frag, emb)
         assert again == f
+
+
+def _reconstruct_under_phi(f_dprime, fragment, emb):
+    """Reconstruction in Phi-level matrix arithmetic: for Y the free rows
+    with zero dependent rows and psi the canonical splitting,
+    Phi(f') = Y + Phi(psi) - Phi(psi f'') Y."""
+    ring = emb.ring
+    d, n = f_dprime.rows, f_dprime.cols
+    s_sets = s_function(f_dprime, emb)
+    width = emb.mu_total * d
+    free, _ = split_rows(emb, n, s_sets)
+    rows = [[ring.zero] * width for _ in range(emb.mu_total * n)]
+    for s, row in zip(free, fragment):
+        rows[s - 1] = list(row)
+    big_y = RMatrix(ring, len(rows), width, [v for r in rows for v in r])
+    psi = canonical_splitting(s_sets, emb, m=n, n=d)
+    big_x = big_y.add(emb.phi_on_matrices(psi).sub(
+        emb.phi_on_matrices(psi.mul(f_dprime)).mul(big_y)))
+    return OvicMorphism(emb.recover(big_x), f_dprime, emb, s_sets=s_sets, check=False)
+
+
+@pytest.mark.parametrize("name,d,n", [("F2", 1, 3), ("Z4", 2, 3), ("M2F2", 1, 2)])
+def test_reconstruct_is_the_phi_level_construction(name, d, n):
+    """Recovering the free rows first and splitting in R gives what the same
+    identity gives under Phi, on every member of the stratum (enumerated by
+    the engine)."""
+    emb = emb_of(name)
+    for f in enumerate_ovic(emb, d, n):
+        frag = extract_free_fragment(f)
+        got = reconstruct_from_free(f.f_dprime, frag, emb)
+        assert got == _reconstruct_under_phi(f.f_dprime, frag, emb) == f
+        assert got.s_sets == f.s_sets
+
+
+@pytest.mark.parametrize("name", ["M2F2", "T2F2"])
+def test_reconstruct_refuses_rows_no_morphism_has(name):
+    """Seeded fragments of ring elements: rows outside the image of Phi are
+    refused, as the Phi-level construction refuses them."""
+    import random
+
+    emb = emb_of(name)
+    stratum = enumerate_ovic(emb, 1, 2)
+    rng = random.Random(0)
+    for _ in range(100):
+        f = rng.choice(stratum)
+        frag = [tuple(rng.randrange(emb.ring.size) for _ in row)
+                for row in extract_free_fragment(f)]
+        with pytest.raises(RecoverOutsideImage):
+            _reconstruct_under_phi(f.f_dprime, frag, emb)
+        with pytest.raises(RecoverOutsideImage):
+            reconstruct_from_free(f.f_dprime, frag, emb)
+
+
+@pytest.mark.parametrize("entry", [5, 2, -1, True, 1.0, "1", None])
+def test_reconstruct_refuses_entries_outside_the_ring(entry):
+    """Entries follow the rule of morphism files: an int, not a bool, in
+    0..|R| - 1.  A negative index would read the last element and a float or
+    string would be coerced, so each is refused."""
+    emb = emb_of("F2")
+    with pytest.raises(NoSolution):
+        reconstruct_from_free(mat("F2", [[1, 0]]), [(entry,)], emb)
+
+
+@pytest.mark.parametrize("fragment", [[], [(0, 1)], [(0,), (0,)], [5], [None], 5, None, "0"])
+def test_reconstruct_refuses_bad_fragment_shapes(fragment):
+    with pytest.raises(NoSolution):
+        reconstruct_from_free(mat("F2", [[1, 0]]), fragment, emb_of("F2"))
 
 
 def test_injectivity_of_free_row_encoding():

@@ -15,8 +15,12 @@ f''.entries -> {f'.entries -> rank}; the engine builds the view on first
 use and caches it on the embedding beside the stratum.  ``span_to_degree``
 turns each generator into ranks, and its coefficients into ints, once.  Per
 source term f of OVIC(d, k) it keeps one composite column on the embedding:
-the rank of phi o f for every phi in OVIC(k, n), built in one pass over
-OVIC(k, n) with one f'' product per record of it (``_composite_column``).
+the rank of phi o f for every phi in OVIC(k, n), in one fixed phi order per
+(k, n).  A source stratum OVIC(k, n) is never enumerated: its records
+(``_splittings``) give each record's f'' and, through their pickers, the
+entry columns of phi' over all members, kept compactly on the embedding
+(``_source_stratum``).  A column takes one f'' product per record and builds
+phi' f' for every member at once with C-level maps (``_composite_ranks``).
 The columns' rows are the images' rank tuples; the engine hands all of a
 generator's tuples in one degree, with its coefficients, to one
 ``EchelonBasis.extend`` call, which skips a tuple it has already seen and
@@ -26,8 +30,8 @@ pivot entry 1 over F_p, primitive integer vectors with a positive pivot
 entry over Q.  The field classes supply the row operations on them, so
 inserting builds no Fraction; morphisms and field elements come back only
 at the basis's public methods.
-The target strata OVIC(d, n) are always enumerated and count against the
-span's budget.
+The target strata OVIC(d, n) are always enumerated; they, and the source
+strata counted from their records, count against the span's budget.
 
 ``act`` composes morphisms outside the engine, each term by ``compose_vic``;
 it shares no state with enumeration.
@@ -45,12 +49,13 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache
+from functools import cache, partial
 from fractions import Fraction
 from math import gcd, lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Optional, Sequence
 
 from .errors import (
@@ -902,51 +907,95 @@ class StratumRanks:
         return None if record is None else record.get(f.f_prime.entries)
 
 
-class _RowProducts(dict):
-    """v f' for row vectors v of R^k, each multiplied out on first use."""
+def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
+                    ) -> tuple[tuple, int]:
+    """OVIC(k, n) as the span reads a source stratum, with no member built:
+    (the f''.entries of each record, each record's member count, the n k
+    entry columns of phi'), plus the number of members.  The records come
+    in prefix order and each record's members in kernel order, so the
+    columns fix one phi order per (k, n).  Column i holds entry i of phi'
+    for every member, record after record, as bytes when |R| <= 256 and as
+    ``array('H')`` otherwise (``rings.SIZE_CAP`` is 2^16).
 
-    __slots__ = ("ring", "f_prime", "k", "d")
+    The columns are read off the ``_splittings`` pickers, one call per
+    record and position, on first use, and cached on ``emb``; ``_splittings``
+    and ``enumerate_ovic`` never build them.  The budget verdict is the
+    stratum's own, as in ``enumerate_ovic``: the search nodes plus the
+    members, counted from the records' shift counts.  OVIC(0, n) is one
+    member with empty entries, work 1; OVIC(k, n) with n < k is empty."""
+    key = ("source", k, n)
+    if key not in emb.enum_cache:
+        ring = emb.ring
+        if k == 0 or n < k:
+            records = []
+            dprimes, counts, work = ([()], [1], 1) if k == 0 else ([], [], 0)
+        else:
+            records, nodes = _splittings(emb, k, n, budget)
+            counts = [rec[3] for rec in records]
+            work = nodes + sum(counts)
+            _check_budget(work, budget, f"OVIC({k}, {n})")
+            dprimes = [rec[0].entries for rec in records]
+        pack = bytes if ring.size <= 256 else partial(array, "H")
+        add = ring.add_table
+        columns = [pack(itertools.chain.from_iterable(
+            pickers[i](add[psi.entries[i]]) for _, _, psi, _, _, pickers in records))
+            for i in range(n * k)]
+        emb.enum_cache[key] = (dprimes, counts, columns), work
+    stratum, work = emb.enum_cache[key]
+    _check_budget(work, budget, f"OVIC({k}, {n})")
+    return stratum, sum(stratum[1])
 
-    def __init__(self, f: OvicMorphism):
-        super().__init__()
-        self.ring, self.f_prime, self.k, self.d = f.ring, f.f_prime.entries, f.n, f.d
 
-    def __missing__(self, v: tuple) -> tuple:
-        out = self[v] = mul_entries(self.ring, v, self.f_prime, 1, self.k, self.d)
-        return out
-
-
-def _composite_column(target: StratumRanks, homs: list, f: OvicMorphism, n: int
-                      ) -> list[int]:
-    """The rank in ``target`` of phi o f for every phi in ``homs`` (OVIC(k,
-    n), k = f.n), in the order of ``homs``.
+def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
+                     ) -> list[int]:
+    """The rank in ``target`` of phi o f for every phi in OVIC(k, n), k =
+    f.n, in the order of ``phis`` (``_source_stratum``).
 
     The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
     record, so it is multiplied out once per record and looked up in
-    ``target.records``.  Row j of phi' f' is (row j of phi') f', so the f'
-    half is assembled from a table of v f' over the rows v of R^k met.  A
-    composite missing from ``target`` is a bug: RuntimeError."""
+    ``target.records``.  Entry (j, c) of phi' f' is the sum over t of
+    phi'[j, t] f'[t, c]: over all members at once, column j k + t of phi'
+    right-multiplied by f'[t, c] (one ``bytes.translate``, or a ``map``
+    over a column of the multiplication table past 256 elements; a zero
+    entry is skipped and a one taken as is), summed through the addition
+    table by ``map``.  Zipping those columns gives each composite's f', and
+    one map over the records' target dicts gives the ranks, so no member
+    is built and the loop over members runs in C.  A composite missing from
+    ``target`` is a bug: RuntimeError."""
     d, k = f.d, f.n
-    ring, f_dprime = f.ring, f.f_dprime.entries
-    records = target.records
-    times_f = _RowProducts(f)
-    flatten = itertools.chain.from_iterable
-    column = []
-    last = None
+    ring = f.ring
+    add, mul, zero, one = ring._add, ring._mul, ring.zero, ring.one
+    f_prime, f_dprime = f.f_prime.entries, f.f_dprime.entries
+    dprimes, counts, columns = phis
+    total = sum(counts)
+
+    def times(column, b):
+        """``column`` right-multiplied by b, element by element."""
+        if b == one:
+            return column
+        image = [row[b] for row in mul]
+        if type(column) is bytes:
+            return column.translate(bytes(image) + bytes(256 - len(image)))
+        return map(image.__getitem__, column)
+
+    entries = []
+    for j in range(n):
+        for c in range(d):
+            terms = [times(columns[j * k + t], f_prime[t * d + c])
+                     for t in range(k) if f_prime[t * d + c] != zero]
+            acc = terms[0] if terms else itertools.repeat(zero, total)
+            for term in terms[1:]:
+                acc = map(getitem, map(add.__getitem__, acc), term)
+            entries.append(acc)
     try:
-        for phi in homs:
-            # the members of a record share one f'' object
-            if phi.f_dprime is not last:
-                last = phi.f_dprime
-                record = records[mul_entries(ring, f_dprime, last.entries, d, k, n)]
-            # the rows of phi' (none for k = 0, where f' and phi' f' are
-            # empty), each times f'
-            rows = zip(*[iter(phi.f_prime.entries)] * k)
-            column.append(record[tuple(flatten(map(times_f.__getitem__, rows)))])
+        targets = [target.records[mul_entries(ring, f_dprime, e, d, k, n)] for e in dprimes]
+        # one target dict per member, then each member's f' in it
+        return list(map(dict.__getitem__,
+                        itertools.chain.from_iterable(map(itertools.repeat, targets, counts)),
+                        zip(*entries) if d else itertools.repeat((), total)))
     except KeyError:
         raise RuntimeError(f"a composite of OVIC({k}, {n}) after OVIC({d}, {k}) "
                            f"is not in OVIC({d}, {n})") from None  # bug guard
-    return column
 
 
 def _stratum_ranks(emb: AWEmbedding, d: int, n: int, budget: int = 10 ** 6
@@ -1121,18 +1170,22 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     OVIC(d, its degree) and its coefficients scaled to ints once
     (``field.integral``).  Each term f of degree k has one composite column
     per n, memoised on ``emb`` under (d, k, n) by the rank of f: the rank of
-    phi o f for every phi in OVIC(k, n), in phi order
-    (``_composite_column``).  Post-composition is injective, so an image has
-    one term per term of g, and its tuple of composite ranks, a row across
-    the columns of g's terms, fixes it: all of g's tuples in degree n go
-    to one ``EchelonBasis.extend`` call with g's ints, which skips a tuple
-    it has already seen.  Every generator must be over ``field`` (by name),
-    else FieldMismatch is raised.
+    phi o f for every phi in OVIC(k, n), built from the records of OVIC(k,
+    n) in their one fixed phi order (``_composite_ranks``); no member of
+    OVIC(k, n) is built.  The fully reduced basis depends only on the span,
+    so that order leaves no trace in it.  Post-composition is injective, so
+    an image has one term per term of g, and its tuple of composite ranks, a
+    row across the columns of g's terms, fixes it: all of g's tuples in
+    degree n go to one ``EchelonBasis.extend`` call with g's ints, which
+    skips a tuple it has already seen.  Every generator must be over
+    ``field`` (by name), else FieldMismatch is raised.
 
-    ``budget`` bounds each stratum's enumeration and the morphisms
-    enumerated in total: the target OVIC(d, n) for every n <= horizon, which
-    is always enumerated, plus OVIC(k, n) once per generator of degree
-    k <= n.  BudgetExceeded is raised past it.
+    ``budget`` bounds each stratum's own work, search nodes plus members
+    as ``enumerate_ovic`` counts it, and the morphisms counted in total: the
+    target OVIC(d, n) for every n <= horizon, which is always enumerated,
+    plus the source OVIC(k, n) once per generator of degree k <= n, which is
+    counted from its records' shift counts and never enumerated.
+    BudgetExceeded is raised past either.
     """
     gens = tuple(gens)
     for g in gens:
@@ -1145,9 +1198,9 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
         raise DegreeMismatch("generators disagree on source rank")
     enumerated = 0
 
-    def count(stratum: list) -> None:
+    def count(members: int) -> None:
         nonlocal enumerated
-        enumerated += len(stratum)
+        enumerated += members
         if enumerated > budget:
             raise BudgetExceeded(f"enumerated {enumerated} morphisms, budget {budget}")
 
@@ -1157,7 +1210,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     ranked = [None] * len(gens)
     for n in range(horizon + 1):
         target = _stratum_ranks(emb, d, n, budget)
-        count(target.members)
+        count(len(target.members))
         for i, g in enumerate(gens):
             if g.degree == n and not g.is_zero:
                 ranks = list(map(target.rank, g.terms))
@@ -1172,14 +1225,14 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                 continue
             source, ranks, coeffs = generator
             k = g.degree
-            homs = enumerate_ovic(emb, k, n, budget=budget)
-            count(homs)
+            phis, members = _source_stratum(emb, k, n, budget)
+            count(members)
             memo = emb.enum_cache.setdefault(("composite-columns", d, k, n), {})
             columns = []
             for r in ranks:
                 column = memo.get(r)
                 if column is None:
-                    column = memo[r] = _composite_column(target, homs, source[r], n)
+                    column = memo[r] = _composite_ranks(target, phis, source[r], n)
                 columns.append(column)
             # each tuple is one image's composite ranks, which fix the image:
             # the coefficients are the generator's
@@ -1199,12 +1252,17 @@ def initial_module_to_degree(state: SubmoduleState, horizon: int) -> dict:
 def membership(state: SubmoduleState, x: ModuleElement) -> tuple[bool, list]:
     """Reduce against the echelon basis at x's degree; the certificate lists
     the (pivot, coefficient) reductions applied.  x must be over the
-    state's field (by name), else FieldMismatch is raised, and its terms
-    over the state's ring (by identity), else InvalidMorphism is raised."""
+    state's field (by name), else FieldMismatch is raised, its terms over
+    the state's ring (by identity), else InvalidMorphism is raised, and of
+    the state's source rank and a degree >= 0, else DegreeMismatch is
+    raised, zero or not."""
     _check_field(x, state.field)
     ring = state.emb.ring
     if any(f.ring is not ring for f in x.terms):
         raise InvalidMorphism("an element term is over another ring than the span's")
+    if x.d != state.d or x.degree < 0:
+        raise DegreeMismatch(f"element of type {x.d}->{x.degree} tested against a span "
+                             f"of source rank {state.d}")
     if x.degree > state.horizon:
         raise HorizonExceeded(f"degree {x.degree} beyond horizon {state.horizon}")
     rem, cert = state.bases[x.degree].reduce(x.terms)

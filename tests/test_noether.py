@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import random
 import sys
+from array import array
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -577,15 +581,22 @@ def test_membership_examples():
     assert not ok
 
 
-def test_membership_of_another_source_rank_is_false():
-    """A term outside the basis's stratum is in no row: it stays in the
-    remainder."""
+def test_membership_of_another_type_is_refused():
+    """An element of another source rank than the span's, or of a negative
+    degree, is no query: DegreeMismatch, zero or not (a zero of degree -2
+    once raised a bare KeyError, and a d = 2 element answered (False, []),
+    or (True, []) when zero).  The basis's own ``reduce`` keeps a term
+    outside its stratum in the remainder."""
     emb = emb_of("F2")
     ident = ModuleElement.monomial(OvicMorphism.identity(emb, 1), F2)
     state = span_to_degree([ident], 2, emb, F2)
     other = ModuleElement.monomial(OvicMorphism.identity(emb, 2), F2)
-    assert membership(state, other) == (False, [])
+    for x in (other, ModuleElement(2, 2, F2, {}), ModuleElement(2, 0, F2, {}),
+              ModuleElement(1, -2, F2, {}), ModuleElement(0, -1, F2, {})):
+        with pytest.raises(DegreeMismatch):
+            membership(state, x)
     assert state.bases[2].reduce(other.terms) == (other.terms, [])
+    assert membership(state, ModuleElement(1, 2, F2, {})) == (True, [])
 
 
 def test_membership_horizon():
@@ -805,20 +816,61 @@ COLUMN_CASES = [
     ("F2", 0, 0, 3),     # k = 0: empty rows
     ("Z4", 0, 2, 3),     # d = 0: empty f'
     ("F2", 1, 4, 3),     # OVIC(4, 3) is empty
+    ("zmod(257)", 1, 2, 2),  # |R| > 256: array columns, not bytes
 ]
+
+
+def _composite_column(target, homs, f, n):
+    """Oracle: the rank in ``target`` of phi o f for every phi in the
+    members ``homs`` of OVIC(k, n), in their order.  One f'' product per run
+    of members sharing an f'', and phi' f' assembled row by row from a table
+    of v f'; a composite missing from ``target`` raises RuntimeError."""
+    d, k = f.d, f.n
+    ring, f_dprime = f.ring, f.f_dprime.entries
+    times_f = functools.cache(lambda v: rings.mul_entries(ring, v, f.f_prime.entries, 1, k, d))
+    column = []
+    last = None
+    try:
+        for phi in homs:
+            if phi.f_dprime is not last:
+                last = phi.f_dprime
+                record = target.records[rings.mul_entries(ring, f_dprime, last.entries, d, k, n)]
+            rows = zip(*[iter(phi.f_prime.entries)] * k)
+            column.append(record[tuple(itertools.chain.from_iterable(map(times_f, rows)))])
+    except KeyError:
+        raise RuntimeError(f"a composite of OVIC({k}, {n}) after OVIC({d}, {k}) "
+                           f"is not in OVIC({d}, {n})") from None
+    return column
 
 
 @pytest.mark.parametrize("ring,d,k,n", COLUMN_CASES)
 def test_composite_column_matches_compose_vic(ring, d, k, n):
-    """For seeded sources f, entry i of f's composite column is the rank of
-    ``compose_vic(homs[i], f)`` in OVIC(d, n)."""
-    emb = emb_of(ring)
+    """For seeded sources f, the column built from the records of OVIC(k,
+    n) holds, as a multiset, the rank of ``compose_vic(phi, f)`` in OVIC(d,
+    n) for every phi in ``enumerate_ovic(emb, k, n)``, as does the oracle
+    over the members.  The columns of all sources share one phi order: their
+    rows are the oracle's image tuples, as a multiset.  The source keeps
+    one entry column of phi' per position, as bytes up to 256 ring elements
+    and as 16-bit arrays past that."""
+    emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
     view = noether._stratum_ranks(emb, d, n)
     homs = enumerate_ovic(emb, k, n)
-    for f in random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources))):
-        column = noether._composite_column(view, homs, f, n)
-        assert column == [view.rank(compose_vic(phi, f)) for phi in homs]
+    phis, members = noether._source_stratum(emb, k, n, 10 ** 6)
+    dprimes, counts, entry_columns = phis
+    assert members == sum(counts) == len(homs) and len(dprimes) == len(counts)
+    packed = bytes if emb.ring.size <= 256 else array
+    assert [(type(c), len(c)) for c in entry_columns] == [(packed, members)] * (n * k)
+    picked = random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources)))
+    columns, oracles = [], []
+    for f in picked:
+        oracle = _composite_column(view, homs, f, n)
+        assert oracle == [view.rank(compose_vic(phi, f)) for phi in homs]
+        column = noether._composite_ranks(view, phis, f, n)
+        assert Counter(column) == Counter(oracle)
+        columns.append(column)
+        oracles.append(oracle)
+    assert Counter(zip(*columns)) == Counter(zip(*oracles))
 
 
 def test_composite_column_missing_from_the_target_is_a_bug():
@@ -827,23 +879,22 @@ def test_composite_column_missing_from_the_target_is_a_bug():
     (d, k, n)."""
     emb = emb_of("F2")
     f = enumerate_ovic(emb, 1, 2)[1]
-    homs = enumerate_ovic(emb, 2, 3)
+    phis, _ = noether._source_stratum(emb, 2, 3, 10 ** 6)
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_column(noether._stratum_ranks(emb, 1, 2), homs, f, 3)
+        noether._composite_ranks(noether._stratum_ranks(emb, 1, 2), phis, f, 3)
     short = noether.StratumRanks(enumerate_ovic(emb, 1, 3)[:1])
     with pytest.raises(RuntimeError, match=r"not in OVIC\(1, 3\)"):
-        noether._composite_column(short, homs, f, 3)
+        noether._composite_ranks(short, phis, f, 3)
 
 
 def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
-    """On a fresh embedding, a span composes no (phi, term) pair: it makes
-    at most one f'' product per record of OVIC(k, n) and one row product
-    per row vector of R^k, per source term, far fewer than the pairs."""
-    emb = build_aw_embedding(zmod(4))  # fresh: no column memoised yet
+    """On a fresh embedding, a span composes no (phi, term) pair and builds
+    no source stratum: it makes at most one f'' product per record of
+    OVIC(k, n) per source term, far fewer than the pairs, and reads phi'
+    off the records, so no OVIC(k, n) with k != d is enumerated."""
+    emb = build_aw_embedding(zmod(4))  # fresh: nothing enumerated or memoised yet
     horizon, field = 3, PrimeField(5)
     gens = _span_case_generators(emb, field, horizon, (2,), 3, 0, 1)
-    for n in range(2, horizon + 1):
-        enumerate_ovic(emb, 2, n)
     calls = []
     real = noether.mul_entries
 
@@ -857,20 +908,41 @@ def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
     monkeypatch.setattr(noether, "mul_entries", counting)
     monkeypatch.setattr(noether, "compose_vic", forbidden)
     span_to_degree(gens, horizon, emb, field, d=1)
+    assert not [key for key in emb.enum_cache if key[0] == "ovic" and key[1] != 1]
     (g,) = gens
     terms = len(g.terms)
     assert terms == 3
-    records = sum(len({phi.f_dprime.entries for phi in enumerate_ovic(emb, 2, n)})
+    records = sum(len(noether._splittings(emb, 2, n, 10 ** 6)[0])
                   for n in range(2, horizon + 1))
     pairs = sum(len(enumerate_ovic(emb, 2, n)) for n in range(2, horizon + 1))
-    rows_per_column = len(emb.ring.elements()) ** 2  # |R|^k
-    # f'' products are 1 x n (n >= 2), row products v f' are 1 x 1
-    products = [c for c in calls if c > 1]
-    row_products = [c for c in calls if c == 1]
-    assert 0 < len(products) <= terms * records
-    # one column per term and per n = 2..horizon
-    assert 0 < len(row_products) <= terms * (horizon - 1) * rows_per_column
+    # every product is an f'' product, 1 x n (n >= 2)
+    assert all(c > 1 for c in calls)
+    assert 0 < len(calls) <= terms * records
     assert len(calls) < terms * pairs / 4
+
+
+def test_span_budget_verdicts_are_unchanged():
+    """The smallest budget a span passes, and the verdict one below it,
+    whether the morphisms counted in total or a source stratum's own work
+    (search nodes plus members, OVIC(1, 3) here) is the first past it."""
+    cases = [
+        # F2, d = 1, a monomial of degree 2, horizon 3: the count fires
+        (1, lambda emb: enumerate_ovic(emb, 1, 2)[1], 64,
+         "enumerated 64 morphisms, budget 63"),
+        # F2, d = 0, the member of OVIC(0, 1), horizon 3: the targets hold
+        # one member each, so the source OVIC(1, 3) fires first
+        (0, lambda emb: enumerate_ovic(emb, 0, 1)[0], 42,
+         "OVIC(1, 3) needs more than 41 search nodes and morphisms"),
+    ]
+    for d, member, smallest, verdict in cases:
+        emb = build_aw_embedding(zmod(2))  # fresh: nothing cached yet
+        gen = ModuleElement.monomial(member(emb), F2)
+        # the same verdicts on the fresh embedding and once it is warm
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded) as caught:
+                span_to_degree([gen], 3, emb, F2, d=d, budget=smallest - 1)
+            assert str(caught.value) == verdict
+            span_to_degree([gen], 3, emb, F2, d=d, budget=smallest)
 
 
 def _ranked_ints(ranks, field, terms):
@@ -1183,6 +1255,23 @@ def test_initial_module_is_an_upper_set(ring, gens, horizon, moves):
     successor = insert_successor(f, valid_moves(f)[0])
     leads[horizon].discard(successor)
     assert _upper_set_misses(leads)[1]
+
+
+@pytest.mark.parametrize("gens,dims", [
+    ("gens_f2_0", [0, 0, 1, 17, 95, 439, 1887]),
+    ("gens_f2_1", [0, 0, 1, 16, 99, 458, 1945]),
+    ("gens_f2_2", [0, 0, 1, 20, 112, 487, 2006]),
+])
+def test_span_at_horizon_6(gens, dims):
+    """Scale witness: a degree-2 generator set over F2 acts through OVIC(2,
+    6) (the source stratum read off its records, never enumerated) into
+    OVIC(1, 6), and spans these dimensions."""
+    emb = build_aw_embedding(load_ring(CLI_DATA / "f2.json"))
+    state = span_to_degree(load_generators(CLI_DATA / f"{gens}.json", emb, F2, d=1),
+                           6, emb, F2, d=1)
+    assert list(state.dims().values()) == dims
+    assert ("ovic", 2, 6) not in emb.enum_cache
+
 
 def test_endo_generation_f2():
     emb = emb_of("F2")

@@ -16,11 +16,11 @@ use and caches it on the embedding beside the stratum.  ``span_to_degree``
 turns each generator into ranks, and its coefficients into ints, once.  Per
 source term f of OVIC(d, k) it keeps one composite column on the embedding:
 the rank of phi o f for every phi in OVIC(k, n), in one fixed phi order per
-(k, n).  A source stratum OVIC(k, n) is never enumerated: its records
-(``_splittings``) give each record's f'' and, through their pickers, the
-entry columns of phi' over all members, kept compactly on the embedding
-(``_source_stratum``).  A column takes one f'' product per record and builds
-phi' f' for every member at once with C-level maps (``_composite_ranks``).
+(k, n).  A source stratum OVIC(k, n) is never enumerated: its packed store
+(``_splittings``), the one both builds read too, gives each record's f''
+and the entry columns of phi' over all members (``_source_stratum``).  A
+column takes one f'' product per record and builds phi' f' for every member
+at once with C-level maps (``_composite_ranks``).
 The columns' rows are the images' rank tuples; the engine hands all of a
 generator's tuples in one degree, with its coefficients, to one
 ``EchelonBasis.extend`` call, which skips a tuple it has already seen and
@@ -298,10 +298,10 @@ def parse_field(spec: str):
 # the closure of transvections and diagonal units, each element found with
 # its inverse.  Members are assembled from entry tuples checked once per f''
 # and emitted in order, a record (one f'') or group (one f'' and g) at a
-# time: the entries and free rows of its members are read a position at a
-# time through ``itemgetter`` tables, and one batch constructor call per
-# class builds its matrices and morphisms.  Results are cached in
-# ``emb.enum_cache``.
+# time, off one packed store per stratum (``_splittings``): a record's f'
+# are a slice of its entry columns, a group's that slice moved by one table
+# per entry.  One batch constructor call per class builds the matrices and
+# morphisms.  Results are cached in ``emb.enum_cache``.
 #
 # A stratum build allocates tens of thousands of members, and each burst of
 # allocations would make CPython's cyclic collector walk them and every
@@ -527,30 +527,32 @@ def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
     return out
 
 
-def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
-    """Per column-adapted f'' of the stratum d -> n: (f'', s_sets, canonical
-    splitting psi, |ker(f'')^d|, order-key prefix, pickers), plus the search
-    nodes it took; cached on ``emb``.  The splittings of f'' are psi + K for
-    K in ker(f'')^d.  Phi is injective, so the prefixes (n, s_sets, Phi(f'')
-    columns) are distinct; the records come sorted by them.  The nodes plus
-    the splittings so far bound the work of either stratum from below, so
-    BudgetExceeded is raised as soon as they pass ``budget``.  Each record
-    passes ``_check_group`` as it is made, so both builds take its members'
-    parts as they are.
-
-    The shifts K are kept a position at a time: picker i takes a row of the
-    addition table (x + . for an entry x of the base) to the tuple of its
-    entries at position i of every K, in one fixed order of the K.  So a
-    build turns a base into the entry tuples of all its splittings with
-    n d getter calls and one ``zip``, and no loop over the members."""
+def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
+                ) -> tuple[list, list, int]:
+    """The stratum d -> n as one packed store, plus the search nodes it
+    took; cached on ``emb``.  Per column-adapted f'' a record (f'', s_sets,
+    canonical splitting psi, |ker(f'')^d|, order-key prefix, offset), and
+    the n d entry columns (``_packing``) of f' = psi + K for K in
+    ker(f'')^d: record after record, each in kernel order, so a record's
+    members are the slices [offset, offset + count).  Phi is injective, so
+    the prefixes (n, s_sets, Phi(f'') columns) are distinct; the records
+    come in their order.  The nodes plus the splittings so far bound the
+    work of either stratum from below, so BudgetExceeded is raised as soon
+    as they pass ``budget``.  Each record passes ``_check_group`` as it is
+    made, so both builds take its members' parts as they are."""
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
+        pack, table, through = _packing(ring)
+        plus = cache(lambda a: table(ring.add_table[a]))
         found, nodes = _column_adapted_dprimes(emb, d, n, budget)
-        records = []
+        # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
+        found.sort(key=itemgetter(1, 2))
+        records, parts = [], [[] for _ in range(n * d)]
         work = nodes
         for f_dprime, s_sets, cols in found:
             kernel = _kernel(f_dprime)
+            offset = work - nodes  # the members so far
             work += len(kernel) ** d
             _check_budget(work, budget, f"OVIC({d}, {n})")
             # every K in ker(f'')^d, as n x d row-major entries; for d = 1
@@ -560,20 +562,23 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
                 for combo in itertools.product(kernel, repeat=d)]
             psi = canonical_splitting(s_sets, emb, m=n, n=d)
             _check_group(ring, d, n, f_dprime, psi.entries, shifts)
-            records.append((f_dprime, s_sets, psi, len(shifts), (n, s_sets, cols),
-                            [_picker(col) for col in zip(*shifts)]))
-        records.sort(key=itemgetter(4))
-        emb.enum_cache[key] = (records, nodes)
+            records.append((f_dprime, s_sets, psi, len(shifts), (n, s_sets, cols), offset))
+            for part, col, a in zip(parts, zip(*shifts), psi.entries):
+                part.append(through(pack(col), plus(a)))
+        columns = [pack(b"".join(part)) for part in parts]
+        emb.enum_cache[key] = (records, columns, nodes)
     return emb.enum_cache[key]
 
 
-def _picker(indices: tuple):
-    """seq -> the tuple of its items at ``indices``: ``itemgetter``, which
-    gives a bare item for one index."""
-    if len(indices) == 1:
-        i, = indices
-        return lambda seq: (seq[i],)
-    return itemgetter(*indices)
+def _packing(ring) -> tuple:
+    """(pack, table, through) for columns of ``ring``'s elements: bytes and
+    ``bytes.translate`` when |R| <= 256, ``array('H')`` otherwise
+    (``rings.SIZE_CAP`` is 2^16).  ``pack`` packs ints, or reads the raw
+    bytes of columns back; ``through(column, table(row))`` replaces each
+    entry x by row[x]."""
+    if ring.size <= 256:
+        return bytes, lambda row: bytes(row).ljust(256, b"\0"), bytes.translate
+    return partial(array, "H"), tuple, lambda col, t: array("H", map(t.__getitem__, col))
 
 
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
@@ -654,11 +659,10 @@ def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
                              check=False)], 1
     if n < d:
         return [], 0
-    records, nodes = _splittings(emb, d, n, budget)
+    records, columns, nodes = _splittings(emb, d, n, budget)
     work = nodes + sum(rec[3] for rec in records)
     _check_budget(work, budget, f"OVIC({d}, {n})")
     mu = emb.mu_total
-    add = ring.add_table
     phis = [emb.phi(x) for x in ring.elements()]
     # per row p of Phi: row p of Phi applied along a row of f', indexed by
     # its element for d = 1 and keyed by the row for d > 1
@@ -669,16 +673,16 @@ def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, in
                      for v in itertools.product(ring.elements(), repeat=d)}
                     for p in range(mu)]
     out = []
-    for f_dprime, s_sets, psi, count, prefix, pickers in records:
+    for f_dprime, s_sets, _, count, prefix, offset in records:
         # entry i of f' over the members of the record, then row i of f'
-        cols = [pick(add[a]) for pick, a in zip(pickers, psi.entries)]
+        cols = [column[offset:offset + count] for column in columns]
         f_rows = cols if d == 1 else [list(zip(*cols[i:i + d])) for i in range(0, n * d, d)]
         # standard row s of Phi(f') is row (s-1) % mu of Phi along row
         # (s-1) // mu of f', so a free row over the members is one lookup
         # per member in one table; n = d leaves no free row, and a single
         # member per record
         free, _ = split_rows(emb, n, s_sets)
-        frees = zip(*[_picker(f_rows[(s - 1) // mu])(phi_rows[(s - 1) % mu])
+        frees = zip(*[map(phi_rows[(s - 1) % mu].__getitem__, f_rows[(s - 1) // mu])
                       for s in free]) if free else [()] * count
         # the records come in prefix order, so sorting each by its free rows
         # sorts the stratum; no two members of a record share free rows
@@ -754,7 +758,7 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
 
 def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphism]:
     ring = emb.ring
-    records, nodes = _splittings(emb, d, n, budget)
+    records, columns, nodes = _splittings(emb, d, n, budget)
     # the closure's products, then per g in GL_d one pair and its splittings
     order = _gl_order(emb, d)
     work = nodes + order * (len(_gl_generators(ring, d)) + 1
@@ -765,24 +769,32 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
     gl_parts = [([g[i:i + d] for i in range(0, d * d, d)], [g_inv[j::d] for j in range(d)])
                 for g, g_inv in gl]
     flatten = itertools.chain.from_iterable
+    add = ring.add_table
+    _, table, through = _packing(ring)
+    plus = cache(lambda a: table(add[a]))
+    # per a, the tables of x -> x + b - a by b: row -a of the addition table
+    moves_from = cache(lambda a: list(map(plus, add[ring.neg(a)])))
     groups = []
-    for f2, _, psi, _, _, pickers in records:
+    for f2, _, psi, count, _, offset in records:
+        # psi + K over the record's members, and per entry the tables that
+        # move it to psi g^-1 + K, by the entry of psi g^-1
+        cols = [column[offset:offset + count] for column in columns]
+        moves = list(map(moves_from, psi.entries))
         # row i of g f2'' is (row i of g) f2'', column j of psi g^-1 is
         # psi (column j of g^-1): one product per distinct row and column
         times_f2 = cache(lambda v: mul_entries(ring, v, f2.entries, 1, d, n))
         psi_times = cache(lambda v: mul_entries(ring, psi.entries, v, n, d, 1))
         for g_rows, inv_cols in gl_parts:
             f_dprime = tuple(flatten(map(times_f2, g_rows)))
-            base = tuple(flatten(zip(*map(psi_times, inv_cols))))
-            groups.append((f_dprime, base, pickers))
+            base = flatten(zip(*map(psi_times, inv_cols)))
+            groups.append((f_dprime, list(map(getitem, moves, base)), cols))
     # each f'' comes from one (f2'', g), so sorting the groups by f'' and
     # each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
-    add = ring.add_table
     out = []
-    for f_dprime, (_, base, pickers) in zip(
+    for f_dprime, (_, moves, cols) in zip(
             RMatrix._batch(ring, d, n, map(itemgetter(0), groups)), groups):
-        f_primes = sorted(zip(*[pick(add[a]) for pick, a in zip(pickers, base)]))
+        f_primes = sorted(zip(*map(through, cols, moves)))
         out += VicMorphism._batch(RMatrix._batch(ring, n, d, f_primes), f_dprime)
     return out
 
@@ -911,39 +923,24 @@ def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
                     ) -> tuple[tuple, int]:
     """OVIC(k, n) as the span reads a source stratum, with no member built:
     (the f''.entries of each record, each record's member count, the n k
-    entry columns of phi'), plus the number of members.  The records come
-    in prefix order and each record's members in kernel order, so the
-    columns fix one phi order per (k, n).  Column i holds entry i of phi'
-    for every member, record after record, as bytes when |R| <= 256 and as
-    ``array('H')`` otherwise (``rings.SIZE_CAP`` is 2^16).
+    entry columns of phi'), plus the number of members.  The columns are
+    the ``_splittings`` store itself, so they fix one phi order per (k, n):
+    records in prefix order, each record's members in kernel order.
 
-    The columns are read off the ``_splittings`` pickers, one call per
-    record and position, on first use, and cached on ``emb``; ``_splittings``
-    and ``enumerate_ovic`` never build them.  The budget verdict is the
-    stratum's own, as in ``enumerate_ovic``: the search nodes plus the
-    members, counted from the records' shift counts.  OVIC(0, n) is one
-    member with empty entries, work 1; OVIC(k, n) with n < k is empty."""
-    key = ("source", k, n)
-    if key not in emb.enum_cache:
-        ring = emb.ring
-        if k == 0 or n < k:
-            records = []
-            dprimes, counts, work = ([()], [1], 1) if k == 0 else ([], [], 0)
-        else:
-            records, nodes = _splittings(emb, k, n, budget)
-            counts = [rec[3] for rec in records]
-            work = nodes + sum(counts)
-            _check_budget(work, budget, f"OVIC({k}, {n})")
-            dprimes = [rec[0].entries for rec in records]
-        pack = bytes if ring.size <= 256 else partial(array, "H")
-        add = ring.add_table
-        columns = [pack(itertools.chain.from_iterable(
-            pickers[i](add[psi.entries[i]]) for _, _, psi, _, _, pickers in records))
-            for i in range(n * k)]
-        emb.enum_cache[key] = (dprimes, counts, columns), work
-    stratum, work = emb.enum_cache[key]
-    _check_budget(work, budget, f"OVIC({k}, {n})")
-    return stratum, sum(stratum[1])
+    The budget verdict is the stratum's own, as in ``enumerate_ovic``: the
+    search nodes plus the members, counted from the records' shift counts.
+    OVIC(0, n) is one member with empty entries, work 1; OVIC(k, n) with
+    n < k is empty."""
+    if k == 0:
+        stratum, nodes = ([()], [1], []), 0
+    elif n < k:
+        stratum, nodes = ([], [], [_packing(emb.ring)[0](())] * (n * k)), 0
+    else:
+        records, columns, nodes = _splittings(emb, k, n, budget)
+        stratum = [rec[0].entries for rec in records], [rec[3] for rec in records], columns
+    members = sum(stratum[1])
+    _check_budget(nodes + members, budget, f"OVIC({k}, {n})")
+    return stratum, members
 
 
 def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
@@ -955,28 +952,24 @@ def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
     record, so it is multiplied out once per record and looked up in
     ``target.records``.  Entry (j, c) of phi' f' is the sum over t of
     phi'[j, t] f'[t, c]: over all members at once, column j k + t of phi'
-    right-multiplied by f'[t, c] (one ``bytes.translate``, or a ``map``
-    over a column of the multiplication table past 256 elements; a zero
-    entry is skipped and a one taken as is), summed through the addition
-    table by ``map``.  Zipping those columns gives each composite's f', and
-    one map over the records' target dicts gives the ranks, so no member
-    is built and the loop over members runs in C.  A composite missing from
-    ``target`` is a bug: RuntimeError."""
+    right-multiplied by f'[t, c] (one pass through a column of the
+    multiplication table, ``_packing``; a zero entry is skipped and a one
+    taken as is), summed through the addition table by ``map``.  Zipping
+    those columns gives each composite's f', and one map over the records'
+    target dicts gives the ranks, so no member is built and the loop over
+    members runs in C.  A composite missing from ``target`` is a bug:
+    RuntimeError."""
     d, k = f.d, f.n
     ring = f.ring
     add, mul, zero, one = ring._add, ring._mul, ring.zero, ring.one
     f_prime, f_dprime = f.f_prime.entries, f.f_dprime.entries
     dprimes, counts, columns = phis
     total = sum(counts)
+    _, table, through = _packing(ring)
 
     def times(column, b):
         """``column`` right-multiplied by b, element by element."""
-        if b == one:
-            return column
-        image = [row[b] for row in mul]
-        if type(column) is bytes:
-            return column.translate(bytes(image) + bytes(256 - len(image)))
-        return map(image.__getitem__, column)
+        return column if b == one else through(column, table([row[b] for row in mul]))
 
     entries = []
     for j in range(n):
@@ -1170,9 +1163,9 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     OVIC(d, its degree) and its coefficients scaled to ints once
     (``field.integral``).  Each term f of degree k has one composite column
     per n, memoised on ``emb`` under (d, k, n) by the rank of f: the rank of
-    phi o f for every phi in OVIC(k, n), built from the records of OVIC(k,
-    n) in their one fixed phi order (``_composite_ranks``); no member of
-    OVIC(k, n) is built.  The fully reduced basis depends only on the span,
+    phi o f for every phi in OVIC(k, n), built from the packed store of
+    OVIC(k, n) in its one fixed phi order (``_composite_ranks``); no member
+    of OVIC(k, n) is built.  The fully reduced basis depends only on the span,
     so that order leaves no trace in it.  Post-composition is injective, so
     an image has one term per term of g, and its tuple of composite ranks, a
     row across the columns of g's terms, fixes it: all of g's tuples in

@@ -817,6 +817,12 @@ COLUMN_CASES = [
     ("Z4", 0, 2, 3),     # d = 0: empty f'
     ("F2", 1, 4, 3),     # OVIC(4, 3) is empty
     ("zmod(257)", 1, 2, 2),  # |R| > 256: array columns, not bytes
+    # more source strata: F2 2 -> 3, T2F2 1 -> 3, M2F2 1 -> 2 (mu = 2) and
+    # zmod(257) 1 -> 2, 258 records of 257 members
+    ("F2", 1, 2, 3),
+    ("T2F2", 1, 1, 3),
+    ("M2F2", 1, 1, 2),
+    ("zmod(257)", 1, 1, 2),
 ]
 
 
@@ -849,9 +855,13 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     n) holds, as a multiset, the rank of ``compose_vic(phi, f)`` in OVIC(d,
     n) for every phi in ``enumerate_ovic(emb, k, n)``, as does the oracle
     over the members.  The columns of all sources share one phi order: their
-    rows are the oracle's image tuples, as a multiset.  The source keeps
-    one entry column of phi' per position, as bytes up to 256 ring elements
-    and as 16-bit arrays past that."""
+    rows are the oracle's image tuples, as a multiset.
+
+    The source is the stratum's one packed store: its entry columns are the
+    ``_splittings`` columns themselves, one per position of phi', as bytes
+    up to 256 ring elements and as 16-bit arrays past that, and no copy is
+    cached.  Each record's slice of them, at its offset, is psi + K for K
+    running over ker(f'')^k in product order."""
     emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
     view = noether._stratum_ranks(emb, d, n)
@@ -861,6 +871,19 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     assert members == sum(counts) == len(homs) and len(dprimes) == len(counts)
     packed = bytes if emb.ring.size <= 256 else array
     assert [(type(c), len(c)) for c in entry_columns] == [(packed, members)] * (n * k)
+    assert not [key for key in emb.enum_cache if key[0] == "source"]
+    if 0 < k <= n:
+        records, store, _ = noether._splittings(emb, k, n, 10 ** 6)
+        assert entry_columns is store
+        assert [rec[5] for rec in records] == list(itertools.accumulate([0] + counts[:-1]))
+        add = emb.ring.add_table
+        for f_dprime, _, psi, count, _, offset in records:
+            shifts = list(itertools.product(noether._kernel(f_dprime), repeat=k))
+            assert count == len(shifts)
+            for i, column in enumerate(store):
+                row, col = divmod(i, k)
+                assert list(column[offset:offset + count]) == [
+                    add[psi.entries[i]][K[col][row]] for K in shifts]
     picked = random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources)))
     columns, oracles = [], []
     for f in picked:

@@ -21,15 +21,19 @@ the rank of phi o f for every phi in OVIC(k, n), in one fixed phi order per
 and the entry columns of phi' over all members (``_source_stratum``).  A
 column takes one f'' product per record and builds phi' f' for every member
 at once with C-level maps (``_composite_ranks``).
-The columns' rows are the images' rank tuples; the engine hands all of a
-generator's tuples in one degree, with its coefficients, to one
-``EchelonBasis.extend`` call, which skips a tuple it has already seen and
-reduces the others straight into the basis.  The basis keeps rows, column
+A row across a generator's columns is an image's ranks; the engine hands
+all of a generator's columns in one degree, with its coefficients, to one
+``extend`` call of the degree's echelon basis, which reduces each image
+straight into the basis.  Over F_p and Q that basis is ``EchelonBasis``:
+it skips an image it has already seen in the call and keeps rows, column
 index and pivots as ints, with coefficients as ints too: residues with
 pivot entry 1 over F_p, primitive integer vectors with a positive pivot
 entry over Q.  The field classes supply the row operations on them, so
-inserting builds no Fraction; morphisms and field elements come back only
-at the basis's public methods.
+inserting builds no Fraction.  Over F2 every stored coefficient is 1, so
+``F2EchelonBasis`` keeps each row as an int bitset of ranks and reduces
+every image by XOR in one C-level chain, and Python runs only for an image
+that adds a row.  Morphisms and field elements come back only at the
+bases' public methods.
 The target strata OVIC(d, n) are always enumerated; they, and the source
 strata counted from their records, count against the span's budget.
 
@@ -55,7 +59,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cache, partial
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, xor
 from typing import Optional, Sequence
 
 from .errors import (
@@ -543,8 +547,8 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
-        pack, table, through = _packing(ring)
-        plus = cache(lambda a: table(ring.add_table[a]))
+        pack, _, through = _packing(ring)
+        plus = _translations(emb)
         found, nodes = _column_adapted_dprimes(emb, d, n, budget)
         # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
         found.sort(key=itemgetter(1, 2))
@@ -564,8 +568,12 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
             _check_group(ring, d, n, f_dprime, psi.entries, shifts)
             records.append((f_dprime, s_sets, psi, len(shifts), (n, s_sets, cols), offset))
             for part, col, a in zip(parts, zip(*shifts), psi.entries):
-                part.append(through(pack(col), plus(a)))
-        columns = [pack(b"".join(part)) for part in parts]
+                part.append(through(pack(col), plus[a]))
+        # join and drop one position's parts at a time, so the build peaks
+        # near one store, not two
+        columns = []
+        while parts:
+            columns.append(pack(b"".join(parts.pop(0))))
         emb.enum_cache[key] = (records, columns, nodes)
     return emb.enum_cache[key]
 
@@ -579,6 +587,16 @@ def _packing(ring) -> tuple:
     if ring.size <= 256:
         return bytes, lambda row: bytes(row).ljust(256, b"\0"), bytes.translate
     return partial(array, "H"), tuple, lambda col, t: array("H", map(t.__getitem__, col))
+
+
+def _translations(emb: AWEmbedding) -> list:
+    """Per element b of the ring, the table (``_packing``) of x -> x + b;
+    built once per embedding and cached on it."""
+    key = ("translations",)
+    if key not in emb.enum_cache:
+        table = _packing(emb.ring)[1]
+        emb.enum_cache[key] = list(map(table, emb.ring.add_table))
+    return emb.enum_cache[key]
 
 
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
@@ -770,10 +788,10 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
                 for g, g_inv in gl]
     flatten = itertools.chain.from_iterable
     add = ring.add_table
-    _, table, through = _packing(ring)
-    plus = cache(lambda a: table(add[a]))
+    through = _packing(ring)[2]
+    plus = _translations(emb)
     # per a, the tables of x -> x + b - a by b: row -a of the addition table
-    moves_from = cache(lambda a: list(map(plus, add[ring.neg(a)])))
+    moves_from = cache(lambda a: list(map(plus.__getitem__, add[ring.neg(a)])))
     groups = []
     for f2, _, psi, count, _, offset in records:
         # psi + K over the record's members, and per entry the tables that
@@ -1016,14 +1034,16 @@ class EchelonBasis:
     tails: it maps each rank to the pivots whose row holds it off the pivot,
     so adjoining a pivot clears it from exactly the rows listed under it.
 
-    ``extend`` is the one insertion kernel: it takes tuples of ranks and
-    one list of ints (``field.integral`` of the coefficients; over Q any
-    nonzero multiple of a vector spans the same line), inserts one vector
-    per tuple, and does all its work through the field's row operations
-    (``clear``, ``normalise``), so no Fraction is built there.  ``insert``
-    is ``extend`` with a single rank-keyed vector.  ``leading``,
-    ``reduce`` and ``canonical_rows`` speak in members and field elements;
-    ``field.entry`` reads a stored entry back.
+    ``extend`` is the one insertion kernel: it takes one column of ranks per
+    term and one list of ints (``field.integral`` of the coefficients; over
+    Q any nonzero multiple of a vector spans the same line), inserts one
+    vector per row across the columns, and does all its work through the
+    field's row operations (``clear``, ``normalise``), so no Fraction is
+    built there.  ``insert`` is ``extend`` with a single rank-keyed vector.
+    ``leading``, ``reduce`` and ``canonical_rows`` speak in members and
+    field elements; ``field.entry`` reads a stored entry back.  Over F2 the
+    span engine uses ``F2EchelonBasis`` instead, and this class is its
+    oracle in the tests.
     """
 
     def __init__(self, field, ranks: StratumRanks):
@@ -1040,16 +1060,11 @@ class EchelonBasis:
         members = self.ranks.members
         return tuple(members[r] for r in sorted(self.rows))
 
-    def reduce(self, terms: dict) -> tuple[dict, list]:
-        """Remainder of the member-keyed ``terms`` against the basis plus the
-        certificate [(pivot, coefficient), ...] that was subtracted, pivots
-        descending.  Rows are fully reduced, so subtracting one never touches
-        another pivot: the certificate holds the query's own coefficient at
-        each pivot.  A term with no rank in the stratum (another ring or type
-        included, see ``StratumRanks.rank``) is in no row, so it stays in
-        the remainder."""
-        field, rows = self.field, self.rows
-        rank, members = self.ranks.rank, self.ranks.members
+    def _ranked(self, terms: dict) -> tuple[dict, dict]:
+        """The nonzero member-keyed ``terms`` split into those with a rank,
+        rank-keyed, and those with none (another ring or type included, see
+        ``StratumRanks.rank``), member-keyed."""
+        rank = self.ranks.rank
         vec, rem = {}, {}
         for f, c in terms.items():
             if c:
@@ -1058,6 +1073,17 @@ class EchelonBasis:
                     rem[f] = c
                 else:
                     vec[r] = c
+        return vec, rem
+
+    def reduce(self, terms: dict) -> tuple[dict, list]:
+        """Remainder of the member-keyed ``terms`` against the basis plus the
+        certificate [(pivot, coefficient), ...] that was subtracted, pivots
+        descending.  Rows are fully reduced, so subtracting one never touches
+        another pivot: the certificate holds the query's own coefficient at
+        each pivot.  A term with no rank in the stratum is in no row, so it
+        stays in the remainder."""
+        field, rows, members = self.field, self.rows, self.ranks.members
+        vec, rem = self._ranked(terms)
         cert = []
         for m in sorted(vec.keys() & rows.keys(), reverse=True):
             c = vec[m]
@@ -1074,21 +1100,23 @@ class EchelonBasis:
         return rem, cert
 
     def insert(self, terms: dict) -> bool:
-        """Adjoin the rank-keyed ints ``terms`` (``extend`` with one key)."""
+        """Adjoin the rank-keyed ints ``terms`` (``extend`` with one row of
+        one-rank columns)."""
         v = {r: c for r, c in terms.items() if c}
-        return self.extend([tuple(v)], tuple(v.values())) == 1
+        return self.extend([(r,) for r in v], list(v.values())) == 1
 
-    def extend(self, keys, coeffs: Sequence[int]) -> int:
-        """Insert sum_i coeffs[i] e_key[i] for each tuple of distinct ranks
-        ``key`` in ``keys``, skipping a key seen before in this call, and
-        return how many rows were adjoined.  Each vector is reduced against
-        the basis; a surviving remainder is adjoined and its pivot cleared
-        from the rows that hold it."""
+    def extend(self, columns: Sequence[Sequence[int]], coeffs: Sequence[int]) -> int:
+        """Insert sum_i coeffs[i] e_columns[i][j] for each row j across the
+        equally long ``columns`` of ranks, the ranks of a row distinct,
+        skipping a row seen before in this call, and return how many rows
+        were adjoined.  Each vector is reduced against the basis; a
+        surviving remainder is adjoined and its pivot cleared from the rows
+        that hold it."""
         rows, cols = self.rows, self.cols
         clear, normalise = self.field.clear, self.field.normalise
         cols_get = cols.get
         adjoined = 0
-        for key in dict.fromkeys(keys):
+        for key in dict.fromkeys(zip(*columns)):
             v = dict(zip(key, coeffs))
             # rows are fully reduced, so clearing one pivot brings in no other
             for m in key:
@@ -1130,6 +1158,86 @@ class EchelonBasis:
                 for lead, row in self.rows.items()}
 
 
+def _bits(x: int):
+    """The positions of the set bits of ``x`` >= 0, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+class F2EchelonBasis(EchelonBasis):
+    """The fully reduced echelon basis over F2, rows as int bitsets.
+
+    Over F2 every stored coefficient is 1, so a row is its set of ranks and
+    subtracting a row is XOR, which Python runs in C on ints.  ``rows`` maps
+    a pivot to its row's bitset, ``cols`` a rank to the bitset of the
+    pivots whose row holds it off the pivot, and ``red`` lists, per rank r
+    of the stratum, e_r reduced against the basis: 1 << r when r is no
+    pivot, the row's tail when it is.  An image is then the XOR of ``red``
+    over its ranks, so ``extend`` reduces every image in one lazy C chain
+    of ``map`` and ``filter`` and runs Python only for an image that
+    survives, a row it adjoins.  ``map`` reads ``red`` as it consumes an
+    image, so each image meets the basis as it stands then, as in the dict
+    kernel, and an image repeated in one call reduces to 0.  For a stratum
+    of N ranks ``red`` holds about N^2 / 15 bytes (4.4 MiB at N = 8128, F2
+    OVIC(1, 7)), and D rows about D N / 15.  Coefficients are ignored: over
+    F2 every nonzero one is 1."""
+
+    def __init__(self, field, ranks: StratumRanks):
+        super().__init__(field, ranks)
+        self.red = [1 << r for r in range(len(ranks.members))]
+
+    def reduce(self, terms: dict) -> tuple[dict, list]:
+        """As ``EchelonBasis.reduce``: the certificate is the query's own
+        coefficient at each pivot it holds, descending, and the remainder
+        is the query XOR those rows."""
+        rows, members = self.rows, self.ranks.members
+        vec, rem = self._ranked(terms)
+        pivots = sorted(vec.keys() & rows.keys(), reverse=True)
+        v = sum(1 << r for r in vec)
+        for m in pivots:
+            v ^= rows[m]
+        rem.update((members[r], self.field.one) for r in _bits(v))
+        return rem, [(members[m], vec[m]) for m in pivots]
+
+    def extend(self, columns: Sequence[Sequence[int]], coeffs: Sequence[int]) -> int:
+        """Insert e_columns[0][j] + e_columns[1][j] + .. for each row j across
+        the equally long ``columns`` of ranks, the ranks of a row distinct,
+        and return how many rows were adjoined.  A surviving image v with
+        pivot ``lead`` is XORed into the rows that hold ``lead`` (and into
+        their ``red`` entries), and toggles those rows and itself in the
+        ``cols`` entry of each rank of its tail."""
+        if not columns:
+            return 0
+        rows, cols, red = self.rows, self.cols, self.red
+        look = red.__getitem__
+        images = map(look, columns[0])
+        for column in columns[1:]:
+            images = map(xor, images, map(look, column))
+        adjoined = 0
+        for v in filter(None, images):
+            lead = v.bit_length() - 1
+            bit = 1 << lead
+            holders = cols.pop(lead, 0)
+            for pivot in _bits(holders):
+                rows[pivot] ^= v
+                red[pivot] ^= v
+            toggle = holders | bit
+            tail = v ^ bit
+            for g in _bits(tail):
+                cols[g] = cols.get(g, 0) ^ toggle
+            rows[lead] = v
+            red[lead] = tail
+            adjoined += 1
+        return adjoined
+
+    def canonical_rows(self) -> dict:
+        one, members = self.field.one, self.ranks.members
+        return {members[lead]: {members[g]: one for g in _bits(row)}
+                for lead, row in self.rows.items()}
+
+
 @dataclass
 class SubmoduleState:
     """Echelonised spans of a generator set, degree by degree up to a horizon."""
@@ -1167,11 +1275,12 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     OVIC(k, n) in its one fixed phi order (``_composite_ranks``); no member
     of OVIC(k, n) is built.  The fully reduced basis depends only on the span,
     so that order leaves no trace in it.  Post-composition is injective, so
-    an image has one term per term of g, and its tuple of composite ranks, a
-    row across the columns of g's terms, fixes it: all of g's tuples in
-    degree n go to one ``EchelonBasis.extend`` call with g's ints, which
-    skips a tuple it has already seen.  Every generator must be over
-    ``field`` (by name), else FieldMismatch is raised.
+    an image has one term per term of g, and its composite ranks, a row
+    across the columns of g's terms, fix it: all of g's columns in degree n
+    go to one ``extend`` call with g's ints.  The basis is
+    ``F2EchelonBasis`` over F2 and ``EchelonBasis`` over any other field.
+    Every generator must be over ``field`` (by name), else FieldMismatch is
+    raised.
 
     ``budget`` bounds each stratum's own work, search nodes plus members
     as ``enumerate_ovic`` counts it, and the morphisms counted in total: the
@@ -1198,6 +1307,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
             raise BudgetExceeded(f"enumerated {enumerated} morphisms, budget {budget}")
 
     state = SubmoduleState(d, field, emb, gens, horizon)
+    kernel = F2EchelonBasis if field.name == "F2" else EchelonBasis
     # per generator, from its own degree on: (its stratum's members, its
     # terms' ranks, their coefficients as ints)
     ranked = [None] * len(gens)
@@ -1212,7 +1322,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                                           "of this embedding")
                 coeffs = field.integral(list(g.terms.values()))
                 ranked[i] = target.members, ranks, coeffs
-        basis = EchelonBasis(field, target)
+        basis = kernel(field, target)
         for g, generator in zip(gens, ranked):
             if generator is None:
                 continue
@@ -1227,9 +1337,9 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                 if column is None:
                     column = memo[r] = _composite_ranks(target, phis, source[r], n)
                 columns.append(column)
-            # each tuple is one image's composite ranks, which fix the image:
-            # the coefficients are the generator's
-            basis.extend(zip(*columns), coeffs)
+            # a row across the columns is one image's composite ranks, which
+            # fix the image: the coefficients are the generator's
+            basis.extend(columns, coeffs)
         state.bases[n] = basis
     return state
 

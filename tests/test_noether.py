@@ -27,6 +27,7 @@ from vicbench.errors import (
 )
 from vicbench.noether import (
     EchelonBasis,
+    F2EchelonBasis,
     ModuleElement,
     PrimeField,
     RationalField,
@@ -735,9 +736,11 @@ SPAN_CASES = [
     ("F2", "Q", 4, (3,), 3, 2),
     ("zmod(4)", "F3", 3, (2, 3), 2, 1),  # fresh ring: no stratum cached yet
     ("Z4", "F5", 3, (2,), 3, 1),
+    ("M2F2", "F2", 2, (1,), 2, 1),  # noncommutative, F2 coefficients
 ]
 SPAN_IDS = ["F2-F2-4-degrees0-3", "F3-Q-3-degrees1-3", "Z4-F2-3-degrees2-2",
-            "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon", "Z4-F5-3"]
+            "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon", "Z4-F5-3",
+            "M2F2-F2-2-noncommutative"]
 
 
 def _case_emb(ring):
@@ -974,6 +977,12 @@ def _ranked_ints(ranks, field, terms):
     return dict(zip(map(ranks.rank, terms), field.integral(list(terms.values()))))
 
 
+def _kernels(field):
+    """The echelon kernels over ``field``: the dict kernel, and over F2 the
+    bitset kernel it is the oracle of."""
+    return [EchelonBasis, F2EchelonBasis] if field.name == "F2" else [EchelonBasis]
+
+
 def _rebuilt_index(basis):
     index = {}
     for pivot, row in basis.rows.items():
@@ -983,35 +992,58 @@ def _rebuilt_index(basis):
     return index
 
 
+def _check_kernel_invariants(basis, field):
+    """The column index is the one rebuilt from the rows, no row's tail
+    holds a pivot, and each pivot is the largest rank in its row.  Dict
+    rows: every true row is monic on its pivot, and stored entries are
+    nonzero ints, over Q primitive with a positive pivot entry, over F_p
+    residues 1..p-1.  Bitset rows: ``red[r]`` is e_r reduced against the
+    rows."""
+    rows = basis.rows
+    if isinstance(basis, F2EchelonBasis):
+        index = {}
+        for pivot, row in rows.items():
+            assert row.bit_length() - 1 == pivot
+            for g in noether._bits(row ^ 1 << pivot):
+                assert g not in rows
+                index[g] = index.get(g, 0) | 1 << pivot
+        assert basis.cols == index
+        # no tail holds a pivot, so e_r reduces to the tail of a pivot's
+        # row and to itself off the pivots
+        assert basis.red == [rows[r] ^ 1 << r if r in rows else 1 << r
+                             for r in range(len(basis.ranks.members))]
+        return
+    assert basis.cols == _rebuilt_index(basis)
+    assert not basis.cols.keys() & rows.keys()
+    for pivot, row in rows.items():
+        assert field.entry(row[pivot], row[pivot]) == field.one
+        assert all(type(c) is int and c for c in row.values())
+        assert max(row) == pivot
+        if field.name == "Q":
+            assert row[pivot] > 0 and math.gcd(*row.values()) == 1
+        else:
+            assert all(0 < c < field.p for c in row.values())
+
+
 @pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
 def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
-    """After every insert the column index is the one rebuilt from the rows,
-    no row's tail holds a pivot, each pivot is the largest rank in its row,
-    and every true row is monic on its pivot.  Stored rows are nonzero ints:
-    over Q primitive with a positive pivot entry, over F_p residues
-    1..p-1."""
+    """After every insert, into each kernel over the field, the kernel's
+    invariants hold (``_check_kernel_invariants``)."""
     field = parse_field(field)
     for variant in range(2):
         emb = _case_emb(ring)
         gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
         for n in range(1, horizon + 1):
             ranks = noether._stratum_ranks(emb, d, n)
-            basis = EchelonBasis(field, ranks)
+            bases = [kernel(field, ranks) for kernel in _kernels(field)]
             for g in gens:
                 if g.degree > n:
                     continue
                 for phi in enumerate_ovic(emb, g.degree, n):
-                    basis.insert(_ranked_ints(ranks, field, act(phi, g).terms))
-                    assert basis.cols == _rebuilt_index(basis)
-                    assert not basis.cols.keys() & basis.rows.keys()
-                    for pivot, row in basis.rows.items():
-                        assert field.entry(row[pivot], row[pivot]) == field.one
-                        assert all(type(c) is int and c for c in row.values())
-                        assert max(row) == pivot
-                        if field.name == "Q":
-                            assert row[pivot] > 0 and math.gcd(*row.values()) == 1
-                        else:
-                            assert all(0 < c < field.p for c in row.values())
+                    ints = _ranked_ints(ranks, field, act(phi, g).terms)
+                    for basis in bases:
+                        basis.insert(ints)
+                        _check_kernel_invariants(basis, field)
 
 
 class _CountingClears:
@@ -1031,44 +1063,53 @@ class _CountingClears:
 
 @pytest.mark.parametrize("ring,field,horizon,degrees,terms,d", SPAN_CASES, ids=SPAN_IDS)
 def test_extend_matches_scan_oracle(ring, field, horizon, degrees, terms, d):
-    """One ``extend`` call per generator and degree, fed every image's
-    composite ranks (from ``compose_vic``) and the generator's ints, against
-    the full-scan basis fed the images one at a time: the call returns the
-    oracle's accept count, leaves the oracle's canonical rows and leads and
-    an exact column index.  A key repeated within one call is adjoined once
-    and reduced only once."""
+    """One ``extend`` call per generator and degree, on each kernel over
+    the field, fed a composite column per term (from ``compose_vic``) and
+    the generator's ints, against the full-scan basis fed the images one at
+    a time: the call returns the oracle's accept count and leaves the
+    oracle's canonical rows and leads and the kernel's invariants.  An
+    image repeated within one call is adjoined once; the dict kernel
+    reduces it only once, and the bitset kernel reduces it to 0 against
+    the row its first copy adjoined."""
     field = parse_field(field)
     for variant in range(2):
         emb = _case_emb(ring)
         gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
         for n in range(horizon + 1):
             ranks = noether._stratum_ranks(emb, d, n)
-            basis, oracle = EchelonBasis(field, ranks), ScanEchelonBasis(field)
+            oracle = ScanEchelonBasis(field)
+            bases = [kernel(field, ranks) for kernel in _kernels(field)]
             for g in gens:
                 if g.degree > n or g.is_zero:
                     continue
                 homs = enumerate_ovic(emb, g.degree, n)
-                keys = [tuple(ranks.rank(compose_vic(phi, f)) for f in g.terms) for phi in homs]
+                columns = [[ranks.rank(compose_vic(phi, f)) for phi in homs] for f in g.terms]
                 coeffs = field.integral(list(g.terms.values()))
                 accepts = sum(oracle.insert(_oracle_act(phi, g).terms) for phi in homs)
-                assert basis.extend(keys, coeffs) == accepts
-                assert basis.cols == _rebuilt_index(basis)
-                assert basis.canonical_rows() == oracle.canonical_rows()
-                assert basis.leading() == oracle.leading()
-                if keys:
+                for basis in bases:
+                    assert basis.extend(columns, coeffs) == accepts
+                    _check_kernel_invariants(basis, field)
+                    assert basis.canonical_rows() == oracle.canonical_rows()
+                    assert basis.leading() == oracle.leading()
+                if homs:
+                    twice = [column[:1] * 2 for column in columns]
                     fresh = EchelonBasis(_CountingClears(field), ranks)
-                    assert fresh.extend([keys[0], keys[0]], coeffs) == 1
+                    assert fresh.extend(twice, coeffs) == 1
                     assert fresh.dim == 1 and fresh.field.clears == 0
+                    if F2EchelonBasis in _kernels(field):
+                        fresh = F2EchelonBasis(field, ranks)
+                        assert fresh.extend(twice, coeffs) == 1 and fresh.dim == 1
 
 
 @pytest.mark.parametrize("field", ["F2", "F3", "F97", "Q"])
 def test_echelon_kernel_matches_scan_oracle(field):
     """Seeded sparse inserts with negative coefficients (and over Q large
     denominators), a third of them combinations of earlier ones, against
-    the full-scan basis after every insert: the same accept verdicts (both
-    occur), canonical rows and leads, and remainders and certificates of
-    queries in and out of the span.  Over Q some insert must clear its
-    pivot from a stored row whose pivot entry is not 1."""
+    the full-scan basis after every insert, on each kernel over the field:
+    the same accept verdicts (both occur), canonical rows and leads, and
+    remainders and certificates of queries in and out of the span, and the
+    kernel's invariants.  Over Q some insert must clear its pivot from a
+    stored row whose pivot entry is not 1."""
     field = parse_field(field)
     emb = emb_of("F2")
     ranks = noether._stratum_ranks(emb, 1, 3)
@@ -1084,7 +1125,8 @@ def test_echelon_kernel_matches_scan_oracle(field):
         support = rng.sample(pool, size)
         return ModuleElement(1, 3, field, {f: rng.choice(coeffs) for f in support})
 
-    basis, oracle = EchelonBasis(field, ranks), ScanEchelonBasis(field)
+    oracle = ScanEchelonBasis(field)
+    basis, *_ = bases = [kernel(field, ranks) for kernel in _kernels(field)]
     inserted, accepts, odd_pivots = [], 0, 0
     for _ in range(80):
         if len(inserted) > 1 and rng.random() < 0.35:
@@ -1095,18 +1137,22 @@ def test_echelon_kernel_matches_scan_oracle(field):
             x = random_element(rng.randrange(1, 5))
         pivot_entries = {p: row[p] for p, row in basis.rows.items()}
         holders = {g: set(hs) for g, hs in basis.cols.items()}
-        accepted = basis.insert(_ranked_ints(ranks, field, x.terms))
-        assert accepted == oracle.insert(x.terms)
+        accepted = oracle.insert(x.terms)
+        terms = _ranked_ints(ranks, field, x.terms)
+        assert [b.insert(terms) for b in bases] == [accepted] * len(bases)
         inserted.append(x)
         if accepted:
             accepts += 1
             (new,) = basis.rows.keys() - pivot_entries.keys()
             odd_pivots += any(pivot_entries[h] != 1 for h in holders.get(new, ()))
-        assert basis.canonical_rows() == oracle.canonical_rows()
-        assert basis.leading() == oracle.leading()
         member = x.add(rng.choice(inserted).scale(rng.choice(coeffs)))
-        for query in (member, random_element(3), member.add(random_element(2))):
-            assert basis.reduce(query.terms) == oracle.reduce(query.terms)
+        queries = (member, random_element(3), member.add(random_element(2)))
+        for b in bases:
+            _check_kernel_invariants(b, field)
+            assert b.canonical_rows() == oracle.canonical_rows()
+            assert b.leading() == oracle.leading()
+            for query in queries:
+                assert b.reduce(query.terms) == oracle.reduce(query.terms)
     assert 0 < accepts < len(inserted)
     if field.name == "Q":
         assert odd_pivots

@@ -385,6 +385,20 @@ def test_strata_cached_on_the_embedding():
     assert ("ovic", 1, 2) in emb.enum_cache
 
 
+def test_translation_tables_built_once_per_embedding():
+    """Both builds read one table of x -> x + b per ring element b, built
+    on the embedding's first stratum and kept in its cache."""
+    emb = build_aw_embedding(build_ring("matrix_ring(zmod(2),2)"))
+    enumerate_vic(emb, 1, 1)
+    tables = emb.enum_cache[("translations",)]
+    enumerate_ovic(emb, 1, 2)
+    enumerate_vic(emb, 1, 2)
+    assert emb.enum_cache[("translations",)] is tables
+    pack, _, through = noether._packing(emb.ring)
+    elements = pack(range(emb.ring.size))
+    assert [list(through(elements, t)) for t in tables] == list(map(list, emb.ring.add_table))
+
+
 def test_column_search_order_and_nodes():
     """Prefixes kept while their sum is at most 3: the kept triples in
     lexicographic order, and one node per candidate of every kept prefix

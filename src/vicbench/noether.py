@@ -32,8 +32,10 @@ entry over Q.  The field classes supply the row operations on them, so
 inserting builds no Fraction.  Over F2 every stored coefficient is 1, so
 ``F2EchelonBasis`` keeps each row as an int bitset of ranks and reduces
 every image by XOR in one C-level chain, and Python runs only for an image
-that adds a row.  Morphisms and field elements come back only at the
-bases' public methods.
+that adds a row.  Its table of reduced unit vectors is dense, about N^2 / 15
+bytes for a target of N ranks, so a degree uses it only while that is at
+most ``F2_RED_BYTES`` (128 MiB, N up to 44,869), and ``EchelonBasis`` above.
+Morphisms and field elements come back only at the bases' public methods.
 The target strata OVIC(d, n) are always enumerated; they, and the source
 strata counted from their records, count against the span's budget.
 
@@ -86,6 +88,8 @@ from .rings import RMatrix, _additive_generators, mul_entries
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
+# most bytes the F2 kernel's dense ``red`` may take (``span_to_degree``)
+F2_RED_BYTES = 128 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +632,15 @@ def _gl_generators(ring, d: int) -> list[tuple[int, int, int, int]]:
     return gens
 
 
+def _gl_products(emb: AWEmbedding, d: int) -> int:
+    """|GL_d(R)| |generators|, the products of ``_general_linear``'s
+    closure, counted once per (ring, d) and cached on ``emb``."""
+    key = ("gl-products", d)
+    if key not in emb.enum_cache:
+        emb.enum_cache[key] = _gl_order(emb, d) * len(_gl_generators(emb.ring, d))
+    return emb.enum_cache[key]
+
+
 def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
     """GL_d(R) as (g, g^-1) entry-tuple pairs, plus the products it took;
     cached on ``emb``.
@@ -635,16 +648,17 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
     A breadth-first closure from I multiplies every element g by every
     generator s (``_gl_generators``) once, on the right: g s adds column a
     of g times y to column b, and its inverse s^-1 g^-1 adds z times row b
-    of g^-1 to row a.  That is |GL_d(R)| |generators| products; past
-    ``budget`` BudgetExceeded is raised, before the closure runs.  A closure
-    of other than ``_gl_order`` elements is a bug."""
+    of g^-1 to row a.  That is |GL_d(R)| |generators| products
+    (``_gl_products``); past ``budget`` BudgetExceeded is raised, before the
+    closure runs.  A closure of other than ``_gl_order`` elements is a bug."""
     key = ("gl", d)
     if key not in emb.enum_cache:
         ring = emb.ring
         add, mul = ring._add, ring._mul
+        products = _gl_products(emb, d)
+        _check_budget(products, budget, f"GL_{d}")
         gens = _gl_generators(ring, d)
         order = _gl_order(emb, d)
-        _check_budget(order * len(gens), budget, f"GL_{d}")
         ident = RMatrix.identity(ring, d).entries
         seen = {ident}
         pairs = [(ident, ident)]
@@ -663,7 +677,7 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
                     pairs.append((h, tuple(h_inv)))
         if len(pairs) != order:
             raise RuntimeError(f"closure found {len(pairs)} of |GL_{d}| = {order}")  # bug guard
-        emb.enum_cache[key] = pairs, order * len(gens)
+        emb.enum_cache[key] = pairs, products
     pairs, products = emb.enum_cache[key]
     _check_budget(products, budget, f"GL_{d}")
     return pairs, products
@@ -778,9 +792,8 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
     ring = emb.ring
     records, columns, nodes = _splittings(emb, d, n, budget)
     # the closure's products, then per g in GL_d one pair and its splittings
-    order = _gl_order(emb, d)
-    work = nodes + order * (len(_gl_generators(ring, d)) + 1
-                            + sum(rec[3] for rec in records))
+    work = nodes + _gl_products(emb, d) + _gl_order(emb, d) * (
+        1 + sum(rec[3] for rec in records))
     _check_budget(work, budget, f"VIC({d}, {n})")
     gl, _ = _general_linear(emb, d, budget)
     # rows of each g and columns of each g^-1
@@ -1181,8 +1194,9 @@ class F2EchelonBasis(EchelonBasis):
     image, so each image meets the basis as it stands then, as in the dict
     kernel, and an image repeated in one call reduces to 0.  For a stratum
     of N ranks ``red`` holds about N^2 / 15 bytes (4.4 MiB at N = 8128, F2
-    OVIC(1, 7)), and D rows about D N / 15.  Coefficients are ignored: over
-    F2 every nonzero one is 1."""
+    OVIC(1, 7)), and D rows about D N / 15; ``span_to_degree`` builds this
+    kernel only while that fits ``F2_RED_BYTES``.  Coefficients are
+    ignored: over F2 every nonzero one is 1."""
 
     def __init__(self, field, ranks: StratumRanks):
         super().__init__(field, ranks)
@@ -1277,8 +1291,13 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     so that order leaves no trace in it.  Post-composition is injective, so
     an image has one term per term of g, and its composite ranks, a row
     across the columns of g's terms, fix it: all of g's columns in degree n
-    go to one ``extend`` call with g's ints.  The basis is
-    ``F2EchelonBasis`` over F2 and ``EchelonBasis`` over any other field.
+    go to one ``extend`` call with g's ints.  The kernel is chosen per
+    degree by the target's size N: over F2 it is ``F2EchelonBasis`` while
+    its dense ``red``, about N^2 / 15 bytes, fits ``F2_RED_BYTES`` (128 MiB,
+    N up to 44,869: F2 OVIC(1, 8) at N = 32,640 is on bitsets), and
+    ``EchelonBasis`` above it (T2F2 OVIC(1, 4), N = 921,600, whose ``red``
+    would take about 53 GiB) and over any other field.  Both kernels give
+    the same basis, so the rule moves only time and memory.
     Every generator must be over ``field`` (by name), else FieldMismatch is
     raised.
 
@@ -1307,7 +1326,6 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
             raise BudgetExceeded(f"enumerated {enumerated} morphisms, budget {budget}")
 
     state = SubmoduleState(d, field, emb, gens, horizon)
-    kernel = F2EchelonBasis if field.name == "F2" else EchelonBasis
     # per generator, from its own degree on: (its stratum's members, its
     # terms' ranks, their coefficients as ints)
     ranked = [None] * len(gens)
@@ -1322,7 +1340,11 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                                           "of this embedding")
                 coeffs = field.integral(list(g.terms.values()))
                 ranked[i] = target.members, ranks, coeffs
-        basis = kernel(field, target)
+        size = len(target.members)
+        if field.name == "F2" and size * size // 15 <= F2_RED_BYTES:
+            basis = F2EchelonBasis(field, target)
+        else:
+            basis = EchelonBasis(field, target)
         for g, generator in zip(gens, ranked):
             if generator is None:
                 continue

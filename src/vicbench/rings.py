@@ -77,6 +77,8 @@ class FiniteRing:
         self._unit_cache: Optional[tuple[Optional[int], ...]] = None
         # F_p data of the p-parts, built on first use when this is a quotient R/J
         self._fp_cache: Optional[tuple[_FpPart, ...]] = None
+        # n -> row-major entries of the n x n identity (``identity_entries``)
+        self._identities: dict[int, tuple[int, ...]] = {}
         # lazily built structure caches (radical / quotient / AW embedding)
         self._radical = None
         self._quotient = None
@@ -821,8 +823,7 @@ class RMatrix:
 
     @classmethod
     def identity(cls, ring: FiniteRing, n: int) -> "RMatrix":
-        return cls(ring, n, n,
-                   [ring.one if i == j else ring.zero for i in range(n) for j in range(n)])
+        return cls(ring, n, n, identity_entries(ring, n))
 
     def get(self, r: int, c: int) -> int:
         return self.entries[r * self.cols + c]
@@ -900,6 +901,15 @@ def iter_vectors(ring: FiniteRing, n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(ring.elements(), repeat=n)
 
 
+def identity_entries(ring: FiniteRing, n: int) -> tuple[int, ...]:
+    """Row-major entries of the n x n identity over ``ring``, cached on it."""
+    ident = ring._identities.get(n)
+    if ident is None:
+        ident = ring._identities[n] = tuple(
+            ring.one if i == j else ring.zero for i in range(n) for j in range(n))
+    return ident
+
+
 def mul_entries(ring: FiniteRing, a: tuple, b: tuple, rows: int, inner: int,
                 cols: int) -> tuple[int, ...]:
     """Row-major entries of the rows x cols product of the row-major
@@ -921,7 +931,8 @@ def matvec(ring: FiniteRing, m: RMatrix, vec: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# invertibility: F_p linear algebra on the semisimple quotient
+# invertibility: F_p linear algebra on the semisimple quotient, on int bitsets
+# for p = 2, with every check on row-major entry tuples
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -938,6 +949,8 @@ class _FpPart:
     lmul: tuple  # per element a: the dim rows of the F_p matrix of y -> a*y on P
     one: tuple[int, ...]  # coordinates of e, the identity of P
     element: dict  # coordinate tuple -> element of P
+    # p = 2 only: per element a, each row of lmul[a] as an int, bit c for column c
+    lbits: Optional[tuple] = None
 
 
 def _multiple(ring: FiniteRing, k: int, x: int) -> int:
@@ -993,54 +1006,106 @@ def _fp_parts(qr: FiniteRing) -> tuple[_FpPart, ...]:
             coords = grown
         lmul = tuple(tuple(zip(*(coords[mul[a][b]] for b in basis)))
                      for a in qr.elements())
+        lbits = None
+        if p == 2:
+            lbits = tuple(tuple(sum(v << c for c, v in enumerate(row)) for row in rows)
+                          for rows in lmul)
         parts.append(_FpPart(p, len(basis), lmul, coords[e],
-                             {c: z for z, c in coords.items()}))
+                             {c: z for z, c in coords.items()}, lbits))
     qr._fp_cache = tuple(parts)
     return qr._fp_cache
+
+
+def _part_inverse(part: _FpPart, n: int, entries: Sequence[int]) -> Optional[list[int]]:
+    """Row-major P-part of the inverse of the n x n ``entries`` over the
+    semisimple ring of ``part``, or None when that part is singular.
+
+    v -> Mv is an F_p-linear map of P^n; one Gauss-Jordan pass on the rows of
+    [M | e*E_i], with the coordinates of e*(unit vector j) as right-hand
+    sides, decides whether it is invertible and yields the inverse's
+    coordinates.  Rows are lists of residues; this runs for odd p, and is
+    the tests' oracle for ``_part_inverse_bits`` at p = 2.
+    """
+    p, r, lmul, one = part.p, part.dim, part.lmul, part.one
+    size = n * r
+    rows = []
+    for i in range(n):
+        blocks = [lmul[a] for a in entries[i * n:(i + 1) * n]]
+        for s in range(r):
+            rhs = [0] * n
+            rhs[i] = one[s]
+            rows.append([v for blk in blocks for v in blk[s]] + rhs)
+    for col in range(size):
+        piv = col
+        while not rows[piv][col]:
+            piv += 1
+            if piv == size:
+                return None
+        prow = rows[piv]
+        rows[piv] = rows[col]
+        if prow[col] != 1:
+            f = pow(prow[col], -1, p)
+            prow = [v * f % p for v in prow]
+        rows[col] = prow
+        for k in range(size):
+            f = rows[k][col]
+            if f and k != col:
+                rows[k] = [(v - f * w) % p for v, w in zip(rows[k], prow)]
+    element = part.element
+    return [element[tuple(row[size + j] for row in rows[i * r:(i + 1) * r])]
+            for i in range(n) for j in range(n)]
+
+
+def _part_inverse_bits(part: _FpPart, n: int, entries: Sequence[int]) -> Optional[list[int]]:
+    """``_part_inverse`` for p = 2, each row of [M | e*E_i] one int: bit c
+    for column c, the right-hand sides from bit n*dim on.  The pivot search
+    is ``row & bit`` and clearing a pivot is XOR."""
+    r, lbits, one = part.dim, part.lbits, part.one
+    size = n * r
+    rows = []
+    for i in range(n):
+        blocks = [lbits[a] for a in entries[i * n:(i + 1) * n]]
+        for s in range(r):
+            row = one[s] << (size + i)
+            for t, blk in enumerate(blocks):
+                row |= blk[s] << (t * r)
+            rows.append(row)
+    for col in range(size):
+        bit = 1 << col
+        piv = col
+        while not rows[piv] & bit:
+            piv += 1
+            if piv == size:
+                return None
+        prow = rows[piv]
+        rows[piv] = rows[col]
+        rows = [row ^ prow if row & bit else row for row in rows]
+        rows[col] = prow
+    # bit size + j of row i*r + s is coordinate s of inverse entry (i, j)
+    element = part.element
+    out = []
+    for i in range(0, size, r):
+        out += map(element.__getitem__,
+                   zip(*[[row >> j & 1 for j in range(size, size + n)] for row in rows[i:i + r]]))
+    return out
 
 
 def _quotient_inverse(qr: FiniteRing, n: int,
                       entries: Sequence[int]) -> Optional[list[int]]:
     """Row-major inverse of an n x n matrix over the semisimple ``qr``, or None.
 
-    Over each p-part, v -> Mv is an F_p-linear map of P^n; M is invertible iff
-    every such map is.  One Gauss-Jordan pass per part, with the coordinates
-    of e*(unit vector j) as right-hand sides, yields that part of the inverse.
+    Q is the direct sum of its p-parts, so M is invertible iff it is on each
+    part, and the inverse is the sum of the parts' inverses.  A p = 2 part
+    is eliminated on int bitsets (``_part_inverse_bits``), any other on
+    residue lists (``_part_inverse``).
     """
     qadd = qr._add
-    inv = [qr.zero] * (n * n)
+    inv = None
     for part in _fp_parts(qr):
-        p, r, lmul, one = part.p, part.dim, part.lmul, part.one
-        size = n * r
-        rows = []
-        for i in range(n):
-            blocks = [lmul[a] for a in entries[i * n:(i + 1) * n]]
-            for s in range(r):
-                rhs = [0] * n
-                rhs[i] = one[s]
-                rows.append([v for blk in blocks for v in blk[s]] + rhs)
-        for col in range(size):
-            piv = col
-            while not rows[piv][col]:
-                piv += 1
-                if piv == size:
-                    return None
-            prow = rows[piv]
-            rows[piv] = rows[col]
-            if prow[col] != 1:
-                f = pow(prow[col], -1, p)
-                prow = [v * f % p for v in prow]
-            rows[col] = prow
-            for k in range(size):
-                f = rows[k][col]
-                if f and k != col:
-                    rows[k] = [(v - f * w) % p for v, w in zip(rows[k], prow)]
-        element = part.element
-        for i in range(n):
-            block = rows[i * r:(i + 1) * r]
-            for j in range(n):
-                x = element[tuple(row[size + j] for row in block)]
-                inv[i * n + j] = qadd[inv[i * n + j]][x]
+        got = (_part_inverse_bits if part.p == 2 else _part_inverse)(part, n, entries)
+        if got is None:
+            return None
+        inv = got if inv is None else [qadd[a][b] for a, b in zip(inv, got)]
     return inv
 
 
@@ -1049,8 +1114,12 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
 
     M is invertible iff its reduction is invertible over the semisimple
     quotient R/J, which is decided by F_p Gauss-Jordan elimination on each
-    p-part of R/J in time polynomial in n.  An actual inverse is then lifted
-    by Newton iteration X <- X(2I - MX) and both products are verified.
+    p-part of R/J in time polynomial in n: on int bitsets by XOR for p = 2,
+    on residue lists otherwise.  An actual inverse is then lifted by Newton
+    iteration X <- X(2I - MX).  Both products of the reduction and its
+    quotient inverse, and both products of M and the lifted inverse, are
+    verified against the identity.  The checks run on row-major entry
+    tuples (``mul_entries``); only the returned inverse is an ``RMatrix``.
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols} matrix")
@@ -1061,15 +1130,18 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
     if n == 0:
         return True, RMatrix(ring, 0, 0, [])
     qr = q.quotient
-    mbar = m.reduce(q)
-    inv = _quotient_inverse(qr, n, mbar.entries)
+    proj = q.projection
+    mbar = tuple([proj[e] for e in m.entries])
+    inv = _quotient_inverse(qr, n, mbar)
     if inv is None:
         return False, None
-    inv_bar = RMatrix(qr, n, n, inv)
-    ident_bar = RMatrix.identity(qr, n)
-    if mbar.mul(inv_bar) != ident_bar or inv_bar.mul(mbar) != ident_bar:
+    inv = tuple(inv)
+    ident = identity_entries(qr, n)
+    if (mul_entries(qr, mbar, inv, n, n, n) != ident
+            or mul_entries(qr, inv, mbar, n, n, n) != ident):
         raise RuntimeError("quotient inverse failed verification")  # bug guard
-    x = newton_inverse(ring, n, m.entries, inv_bar.lift(q).entries, q.nilpotency)
+    sec = q.section
+    x = newton_inverse(ring, n, m.entries, tuple([sec[e] for e in inv]), q.nilpotency)
     return True, RMatrix(ring, n, n, x)
 
 
@@ -1080,7 +1152,7 @@ def newton_inverse(ring: FiniteRing, n: int, m: tuple, x: tuple,
     iteration X <- X(2I - MX): the error I - MX lives in M_n(J) and squares
     each step."""
     add, neg = ring._add, ring._neg
-    ident = RMatrix.identity(ring, n).entries
+    ident = identity_entries(ring, n)
     two_ident = tuple(add[a][a] for a in ident)
     steps = 0
     max_steps = max(1, nilpotency).bit_length() + 2

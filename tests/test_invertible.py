@@ -21,6 +21,9 @@ from vicbench.rings import (
     IdealSet,
     QuotientData,
     RMatrix,
+    _fp_parts,
+    _part_inverse,
+    _part_inverse_bits,
     build_ring,
     builtin_ring,
     matrix_invertible,
@@ -111,6 +114,27 @@ def test_matches_scan(spec):
     for n in (1, 2, 3):
         for m in _sample(ring, n, rng):
             _assert_agrees(m, q)
+
+
+@pytest.mark.parametrize("spec", [name for name in BUILTIN_NAMES if name != "F3"]
+                         + ["zmod(12)", "product(upper_triangular(zmod(2),2),zmod(3))"])
+def test_bitset_elimination_matches_list_elimination(spec):
+    """Every p = 2 part of R/J, eliminated on int bitsets, gives the verdict
+    and the inverse entries of the residue-list elimination, its oracle."""
+    ring = builtin_ring(spec) if spec in BUILTIN_NAMES else build_ring(spec)
+    q = quotient_by_radical(ring)
+    parts = [part for part in _fp_parts(q.quotient) if part.p == 2]
+    assert parts
+    rng = random.Random(f"bitset/{spec}")
+    singular = set()
+    for n in (1, 2, 3, 4):
+        for m in _sample(ring, n, rng):
+            mbar = m.reduce(q).entries
+            for part in parts:
+                got = _part_inverse_bits(part, n, mbar)
+                assert got == _part_inverse(part, n, mbar), m
+                singular.add(got is None)
+    assert singular == {True, False}
 
 
 @st.composite

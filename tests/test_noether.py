@@ -1342,6 +1342,25 @@ def test_span_at_horizon_6(gens, dims):
     assert ("ovic", 2, 6) not in emb.enum_cache
 
 
+def test_span_above_the_f2_bound_uses_the_dict_kernel(monkeypatch):
+    """With ``F2_RED_BYTES`` at 28^2 // 15, the size rule's figure for F2
+    OVIC(1, 3), degrees up to 3 stay on bitsets and degrees 4 and 5 (120 and
+    496 ranks) take the dict kernel, which builds no ``red`` and gives the
+    bitset kernel's basis."""
+    emb = build_aw_embedding(load_ring(CLI_DATA / "f2.json"))
+    gens = load_generators(CLI_DATA / "gens_f2_0.json", emb, F2, d=1)
+    bitsets = span_to_degree(gens, 5, emb, F2, d=1)
+    monkeypatch.setattr(noether, "F2_RED_BYTES", 28 * 28 // 15)
+    state = span_to_degree(gens, 5, emb, F2, d=1)
+    assert [type(state.bases[n]) for n in range(6)] == [F2EchelonBasis] * 4 + [EchelonBasis] * 2
+    for n in range(6):
+        basis, expected = state.bases[n], bitsets.bases[n]
+        assert hasattr(basis, "red") == (n <= 3)
+        assert basis.canonical_rows() == expected.canonical_rows()
+        assert basis.leading() == expected.leading()
+    assert state.dims() == bitsets.dims() == {0: 0, 1: 0, 2: 1, 3: 17, 4: 95, 5: 439}
+
+
 def test_endo_generation_f2():
     emb = emb_of("F2")
     report = check_endo_generation(emb, 1, 3)

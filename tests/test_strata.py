@@ -297,6 +297,20 @@ def test_general_linear_guards_its_count(monkeypatch):
         noether._general_linear(emb, 2, 10 ** 6)
 
 
+def test_second_vic_build_scans_no_units(monkeypatch):
+    """The GL_1 generator count is kept per (ring, d), so a second VIC build
+    of M2F2 1 -> 2 calls no ``is_unit``, and builds the same stratum."""
+    emb = build_aw_embedding(build_ring("matrix_ring(zmod(2),2)"))
+    ring = emb.ring
+    first = [(f.f_dprime.entries, f.f_prime.entries) for f in enumerate_vic(emb, 1, 2)]
+    calls = []
+    is_unit = ring.is_unit
+    monkeypatch.setattr(ring, "is_unit", lambda x: calls.append(x) or is_unit(x))
+    again = [(f.f_dprime.entries, f.f_prime.entries) for f in enumerate_vic(emb, 1, 2)]
+    assert again == first
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", ["zmod(8)", "matrix_ring(zmod(2),2)"])
 def test_over_budget_vic_refuses_before_the_closure(monkeypatch, spec):
     """The VIC work is counted from |GL_d| in closed form, so a request past

@@ -43,11 +43,13 @@ strata counted from their records, count against the span's budget.
 it shares no state with enumeration.
 
 Leads move only along completions.  Post-composition does not keep the
-total order, so init(phi o x) need not be phi o init(x) (see ``ordering``),
-and one degree's leads are not the images of the last degree's leads.  The
-engine therefore reduces every image in full and reads the leads off the
-echelon basis; only the completion of an insertion move on f keeps
-everything below f below.
+total order, and Hom(1, -) admits no order compatible with it at all (a
+2-cycle phi1 o f = phi2 o g, phi1 o g = phi2 o f with f != g, see
+``ordering``), so init(phi o x) need not be phi o init(x), and one degree's
+leads are not the images of the last degree's leads.  The engine therefore
+reduces every image in full and reads the leads off the echelon basis;
+only the completion of an insertion move on f keeps everything below f
+below.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ import gc
 import itertools
 import sys
 from array import array
+from bisect import bisect_right
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, partial
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem, itemgetter, xor
-from typing import Optional, Sequence
+from operator import getitem, index, itemgetter, xor
+from typing import Optional
 
 from .errors import (
     BadShape,
@@ -200,9 +204,6 @@ class RationalField:
     def inv(self, a):
         return 1 / a
 
-    def from_int(self, n: int):
-        return Fraction(n)
-
     def coerce(self, c) -> Fraction:
         return c if type(c) is Fraction else Fraction(c)
 
@@ -309,9 +310,11 @@ def parse_field(spec: str):
 # time, off one packed store per stratum (``_splittings``): a record's f'
 # are a slice of its entry columns, a group's that slice moved by one table
 # per entry.  One batch constructor call per class builds the matrices and
-# morphisms.  Results are cached in ``emb.enum_cache``.
+# morphisms.  OVIC strata are cached in ``emb.enum_cache``; a VIC stratum
+# is a table of its groups (``VicStratum``), whose members are built when
+# they are read and freed by reference counting once dropped.
 #
-# A stratum build allocates tens of thousands of members, and each burst of
+# An OVIC build allocates tens of thousands of members, and each burst of
 # allocations would make CPython's cyclic collector walk them and every
 # stratum already cached.  Builds therefore run with the collector paused
 # (``_collector_paused``).  The pause defers no freeing: members hold only
@@ -757,38 +760,43 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
 
 
 def enumerate_vic(emb: AWEmbedding, d: int, n: int,
-                  budget: int = 10 ** 6) -> list[VicMorphism]:
-    """All split pairs d -> n, sorted by (f''.entries, f'.entries).
+                  budget: int = 10 ** 6) -> Sequence[VicMorphism]:
+    """All split pairs d -> n as a read-only sequence, sorted by
+    (f''.entries, f'.entries).
 
     Built as OVIC(d, n) o GL_d: f'' = g f2'' and f' = psi g^-1 + K over the
     column-adapted f2'' (canonical splitting psi), g in GL_d and K in
     ker(f2'')^d, on entry tuples.  Each pair arises once, because its
     factorisation through the ordered subcategory is unique; so distinct
-    (f2'', g) give distinct f'', and the stratum is emitted in order by
-    taking the (f2'', g) groups in f'' order and the f' of each sorted, with
-    no sort over the whole stratum.  GL_d is a closure from I under right
-    multiplication by transvections and diagonal units
-    (``_general_linear``).  ``budget`` bounds the work: the search nodes of
-    OVIC(d, n), the |GL_d| |generators| products of the closure, and per g
-    in GL_d one plus the splittings of every f2''; VIC(0, n) is work 1.
-    That work is counted from |GL_d| in closed form, so BudgetExceeded is
-    raised past it before GL_d is built, and a cached GL_d gets the same
-    verdict.  The stratum is built with the cyclic collector paused and
-    tenured once finished, as in ``enumerate_ovic``.
+    (f2'', g) give distinct f'', and the stratum is in order when the
+    (f2'', g) groups are taken in f'' order and the f' of each sorted, with
+    no sort over the whole stratum.  A call builds only that group table
+    (``VicStratum``); its length comes from the table, and each group's
+    members are built when an index or a walk first reaches it.  GL_d is a
+    closure from I under right multiplication by transvections and
+    diagonal units (``_general_linear``).  ``budget`` bounds the work: the
+    search nodes of OVIC(d, n), the |GL_d| |generators| products of the
+    closure, and per g in GL_d one plus the splittings of every f2'';
+    VIC(0, n) is work 1.  That work is counted from |GL_d| in closed form,
+    so BudgetExceeded is raised past it before GL_d is built, and a cached
+    GL_d gets the same verdict.  The table is built with the cyclic
+    collector paused and tenured once finished, as in ``enumerate_ovic``;
+    members built on access make no reference cycle, so reference counting
+    frees each group once it is dropped.
     """
     _check_ranks(d, n)
     ring = emb.ring
     if d == 0:
         _check_budget(1, budget, f"VIC(0, {n})")
-        return [VicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                            check=False)]
+        return (VicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
+                            check=False),)
     if n < d:
-        return []
+        return ()
     with _collector_paused():
         return _build_vic(emb, d, n, budget)
 
 
-def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphism]:
+def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> VicStratum:
     ring = emb.ring
     records, columns, nodes = _splittings(emb, d, n, budget)
     # the closure's products, then per g in GL_d one pair and its splittings
@@ -801,15 +809,15 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
                 for g, g_inv in gl]
     flatten = itertools.chain.from_iterable
     add = ring.add_table
-    through = _packing(ring)[2]
     plus = _translations(emb)
     # per a, the tables of x -> x + b - a by b: row -a of the addition table
     moves_from = cache(lambda a: list(map(plus.__getitem__, add[ring.neg(a)])))
     groups = []
     for f2, _, psi, count, _, offset in records:
-        # psi + K over the record's members, and per entry the tables that
-        # move it to psi g^-1 + K, by the entry of psi g^-1
-        cols = [column[offset:offset + count] for column in columns]
+        # the record's members in the columns, and per entry of the stored
+        # psi + K the tables that move it to psi g^-1 + K, by the entry of
+        # psi g^-1
+        part = slice(offset, offset + count)
         moves = list(map(moves_from, psi.entries))
         # row i of g f2'' is (row i of g) f2'', column j of psi g^-1 is
         # psi (column j of g^-1): one product per distinct row and column
@@ -818,16 +826,71 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> list[VicMorphis
         for g_rows, inv_cols in gl_parts:
             f_dprime = tuple(flatten(map(times_f2, g_rows)))
             base = flatten(zip(*map(psi_times, inv_cols)))
-            groups.append((f_dprime, list(map(getitem, moves, base)), cols))
+            groups.append((f_dprime, list(map(getitem, moves, base)), part))
     # each f'' comes from one (f2'', g), so sorting the groups by f'' and
     # each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
-    out = []
-    for f_dprime, (_, moves, cols) in zip(
-            RMatrix._batch(ring, d, n, map(itemgetter(0), groups)), groups):
-        f_primes = sorted(zip(*map(through, cols, moves)))
-        out += VicMorphism._batch(RMatrix._batch(ring, n, d, f_primes), f_dprime)
-    return out
+    return VicStratum(ring, d, n, columns, groups)
+
+
+class VicStratum(Sequence):
+    """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
+    in f'' order (``enumerate_vic``).  A group is (f''.entries, one
+    translation table per entry, the slice of the ``_splittings`` columns
+    that holds its record); its members are the f' read off that slice and
+    moved through the tables, sorted, each paired with f''.
+
+    ``_starts`` holds each group's first index and the length last, so
+    ``len`` is O(1) and an index finds its group by bisection; a slice
+    gives a list.  Indexing keeps each group it builds, so repeated indices
+    into one group build it once; a walk builds one group at a time and
+    keeps none."""
+
+    __slots__ = ("_columns", "_through", "_f_primes", "_f_dprimes", "_groups",
+                 "_starts", "_built")
+
+    def __init__(self, ring, d: int, n: int, columns: list, groups: list):
+        self._columns = columns
+        self._through = _packing(ring)[2]
+        self._f_primes = partial(RMatrix._batch, ring, n, d)
+        self._f_dprimes = partial(RMatrix._batch, ring, d, n)
+        self._groups = groups
+        self._starts = [0, *itertools.accumulate(part.stop - part.start
+                                                 for _, _, part in groups)]
+        self._built: dict = {}
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        starts = self._starts
+        i = index(i)
+        if i < 0:
+            i += starts[-1]
+        if not 0 <= i < starts[-1]:
+            raise IndexError("VIC stratum index out of range")
+        k = bisect_right(starts, i) - 1
+        members = self._built.get(k)
+        if members is None:
+            members = self._built[k] = self._group(k)
+        return members[i - starts[k]]
+
+    def __iter__(self):
+        for k in range(len(self._groups)):
+            yield from self._group(k)
+
+    def _group(self, k: int) -> list[VicMorphism]:
+        """The members of group k, built afresh."""
+        f_dprime, moves, part = self._groups[k]
+        through = self._through
+        # a list, not a map: a tuple built from an iterable of unknown
+        # length is resized, so the collector would count one allocation
+        # per group that freeing it never takes back
+        f_primes = sorted(zip(*[through(column[part], move)
+                                for column, move in zip(self._columns, moves)]))
+        return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1445,7 +1508,8 @@ def count_identity_report(emb: AWEmbedding, d: int, n: int,
     ``enumerate_vic`` builds VIC(d, n) as OVIC(d, n) o GL_d, so that
     identity holds by construction; ``matches`` also requires both
     enumerated counts to equal ``closed_form_counts``, which owes nothing
-    to either enumerator."""
+    to either enumerator.  For d >= 1 the VIC counts come from the group
+    tables of VIC(d, n) and VIC(d, d): no VIC member is built."""
     vic = len(enumerate_vic(emb, d, n, budget=budget))
     ovic = len(enumerate_ovic(emb, d, n, budget=budget))
     gl = len(enumerate_vic(emb, d, d, budget=budget))

@@ -29,7 +29,12 @@ g'' and keeps the free rows of X.
 Leads move only along completions: the completion of a move on f keeps
 everything below f below, but post-composition in general does not keep
 the total order (over F2, f < f' in OVIC(1, 2) and phi o f > phi o f' for a
-phi in OVIC(2, 3)), so init(phi o x) need not be phi o init(x).
+phi in OVIC(2, 3)), so init(phi o x) need not be phi o init(x).  No other
+order would do: over F2 (and F3, Z4) there are f != g in OVIC(1, 2) and
+phi1, phi2 in OVIC(2, 3) with phi1 o f = phi2 o g and phi1 o g = phi2 o f,
+so f < g would force both phi2 o g < phi2 o f and phi2 o f < phi2 o g.
+Hom(1, -) admits no order compatible with post-composition, and leads rest
+on completions alone.
 """
 
 from __future__ import annotations

@@ -413,7 +413,7 @@ def _seeded_element(emb, field, degree, terms, seed, d=1):
     pool = enumerate_ovic(emb, d, degree)
     support = rng.sample(pool, min(terms, len(pool)))
     return ModuleElement(d, degree, field,
-                         {f: field.from_int(rng.randrange(1, 5)) for f in support})
+                         {f: field.coerce(rng.randrange(1, 5)) for f in support})
 
 
 @pytest.mark.parametrize("target_cached", [False, True])
@@ -799,7 +799,7 @@ def test_span_matches_compose_vic_oracle(ring, field, horizon, degrees, terms, d
                 picked = rng.sample(images, min(3, len(images)))
                 member = ModuleElement(d, n, field, {})
                 for y in picked:
-                    member = member.add(y.scale(field.from_int(rng.randrange(1, 5))))
+                    member = member.add(y.scale(field.coerce(rng.randrange(1, 5))))
                 queries.append(member)
                 queries.append(member.add(queries[0]))
             for x in queries:

@@ -596,6 +596,53 @@ def test_post_composition_does_not_preserve_the_order():
     assert init_term(act(phi, x)) != (1, compose_vic(phi, init_term(x)[1]))
 
 
+def _swaps(f, g, phi1, phi2) -> bool:
+    """f != g, phi1 o f = phi2 o g and phi1 o g = phi2 o f."""
+    return (f != g and compose_vic(phi1, f) == compose_vic(phi2, g)
+            and compose_vic(phi1, g) == compose_vic(phi2, f))
+
+
+def test_no_order_is_kept_by_post_composition():
+    """Over F2, f != g in OVIC(1, 2) and phi1, phi2 in OVIC(2, 3) with
+    phi1 o f = phi2 o g and phi1 o g = phi2 o f (phi2 is the phi above).
+    An order that every post-composition kept would take f < g to
+    phi1 o f < phi1 o g, that is phi2 o g < phi2 o f, against
+    phi2 o f < phi2 o g.  So Hom(1, -) admits no order compatible with
+    post-composition, and leads rest on completions alone."""
+    emb = emb_of("F2")
+    f = OvicMorphism(mat("F2", [[1], [0]]), mat("F2", [[1, 0]]), emb)
+    g = OvicMorphism(mat("F2", [[1], [1]]), mat("F2", [[1, 0]]), emb)
+    phi1 = OvicMorphism(mat("F2", [[1, 0], [0, 1], [1, 0]]),
+                        mat("F2", [[1, 0, 0], [0, 1, 0]]), emb)
+    phi2 = OvicMorphism(mat("F2", [[1, 0], [1, 1], [1, 0]]),
+                        mat("F2", [[1, 0, 0], [0, 1, 1]]), emb)
+    assert _swaps(f, g, phi1, phi2)
+    assert compose_vic(phi1, f) == OvicMorphism(mat("F2", [[1], [0], [1]]),
+                                                mat("F2", [[1, 0, 0]]), emb)
+
+
+@pytest.mark.parametrize("name", ["F3", "Z4"])
+def test_no_order_is_kept_by_post_composition_over(name):
+    """The same 2-cycle over F3 and Z4, from a search over phi1 in OVIC(2, 3)
+    in order: each composite phi1 o f is looked up among those of the phi
+    before it."""
+    emb = emb_of(name)
+    sources = enumerate_ovic(emb, 1, 2)
+    earlier = {}  # phi o g -> every (phi, g) before the current phi1
+    found = None
+    for phi1 in enumerate_ovic(emb, 2, 3):
+        images = {f: compose_vic(phi1, f) for f in sources}
+        found = next(((f, g, phi1, phi2) for f, image in images.items()
+                      for phi2, g in earlier.get(image, ())
+                      if _swaps(f, g, phi1, phi2)), None)
+        if found:
+            break
+        for g, image in images.items():
+            earlier.setdefault(image, []).append((phi1, g))
+    assert found is not None
+    assert _swaps(*found)
+
+
 # ---------------------------------------------------------------------------
 # pools, pigeonhole, reflection probe
 # ---------------------------------------------------------------------------

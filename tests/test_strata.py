@@ -6,8 +6,9 @@ and diagonal units that finds each element with its inverse.  The oracles
 below build every d x n matrix f'', keep the column-adapted (respectively
 the split) ones and scan all of R^n for the splittings, then sort by the
 same keys; GL_d is checked against every d x d matrix that
-``matrix_invertible`` accepts.  Both sides must return equal lists, order
-included.  The stratum sizes are also checked against the closed form
+``matrix_invertible`` accepts.  Both sides must return equal members,
+order included; the VIC sequence is also checked indexed from either end
+and sliced.  The stratum sizes are also checked against the closed form
 through |GL_n(R)| (``noether.closed_form_counts``).
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
 from vicbench import noether
+from vicbench.cli import main
 from vicbench.errors import BadShape, BudgetExceeded, InvalidMorphism
 from vicbench.noether import closed_form_counts, enumerate_ovic, enumerate_vic
 from vicbench.ovic import (
@@ -124,13 +127,30 @@ def assert_twins(got, want):
             assert (a.ring, a.rows, a.cols, hash(a)) == (b.ring, b.rows, b.cols, hash(b))
 
 
+def assert_sequence_matches(seq, want):
+    """A VIC sequence against the oracle's list: walked, indexed at every
+    position from either end, and sliced; out of range at its length on
+    both sides."""
+    size = len(want)
+    assert len(seq) == size
+    assert_twins(list(seq), want)
+    assert_twins([seq[i] for i in range(size)], want)
+    assert_twins([seq[-i - 1] for i in range(size)], want[::-1])
+    for part in (slice(None), slice(1, None, 2), slice(None, None, -3), slice(-5, -1),
+                 slice(size // 2, size + 4)):
+        assert_twins(list(seq[part]), want[part])
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            seq[i]
+
+
 def assert_strata_match(emb, d, n):
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
     assert_twins(got, want)
     assert [f.s_sets for f in got] == [f.s_sets for f in want]
     # the oracle's keys are computed afresh by the order_key property
     assert [f.order_key for f in got] == [f.order_key for f in want]
-    assert_twins(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
+    assert_sequence_matches(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
 
 
 def test_group_checks_reject_what_the_constructors_reject():
@@ -150,7 +170,7 @@ def test_group_checks_reject_what_the_constructors_reject():
 
 def test_member_hashes_keep_their_formula():
     emb = build_aw_embedding(builtin_ring("Z4"))
-    for f in enumerate_ovic(emb, 1, 2) + enumerate_vic(emb, 1, 2):
+    for f in enumerate_ovic(emb, 1, 2) + list(enumerate_vic(emb, 1, 2)):
         m = f.f_prime
         assert hash(m) == hash((id(m.ring), m.rows, m.cols, m.entries))
         assert hash(f) == hash((id(f.ring), f.d, f.n, f.f_prime.entries,
@@ -189,6 +209,26 @@ def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
     monkeypatch.setattr(noether, "_kernel", lambda f: kernel(f) + [(0,) * (f.cols - 1)])
     with pytest.raises(BadShape):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
+
+
+def test_vic_counts_build_no_member(monkeypatch, capsys):
+    """The length of a VIC stratum, and so ``enumerate ovic --vic
+    --count-only``, comes from its group table: no member is built until
+    one is read."""
+    batches = []
+    batch = VicMorphism._batch.__func__
+    monkeypatch.setattr(VicMorphism, "_batch", classmethod(
+        lambda cls, *args: batches.append(args) or batch(cls, *args)))
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    size = closed_form_counts(emb, 2, 3)[1]
+    assert len(enumerate_vic(emb, 2, 3)) == size
+    assert main(["enumerate", "ovic", "--builtin", "Z4", "--d", "2", "--n", "3",
+                 "--vic", "--count-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["count"] == size
+    assert batches == []
+    # an index builds its own group alone
+    assert isinstance(enumerate_vic(emb, 2, 3)[-1], VicMorphism)
+    assert len(batches) == 1
 
 
 def _grid():
@@ -437,14 +477,16 @@ def test_column_search_order_and_nodes():
     ("zmod(8)", 2, 2), ("zmod(2)", 3, 4),
 ])
 def test_stratum_builds_leave_no_cyclic_garbage(spec, d, n):
-    """Builds run with the collector paused; what they drop must then be
-    freed by reference counting alone, so a collection finds nothing."""
+    """Builds run with the collector paused, and a VIC walk builds its
+    members as it goes; what they drop must then be freed by reference
+    counting alone, so a collection finds nothing."""
     emb = build_aw_embedding(build_ring(spec))  # a fresh ring: nothing cached yet
     gc.collect()
     gc.disable()
     try:
         enumerate_ovic(emb, d, n)
-        enumerate_vic(emb, d, n)
+        vic = enumerate_vic(emb, d, n)
+        assert sum(1 for _ in vic) == len(vic)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -514,10 +556,11 @@ def _cycle() -> weakref.ref:
 
 @tenured
 def test_finished_builds_start_no_collection_over_their_members(monkeypatch):
-    """A finished build tenures its members into the oldest generation, so
-    no collection walks them: over Z4 2 -> 3 (43456 members) the only
-    collections are the two builds' sweeps of the young generations, each
-    started with few young objects."""
+    """A finished build tenures what it allocated into the oldest
+    generation, so no collection walks it: over Z4 2 -> 3 (43456 members)
+    the only collections are the two builds' sweeps of the young
+    generations, each started with few young objects.  A walk over the VIC
+    sequence frees each group by reference counting, so it starts none."""
     monkeypatch.setattr(noether, "_tenure", [0, 0, 0])
     emb = build_aw_embedding(build_ring("zmod(4)"))
     gc.collect()
@@ -529,11 +572,12 @@ def test_finished_builds_start_no_collection_over_their_members(monkeypatch):
 
     gc.callbacks.append(count)
     try:
-        built = enumerate_ovic(emb, 2, 3) + enumerate_vic(emb, 2, 3)
+        ovic, vic = enumerate_ovic(emb, 2, 3), enumerate_vic(emb, 2, 3)
+        walked = sum(1 for _ in vic)
         after = [[i] for i in range(100)]
     finally:
         gc.callbacks.remove(count)
-    assert len(built) == 43456 and len(after) == 100
+    assert len(ovic) + len(vic) == 43456 and walked == len(vic) and len(after) == 100
     assert started == [(1, True), (1, True)]
 
 

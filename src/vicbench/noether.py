@@ -7,20 +7,20 @@ basis morphism.  Coefficients are exact: prime fields or rationals.  A
 ``ModuleElement`` reduces each coefficient into its field, and the engine
 refuses an element over another field than the span's (``FieldMismatch``).
 
-The engine works on ranks.  ``enumerate_ovic`` emits each stratum OVIC(d, n)
-in strict total order, so a member's position in that list, its rank,
-compares as the member does.  The rank view of a stratum
-(``StratumRanks``) is that list and one index by entries,
-f''.entries -> {f'.entries -> rank}; the engine builds the view on first
-use and caches it on the embedding beside the stratum.  ``span_to_degree``
-turns each generator into ranks, and its coefficients into ints, once.  Per
-source term f of OVIC(d, k) it keeps one composite column on the embedding:
-the rank of phi o f for every phi in OVIC(k, n), in one fixed phi order per
-(k, n).  A source stratum OVIC(k, n) is never enumerated: its packed store
-(``_splittings``), the one both builds read too, gives each record's f''
-and the entry columns of phi' over all members (``_source_stratum``).  A
-column takes one f'' product per record and builds phi' f' for every member
-at once with C-level maps (``_composite_ranks``).
+The engine works on ranks.  ``enumerate_ovic`` returns each stratum OVIC(d, n)
+as a sequence in strict total order, so a member's index, its rank,
+compares as the member does.  The stratum is its own rank view
+(``OvicStratum``): ``rank`` and the index by entries, f''.entries ->
+{f'.entries -> rank}, are read off its packed store (``_splittings``) and
+each record's sort order on first use, and no member is built for them.
+``span_to_degree`` turns each generator into ranks, and its coefficients
+into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
+column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
+in one fixed phi order per (k, n).  A source stratum OVIC(k, n) is read
+off that same store: each record's f'' and the entry columns of phi' over
+all members (``_source_stratum``).  A column takes one f'' product per
+record and builds phi' f' for every member at once with C-level maps
+(``_composite_ranks``).
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
 ``extend`` call of the degree's echelon basis, which reduces each image
@@ -35,9 +35,10 @@ every image by XOR in one C-level chain, and Python runs only for an image
 that adds a row.  Its table of reduced unit vectors is dense, about N^2 / 15
 bytes for a target of N ranks, so a degree uses it only while that is at
 most ``F2_RED_BYTES`` (128 MiB, N up to 44,869), and ``EchelonBasis`` above.
-Morphisms and field elements come back only at the bases' public methods.
-The target strata OVIC(d, n) are always enumerated; they, and the source
-strata counted from their records, count against the span's budget.
+Morphisms and field elements come back only at the bases' public methods,
+which index the target stratum, building just the records they reach.
+The target strata OVIC(d, n), and the source strata counted from their
+records, count against the span's budget.
 
 ``act`` composes morphisms outside the engine, each term by ``compose_vic``;
 it shares no state with enumeration.
@@ -54,13 +55,11 @@ below.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 from functools import cache, partial
 from fractions import Fraction
@@ -305,84 +304,19 @@ def parse_field(spec: str):
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
 # their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
 # the closure of transvections and diagonal units, each element found with
-# its inverse.  Members are assembled from entry tuples checked once per f''
-# and emitted in order, a record (one f'') or group (one f'' and g) at a
-# time, off one packed store per stratum (``_splittings``): a record's f'
-# are a slice of its entry columns, a group's that slice moved by one table
-# per entry.  One batch constructor call per class builds the matrices and
-# morphisms.  OVIC strata are cached in ``emb.enum_cache``; a VIC stratum
-# is a table of its groups (``VicStratum``), whose members are built when
-# they are read and freed by reference counting once dropped.
-#
-# An OVIC build allocates tens of thousands of members, and each burst of
-# allocations would make CPython's cyclic collector walk them and every
-# stratum already cached.  Builds therefore run with the collector paused
-# (``_collector_paused``).  The pause defers no freeing: members hold only
-# rings, embeddings, tuples and ints, and a build makes no reference cycle,
-# so reference counting frees whatever it drops.  Re-enabling alone would
-# still leave the collector counting the pause's allocations, so its next
-# young passes would walk every member just built and free nothing.  A
-# finished build therefore tenures them: ``gc.freeze(); gc.unfreeze()``
-# moves everything tracked into the oldest generation, two list splices
-# that walk no object.  The tenure also zeroes the collector's counts, so
-# a caller that allocates little between builds would never again reach
-# the count at which CPython starts a collection, and cyclic garbage it
-# makes would never be freed.  Each tenured build therefore starts with a
-# sweep (``_sweep``): a collection of the young generations, which then
-# hold only the caller's objects made since the last build, so it is short
-# and the tenure moves nothing unexamined but the build's own members.  The
-# sweep is a full collection as often as CPython's schedule gave one when
-# every build's burst started a young collection: once threshold1 x
-# threshold2 builds (100 at the default thresholds) have passed since the
-# last, and the objects moved into the oldest generation since then pass a
-# quarter of what it kept.  The sweep and the tenure are skipped while any
-# object is frozen, since ``unfreeze`` would thaw it; that includes CPython
-# 3.12, which starts with the ``__mro__`` and ``__bases__`` tuples of its
-# static types frozen, so builds there are paused but not tenured.  They
-# are also skipped when automatic collection is off (threshold0 is 0).
-
-# sweeps since the last full one, objects moved into the oldest generation
-# since then, and the tracked objects counted after it
-_tenure = [0, 0, 0]
-
-
-def _sweep() -> None:
-    """Collect the young generations before a tenured build, or all of them
-    once the schedule above calls for a full collection."""
-    _tenure[0] += 1
-    _tenure[1] += gc.get_count()[0]
-    sweeps, moved, kept = _tenure
-    _, middle, oldest = gc.get_threshold()
-    if sweeps > middle * oldest and moved > kept // 4:
-        gc.collect()
-        gc.freeze()
-        _tenure[:] = [0, 0, gc.get_freeze_count()]
-        gc.unfreeze()
-    else:
-        gc.collect(1)
-
-
-@contextmanager
-def _collector_paused():
-    """Run the block with the cyclic garbage collector off.  Unless any
-    object is frozen, sweep the caller's young objects first (``_sweep``)
-    and, on a normal exit, tenure what the block allocated into the oldest
-    generation; on any exit switch the collector back on if it was on
-    before."""
-    enabled = gc.isenabled()
-    tenure = enabled and gc.get_threshold()[0] and not gc.get_freeze_count()
-    if tenure:
-        _sweep()
-    gc.disable()
-    try:
-        yield
-        if tenure:
-            _tenure[1] += gc.get_count()[0]
-            gc.freeze()
-            gc.unfreeze()
-    finally:
-        if enabled:
-            gc.enable()
+# its inverse.  One packed store per stratum (``_splittings``) holds a
+# record per f'', checked once, and the entry columns of f' over all
+# members.  A stratum d -> n, 1 <= d <= n, is a read-only sequence over
+# that store (``_Stratum``) whose groups are runs of consecutive members:
+# an OVIC record, its slice of the columns sorted by the free rows of
+# Phi(f') (``OvicStratum``), or a VIC group, one record and one g, its
+# slice moved by one table per entry and sorted (``VicStratum``).  A group
+# is built with one batch constructor call per class when it is first
+# read.  OVIC strata are cached in ``emb.enum_cache`` and keep the records
+# they build, since callers walk them again; a VIC stratum is built per
+# call, and a walk over it drops each group once past it.  Members hold
+# only rings, embeddings, tuples and ints, so reference counting frees
+# whatever is dropped, and no build leaves work for the cyclic collector.
 
 
 def _check_ranks(d: int, n: int) -> None:
@@ -686,77 +620,46 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
     return pairs, products
 
 
-def _build_ovic(emb: AWEmbedding, d: int, n: int, budget: int) -> tuple[list, int]:
-    ring = emb.ring
-    if d == 0:
-        return [OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                             emb, s_sets=tuple(() for _ in range(emb.q)),
-                             check=False)], 1
-    if n < d:
-        return [], 0
-    records, columns, nodes = _splittings(emb, d, n, budget)
-    work = nodes + sum(rec[3] for rec in records)
-    _check_budget(work, budget, f"OVIC({d}, {n})")
-    mu = emb.mu_total
-    phis = [emb.phi(x) for x in ring.elements()]
-    # per row p of Phi: row p of Phi applied along a row of f', indexed by
-    # its element for d = 1 and keyed by the row for d > 1
-    if d == 1:
-        phi_rows = [[phi.row(p) for phi in phis] for p in range(mu)]
-    else:
-        phi_rows = [{v: tuple(e for x in v for e in phis[x].row(p))
-                     for v in itertools.product(ring.elements(), repeat=d)}
-                    for p in range(mu)]
-    out = []
-    for f_dprime, s_sets, _, count, prefix, offset in records:
-        # entry i of f' over the members of the record, then row i of f'
-        cols = [column[offset:offset + count] for column in columns]
-        f_rows = cols if d == 1 else [list(zip(*cols[i:i + d])) for i in range(0, n * d, d)]
-        # standard row s of Phi(f') is row (s-1) % mu of Phi along row
-        # (s-1) // mu of f', so a free row over the members is one lookup
-        # per member in one table; n = d leaves no free row, and a single
-        # member per record
-        free, _ = split_rows(emb, n, s_sets)
-        frees = zip(*[map(phi_rows[(s - 1) % mu].__getitem__, f_rows[(s - 1) // mu])
-                      for s in free]) if free else [()] * count
-        # the records come in prefix order, so sorting each by its free rows
-        # sorts the stratum; no two members of a record share free rows
-        members = sorted(zip(frees, zip(*cols)))
-        out += OvicMorphism._batch(
-            RMatrix._batch(ring, n, d, map(itemgetter(1), members)), f_dprime, emb,
-            s_sets, prefix, map(itemgetter(0), members))
-    return out, work
-
-
 def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
-                   budget: int = 10 ** 6) -> list[OvicMorphism]:
-    """All column-adapted morphisms d -> n, sorted by the total order.
+                   budget: int = 10 ** 6) -> Sequence[OvicMorphism]:
+    """All column-adapted morphisms d -> n as a read-only sequence, sorted
+    by the total order.
 
     Each column-adapted f'' comes out of a column-by-column search, and
     carries the splittings psi + K for K in ker(f'')^d, psi its canonical
     splitting.  Order keys are a per-f'' prefix (n, s_sets, Phi(f'')
     columns) followed by the free rows of Phi(f').  Phi is injective, so no
-    two f'' share a prefix: the stratum is emitted in order by taking the
-    f'' in prefix order and the members of each in free-row order, with no
-    sort over the whole stratum.  ``budget`` bounds the search nodes plus
-    the emitted morphisms; BudgetExceeded is raised past it.  The stratum is
-    cached on ``emb``: a repeated request returns the same list.  The order
-    is strict, so position i in the list is rank i; the span engine builds
-    its rank view (``StratumRanks``) from this list, and this function
-    never does.  The stratum is built with the cyclic collector paused,
-    after a collection of the caller's young objects, and a finished build
-    tenures what it allocated into the oldest generation: the build leaves
-    no reference cycle, so this only saves the collector's passes over the
-    new members and the strata already cached.
+    two f'' share a prefix: the stratum is in order when the f'' are taken
+    in prefix order and the members of each in free-row order, with no sort
+    over the whole stratum.  A call builds only the packed store
+    (``OvicStratum``); the length comes from its records, and a record's
+    members are built when an index or a walk first reaches it.  The order
+    is strict, so index i is rank i, and the stratum is its own rank view
+    (``OvicStratum.rank``), read off the store with no member built.
+    ``budget`` bounds the search nodes plus the members; BudgetExceeded is
+    raised past it, and a cached stratum gets the same verdict.  The
+    stratum is cached on ``emb``: a repeated request returns the same
+    sequence.  OVIC(0, n), one member of work 1, and OVIC(d, n) for n < d,
+    empty, are tuples.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
-        with _collector_paused():
-            emb.enum_cache[key] = _build_ovic(emb, d, n, budget)
-    out, work = emb.enum_cache[key]
+        ring = emb.ring
+        if d == 0:
+            stratum, work = (OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
+                                          emb, s_sets=tuple(() for _ in range(emb.q)),
+                                          check=False),), 1
+        elif n < d:
+            stratum, work = (), 0
+        else:
+            records, columns, nodes = _splittings(emb, d, n, budget)
+            stratum = OvicStratum(emb, d, n, records, columns)
+            work = nodes + len(stratum)
+        emb.enum_cache[key] = stratum, work
+    stratum, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
-    return out
+    return stratum
 
 
 def enumerate_vic(emb: AWEmbedding, d: int, n: int,
@@ -772,17 +675,16 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     (f2'', g) groups are taken in f'' order and the f' of each sorted, with
     no sort over the whole stratum.  A call builds only that group table
     (``VicStratum``); its length comes from the table, and each group's
-    members are built when an index or a walk first reaches it.  GL_d is a
-    closure from I under right multiplication by transvections and
-    diagonal units (``_general_linear``).  ``budget`` bounds the work: the
-    search nodes of OVIC(d, n), the |GL_d| |generators| products of the
-    closure, and per g in GL_d one plus the splittings of every f2'';
-    VIC(0, n) is work 1.  That work is counted from |GL_d| in closed form,
-    so BudgetExceeded is raised past it before GL_d is built, and a cached
-    GL_d gets the same verdict.  The table is built with the cyclic
-    collector paused and tenured once finished, as in ``enumerate_ovic``;
-    members built on access make no reference cycle, so reference counting
-    frees each group once it is dropped.
+    members are built when an index or a walk first reaches it; a walk
+    drops each group once past it.  GL_d is a closure from I under right
+    multiplication by transvections and diagonal units
+    (``_general_linear``).  ``budget`` bounds the work: the search nodes of
+    OVIC(d, n), the |GL_d| |generators| products of the closure, and per g
+    in GL_d one plus the splittings of every f2''; VIC(0, n) is work 1.
+    That work is counted from |GL_d| in closed form, so BudgetExceeded is
+    raised past it before GL_d is built, and a cached GL_d gets the same
+    verdict.  VIC(0, n), one member, and VIC(d, n) for n < d, empty, are
+    tuples.
     """
     _check_ranks(d, n)
     ring = emb.ring
@@ -792,12 +694,6 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
                             check=False),)
     if n < d:
         return ()
-    with _collector_paused():
-        return _build_vic(emb, d, n, budget)
-
-
-def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> VicStratum:
-    ring = emb.ring
     records, columns, nodes = _splittings(emb, d, n, budget)
     # the closure's products, then per g in GL_d one pair and its splittings
     work = nodes + _gl_products(emb, d) + _gl_order(emb, d) * (
@@ -833,30 +729,23 @@ def _build_vic(emb: AWEmbedding, d: int, n: int, budget: int) -> VicStratum:
     return VicStratum(ring, d, n, columns, groups)
 
 
-class VicStratum(Sequence):
-    """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
-    in f'' order (``enumerate_vic``).  A group is (f''.entries, one
-    translation table per entry, the slice of the ``_splittings`` columns
-    that holds its record); its members are the f' read off that slice and
-    moved through the tables, sorted, each paired with f''.
+class _Stratum(Sequence):
+    """A stratum d -> n, 1 <= d <= n, as a read-only sequence over groups,
+    runs of consecutive members that ``_group(k)`` builds afresh off the
+    stratum's ``_splittings`` store.
 
     ``_starts`` holds each group's first index and the length last, so
     ``len`` is O(1) and an index finds its group by bisection; a slice
-    gives a list.  Indexing keeps each group it builds, so repeated indices
-    into one group build it once; a walk builds one group at a time and
-    keeps none."""
+    gives a list.  Indexing keeps each group it builds (``_kept``), so
+    repeated indices into one group build it once.  A walk takes the
+    groups in turn through ``_walked``: ``_kept`` in a stratum that is
+    walked again, ``_group`` in one whose walk holds one group at a
+    time."""
 
-    __slots__ = ("_columns", "_through", "_f_primes", "_f_dprimes", "_groups",
-                 "_starts", "_built")
+    __slots__ = ("_starts", "_built")
 
-    def __init__(self, ring, d: int, n: int, columns: list, groups: list):
-        self._columns = columns
-        self._through = _packing(ring)[2]
-        self._f_primes = partial(RMatrix._batch, ring, n, d)
-        self._f_dprimes = partial(RMatrix._batch, ring, d, n)
-        self._groups = groups
-        self._starts = [0, *itertools.accumulate(part.stop - part.start
-                                                 for _, _, part in groups)]
+    def __init__(self, counts):
+        self._starts = [0, *itertools.accumulate(counts)]
         self._built: dict = {}
 
     def __len__(self) -> int:
@@ -870,27 +759,141 @@ class VicStratum(Sequence):
         if i < 0:
             i += starts[-1]
         if not 0 <= i < starts[-1]:
-            raise IndexError("VIC stratum index out of range")
+            raise IndexError("stratum index out of range")
         k = bisect_right(starts, i) - 1
+        # groups are never empty, so a miss alone calls ``_kept``
+        return (self._built.get(k) or self._kept(k))[i - starts[k]]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(map(self._walked, range(len(self._starts) - 1)))
+
+    def _kept(self, k: int) -> list:
+        """The members of group k, built on first use and kept."""
         members = self._built.get(k)
         if members is None:
             members = self._built[k] = self._group(k)
-        return members[i - starts[k]]
+        return members
 
-    def __iter__(self):
-        for k in range(len(self._groups)):
-            yield from self._group(k)
+
+class OvicStratum(_Stratum):
+    """OVIC(d, n), 1 <= d <= n, as a read-only sequence over the records of
+    its ``_splittings`` store, in prefix order (``enumerate_ovic``).  A
+    record's members are the f' of its slice of the entry columns, sorted
+    by the free rows of Phi(f'), each paired with its f''.  The stratum is
+    cached on the embedding and walked again, so a walk keeps each record
+    it builds.
+
+    Index i is rank i, so the stratum is its own rank view: ``ranks`` maps
+    f''.entries -> {f'.entries -> rank}, one inner dict per record, built
+    on first use from the columns and each record's sort order with no
+    member built, and ``rank`` looks a morphism up in it."""
+
+    __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "_ranks")
+
+    def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list):
+        super().__init__(rec[3] for rec in records)
+        self._emb, self._d, self._n = emb, d, n
+        self._records = records
+        self._columns = columns
+        self._ranks = None
+
+    def _sorted(self, k: int) -> list:
+        """Record k's members as (free rows of Phi(f'), f'.entries) pairs,
+        in order."""
+        _, s_sets, _, count, _, offset = self._records[k]
+        emb, d, n = self._emb, self._d, self._n
+        mu = emb.mu_total
+        phi_rows = _phi_rows(emb, d)
+        # entry i of f' over the members of the record, then row i of f'
+        cols = [column[offset:offset + count] for column in self._columns]
+        f_rows = cols if d == 1 else [list(zip(*cols[i:i + d])) for i in range(0, n * d, d)]
+        # standard row s of Phi(f') is row (s-1) % mu of Phi along row
+        # (s-1) // mu of f', so a free row over the members is one lookup
+        # per member in one table; n = d leaves no free row, and a single
+        # member per record
+        free, _ = split_rows(emb, n, s_sets)
+        frees = zip(*[map(phi_rows[(s - 1) % mu].__getitem__, f_rows[(s - 1) // mu])
+                      for s in free]) if free else [()] * count
+        # the records come in prefix order, so sorting each by its free rows
+        # sorts the stratum; no two members of a record share free rows
+        return sorted(zip(frees, zip(*cols)))
+
+    def _group(self, k: int) -> list[OvicMorphism]:
+        """The members of record k, built afresh."""
+        f_dprime, s_sets, _, _, prefix, _ = self._records[k]
+        members = self._sorted(k)
+        return OvicMorphism._batch(
+            RMatrix._batch(self._emb.ring, self._n, self._d, map(itemgetter(1), members)),
+            f_dprime, self._emb, s_sets, prefix, map(itemgetter(0), members))
+
+    _walked = _Stratum._kept
+
+    @property
+    def ranks(self) -> dict:
+        """f''.entries -> {f'.entries -> rank}, built on first use."""
+        if self._ranks is None:
+            starts = self._starts
+            self._ranks = {
+                rec[0].entries: dict(zip(map(itemgetter(1), self._sorted(k)),
+                                         range(starts[k], starts[k + 1])))
+                for k, rec in enumerate(self._records)}
+        return self._ranks
+
+    def rank(self, f: VicMorphism) -> Optional[int]:
+        """The rank of ``f``, or None when it is no member: entry tuples
+        find a member only over the stratum's ring (by identity) and of its
+        type d -> n."""
+        if f.ring is not self._emb.ring or (f.d, f.n) != (self._d, self._n):
+            return None
+        record = self.ranks.get(f.f_dprime.entries)
+        return None if record is None else record.get(f.f_prime.entries)
+
+
+def _phi_rows(emb: AWEmbedding, d: int) -> list:
+    """Per row p of Phi, row p of Phi applied along a row of f' (d
+    entries): a list by the entry for d = 1, a dict by the row for d > 1;
+    built once per (embedding, d) and cached on it."""
+    key = ("phi-rows", d)
+    if key not in emb.enum_cache:
+        ring = emb.ring
+        phis = [emb.phi(x) for x in ring.elements()]
+        if d == 1:
+            rows = [[phi.row(p) for phi in phis] for p in range(emb.mu_total)]
+        else:
+            rows = [{v: tuple(e for x in v for e in phis[x].row(p))
+                     for v in itertools.product(ring.elements(), repeat=d)}
+                    for p in range(emb.mu_total)]
+        emb.enum_cache[key] = rows
+    return emb.enum_cache[key]
+
+
+class VicStratum(_Stratum):
+    """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
+    in f'' order (``enumerate_vic``).  A group is (f''.entries, one
+    translation table per entry, the slice of the ``_splittings`` columns
+    that holds its record); its members are the f' read off that slice and
+    moved through the tables, sorted, each paired with f''.  A walk builds
+    one group at a time and keeps none."""
+
+    __slots__ = ("_columns", "_through", "_f_primes", "_f_dprimes", "_groups")
+
+    def __init__(self, ring, d: int, n: int, columns: list, groups: list):
+        super().__init__(part.stop - part.start for _, _, part in groups)
+        self._columns = columns
+        self._through = _packing(ring)[2]
+        self._f_primes = partial(RMatrix._batch, ring, n, d)
+        self._f_dprimes = partial(RMatrix._batch, ring, d, n)
+        self._groups = groups
 
     def _group(self, k: int) -> list[VicMorphism]:
         """The members of group k, built afresh."""
         f_dprime, moves, part = self._groups[k]
         through = self._through
-        # a list, not a map: a tuple built from an iterable of unknown
-        # length is resized, so the collector would count one allocation
-        # per group that freeing it never takes back
         f_primes = sorted(zip(*[through(column[part], move)
                                 for column, move in zip(self._columns, moves)]))
         return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])
+
+    _walked = _group
 
 
 # ---------------------------------------------------------------------------
@@ -986,31 +989,23 @@ def init_term(x: ModuleElement) -> tuple:
 # stratum ranks, echelon bases and spans
 # ---------------------------------------------------------------------------
 
-class StratumRanks:
-    """The rank view of a stratum: ``members`` is the list ``enumerate_ovic``
-    returned, so ``members[i]`` has rank i.  The list is in strict total
-    order, so ranks compare as their members do.  ``records`` indexes the
-    ranks by entry tuples, f''.entries -> {f'.entries -> rank}, one inner
-    dict per record (the run of members sharing one f'')."""
+def _ranker(stratum: Sequence[OvicMorphism]):
+    """The rank function of an OVIC stratum, a morphism's rank or None when
+    it is no member: ``OvicStratum.rank``, or for the tuples OVIC(0, n) and
+    OVIC(d, n < d), which hold at most one member, rank 0 for a morphism
+    equal to it (same ring, by identity, type and entries)."""
+    if isinstance(stratum, tuple):
+        return lambda f: 0 if f in stratum else None
+    return stratum.rank
 
-    __slots__ = ("members", "records")
 
-    def __init__(self, members: list):
-        self.members = members
-        self.records = records = {}
-        for i, f in enumerate(members):
-            records.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
-
-    def rank(self, f: VicMorphism) -> Optional[int]:
-        """The rank of ``f``, or None when it is no member: entry tuples
-        find a member only of the same ring (by identity) and type."""
-        if not self.members:
-            return None
-        head = self.members[0]
-        if f.ring is not head.ring or (f.d, f.n) != (head.d, head.n):
-            return None
-        record = self.records.get(f.f_dprime.entries)
-        return None if record is None else record.get(f.f_prime.entries)
+def _entry_ranks(stratum: Sequence[OvicMorphism]) -> dict:
+    """An OVIC stratum's ranks by entries, f''.entries -> {f'.entries ->
+    rank} (``OvicStratum.ranks``); for the tuples OVIC(0, n) and
+    OVIC(d, n < d), read off their at most one member."""
+    if isinstance(stratum, tuple):
+        return {f.f_dprime.entries: {f.f_prime.entries: 0} for f in stratum}
+    return stratum.ranks
 
 
 def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
@@ -1018,8 +1013,9 @@ def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
     """OVIC(k, n) as the span reads a source stratum, with no member built:
     (the f''.entries of each record, each record's member count, the n k
     entry columns of phi'), plus the number of members.  The columns are
-    the ``_splittings`` store itself, so they fix one phi order per (k, n):
-    records in prefix order, each record's members in kernel order.
+    the ``_splittings`` store that ``OvicStratum`` reads too, taken as they
+    are, so they fix one phi order per (k, n): records in prefix order, each
+    record's members in kernel order, not sorted into rank order.
 
     The budget verdict is the stratum's own, as in ``enumerate_ovic``: the
     search nodes plus the members, counted from the records' shift counts.
@@ -1037,14 +1033,15 @@ def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
     return stratum, members
 
 
-def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
+def _composite_ranks(target: dict, phis: tuple, f: OvicMorphism, n: int
                      ) -> list[int]:
-    """The rank in ``target`` of phi o f for every phi in OVIC(k, n), k =
-    f.n, in the order of ``phis`` (``_source_stratum``).
+    """The rank in OVIC(d, n), d = f.d, of phi o f for every phi in
+    OVIC(k, n), k = f.n, in the order of ``phis`` (``_source_stratum``);
+    ``target`` is that stratum's ranks by entries (``_entry_ranks``).
 
     The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
     record, so it is multiplied out once per record and looked up in
-    ``target.records``.  Entry (j, c) of phi' f' is the sum over t of
+    ``target``.  Entry (j, c) of phi' f' is the sum over t of
     phi'[j, t] f'[t, c]: over all members at once, column j k + t of phi'
     right-multiplied by f'[t, c] (one pass through a column of the
     multiplication table, ``_packing``; a zero entry is skipped and a one
@@ -1075,7 +1072,7 @@ def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
                 acc = map(getitem, map(add.__getitem__, acc), term)
             entries.append(acc)
     try:
-        targets = [target.records[mul_entries(ring, f_dprime, e, d, k, n)] for e in dprimes]
+        targets = [target[mul_entries(ring, f_dprime, e, d, k, n)] for e in dprimes]
         # one target dict per member, then each member's f' in it
         return list(map(dict.__getitem__,
                         itertools.chain.from_iterable(map(itertools.repeat, targets, counts)),
@@ -1085,21 +1082,10 @@ def _composite_ranks(target: StratumRanks, phis: tuple, f: OvicMorphism, n: int
                            f"is not in OVIC({d}, {n})") from None  # bug guard
 
 
-def _stratum_ranks(emb: AWEmbedding, d: int, n: int, budget: int = 10 ** 6
-                   ) -> StratumRanks:
-    """The rank view of OVIC(d, n), built on first use and cached on ``emb``;
-    the stratum's budget verdict holds as in ``enumerate_ovic``."""
-    members = enumerate_ovic(emb, d, n, budget=budget)
-    key = ("ranks", d, n)
-    view = emb.enum_cache.get(key)
-    if view is None:
-        view = emb.enum_cache[key] = StratumRanks(members)
-    return view
-
-
 class EchelonBasis:
     """Fully reduced echelon basis of a subspace spanned by members of one
-    stratum, kept in their ranks (``ranks``).
+    OVIC stratum (``stratum``, as ``enumerate_ovic`` returns it), kept in
+    their ranks.
 
     Rows are keyed by their pivot, the largest rank they hold, and map ranks
     to plain ints in the form the field keeps them: monic residue vectors
@@ -1117,14 +1103,15 @@ class EchelonBasis:
     field's row operations (``clear``, ``normalise``), so no Fraction is
     built there.  ``insert`` is ``extend`` with a single rank-keyed vector.
     ``leading``, ``reduce`` and ``canonical_rows`` speak in members and
-    field elements; ``field.entry`` reads a stored entry back.  Over F2 the
+    field elements: they rank a member with ``_ranker`` and index the stratum
+    for a rank, and ``field.entry`` reads a stored entry back.  Over F2 the
     span engine uses ``F2EchelonBasis`` instead, and this class is its
     oracle in the tests.
     """
 
-    def __init__(self, field, ranks: StratumRanks):
+    def __init__(self, field, stratum: Sequence[OvicMorphism]):
         self.field = field
-        self.ranks = ranks
+        self.stratum = stratum
         self.rows: dict[int, dict] = {}
         self.cols: dict[int, set] = {}
 
@@ -1133,14 +1120,13 @@ class EchelonBasis:
         return len(self.rows)
 
     def leading(self) -> tuple[OvicMorphism, ...]:
-        members = self.ranks.members
-        return tuple(members[r] for r in sorted(self.rows))
+        return tuple(map(self.stratum.__getitem__, sorted(self.rows)))
 
     def _ranked(self, terms: dict) -> tuple[dict, dict]:
         """The nonzero member-keyed ``terms`` split into those with a rank,
         rank-keyed, and those with none (another ring or type included, see
-        ``StratumRanks.rank``), member-keyed."""
-        rank = self.ranks.rank
+        ``OvicStratum.rank``), member-keyed."""
+        rank = _ranker(self.stratum)
         vec, rem = {}, {}
         for f, c in terms.items():
             if c:
@@ -1158,7 +1144,7 @@ class EchelonBasis:
         another pivot: the certificate holds the query's own coefficient at
         each pivot.  A term with no rank in the stratum is in no row, so it
         stays in the remainder."""
-        field, rows, members = self.field, self.rows, self.ranks.members
+        field, rows, members = self.field, self.rows, self.stratum
         vec, rem = self._ranked(terms)
         cert = []
         for m in sorted(vec.keys() & rows.keys(), reverse=True):
@@ -1229,7 +1215,7 @@ class EchelonBasis:
 
     def canonical_rows(self) -> dict:
         """The true rows, member-keyed, with pivot coefficient one."""
-        field, members = self.field, self.ranks.members
+        field, members = self.field, self.stratum
         return {members[lead]: {members[g]: field.entry(x, row[lead]) for g, x in row.items()}
                 for lead, row in self.rows.items()}
 
@@ -1261,15 +1247,15 @@ class F2EchelonBasis(EchelonBasis):
     kernel only while that fits ``F2_RED_BYTES``.  Coefficients are
     ignored: over F2 every nonzero one is 1."""
 
-    def __init__(self, field, ranks: StratumRanks):
-        super().__init__(field, ranks)
-        self.red = [1 << r for r in range(len(ranks.members))]
+    def __init__(self, field, stratum: Sequence[OvicMorphism]):
+        super().__init__(field, stratum)
+        self.red = [1 << r for r in range(len(stratum))]
 
     def reduce(self, terms: dict) -> tuple[dict, list]:
         """As ``EchelonBasis.reduce``: the certificate is the query's own
         coefficient at each pivot it holds, descending, and the remainder
         is the query XOR those rows."""
-        rows, members = self.rows, self.ranks.members
+        rows, members = self.rows, self.stratum
         vec, rem = self._ranked(terms)
         pivots = sorted(vec.keys() & rows.keys(), reverse=True)
         v = sum(1 << r for r in vec)
@@ -1310,7 +1296,7 @@ class F2EchelonBasis(EchelonBasis):
         return adjoined
 
     def canonical_rows(self) -> dict:
-        one, members = self.field.one, self.ranks.members
+        one, members = self.field.one, self.stratum
         return {members[lead]: {members[g]: one for g in _bits(row)}
                 for lead, row in self.rows.items()}
 
@@ -1364,11 +1350,13 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     Every generator must be over ``field`` (by name), else FieldMismatch is
     raised.
 
-    ``budget`` bounds each stratum's own work, search nodes plus members
-    as ``enumerate_ovic`` counts it, and the morphisms counted in total: the
-    target OVIC(d, n) for every n <= horizon, which is always enumerated,
-    plus the source OVIC(k, n) once per generator of degree k <= n, which is
-    counted from its records' shift counts and never enumerated.
+    The target OVIC(d, n) is ``enumerate_ovic``'s sequence, which ranks
+    the generators' terms and the composites off its store; the bases build
+    only the members their public methods return.  ``budget`` bounds each
+    stratum's own work, search nodes plus members as ``enumerate_ovic``
+    counts it, and the morphisms counted in total: the target OVIC(d, n)
+    for every n <= horizon, plus the source OVIC(k, n) once per generator
+    of degree k <= n, both counted from their records' shift counts.
     BudgetExceeded is raised past either.
     """
     gens = tuple(gens)
@@ -1389,21 +1377,20 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
             raise BudgetExceeded(f"enumerated {enumerated} morphisms, budget {budget}")
 
     state = SubmoduleState(d, field, emb, gens, horizon)
-    # per generator, from its own degree on: (its stratum's members, its
-    # terms' ranks, their coefficients as ints)
+    # per generator, from its own degree on: (its terms' ranks, their
+    # coefficients as ints)
     ranked = [None] * len(gens)
     for n in range(horizon + 1):
-        target = _stratum_ranks(emb, d, n, budget)
-        count(len(target.members))
+        target = enumerate_ovic(emb, d, n, budget)
+        size = len(target)
+        count(size)
         for i, g in enumerate(gens):
             if g.degree == n and not g.is_zero:
-                ranks = list(map(target.rank, g.terms))
+                ranks = list(map(_ranker(target), g.terms))
                 if None in ranks:
                     raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
                                           "of this embedding")
-                coeffs = field.integral(list(g.terms.values()))
-                ranked[i] = target.members, ranks, coeffs
-        size = len(target.members)
+                ranked[i] = ranks, field.integral(list(g.terms.values()))
         if field.name == "F2" and size * size // 15 <= F2_RED_BYTES:
             basis = F2EchelonBasis(field, target)
         else:
@@ -1411,16 +1398,16 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
         for g, generator in zip(gens, ranked):
             if generator is None:
                 continue
-            source, ranks, coeffs = generator
+            ranks, coeffs = generator
             k = g.degree
             phis, members = _source_stratum(emb, k, n, budget)
             count(members)
             memo = emb.enum_cache.setdefault(("composite-columns", d, k, n), {})
             columns = []
-            for r in ranks:
+            for r, f in zip(ranks, g.terms):
                 column = memo.get(r)
                 if column is None:
-                    column = memo[r] = _composite_ranks(target, phis, source[r], n)
+                    column = memo[r] = _composite_ranks(_entry_ranks(target), phis, f, n)
                 columns.append(column)
             # a row across the columns is one image's composite ranks, which
             # fix the image: the coefficients are the generator's
@@ -1508,8 +1495,9 @@ def count_identity_report(emb: AWEmbedding, d: int, n: int,
     ``enumerate_vic`` builds VIC(d, n) as OVIC(d, n) o GL_d, so that
     identity holds by construction; ``matches`` also requires both
     enumerated counts to equal ``closed_form_counts``, which owes nothing
-    to either enumerator.  For d >= 1 the VIC counts come from the group
-    tables of VIC(d, n) and VIC(d, d): no VIC member is built."""
+    to either enumerator.  For d >= 1 the counts come from the records of
+    OVIC(d, n) and the group tables of VIC(d, n) and VIC(d, d): no member
+    is built."""
     vic = len(enumerate_vic(emb, d, n, budget=budget))
     ovic = len(enumerate_ovic(emb, d, n, budget=budget))
     gl = len(enumerate_vic(emb, d, d, budget=budget))

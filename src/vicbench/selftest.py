@@ -463,11 +463,8 @@ def criterion_engine(quick: bool = False, seed: int = 0) -> CheckResult:
         if not inside:
             failures.append("constructed N not inside M")
             continue
-        same_sinit = all(
-            initial_module_to_degree(m_state, horizon)[deg]
-            == initial_module_to_degree(n_state, horizon)[deg]
-            for deg in range(horizon + 1)
-        )
+        same_sinit = (initial_module_to_degree(m_state, horizon)
+                      == initial_module_to_degree(n_state, horizon))
         checks += 1
         if same_sinit:
             for deg in range(horizon + 1):

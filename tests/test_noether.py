@@ -199,7 +199,7 @@ def test_enumerate_ovic_examples():
     assert len(enumerate_ovic(emb, 1, 1)) == 1
     assert len(enumerate_ovic(emb, 1, 2)) == 6
     assert len(enumerate_ovic(emb, 0, 3)) == 1
-    assert enumerate_ovic(emb, 2, 1) == []
+    assert enumerate_ovic(emb, 2, 1) == ()
 
 
 def test_enumerate_ovic_sorted_and_deterministic():
@@ -505,8 +505,7 @@ def test_init_term_examples():
 def test_echelon_insert_reduce():
     emb = emb_of("F2")
     fs = enumerate_ovic(emb, 1, 2)
-    ranks = noether._stratum_ranks(emb, 1, 2)
-    basis = EchelonBasis(F2, ranks)
+    basis = EchelonBasis(F2, fs)
     assert basis.insert({0: 1, 1: 1})  # ranks of fs[0], fs[1]
     assert not basis.insert({0: 1, 1: 1})
     assert basis.insert({1: 1})
@@ -843,7 +842,7 @@ def _composite_column(target, homs, f, n):
         for phi in homs:
             if phi.f_dprime is not last:
                 last = phi.f_dprime
-                record = target.records[rings.mul_entries(ring, f_dprime, last.entries, d, k, n)]
+                record = target[rings.mul_entries(ring, f_dprime, last.entries, d, k, n)]
             rows = zip(*[iter(phi.f_prime.entries)] * k)
             column.append(record[tuple(itertools.chain.from_iterable(map(times_f, rows)))])
     except KeyError:
@@ -867,7 +866,8 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     running over ker(f'')^k in product order."""
     emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
-    view = noether._stratum_ranks(emb, d, n)
+    target = enumerate_ovic(emb, d, n)
+    view, rank = noether._entry_ranks(target), noether._ranker(target)
     homs = enumerate_ovic(emb, k, n)
     phis, members = noether._source_stratum(emb, k, n, 10 ** 6)
     dprimes, counts, entry_columns = phis
@@ -891,7 +891,7 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     columns, oracles = [], []
     for f in picked:
         oracle = _composite_column(view, homs, f, n)
-        assert oracle == [view.rank(compose_vic(phi, f)) for phi in homs]
+        assert oracle == [rank(compose_vic(phi, f)) for phi in homs]
         column = noether._composite_ranks(view, phis, f, n)
         assert Counter(column) == Counter(oracle)
         columns.append(column)
@@ -901,14 +901,17 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
 
 def test_composite_column_missing_from_the_target_is_a_bug():
     """A composite whose f'' (the wrong stratum) or f' (a view short of
-    members) the target does not index raises RuntimeError naming
-    (d, k, n)."""
+    the first composite's f') the target does not index raises
+    RuntimeError naming (d, k, n)."""
     emb = emb_of("F2")
     f = enumerate_ovic(emb, 1, 2)[1]
     phis, _ = noether._source_stratum(emb, 2, 3, 10 ** 6)
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_ranks(noether._stratum_ranks(emb, 1, 2), phis, f, 3)
-    short = noether.StratumRanks(enumerate_ovic(emb, 1, 3)[:1])
+        noether._composite_ranks(enumerate_ovic(emb, 1, 2).ranks, phis, f, 3)
+    target = enumerate_ovic(emb, 1, 3)
+    hit = target[noether._composite_ranks(target.ranks, phis, f, 3)[0]]
+    short = {e: dict(record) for e, record in target.ranks.items()}
+    del short[hit.f_dprime.entries][hit.f_prime.entries]
     with pytest.raises(RuntimeError, match=r"not in OVIC\(1, 3\)"):
         noether._composite_ranks(short, phis, f, 3)
 
@@ -971,10 +974,11 @@ def test_span_budget_verdicts_are_unchanged():
             span_to_degree([gen], 3, emb, F2, d=d, budget=smallest)
 
 
-def _ranked_ints(ranks, field, terms):
+def _ranked_ints(stratum, field, terms):
     """Member-keyed field coefficients as the rank-keyed ints ``insert``
     takes."""
-    return dict(zip(map(ranks.rank, terms), field.integral(list(terms.values()))))
+    return dict(zip(map(noether._ranker(stratum), terms),
+                    field.integral(list(terms.values()))))
 
 
 def _kernels(field):
@@ -1011,7 +1015,7 @@ def _check_kernel_invariants(basis, field):
         # no tail holds a pivot, so e_r reduces to the tail of a pivot's
         # row and to itself off the pivots
         assert basis.red == [rows[r] ^ 1 << r if r in rows else 1 << r
-                             for r in range(len(basis.ranks.members))]
+                             for r in range(len(basis.stratum))]
         return
     assert basis.cols == _rebuilt_index(basis)
     assert not basis.cols.keys() & rows.keys()
@@ -1034,13 +1038,13 @@ def test_column_index_invariants(ring, field, horizon, degrees, terms, d):
         emb = _case_emb(ring)
         gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
         for n in range(1, horizon + 1):
-            ranks = noether._stratum_ranks(emb, d, n)
-            bases = [kernel(field, ranks) for kernel in _kernels(field)]
+            stratum = enumerate_ovic(emb, d, n)
+            bases = [kernel(field, stratum) for kernel in _kernels(field)]
             for g in gens:
                 if g.degree > n:
                     continue
                 for phi in enumerate_ovic(emb, g.degree, n):
-                    ints = _ranked_ints(ranks, field, act(phi, g).terms)
+                    ints = _ranked_ints(stratum, field, act(phi, g).terms)
                     for basis in bases:
                         basis.insert(ints)
                         _check_kernel_invariants(basis, field)
@@ -1076,14 +1080,15 @@ def test_extend_matches_scan_oracle(ring, field, horizon, degrees, terms, d):
         emb = _case_emb(ring)
         gens = _span_case_generators(emb, field, horizon, degrees, terms, variant, d)
         for n in range(horizon + 1):
-            ranks = noether._stratum_ranks(emb, d, n)
+            stratum = enumerate_ovic(emb, d, n)
             oracle = ScanEchelonBasis(field)
-            bases = [kernel(field, ranks) for kernel in _kernels(field)]
+            bases = [kernel(field, stratum) for kernel in _kernels(field)]
             for g in gens:
                 if g.degree > n or g.is_zero:
                     continue
                 homs = enumerate_ovic(emb, g.degree, n)
-                columns = [[ranks.rank(compose_vic(phi, f)) for phi in homs] for f in g.terms]
+                rank = noether._ranker(stratum)
+                columns = [[rank(compose_vic(phi, f)) for phi in homs] for f in g.terms]
                 coeffs = field.integral(list(g.terms.values()))
                 accepts = sum(oracle.insert(_oracle_act(phi, g).terms) for phi in homs)
                 for basis in bases:
@@ -1093,11 +1098,11 @@ def test_extend_matches_scan_oracle(ring, field, horizon, degrees, terms, d):
                     assert basis.leading() == oracle.leading()
                 if homs:
                     twice = [column[:1] * 2 for column in columns]
-                    fresh = EchelonBasis(_CountingClears(field), ranks)
+                    fresh = EchelonBasis(_CountingClears(field), stratum)
                     assert fresh.extend(twice, coeffs) == 1
                     assert fresh.dim == 1 and fresh.field.clears == 0
                     if F2EchelonBasis in _kernels(field):
-                        fresh = F2EchelonBasis(field, ranks)
+                        fresh = F2EchelonBasis(field, stratum)
                         assert fresh.extend(twice, coeffs) == 1 and fresh.dim == 1
 
 
@@ -1112,9 +1117,9 @@ def test_echelon_kernel_matches_scan_oracle(field):
     stored row whose pivot entry is not 1."""
     field = parse_field(field)
     emb = emb_of("F2")
-    ranks = noether._stratum_ranks(emb, 1, 3)
+    stratum = enumerate_ovic(emb, 1, 3)
     rng = random.Random(f"kernel/{field.name}")
-    pool = rng.sample(ranks.members, 14)
+    pool = rng.sample(stratum, 14)
     if field.name == "Q":
         coeffs = [Fraction(-13, 4), Fraction(7, 9), Fraction(-5), Fraction(2, 3),
                   Fraction(11, 6), Fraction(-1), Fraction(3)]
@@ -1126,7 +1131,7 @@ def test_echelon_kernel_matches_scan_oracle(field):
         return ModuleElement(1, 3, field, {f: rng.choice(coeffs) for f in support})
 
     oracle = ScanEchelonBasis(field)
-    basis, *_ = bases = [kernel(field, ranks) for kernel in _kernels(field)]
+    basis, *_ = bases = [kernel(field, stratum) for kernel in _kernels(field)]
     inserted, accepts, odd_pivots = [], 0, 0
     for _ in range(80):
         if len(inserted) > 1 and rng.random() < 0.35:
@@ -1138,7 +1143,7 @@ def test_echelon_kernel_matches_scan_oracle(field):
         pivot_entries = {p: row[p] for p, row in basis.rows.items()}
         holders = {g: set(hs) for g, hs in basis.cols.items()}
         accepted = oracle.insert(x.terms)
-        terms = _ranked_ints(ranks, field, x.terms)
+        terms = _ranked_ints(stratum, field, x.terms)
         assert [b.insert(terms) for b in bases] == [accepted] * len(bases)
         inserted.append(x)
         if accepted:
@@ -1172,9 +1177,9 @@ def test_ranks_follow_the_total_order():
                 if closed_form_counts(emb, d, n)[0] > 10 ** 6:
                     skipped.append((name, d, n))
                     continue
-                ranks = noether._stratum_ranks(emb, d, n)
-                members = ranks.members
-                assert list(map(ranks.rank, members)) == list(range(len(members)))
+                stratum = enumerate_ovic(emb, d, n)
+                members = list(stratum)
+                assert list(map(noether._ranker(stratum), members)) == list(range(len(members)))
                 keys = [f.order_key for f in members]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 assert all(total_compare(a, b) == LT for a, b in zip(members, members[1:]))
@@ -1182,13 +1187,42 @@ def test_ranks_follow_the_total_order():
 
 
 def test_enumerate_ovic_builds_no_rank_view():
+    """A stratum's rank view is built on first use: not by
+    ``enumerate_ovic``, nor by a span without generators, which reads the
+    targets' lengths alone, but by a span that ranks terms or composites
+    in a target."""
     emb = build_aw_embedding(zmod(2))
-    enumerate_ovic(emb, 1, 3)
+    strata = [enumerate_ovic(emb, 1, n) for n in range(1, 4)]
     enumerate_vic(emb, 1, 3)
-    assert not [key for key in emb.enum_cache if key[0] == "ranks"]
     span_to_degree([], 3, emb, F2, d=1)
-    assert [key for key in emb.enum_cache if key[0] == "ranks"] == [
-        ("ranks", 1, n) for n in range(4)]
+    assert [stratum._ranks for stratum in strata] == [None] * 3
+    span_to_degree([ModuleElement.monomial(strata[1][0], F2)], 3, emb, F2)
+    assert [stratum._ranks is None for stratum in strata] == [True, False, False]
+
+
+def test_stratum_rank_builds_no_member(monkeypatch):
+    """``rank`` reads the store: a member's rank, and None for a term of
+    another type or over another ring, come with no member built.  The
+    look-alikes are ranked in the strata of a ``zmod(2)`` built apart, none
+    of whose members is built until the last index."""
+    emb = build_aw_embedding(zmod(2))
+    foreign = _foreign_terms(emb)
+    fresh = build_aw_embedding(zmod(2))
+    ring = fresh.ring
+    batches = []
+    batch = OvicMorphism._batch.__func__
+    monkeypatch.setattr(OvicMorphism, "_batch", classmethod(
+        lambda cls, *args: batches.append(args) or batch(cls, *args)))
+    for n, term, twin in foreign:
+        rank = enumerate_ovic(emb, 1, n).rank(twin)
+        look = OvicMorphism(RMatrix(ring, n, 1, twin.f_prime.entries),
+                            RMatrix(ring, 1, n, twin.f_dprime.entries), fresh)
+        stratum = enumerate_ovic(fresh, 1, n)
+        assert stratum.rank(look) == rank is not None
+        assert stratum.rank(term) is stratum.rank(twin) is None
+    assert batches == []
+    assert stratum[rank] == look
+    assert len(batches) == 1
 
 
 def _foreign_terms(emb):
@@ -1214,11 +1248,11 @@ def test_stratum_rank_needs_the_ring_and_type():
     generator."""
     emb = build_aw_embedding(zmod(2))
     for n, term, twin in _foreign_terms(emb):
-        ranks = noether._stratum_ranks(emb, 1, n)
-        assert ranks.rank(twin) is not None
-        assert ranks.rank(term) is None
-        basis = EchelonBasis(F2, ranks)
-        basis.insert({ranks.rank(twin): 1})
+        stratum = enumerate_ovic(emb, 1, n)
+        assert stratum.rank(twin) is not None
+        assert stratum.rank(term) is None
+        basis = EchelonBasis(F2, stratum)
+        basis.insert({stratum.rank(twin): 1})
         assert basis.reduce({twin: 1}) == ({}, [(twin, 1)])
         assert basis.reduce({term: 1}) == ({term: 1}, [])
         x = ModuleElement(1, n, F2, {})

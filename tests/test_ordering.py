@@ -216,8 +216,8 @@ def test_partial_leq_equal_rank_distinct():
 
 def test_partial_refines_total():
     emb = emb_of("F2")
-    lower = enumerate_ovic(emb, 1, 1) + enumerate_ovic(emb, 1, 2)
-    upper = enumerate_ovic(emb, 1, 2) + enumerate_ovic(emb, 1, 3)
+    lower = list(enumerate_ovic(emb, 1, 1)) + list(enumerate_ovic(emb, 1, 2))
+    upper = list(enumerate_ovic(emb, 1, 2)) + list(enumerate_ovic(emb, 1, 3))
     for f in lower:
         for g in upper:
             if f == g:

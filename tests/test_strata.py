@@ -7,9 +7,10 @@ below build every d x n matrix f'', keep the column-adapted (respectively
 the split) ones and scan all of R^n for the splittings, then sort by the
 same keys; GL_d is checked against every d x d matrix that
 ``matrix_invertible`` accepts.  Both sides must return equal members,
-order included; the VIC sequence is also checked indexed from either end
-and sliced.  The stratum sizes are also checked against the closed form
-through |GL_n(R)| (``noether.closed_form_counts``).
+order included; both sequences are also checked indexed from either end
+and sliced, and the OVIC rank view against the oracle's positions.  The
+stratum sizes are also checked against the closed form through |GL_n(R)|
+(``noether.closed_form_counts``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,8 @@ from __future__ import annotations
 import gc
 import itertools
 import json
-import os
-import subprocess
-import sys
+import operator
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -128,9 +126,9 @@ def assert_twins(got, want):
 
 
 def assert_sequence_matches(seq, want):
-    """A VIC sequence against the oracle's list: walked, indexed at every
-    position from either end, and sliced; out of range at its length on
-    both sides."""
+    """A stratum sequence against the oracle's list: walked, indexed at
+    every position from either end, and sliced; out of range at its length
+    on both sides."""
     size = len(want)
     assert len(seq) == size
     assert_twins(list(seq), want)
@@ -145,11 +143,19 @@ def assert_sequence_matches(seq, want):
 
 
 def assert_strata_match(emb, d, n):
+    """Both strata against the filters; the OVIC rank view, read off the
+    store, against the positions of the walked members."""
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
-    assert_twins(got, want)
-    assert [f.s_sets for f in got] == [f.s_sets for f in want]
+    ranks = noether._entry_ranks(got)
+    assert_sequence_matches(got, want)
+    walked = list(got)
+    assert [f.s_sets for f in walked] == [f.s_sets for f in want]
     # the oracle's keys are computed afresh by the order_key property
-    assert [f.order_key for f in got] == [f.order_key for f in want]
+    assert [f.order_key for f in walked] == [f.order_key for f in want]
+    positions = {}
+    for i, f in enumerate(walked):
+        positions.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
+    assert ranks == positions
     assert_sequence_matches(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
 
 
@@ -170,7 +176,7 @@ def test_group_checks_reject_what_the_constructors_reject():
 
 def test_member_hashes_keep_their_formula():
     emb = build_aw_embedding(builtin_ring("Z4"))
-    for f in enumerate_ovic(emb, 1, 2) + list(enumerate_vic(emb, 1, 2)):
+    for f in list(enumerate_ovic(emb, 1, 2)) + list(enumerate_vic(emb, 1, 2)):
         m = f.f_prime
         assert hash(m) == hash((id(m.ring), m.rows, m.cols, m.entries))
         assert hash(f) == hash((id(f.ring), f.d, f.n, f.f_prime.entries,
@@ -211,23 +217,27 @@ def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
 
 
-def test_vic_counts_build_no_member(monkeypatch, capsys):
-    """The length of a VIC stratum, and so ``enumerate ovic --vic
-    --count-only``, comes from its group table: no member is built until
-    one is read."""
+@pytest.mark.parametrize("kind,cls,enumerate_,flags", [
+    ("ovic", OvicMorphism, enumerate_ovic, []),
+    ("vic", VicMorphism, enumerate_vic, ["--vic"]),
+], ids=["ovic", "vic"])
+def test_counts_build_no_member(monkeypatch, capsys, kind, cls, enumerate_, flags):
+    """The length of a stratum, and so ``enumerate ovic --count-only`` with
+    or without ``--vic``, comes from its records or group table: no member
+    is built until one is read, and an index builds its own record or
+    group alone."""
     batches = []
-    batch = VicMorphism._batch.__func__
-    monkeypatch.setattr(VicMorphism, "_batch", classmethod(
+    batch = cls._batch.__func__
+    monkeypatch.setattr(cls, "_batch", classmethod(
         lambda cls, *args: batches.append(args) or batch(cls, *args)))
     emb = build_aw_embedding(build_ring("zmod(4)"))
-    size = closed_form_counts(emb, 2, 3)[1]
-    assert len(enumerate_vic(emb, 2, 3)) == size
+    size = closed_form_counts(emb, 2, 3)[kind == "vic"]
+    assert len(enumerate_(emb, 2, 3)) == size
     assert main(["enumerate", "ovic", "--builtin", "Z4", "--d", "2", "--n", "3",
-                 "--vic", "--count-only"]) == 0
+                 *flags, "--count-only"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] == size
     assert batches == []
-    # an index builds its own group alone
-    assert isinstance(enumerate_vic(emb, 2, 3)[-1], VicMorphism)
+    assert isinstance(enumerate_(emb, 2, 3)[-1], cls)
     assert len(batches) == 1
 
 
@@ -397,7 +407,7 @@ def test_m2f2_rank_two_strata():
     emb = build_aw_embedding(builtin_ring("M2F2"))
     # GL_2(M_2(F2)) = GL_4(F2), of order (16 - 1)(16 - 2)(16 - 4)(16 - 8)
     assert len(enumerate_vic(emb, 2, 2)) == 15 * 14 * 12 * 8 == 20160
-    assert enumerate_ovic(emb, 2, 2) == [OvicMorphism.identity(emb, 2)]
+    assert list(enumerate_ovic(emb, 2, 2)) == [OvicMorphism.identity(emb, 2)]
     assert closed_form_counts(emb, 2, 2) == (1, 20160)
 
 
@@ -431,12 +441,22 @@ def test_z4_rank_three_stratum():
     assert closed_form_counts(z4, d, n)[0] == 7680
 
 
-def test_strata_cached_on_the_embedding():
+def test_strata_cached_on_the_embedding(monkeypatch):
+    """A repeated request returns the same sequence, and a walk keeps each
+    record it builds: walking it again builds nothing and yields the same
+    members."""
     ring = builtin_ring("T2F2")
     emb = build_aw_embedding(ring)
     first = enumerate_ovic(emb, 1, 2)
     assert enumerate_ovic(emb, 1, 2) is first
     assert ("ovic", 1, 2) in emb.enum_cache
+    walked = list(first)
+    batches = []
+    batch = OvicMorphism._batch.__func__
+    monkeypatch.setattr(OvicMorphism, "_batch", classmethod(
+        lambda cls, *args: batches.append(args) or batch(cls, *args)))
+    assert all(map(operator.is_, enumerate_ovic(emb, 1, 2), walked))
+    assert first[-1] is walked[-1] and batches == []
 
 
 def test_translation_tables_built_once_per_embedding():
@@ -477,70 +497,21 @@ def test_column_search_order_and_nodes():
     ("zmod(8)", 2, 2), ("zmod(2)", 3, 4),
 ])
 def test_stratum_builds_leave_no_cyclic_garbage(spec, d, n):
-    """Builds run with the collector paused, and a VIC walk builds its
-    members as it goes; what they drop must then be freed by reference
-    counting alone, so a collection finds nothing."""
+    """Members hold only rings, embeddings, tuples and ints, and neither
+    the store nor a record or group built on access makes a reference
+    cycle: whatever a build and a walk over both sequences drop is freed
+    by reference counting alone, so a collection finds nothing."""
     emb = build_aw_embedding(build_ring(spec))  # a fresh ring: nothing cached yet
     gc.collect()
     gc.disable()
     try:
-        enumerate_ovic(emb, d, n)
+        ovic = enumerate_ovic(emb, d, n)
+        assert sum(1 for _ in ovic) == len(ovic)
         vic = enumerate_vic(emb, d, n)
         assert sum(1 for _ in vic) == len(vic)
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_builds_run_with_the_collector_paused(monkeypatch):
-    seen = []
-
-    def recording(fn):
-        def wrapped(*args):
-            seen.append((fn.__name__, gc.isenabled()))
-            return fn(*args)
-        return wrapped
-
-    for name in ("_splittings", "_general_linear"):
-        monkeypatch.setattr(noether, name, recording(getattr(noether, name)))
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    enumerate_ovic(emb, 1, 2)
-    assert gc.isenabled()
-    enumerate_vic(emb, 1, 2)
-    assert gc.isenabled()
-    assert seen == [("_splittings", False), ("_splittings", False),
-                    ("_general_linear", False)]
-
-
-def test_collector_back_on_after_budget_exceeded():
-    """Z4 1 -> 2: the OVIC work is 40 (16 search nodes, 24 members), the
-    VIC work 68, so a budget of 40 fails inside the paused VIC build after
-    its column search has passed."""
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    with pytest.raises(BudgetExceeded):
-        enumerate_vic(emb, 1, 2, budget=40)
-    assert gc.isenabled()
-    assert len(enumerate_ovic(emb, 1, 2, budget=40)) == 24
-    assert gc.isenabled()
-
-
-def test_builds_leave_a_disabled_collector_disabled():
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    gc.disable()
-    try:
-        enumerate_ovic(emb, 1, 2)
-        enumerate_vic(emb, 1, 2)
-        with pytest.raises(BudgetExceeded):
-            enumerate_vic(emb, 1, 2, budget=40)
-        assert not gc.isenabled()
-    finally:
-        gc.enable()
-
-
-tenured = pytest.mark.skipif(
-    gc.get_freeze_count() > 0,
-    reason="objects are frozen (CPython 3.12 freezes its static types' __mro__ and "
-           "__bases__), so builds are not tenured")
 
 
 class _Node:
@@ -554,108 +525,18 @@ def _cycle() -> weakref.ref:
     return weakref.ref(node)
 
 
-@tenured
-def test_finished_builds_start_no_collection_over_their_members(monkeypatch):
-    """A finished build tenures what it allocated into the oldest
-    generation, so no collection walks it: over Z4 2 -> 3 (43456 members)
-    the only collections are the two builds' sweeps of the young
-    generations, each started with few young objects.  A walk over the VIC
-    sequence frees each group by reference counting, so it starts none."""
-    monkeypatch.setattr(noether, "_tenure", [0, 0, 0])
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    gc.collect()
-    started = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append((info["generation"], gc.get_count()[0] < 700))
-
-    gc.callbacks.append(count)
-    try:
-        ovic, vic = enumerate_ovic(emb, 2, 3), enumerate_vic(emb, 2, 3)
-        walked = sum(1 for _ in vic)
-        after = [[i] for i in range(100)]
-    finally:
-        gc.callbacks.remove(count)
-    assert len(ovic) + len(vic) == 43456 and walked == len(vic) and len(after) == 100
-    assert started == [(1, True), (1, True)]
-
-
-@tenured
 def test_cycles_made_between_builds_are_freed():
-    """A caller that builds in a loop and allocates little in between still
-    has its cyclic garbage freed without calling the collector: each build
-    first sweeps the young generations."""
+    """A caller that builds in a loop has its cyclic garbage freed without
+    calling the collector: builds move nothing out of the young
+    generations, so the young collection that the caller's own allocations
+    start frees every cycle made between them."""
     emb = build_aw_embedding(build_ring("zmod(4)"))
     refs = []
     for _ in range(20):
         enumerate_vic(emb, 1, 2)
         refs.append(_cycle())
     enumerate_vic(emb, 1, 2)
-    assert [ref() for ref in refs] == [None] * 20
-
-
-def test_cycles_tenured_while_alive_are_freed_by_a_later_full_sweep(monkeypatch):
-    """A cycle still reachable at a build's sweep is tenured with the
-    build; once it is garbage, the full collection that the sweeps start
-    after threshold1 x threshold2 builds frees it."""
-    monkeypatch.setattr(noether, "_tenure", [0, 0, 0])
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    node = _Node()
-    node.self = node
-    ref = weakref.ref(node)
-    enumerate_vic(emb, 1, 2)
-    del node
-    _, middle, oldest = gc.get_threshold()
-    for _ in range(middle * oldest):
-        enumerate_vic(emb, 1, 2)
-    assert ref() is None
-
-
-def test_builds_sweep_nothing_with_automatic_collection_off():
-    emb = build_aw_embedding(build_ring("zmod(4)"))
-    thresholds = gc.get_threshold()
-    started = []
-
-    def count(phase, info):
-        if phase == "start":
-            started.append(info["generation"])
-
-    gc.set_threshold(0)
-    gc.callbacks.append(count)
-    try:
-        enumerate_vic(emb, 1, 2)
-        enumerate_vic(emb, 1, 2)
-    finally:
-        gc.callbacks.remove(count)
-        gc.set_threshold(*thresholds)
-    assert started == []
-
-
-_FREEZE_THEN_BUILD = """
-import gc
-from vicbench.noether import enumerate_ovic, enumerate_vic
-from vicbench.rings import build_ring
-from vicbench.wedderburn import build_aw_embedding
-emb = build_aw_embedding(build_ring("zmod(4)"))
-gc.freeze()
-frozen = gc.get_freeze_count()
-enumerate_ovic(emb, 1, 2)
-enumerate_vic(emb, 1, 2)
-print(frozen, gc.get_freeze_count())
-"""
-
-
-def test_builds_keep_the_callers_frozen_objects_frozen():
-    """Runs in a fresh interpreter: undoing the ``gc.freeze`` here would
-    take ``gc.unfreeze``, which also thaws the objects CPython 3.12 starts
-    with frozen."""
-    src = str(Path(noether.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_THEN_BUILD], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    frozen, after = map(int, proc.stdout.split())
-    assert frozen
-    assert after == frozen
+    # twice threshold0 tracked allocations, kept alive: at least one young
+    # collection starts on CPython's own schedule
+    kept = [[] for _ in range(2 * gc.get_threshold()[0])]
+    assert [ref() for ref in refs] == [None] * 20 and kept

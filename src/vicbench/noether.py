@@ -61,7 +61,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, partial
+from functools import partial
 from fractions import Fraction
 from math import gcd, lcm
 from operator import getitem, index, itemgetter, xor
@@ -309,14 +309,16 @@ def parse_field(spec: str):
 # members.  A stratum d -> n, 1 <= d <= n, is a read-only sequence over
 # that store (``_Stratum``) whose groups are runs of consecutive members:
 # an OVIC record, its slice of the columns sorted by the free rows of
-# Phi(f') (``OvicStratum``), or a VIC group, one record and one g, its
-# slice moved by one table per entry and sorted (``VicStratum``).  A group
-# is built with one batch constructor call per class when it is first
-# read.  OVIC strata are cached in ``emb.enum_cache`` and keep the records
-# they build, since callers walk them again; a VIC stratum is built per
-# call, and a walk over it drops each group once past it.  Members hold
-# only rings, embeddings, tuples and ints, so reference counting frees
-# whatever is dropped, and no build leaves work for the cyclic collector.
+# Phi(f') (``OvicStratum``), or a VIC group, one record and one g, whose
+# f'' = g f2'' the table takes for all of GL_d at once, on GL_d's entry
+# columns, and whose slice is moved to psi g^-1 + K, one table per entry,
+# and sorted only when it is read (``VicStratum``).  A group is built with
+# one batch constructor call per class when it is first read.  OVIC strata
+# are cached in ``emb.enum_cache`` and keep the records they build, since
+# callers walk them again; a VIC stratum is built per call, and a walk over
+# it drops each group once past it.  Members hold only rings, embeddings,
+# tuples and ints, so reference counting frees whatever is dropped, and no
+# build leaves work for the cyclic collector.
 
 
 def _check_ranks(d: int, n: int) -> None:
@@ -540,6 +542,32 @@ def _translations(emb: AWEmbedding) -> list:
     return emb.enum_cache[key]
 
 
+def _column_product(emb: AWEmbedding, columns: list, b: tuple, rows: int, inner: int,
+                    cols: int, total: int) -> list:
+    """The rows x cols products a b for ``total`` matrices a at once, a
+    given by its entry columns (``_packing``) and b an inner x cols entry
+    tuple: entry (i, c) of every product as one lazy column, row-major.
+    Column (i, t) is right-multiplied by b[t, c] through one table (R need
+    not commute), taken as it is for a one and skipped for a zero, and the
+    terms are summed through the addition table by ``map``, in C."""
+    ring, (_, table, through) = emb.ring, _packing(emb.ring)
+    add, mul, zero, one = ring._add, ring._mul, ring.zero, ring.one
+    times = emb.enum_cache.setdefault(("right-products",), {})  # x -> x b by b
+    for x in set(b) - times.keys():
+        times[x] = table([row[x] for row in mul])
+    out = []
+    for i in range(rows):
+        row = columns[i * inner:(i + 1) * inner]
+        for c in range(cols):
+            terms = [column if x == one else through(column, times[x])
+                     for column, x in zip(row, b[c::cols]) if x != zero]
+            acc = terms[0] if terms else itertools.repeat(zero, total)
+            for term in terms[1:]:
+                acc = map(getitem, map(add.__getitem__, acc), term)
+            out.append(acc)
+    return out
+
+
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
                  shifts: list) -> None:
     """What ``RMatrix`` and ``VicMorphism`` check for each member, checked
@@ -580,7 +608,7 @@ def _gl_products(emb: AWEmbedding, d: int) -> int:
 
 def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
     """GL_d(R) as (g, g^-1) entry-tuple pairs, plus the products it took;
-    cached on ``emb``.
+    cached on ``emb``, with entry (i, t) of all g as one packed column.
 
     A breadth-first closure from I multiplies every element g by every
     generator s (``_gl_generators``) once, on the right: g s adds column a
@@ -615,6 +643,8 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
         if len(pairs) != order:
             raise RuntimeError(f"closure found {len(pairs)} of |GL_{d}| = {order}")  # bug guard
         emb.enum_cache[key] = pairs, products
+        emb.enum_cache[("gl-columns", d)] = list(map(_packing(ring)[0],
+                                                     zip(*map(itemgetter(0), pairs))))
     pairs, products = emb.enum_cache[key]
     _check_budget(products, budget, f"GL_{d}")
     return pairs, products
@@ -669,22 +699,21 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
 
     Built as OVIC(d, n) o GL_d: f'' = g f2'' and f' = psi g^-1 + K over the
     column-adapted f2'' (canonical splitting psi), g in GL_d and K in
-    ker(f2'')^d, on entry tuples.  Each pair arises once, because its
-    factorisation through the ordered subcategory is unique; so distinct
-    (f2'', g) give distinct f'', and the stratum is in order when the
-    (f2'', g) groups are taken in f'' order and the f' of each sorted, with
-    no sort over the whole stratum.  A call builds only that group table
-    (``VicStratum``); its length comes from the table, and each group's
-    members are built when an index or a walk first reaches it; a walk
-    drops each group once past it.  GL_d is a closure from I under right
-    multiplication by transvections and diagonal units
-    (``_general_linear``).  ``budget`` bounds the work: the search nodes of
-    OVIC(d, n), the |GL_d| |generators| products of the closure, and per g
-    in GL_d one plus the splittings of every f2''; VIC(0, n) is work 1.
-    That work is counted from |GL_d| in closed form, so BudgetExceeded is
-    raised past it before GL_d is built, and a cached GL_d gets the same
-    verdict.  VIC(0, n), one member, and VIC(d, n) for n < d, empty, are
-    tuples.
+    ker(f2'')^d.  Each pair arises once, because its factorisation through
+    the ordered subcategory is unique; so distinct (f2'', g) give distinct
+    f'', and the stratum is in order when the (f2'', g) groups are taken in
+    f'' order and the f' of each sorted.  A call builds only that group
+    table (``VicStratum``), each record's f'' for all g at once from GL_d's
+    entry columns (``_column_product``).  Its length comes from the table;
+    a group's psi g^-1 and members are made when an index or a walk first
+    reaches it.  GL_d is a closure from I under right multiplication by
+    transvections and diagonal units (``_general_linear``).  ``budget``
+    bounds the work: the search nodes of OVIC(d, n), the |GL_d|
+    |generators| products of the closure, and per g in GL_d one plus the
+    splittings of every f2''; VIC(0, n) is work 1.  That work is counted
+    from |GL_d| in closed form, so BudgetExceeded is raised past it before
+    GL_d is built, and a cached GL_d gets the same verdict.  VIC(0, n), one
+    member, and VIC(d, n) for n < d, empty, are tuples.
     """
     _check_ranks(d, n)
     ring = emb.ring
@@ -700,33 +729,15 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
         1 + sum(rec[3] for rec in records))
     _check_budget(work, budget, f"VIC({d}, {n})")
     gl, _ = _general_linear(emb, d, budget)
-    # rows of each g and columns of each g^-1
-    gl_parts = [([g[i:i + d] for i in range(0, d * d, d)], [g_inv[j::d] for j in range(d)])
-                for g, g_inv in gl]
-    flatten = itertools.chain.from_iterable
-    add = ring.add_table
-    plus = _translations(emb)
-    # per a, the tables of x -> x + b - a by b: row -a of the addition table
-    moves_from = cache(lambda a: list(map(plus.__getitem__, add[ring.neg(a)])))
+    gl_columns = emb.enum_cache[("gl-columns", d)]
     groups = []
-    for f2, _, psi, count, _, offset in records:
-        # the record's members in the columns, and per entry of the stored
-        # psi + K the tables that move it to psi g^-1 + K, by the entry of
-        # psi g^-1
-        part = slice(offset, offset + count)
-        moves = list(map(moves_from, psi.entries))
-        # row i of g f2'' is (row i of g) f2'', column j of psi g^-1 is
-        # psi (column j of g^-1): one product per distinct row and column
-        times_f2 = cache(lambda v: mul_entries(ring, v, f2.entries, 1, d, n))
-        psi_times = cache(lambda v: mul_entries(ring, psi.entries, v, n, d, 1))
-        for g_rows, inv_cols in gl_parts:
-            f_dprime = tuple(flatten(map(times_f2, g_rows)))
-            base = flatten(zip(*map(psi_times, inv_cols)))
-            groups.append((f_dprime, list(map(getitem, moves, base)), part))
-    # each f'' comes from one (f2'', g), so sorting the groups by f'' and
-    # each group's f' sorts the stratum
+    for r, rec in enumerate(records):
+        f_dprimes = zip(*_column_product(emb, gl_columns, rec[0].entries, d, d, n, len(gl)))
+        groups.extend(zip(f_dprimes, itertools.repeat(r), range(len(gl))))
+    # each f'' comes from one (f2'', g), so sorting the groups by f'' (keyed:
+    # twice as fast as on whole groups) and each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
-    return VicStratum(ring, d, n, columns, groups)
+    return VicStratum(emb, d, n, records, columns, gl, groups)
 
 
 class _Stratum(Sequence):
@@ -869,28 +880,36 @@ def _phi_rows(emb: AWEmbedding, d: int) -> list:
 
 class VicStratum(_Stratum):
     """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
-    in f'' order (``enumerate_vic``).  A group is (f''.entries, one
-    translation table per entry, the slice of the ``_splittings`` columns
-    that holds its record); its members are the f' read off that slice and
-    moved through the tables, sorted, each paired with f''.  A walk builds
-    one group at a time and keeps none."""
+    in f'' order (``enumerate_vic``).  A group is (f''.entries, the index
+    of its record in the ``_splittings`` store, the index of g in GL_d).
+    Building it computes psi g^-1 and moves the record's slice of the
+    store, psi + K, to psi g^-1 + K through one translation table per
+    entry; those f', sorted, are paired with f''.  A walk keeps no group."""
 
-    __slots__ = ("_columns", "_through", "_f_primes", "_f_dprimes", "_groups")
+    __slots__ = ("_ring", "_records", "_columns", "_gl", "_groups", "_plus", "_through",
+                 "_f_primes", "_f_dprimes")
 
-    def __init__(self, ring, d: int, n: int, columns: list, groups: list):
-        super().__init__(part.stop - part.start for _, _, part in groups)
-        self._columns = columns
+    def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list,
+                 gl: list, groups: list):
+        counts = [rec[3] for rec in records]
+        super().__init__(map(counts.__getitem__, map(itemgetter(1), groups)))
+        ring = self._ring = emb.ring
+        self._records, self._columns, self._gl, self._groups = records, columns, gl, groups
+        self._plus = _translations(emb)
         self._through = _packing(ring)[2]
         self._f_primes = partial(RMatrix._batch, ring, n, d)
         self._f_dprimes = partial(RMatrix._batch, ring, d, n)
-        self._groups = groups
 
     def _group(self, k: int) -> list[VicMorphism]:
         """The members of group k, built afresh."""
-        f_dprime, moves, part = self._groups[k]
-        through = self._through
-        f_primes = sorted(zip(*[through(column[part], move)
-                                for column, move in zip(self._columns, moves)]))
+        f_dprime, r, g = self._groups[k]
+        _, _, psi, count, _, offset = self._records[r]
+        ring, plus, through = self._ring, self._plus, self._through
+        add, neg, d, part = ring._add, ring._neg, psi.cols, slice(offset, offset + count)
+        # psi g^-1, and per entry the table of x -> x + (psi g^-1 - psi)
+        base = mul_entries(ring, psi.entries, self._gl[g][1], psi.rows, d, d)
+        f_primes = sorted(zip(*[through(column[part], plus[add[b][neg[a]]])
+                                for column, a, b in zip(self._columns, psi.entries, base)]))
         return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])
 
     _walked = _group
@@ -1041,36 +1060,17 @@ def _composite_ranks(target: dict, phis: tuple, f: OvicMorphism, n: int
 
     The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
     record, so it is multiplied out once per record and looked up in
-    ``target``.  Entry (j, c) of phi' f' is the sum over t of
-    phi'[j, t] f'[t, c]: over all members at once, column j k + t of phi'
-    right-multiplied by f'[t, c] (one pass through a column of the
-    multiplication table, ``_packing``; a zero entry is skipped and a one
-    taken as is), summed through the addition table by ``map``.  Zipping
-    those columns gives each composite's f', and one map over the records'
-    target dicts gives the ranks, so no member is built and the loop over
-    members runs in C.  A composite missing from ``target`` is a bug:
-    RuntimeError."""
+    ``target``.  The f' = phi' f' of all members come at once from the
+    columns of phi' (``_column_product``).  Zipping those columns gives
+    each composite's f', and one map over the records' target dicts gives
+    the ranks, so no member is built and the loop over members runs in C.
+    A composite missing from ``target`` is a bug: RuntimeError."""
     d, k = f.d, f.n
     ring = f.ring
-    add, mul, zero, one = ring._add, ring._mul, ring.zero, ring.one
-    f_prime, f_dprime = f.f_prime.entries, f.f_dprime.entries
+    f_dprime = f.f_dprime.entries
     dprimes, counts, columns = phis
     total = sum(counts)
-    _, table, through = _packing(ring)
-
-    def times(column, b):
-        """``column`` right-multiplied by b, element by element."""
-        return column if b == one else through(column, table([row[b] for row in mul]))
-
-    entries = []
-    for j in range(n):
-        for c in range(d):
-            terms = [times(columns[j * k + t], f_prime[t * d + c])
-                     for t in range(k) if f_prime[t * d + c] != zero]
-            acc = terms[0] if terms else itertools.repeat(zero, total)
-            for term in terms[1:]:
-                acc = map(getitem, map(add.__getitem__, acc), term)
-            entries.append(acc)
+    entries = _column_product(f.emb, columns, f.f_prime.entries, n, k, d, total)
     try:
         targets = [target[mul_entries(ring, f_dprime, e, d, k, n)] for e in dprimes]
         # one target dict per member, then each member's f' in it

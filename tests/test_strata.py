@@ -217,28 +217,52 @@ def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
 
 
-@pytest.mark.parametrize("kind,cls,enumerate_,flags", [
-    ("ovic", OvicMorphism, enumerate_ovic, []),
-    ("vic", VicMorphism, enumerate_vic, ["--vic"]),
+class _Reads(list):
+    """A list that records the indices read from it."""
+
+    def __init__(self, items, reads):
+        super().__init__(items)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("kind,cls,enumerate_,flags,moves", [
+    ("ovic", OvicMorphism, enumerate_ovic, [], 0),
+    ("vic", VicMorphism, enumerate_vic, ["--vic"], 3 * 2),
 ], ids=["ovic", "vic"])
-def test_counts_build_no_member(monkeypatch, capsys, kind, cls, enumerate_, flags):
+def test_counts_build_no_member(monkeypatch, capsys, kind, cls, enumerate_, flags, moves):
     """The length of a stratum, and so ``enumerate ovic --count-only`` with
     or without ``--vic``, comes from its records or group table: no member
     is built until one is read, and an index builds its own record or
-    group alone."""
-    batches = []
+    group alone.  A VIC group's psi g^-1 (a ``mul_entries`` product) and
+    its n d move tables (reads of the translation tables) are made for that
+    group alone, when it is built; an OVIC record needs neither."""
+    batches, products, reads = [], [], []
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    for e in (emb, build_aw_embedding(builtin_ring("Z4"))):
+        enumerate_ovic(e, 2, 3)  # the store is built through the translation tables
+        monkeypatch.setitem(e.enum_cache, ("translations",),
+                            _Reads(noether._translations(e), reads))
     batch = cls._batch.__func__
     monkeypatch.setattr(cls, "_batch", classmethod(
         lambda cls, *args: batches.append(args) or batch(cls, *args)))
-    emb = build_aw_embedding(build_ring("zmod(4)"))
+    mul_entries_ = noether.mul_entries
+    monkeypatch.setattr(noether, "mul_entries",
+                        lambda *args: products.append(args[3:]) or mul_entries_(*args))
     size = closed_form_counts(emb, 2, 3)[kind == "vic"]
     assert len(enumerate_(emb, 2, 3)) == size
     assert main(["enumerate", "ovic", "--builtin", "Z4", "--d", "2", "--n", "3",
                  *flags, "--count-only"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["count"] == size
-    assert batches == []
+    assert batches == products == reads == []
     assert isinstance(enumerate_(emb, 2, 3)[-1], cls)
     assert len(batches) == 1
+    # psi g^-1 is 3 x 2 times 2 x 2, and each of its 6 entries takes one table
+    assert products == ([(3, 2, 2)] if kind == "vic" else [])
+    assert len(reads) == moves
 
 
 def _grid():
@@ -289,6 +313,12 @@ def test_general_linear_equals_invertibility_filter(name, d):
     ident = RMatrix.identity(ring, d)
     for f in pairs:
         assert f.f_dprime.mul(f.f_prime) == ident == f.f_prime.mul(f.f_dprime)
+    # entry (i, t) of every g, one packed column per entry, in the closure's order
+    gl, _ = noether._general_linear(emb, d, 10 ** 6)
+    columns = emb.enum_cache[("gl-columns", d)]
+    assert len(columns) == d * d
+    assert {type(c) for c in columns} == {type(noether._packing(ring)[0](()))}
+    assert list(zip(*columns)) == [g for g, _ in gl]
 
 
 @st.composite
@@ -457,6 +487,60 @@ def test_strata_cached_on_the_embedding(monkeypatch):
         lambda cls, *args: batches.append(args) or batch(cls, *args)))
     assert all(map(operator.is_, enumerate_ovic(emb, 1, 2), walked))
     assert first[-1] is walked[-1] and batches == []
+
+
+def test_gl_columns_built_once_per_ring_and_rank(monkeypatch):
+    """GL_d's packed entry columns are made with its pairs, once per (ring,
+    d): a second VIC build of the same d reads the same column objects."""
+    used = []
+    product = noether._column_product
+    monkeypatch.setattr(noether, "_column_product",
+                        lambda emb, columns, *args: used.append(columns) or product(
+                            emb, columns, *args))
+    emb = build_aw_embedding(build_ring("zmod(2)"))
+    enumerate_vic(emb, 2, 2)
+    columns = emb.enum_cache[("gl-columns", 2)]
+    first = list(columns)
+    assert len(enumerate_vic(emb, 2, 4)) == closed_form_counts(emb, 2, 4)[1]
+    assert emb.enum_cache[("gl-columns", 2)] is columns
+    assert all(map(operator.is_, columns, first))
+    assert used and all(c is columns for c in used)
+
+
+PRODUCT_STRATA = [("T2F2", 2, 2), ("T2F2", 1, 3), ("T2F2", 2, 3), ("M2F2", 1, 2),
+                  ("F2S3", 1, 1), ("F2", 3, 4), ("zmod(257)", 1, 2)]
+
+
+@pytest.mark.parametrize("name,d,n", PRODUCT_STRATA,
+                         ids=[f"{r}-{d}-{n}" for r, d, n in PRODUCT_STRATA])
+def test_group_table_products_equal_mul_entries(name, d, n):
+    """The f'' = g f2'' of every record, batched over GL_d, against
+    ``mul_entries`` for each g in GL_d's order, and the group table of
+    ``enumerate_vic`` against those products.  T2F2 and M2F2 do not
+    commute, so a product taken in the wrong order fails at 1 -> 3, 2 -> 3
+    and 1 -> 2 (at d = n, here and over F2S3, f2'' = I); T2F2 2 -> 3 and
+    F2 3 -> 4 sum two and three columns; zmod(257) moves 16-bit columns, a
+    zero column among them (f2'' = [0 1]), and its 258 records of 256
+    groups are checked on the table alone, with no member built."""
+    emb = build_aw_embedding(builtin_ring(name) if name in BUILTIN_NAMES else build_ring(name))
+    ring = emb.ring
+    records, _, _ = noether._splittings(emb, d, n, 10 ** 6)
+    gl, _ = noether._general_linear(emb, d, 10 ** 6)
+    columns = emb.enum_cache[("gl-columns", d)]
+    expected = []
+    for r, rec in enumerate(records):
+        f2 = rec[0].entries
+        products = [mul_entries(ring, g, f2, d, d, n) for g, _ in gl]
+        assert list(zip(*noether._column_product(emb, columns, f2, d, d, n, len(gl)))) == products
+        expected += zip(products, itertools.repeat(r), range(len(gl)))
+    assert enumerate_vic(emb, d, n, budget=10 ** 8)._groups == sorted(expected)
+
+
+def test_vic_over_257_elements_equals_filter_oracle():
+    """VIC(1, 1) over zmod(257): 256 groups of one member each, moved
+    through 16-bit columns."""
+    emb = build_aw_embedding(build_ring("zmod(257)"))
+    assert_sequence_matches(enumerate_vic(emb, 1, 1), filter_vic(emb, 1, 1))
 
 
 def test_translation_tables_built_once_per_embedding():

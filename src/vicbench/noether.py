@@ -17,9 +17,9 @@ each record's sort order on first use, and no member is built for them.
 into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
 column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
 in one fixed phi order per (k, n).  A source stratum OVIC(k, n) is read
-off that same store: each record's f'' and the entry columns of phi' over
-all members (``_source_stratum``).  A column takes one f'' product per
-record and builds phi' f' for every member at once with C-level maps
+off that same store as it is: each record's f'' and the entry columns of
+phi' over all members.  A column takes one f'' product per record and
+builds phi' f' for every member at once with C-level maps
 (``_composite_ranks``).
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
@@ -306,13 +306,14 @@ def parse_field(spec: str):
 # the closure of transvections and diagonal units, each element found with
 # its inverse.  One packed store per stratum (``_splittings``) holds a
 # record per f'', checked once, and the entry columns of f' over all
-# members.  A stratum d -> n, 1 <= d <= n, is a read-only sequence over
-# that store (``_Stratum``) whose groups are runs of consecutive members:
-# an OVIC record, its slice of the columns sorted by the free rows of
-# Phi(f') (``OvicStratum``), or a VIC group, one record and one g, whose
-# f'' = g f2'' the table takes for all of GL_d at once, on GL_d's entry
-# columns, and whose slice is moved to psi g^-1 + K, one table per entry,
-# and sorted only when it is read (``VicStratum``).  A group is built with
+# members; the degenerate strata d = 0 and n < d take no search.  A stratum
+# d -> n is a read-only sequence over that store (``_Stratum``) whose
+# groups are runs of consecutive members: an OVIC record, its slice of the
+# columns sorted by the free rows of Phi(f') (``OvicStratum``, every d and
+# n), or a VIC group, one record and one g, whose f'' = g f2'' the table
+# takes for all of GL_d at once, on GL_d's entry columns, and whose slice
+# is moved to psi g^-1 + K, one table per entry, and sorted only when it is
+# read (``VicStratum``, 1 <= d <= n).  A group is built with
 # one batch constructor call per class when it is first read.  OVIC strata
 # are cached in ``emb.enum_cache`` and keep the records they build, since
 # callers walk them again; a VIC stratum is built per call, and a walk over
@@ -486,19 +487,27 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
     come in their order.  The nodes plus the splittings so far bound the
     work of either stratum from below, so BudgetExceeded is raised as soon
     as they pass ``budget``.  Each record passes ``_check_group`` as it is
-    made, so both builds take its members' parts as they are."""
+    made, so both builds take its members' parts as they are.  With no
+    search, d = 0 is one record (the 0 x n f'') of one member and no
+    columns, and n < d no record and n d empty columns."""
     key = ("splittings", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
         pack, _, through = _packing(ring)
         plus = _translations(emb)
-        found, nodes = _column_adapted_dprimes(emb, d, n, budget)
-        # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
-        found.sort(key=itemgetter(1, 2))
+        if d == 0:
+            found, nodes = [(RMatrix(ring, 0, n, ()), ((),) * emb.q,
+                             ((),) * (emb.mu_total * n))], 0
+        elif n < d:
+            found, nodes = [], 0
+        else:
+            found, nodes = _column_adapted_dprimes(emb, d, n, budget)
+            # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
+            found.sort(key=itemgetter(1, 2))
         records, parts = [], [[] for _ in range(n * d)]
         work = nodes
         for f_dprime, s_sets, cols in found:
-            kernel = _kernel(f_dprime)
+            kernel = _kernel(f_dprime) if d else ()  # ker(f'')^0 is {()}: no |R|^n scan
             offset = work - nodes  # the members so far
             work += len(kernel) ** d
             _check_budget(work, budget, f"OVIC({d}, {n})")
@@ -669,24 +678,15 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     ``budget`` bounds the search nodes plus the members; BudgetExceeded is
     raised past it, and a cached stratum gets the same verdict.  The
     stratum is cached on ``emb``: a repeated request returns the same
-    sequence.  OVIC(0, n), one member of work 1, and OVIC(d, n) for n < d,
-    empty, are tuples.
+    sequence.  OVIC(0, n), one member, is work 1, and OVIC(d, n) for n < d,
+    empty, work 0.
     """
     _check_ranks(d, n)
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
-        ring = emb.ring
-        if d == 0:
-            stratum, work = (OvicMorphism(RMatrix(ring, n, 0, []), RMatrix(ring, 0, n, []),
-                                          emb, s_sets=tuple(() for _ in range(emb.q)),
-                                          check=False),), 1
-        elif n < d:
-            stratum, work = (), 0
-        else:
-            records, columns, nodes = _splittings(emb, d, n, budget)
-            stratum = OvicStratum(emb, d, n, records, columns)
-            work = nodes + len(stratum)
-        emb.enum_cache[key] = stratum, work
+        records, columns, nodes = _splittings(emb, d, n, budget)
+        stratum = OvicStratum(emb, d, n, records, columns)
+        emb.enum_cache[key] = stratum, nodes + len(stratum)
     stratum, work = emb.enum_cache[key]
     _check_budget(work, budget, f"OVIC({d}, {n})")
     return stratum
@@ -741,9 +741,9 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
 
 
 class _Stratum(Sequence):
-    """A stratum d -> n, 1 <= d <= n, as a read-only sequence over groups,
-    runs of consecutive members that ``_group(k)`` builds afresh off the
-    stratum's ``_splittings`` store.
+    """A stratum d -> n as a read-only sequence over groups, runs of
+    consecutive members that ``_group(k)`` builds afresh off the stratum's
+    ``_splittings`` store.
 
     ``_starts`` holds each group's first index and the length last, so
     ``len`` is O(1) and an index finds its group by bisection; a slice
@@ -787,12 +787,13 @@ class _Stratum(Sequence):
 
 
 class OvicStratum(_Stratum):
-    """OVIC(d, n), 1 <= d <= n, as a read-only sequence over the records of
-    its ``_splittings`` store, in prefix order (``enumerate_ovic``).  A
-    record's members are the f' of its slice of the entry columns, sorted
-    by the free rows of Phi(f'), each paired with its f''.  The stratum is
-    cached on the embedding and walked again, so a walk keeps each record
-    it builds.
+    """OVIC(d, n), for every d, n >= 0, as a read-only sequence over the
+    records of its ``_splittings`` store, in prefix order
+    (``enumerate_ovic``).  A record's members are the f' of its slice of
+    the entry columns, sorted by the free rows of Phi(f'), each paired with
+    its f''.  OVIC(0, n) is one record of one member and OVIC(d, n < d) has
+    none.  The stratum is cached on the embedding and walked again, so a
+    walk keeps each record it builds.
 
     Index i is rank i, so the stratum is its own rank view: ``ranks`` maps
     f''.entries -> {f'.entries -> rank}, one inner dict per record, built
@@ -814,6 +815,9 @@ class OvicStratum(_Stratum):
         _, s_sets, _, count, _, offset = self._records[k]
         emb, d, n = self._emb, self._d, self._n
         mu = emb.mu_total
+        free, _ = split_rows(emb, n, s_sets)
+        if d == 0:  # the one member: no entries, and every row free and empty
+            return [(((),) * len(free), ())]
         phi_rows = _phi_rows(emb, d)
         # entry i of f' over the members of the record, then row i of f'
         cols = [column[offset:offset + count] for column in self._columns]
@@ -822,7 +826,6 @@ class OvicStratum(_Stratum):
         # (s-1) // mu of f', so a free row over the members is one lookup
         # per member in one table; n = d leaves no free row, and a single
         # member per record
-        free, _ = split_rows(emb, n, s_sets)
         frees = zip(*[map(phi_rows[(s - 1) % mu].__getitem__, f_rows[(s - 1) // mu])
                       for s in free]) if free else [()] * count
         # the records come in prefix order, so sorting each by its free rows
@@ -1008,55 +1011,13 @@ def init_term(x: ModuleElement) -> tuple:
 # stratum ranks, echelon bases and spans
 # ---------------------------------------------------------------------------
 
-def _ranker(stratum: Sequence[OvicMorphism]):
-    """The rank function of an OVIC stratum, a morphism's rank or None when
-    it is no member: ``OvicStratum.rank``, or for the tuples OVIC(0, n) and
-    OVIC(d, n < d), which hold at most one member, rank 0 for a morphism
-    equal to it (same ring, by identity, type and entries)."""
-    if isinstance(stratum, tuple):
-        return lambda f: 0 if f in stratum else None
-    return stratum.rank
-
-
-def _entry_ranks(stratum: Sequence[OvicMorphism]) -> dict:
-    """An OVIC stratum's ranks by entries, f''.entries -> {f'.entries ->
-    rank} (``OvicStratum.ranks``); for the tuples OVIC(0, n) and
-    OVIC(d, n < d), read off their at most one member."""
-    if isinstance(stratum, tuple):
-        return {f.f_dprime.entries: {f.f_prime.entries: 0} for f in stratum}
-    return stratum.ranks
-
-
-def _source_stratum(emb: AWEmbedding, k: int, n: int, budget: int
-                    ) -> tuple[tuple, int]:
-    """OVIC(k, n) as the span reads a source stratum, with no member built:
-    (the f''.entries of each record, each record's member count, the n k
-    entry columns of phi'), plus the number of members.  The columns are
-    the ``_splittings`` store that ``OvicStratum`` reads too, taken as they
-    are, so they fix one phi order per (k, n): records in prefix order, each
-    record's members in kernel order, not sorted into rank order.
-
-    The budget verdict is the stratum's own, as in ``enumerate_ovic``: the
-    search nodes plus the members, counted from the records' shift counts.
-    OVIC(0, n) is one member with empty entries, work 1; OVIC(k, n) with
-    n < k is empty."""
-    if k == 0:
-        stratum, nodes = ([()], [1], []), 0
-    elif n < k:
-        stratum, nodes = ([], [], [_packing(emb.ring)[0](())] * (n * k)), 0
-    else:
-        records, columns, nodes = _splittings(emb, k, n, budget)
-        stratum = [rec[0].entries for rec in records], [rec[3] for rec in records], columns
-    members = sum(stratum[1])
-    _check_budget(nodes + members, budget, f"OVIC({k}, {n})")
-    return stratum, members
-
-
-def _composite_ranks(target: dict, phis: tuple, f: OvicMorphism, n: int
-                     ) -> list[int]:
+def _composite_ranks(target: dict, records: list, columns: list, f: OvicMorphism,
+                     n: int) -> list[int]:
     """The rank in OVIC(d, n), d = f.d, of phi o f for every phi in
-    OVIC(k, n), k = f.n, in the order of ``phis`` (``_source_stratum``);
-    ``target`` is that stratum's ranks by entries (``_entry_ranks``).
+    OVIC(k, n), k = f.n, in the order of that stratum's ``_splittings``
+    store, its ``records`` and entry ``columns``: records in prefix order,
+    each record's members in kernel order, not sorted into rank order.
+    ``target`` is OVIC(d, n)'s ranks by entries (``OvicStratum.ranks``).
 
     The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
     record, so it is multiplied out once per record and looked up in
@@ -1068,11 +1029,12 @@ def _composite_ranks(target: dict, phis: tuple, f: OvicMorphism, n: int
     d, k = f.d, f.n
     ring = f.ring
     f_dprime = f.f_dprime.entries
-    dprimes, counts, columns = phis
+    counts = [rec[3] for rec in records]
     total = sum(counts)
     entries = _column_product(f.emb, columns, f.f_prime.entries, n, k, d, total)
     try:
-        targets = [target[mul_entries(ring, f_dprime, e, d, k, n)] for e in dprimes]
+        targets = [target[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
+                   for rec in records]
         # one target dict per member, then each member's f' in it
         return list(map(dict.__getitem__,
                         itertools.chain.from_iterable(map(itertools.repeat, targets, counts)),
@@ -1103,10 +1065,10 @@ class EchelonBasis:
     field's row operations (``clear``, ``normalise``), so no Fraction is
     built there.  ``insert`` is ``extend`` with a single rank-keyed vector.
     ``leading``, ``reduce`` and ``canonical_rows`` speak in members and
-    field elements: they rank a member with ``_ranker`` and index the stratum
-    for a rank, and ``field.entry`` reads a stored entry back.  Over F2 the
-    span engine uses ``F2EchelonBasis`` instead, and this class is its
-    oracle in the tests.
+    field elements: they rank a member with ``stratum.rank`` and index the
+    stratum for a rank, and ``field.entry`` reads a stored entry back.
+    Over F2 the span engine uses ``F2EchelonBasis`` instead, and this class
+    is its oracle in the tests.
     """
 
     def __init__(self, field, stratum: Sequence[OvicMorphism]):
@@ -1126,7 +1088,7 @@ class EchelonBasis:
         """The nonzero member-keyed ``terms`` split into those with a rank,
         rank-keyed, and those with none (another ring or type included, see
         ``OvicStratum.rank``), member-keyed."""
-        rank = _ranker(self.stratum)
+        rank = self.stratum.rank
         vec, rem = {}, {}
         for f, c in terms.items():
             if c:
@@ -1386,7 +1348,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
         count(size)
         for i, g in enumerate(gens):
             if g.degree == n and not g.is_zero:
-                ranks = list(map(_ranker(target), g.terms))
+                ranks = list(map(target.rank, g.terms))
                 if None in ranks:
                     raise InvalidMorphism(f"a generator term is not in OVIC({d}, {n}) "
                                           "of this embedding")
@@ -1400,14 +1362,17 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                 continue
             ranks, coeffs = generator
             k = g.degree
-            phis, members = _source_stratum(emb, k, n, budget)
+            # the source OVIC(k, n) off its store, with its own budget verdict
+            records, store, nodes = _splittings(emb, k, n, budget)
+            members = sum(rec[3] for rec in records)
+            _check_budget(nodes + members, budget, f"OVIC({k}, {n})")
             count(members)
             memo = emb.enum_cache.setdefault(("composite-columns", d, k, n), {})
             columns = []
             for r, f in zip(ranks, g.terms):
                 column = memo.get(r)
                 if column is None:
-                    column = memo[r] = _composite_ranks(_entry_ranks(target), phis, f, n)
+                    column = memo[r] = _composite_ranks(target.ranks, records, store, f, n)
                 columns.append(column)
             # a row across the columns is one image's composite ranks, which
             # fix the image: the coefficients are the generator's

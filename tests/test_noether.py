@@ -199,7 +199,7 @@ def test_enumerate_ovic_examples():
     assert len(enumerate_ovic(emb, 1, 1)) == 1
     assert len(enumerate_ovic(emb, 1, 2)) == 6
     assert len(enumerate_ovic(emb, 0, 3)) == 1
-    assert enumerate_ovic(emb, 2, 1) == ()
+    assert len(enumerate_ovic(emb, 2, 1)) == 0
 
 
 def test_enumerate_ovic_sorted_and_deterministic():
@@ -232,11 +232,13 @@ def test_enumerate_budget():
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
 def test_rank_zero_stratum_counts_its_member(enumerate_):
-    """OVIC(0, n) and VIC(0, n) hold one member each, which is work 1."""
+    """OVIC(0, n) and VIC(0, n) hold one member each, which is work 1;
+    OVIC(d, n) and VIC(d, n) for n < d hold none, work 0."""
     emb = emb_of("F2")
     with pytest.raises(BudgetExceeded):
         enumerate_(emb, 0, 2, budget=0)
     assert len(enumerate_(emb, 0, 2, budget=1)) == 1
+    assert len(enumerate_(emb, 2, 1, budget=0)) == 0
 
 
 def test_budget_counts_generator_work_whatever_the_cache():
@@ -859,40 +861,39 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     over the members.  The columns of all sources share one phi order: their
     rows are the oracle's image tuples, as a multiset.
 
-    The source is the stratum's one packed store: its entry columns are the
-    ``_splittings`` columns themselves, one per position of phi', as bytes
-    up to 256 ring elements and as 16-bit arrays past that, and no copy is
-    cached.  Each record's slice of them, at its offset, is psi + K for K
-    running over ker(f'')^k in product order."""
+    The source is the stratum's one packed store, for k = 0 and n < k
+    too: its entry columns are the ``_splittings`` columns themselves, one
+    per position of phi', as bytes up to 256 ring elements and as 16-bit
+    arrays past that, and no copy is cached.  Each record's slice of them,
+    at its offset, is psi + K for K running over ker(f'')^k in product
+    order."""
     emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
     target = enumerate_ovic(emb, d, n)
-    view, rank = noether._entry_ranks(target), noether._ranker(target)
+    view, rank = target.ranks, target.rank
     homs = enumerate_ovic(emb, k, n)
-    phis, members = noether._source_stratum(emb, k, n, 10 ** 6)
-    dprimes, counts, entry_columns = phis
-    assert members == sum(counts) == len(homs) and len(dprimes) == len(counts)
+    records, store, _ = noether._splittings(emb, k, n, 10 ** 6)
+    counts = [rec[3] for rec in records]
+    members = sum(counts)
+    assert members == len(homs)
     packed = bytes if emb.ring.size <= 256 else array
-    assert [(type(c), len(c)) for c in entry_columns] == [(packed, members)] * (n * k)
+    assert [(type(c), len(c)) for c in store] == [(packed, members)] * (n * k)
     assert not [key for key in emb.enum_cache if key[0] == "source"]
-    if 0 < k <= n:
-        records, store, _ = noether._splittings(emb, k, n, 10 ** 6)
-        assert entry_columns is store
-        assert [rec[5] for rec in records] == list(itertools.accumulate([0] + counts[:-1]))
-        add = emb.ring.add_table
-        for f_dprime, _, psi, count, _, offset in records:
-            shifts = list(itertools.product(noether._kernel(f_dprime), repeat=k))
-            assert count == len(shifts)
-            for i, column in enumerate(store):
-                row, col = divmod(i, k)
-                assert list(column[offset:offset + count]) == [
-                    add[psi.entries[i]][K[col][row]] for K in shifts]
+    assert [rec[5] for rec in records] == [0, *itertools.accumulate(counts)][:len(counts)]
+    add = emb.ring.add_table
+    for f_dprime, _, psi, count, _, offset in records:
+        shifts = list(itertools.product(noether._kernel(f_dprime), repeat=k))
+        assert count == len(shifts)
+        for i, column in enumerate(store):
+            row, col = divmod(i, k)
+            assert list(column[offset:offset + count]) == [
+                add[psi.entries[i]][K[col][row]] for K in shifts]
     picked = random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources)))
     columns, oracles = [], []
     for f in picked:
         oracle = _composite_column(view, homs, f, n)
         assert oracle == [rank(compose_vic(phi, f)) for phi in homs]
-        column = noether._composite_ranks(view, phis, f, n)
+        column = noether._composite_ranks(view, records, store, f, n)
         assert Counter(column) == Counter(oracle)
         columns.append(column)
         oracles.append(oracle)
@@ -905,15 +906,15 @@ def test_composite_column_missing_from_the_target_is_a_bug():
     RuntimeError naming (d, k, n)."""
     emb = emb_of("F2")
     f = enumerate_ovic(emb, 1, 2)[1]
-    phis, _ = noether._source_stratum(emb, 2, 3, 10 ** 6)
+    records, store, _ = noether._splittings(emb, 2, 3, 10 ** 6)
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_ranks(enumerate_ovic(emb, 1, 2).ranks, phis, f, 3)
+        noether._composite_ranks(enumerate_ovic(emb, 1, 2).ranks, records, store, f, 3)
     target = enumerate_ovic(emb, 1, 3)
-    hit = target[noether._composite_ranks(target.ranks, phis, f, 3)[0]]
+    hit = target[noether._composite_ranks(target.ranks, records, store, f, 3)[0]]
     short = {e: dict(record) for e, record in target.ranks.items()}
     del short[hit.f_dprime.entries][hit.f_prime.entries]
     with pytest.raises(RuntimeError, match=r"not in OVIC\(1, 3\)"):
-        noether._composite_ranks(short, phis, f, 3)
+        noether._composite_ranks(short, records, store, f, 3)
 
 
 def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
@@ -977,7 +978,7 @@ def test_span_budget_verdicts_are_unchanged():
 def _ranked_ints(stratum, field, terms):
     """Member-keyed field coefficients as the rank-keyed ints ``insert``
     takes."""
-    return dict(zip(map(noether._ranker(stratum), terms),
+    return dict(zip(map(stratum.rank, terms),
                     field.integral(list(terms.values()))))
 
 
@@ -1087,7 +1088,7 @@ def test_extend_matches_scan_oracle(ring, field, horizon, degrees, terms, d):
                 if g.degree > n or g.is_zero:
                     continue
                 homs = enumerate_ovic(emb, g.degree, n)
-                rank = noether._ranker(stratum)
+                rank = stratum.rank
                 columns = [[rank(compose_vic(phi, f)) for phi in homs] for f in g.terms]
                 coeffs = field.integral(list(g.terms.values()))
                 accepts = sum(oracle.insert(_oracle_act(phi, g).terms) for phi in homs)
@@ -1179,7 +1180,7 @@ def test_ranks_follow_the_total_order():
                     continue
                 stratum = enumerate_ovic(emb, d, n)
                 members = list(stratum)
-                assert list(map(noether._ranker(stratum), members)) == list(range(len(members)))
+                assert list(map(stratum.rank, members)) == list(range(len(members)))
                 keys = [f.order_key for f in members]
                 assert all(a < b for a, b in zip(keys, keys[1:]))
                 assert all(total_compare(a, b) == LT for a, b in zip(members, members[1:]))

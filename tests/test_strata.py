@@ -144,9 +144,10 @@ def assert_sequence_matches(seq, want):
 
 def assert_strata_match(emb, d, n):
     """Both strata against the filters; the OVIC rank view, read off the
-    store, against the positions of the walked members."""
+    store, against the positions of the walked members, and ``rank`` of
+    each oracle member against its position."""
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
-    ranks = noether._entry_ranks(got)
+    ranks = got.ranks
     assert_sequence_matches(got, want)
     walked = list(got)
     assert [f.s_sets for f in walked] == [f.s_sets for f in want]
@@ -156,6 +157,7 @@ def assert_strata_match(emb, d, n):
     for i, f in enumerate(walked):
         positions.setdefault(f.f_dprime.entries, {})[f.f_prime.entries] = i
     assert ranks == positions
+    assert [got.rank(f) for f in want] == list(range(len(want)))
     assert_sequence_matches(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
 
 

@@ -9,18 +9,17 @@ refuses an element over another field than the span's (``FieldMismatch``).
 
 The engine works on ranks.  ``enumerate_ovic`` returns each stratum OVIC(d, n)
 as a sequence in strict total order, so a member's index, its rank,
-compares as the member does.  The stratum is its own rank view
-(``OvicStratum``): ``rank`` and the index by entries, f''.entries ->
-{f'.entries -> rank}, are read off its packed store (``_splittings``) and
-each record's sort order on first use, and no member is built for them.
+compares as the member does.  A member is its column-adapted f'' and a
+splitting f' = psi + K, K in ker(f'')^d, fixed by f'' and the free rows of
+Phi(f'), which range independently row by row of f' (the free-row normal
+form of Putman-Sam, arXiv:1408.3694, for commutative R).  So within its
+f'' a member's rank is a mixed-radix number, one digit per row of f', and
+``OvicStratum`` keeps a digit table per f'', checked when built.
 ``span_to_degree`` turns each generator into ranks, and its coefficients
 into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
 column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
-in one fixed phi order per (k, n).  A source stratum OVIC(k, n) is read
-off that same store as it is: each record's f'' and the entry columns of
-phi' over all members.  A column takes one f'' product per record and
-builds phi' f' for every member at once with C-level maps
-(``_composite_ranks``).
+read off the packed store of OVIC(k, n) with one f'' product per record
+and C-level maps over the members (``_composite_ranks``).
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
 ``extend`` call of the degree's echelon basis, which reduces each image
@@ -64,7 +63,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import partial
 from fractions import Fraction
 from math import gcd, lcm
-from operator import getitem, index, itemgetter, xor
+from operator import add, getitem, index, itemgetter, xor
 from typing import Optional
 
 from .errors import (
@@ -309,8 +308,8 @@ def parse_field(spec: str):
 # members; the degenerate strata d = 0 and n < d take no search.  A stratum
 # d -> n is a read-only sequence over that store (``_Stratum``) whose
 # groups are runs of consecutive members: an OVIC record, its slice of the
-# columns sorted by the free rows of Phi(f') (``OvicStratum``, every d and
-# n), or a VIC group, one record and one g, whose f'' = g f2'' the table
+# columns placed by their digits (``OvicStratum``, every d and n), or a
+# VIC group, one record and one g, whose f'' = g f2'' the table
 # takes for all of GL_d at once, on GL_d's entry columns, and whose slice
 # is moved to psi g^-1 + K, one table per entry, and sorted only when it is
 # read (``VicStratum``, 1 <= d <= n).  A group is built with
@@ -508,19 +507,23 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
         work = nodes
         for f_dprime, s_sets, cols in found:
             kernel = _kernel(f_dprime) if d else ()  # ker(f'')^0 is {()}: no |R|^n scan
+            size = len(kernel)
             offset = work - nodes  # the members so far
-            work += len(kernel) ** d
+            work += size ** d
             _check_budget(work, budget, f"OVIC({d}, {n})")
-            # every K in ker(f'')^d, as n x d row-major entries; for d = 1
-            # those are the kernel vectors themselves
-            shifts = kernel if d == 1 else [
-                tuple(itertools.chain.from_iterable(zip(*combo)))
-                for combo in itertools.product(kernel, repeat=d)]
             psi = canonical_splitting(s_sets, emb, m=n, n=d)
-            _check_group(ring, d, n, f_dprime, psi.entries, shifts)
-            records.append((f_dprime, s_sets, psi, len(shifts), (n, s_sets, cols), offset))
-            for part, col, a in zip(parts, zip(*shifts), psi.entries):
-                part.append(through(pack(col), plus[a]))
+            _check_group(ring, d, n, f_dprime, psi.entries, kernel)
+            records.append((f_dprime, s_sets, psi, size ** d, (n, s_sets, cols), offset))
+            # K runs over ker(f'')^d in product order: entry (r, c) is entry r
+            # of each kernel vector, repeated size^(d-1-c) times, tiled size^c
+            by_row = [pack(entries) for entries in zip(*kernel)]
+            for i, (part, a) in enumerate(zip(parts, psi.entries)):
+                r, c = divmod(i, d)
+                column, repeats = by_row[r], size ** (d - 1 - c)
+                if repeats > 1:
+                    column = pack(itertools.chain.from_iterable(
+                        map(itertools.repeat, column, itertools.repeat(repeats))))
+                part.append(through(column * size ** c, plus[a]))
         # join and drop one position's parts at a time, so the build peaks
         # near one store, not two
         columns = []
@@ -578,13 +581,13 @@ def _column_product(emb: AWEmbedding, columns: list, b: tuple, rows: int, inner:
 
 
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
-                 shifts: list) -> None:
+                 kernel: list) -> None:
     """What ``RMatrix`` and ``VicMorphism`` check for each member, checked
-    once for the members (base + K, f'') with K in ``shifts``: f'' is a
-    d x n matrix over ``ring``, and base and every K are n * d ints."""
+    once for the members (base + K, f''), K in ``kernel``^d: f'' is d x n
+    over ``ring``, base n * d ints and every kernel vector n."""
     if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
         raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
-    if (len(base) != n * d or set(map(len, shifts)) - {n * d}
+    if (len(base) != n * d or set(map(len, kernel)) - {n}
             or any(type(x) is not int for x in base)):
         raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
 
@@ -667,14 +670,12 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     Each column-adapted f'' comes out of a column-by-column search, and
     carries the splittings psi + K for K in ker(f'')^d, psi its canonical
     splitting.  Order keys are a per-f'' prefix (n, s_sets, Phi(f'')
-    columns) followed by the free rows of Phi(f').  Phi is injective, so no
-    two f'' share a prefix: the stratum is in order when the f'' are taken
-    in prefix order and the members of each in free-row order, with no sort
-    over the whole stratum.  A call builds only the packed store
-    (``OvicStratum``); the length comes from its records, and a record's
-    members are built when an index or a walk first reaches it.  The order
-    is strict, so index i is rank i, and the stratum is its own rank view
-    (``OvicStratum.rank``), read off the store with no member built.
+    columns) followed by the free rows of Phi(f').  Phi is injective, so
+    the stratum is in order when the f'' are taken in prefix order and the
+    members of each in free-row order, their digit order (``OvicStratum``).
+    A call builds only the packed store; a record's members are built when
+    an index or a walk first reaches it.  Index i is rank i, and
+    ``OvicStratum.rank`` reads it off the digits with no member built.
     ``budget`` bounds the search nodes plus the members; BudgetExceeded is
     raised past it, and a cached stratum gets the same verdict.  The
     stratum is cached on ``emb``: a repeated request returns the same
@@ -789,78 +790,106 @@ class _Stratum(Sequence):
 class OvicStratum(_Stratum):
     """OVIC(d, n), for every d, n >= 0, as a read-only sequence over the
     records of its ``_splittings`` store, in prefix order
-    (``enumerate_ovic``).  A record's members are the f' of its slice of
-    the entry columns, sorted by the free rows of Phi(f'), each paired with
-    its f''.  OVIC(0, n) is one record of one member and OVIC(d, n < d) has
-    none.  The stratum is cached on the embedding and walked again, so a
-    walk keeps each record it builds.
+    (``enumerate_ovic``); OVIC(0, n) is one record of one member and
+    OVIC(d, n < d) none.  Cached on the embedding, a walk keeps each record.
 
-    Index i is rank i, so the stratum is its own rank view: ``ranks`` maps
-    f''.entries -> {f'.entries -> rank}, one inner dict per record, built
-    on first use from the columns and each record's sort order with no
-    member built, and ``rank`` looks a morphism up in it."""
+    ``_table(k)`` maps row i of f' (an entry for d = 1, d entries else) to
+    the ordinal of its free rows of Phi(f') among record k's, times the
+    row's weight, row 0 weighing most, and keeps those values in order.
+    ``rank`` adds the digits to the start of the record its f'' finds in
+    ``_index``, ``_group`` places each member at its digits, and
+    ``_composite_ranks`` ranks composites; no table builds a member."""
 
-    __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "_ranks")
+    __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "_index", "_digits")
 
     def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list):
         super().__init__(rec[3] for rec in records)
         self._emb, self._d, self._n = emb, d, n
         self._records = records
         self._columns = columns
-        self._ranks = None
+        self._index = {rec[0].entries: k for k, rec in enumerate(records)}
+        self._digits: dict = {}
 
-    def _sorted(self, k: int) -> list:
-        """Record k's members as (free rows of Phi(f'), f'.entries) pairs,
-        in order."""
-        _, s_sets, _, count, _, offset = self._records[k]
-        emb, d, n = self._emb, self._d, self._n
-        mu = emb.mu_total
-        free, _ = split_rows(emb, n, s_sets)
-        if d == 0:  # the one member: no entries, and every row free and empty
-            return [(((),) * len(free), ())]
-        phi_rows = _phi_rows(emb, d)
-        # entry i of f' over the members of the record, then row i of f'
-        cols = [column[offset:offset + count] for column in self._columns]
-        f_rows = cols if d == 1 else [list(zip(*cols[i:i + d])) for i in range(0, n * d, d)]
-        # standard row s of Phi(f') is row (s-1) % mu of Phi along row
-        # (s-1) // mu of f', so a free row over the members is one lookup
-        # per member in one table; n = d leaves no free row, and a single
-        # member per record
-        frees = zip(*[map(phi_rows[(s - 1) % mu].__getitem__, f_rows[(s - 1) // mu])
-                      for s in free]) if free else [()] * count
-        # the records come in prefix order, so sorting each by its free rows
-        # sorts the stratum; no two members of a record share free rows
-        return sorted(zip(frees, zip(*cols)))
+    def _table(self, k: int) -> tuple[list, list]:
+        """Record k's (digit tables, value lists), built on first use.
+        Standard row s of Phi(f') is row (s-1) % mu of Phi along row
+        (s-1) // mu of f'.  A count other than the product of the radices,
+        or two members at one digit sum, is a bug: RuntimeError."""
+        built = self._digits.get(k)
+        if built is None:
+            emb, d, n = self._emb, self._d, self._n
+            _, s_sets, _, count, _, offset = self._records[k]
+            mu, phi_rows = emb.mu_total, _phi_rows(emb, d)
+            free, _ = split_rows(emb, n, s_sets)
+            cols = [column[offset:offset + count] for column in self._columns]
+            rows = [row if d == 1 else list(row) for row in _f_rows(cols, d, n, count)]
+            looks = [[] for _ in range(n)]  # per row of f', Phi's rows at its free rows
+            for s in free:
+                looks[(s - 1) // mu].append(phi_rows[(s - 1) % mu])
+            tables, values, weight = [], [], 1
+            for i in reversed(range(n)):
+                keys = list(set(rows[i]))
+                frees = [tuple(look[x] for look in looks[i]) for x in keys]
+                values.insert(0, sorted(set(frees)))
+                digit = dict(zip(values[0], range(0, len(values[0]) * weight, weight)))
+                tables.insert(0, dict(zip(keys, map(digit.__getitem__, frees))))
+                weight *= len(values[0])
+            if weight != count or len(set(_digit_sums(tables, rows, count))) != count:
+                raise RuntimeError(f"record {k} of OVIC({d}, {n}) is not the product "
+                                   "of its free rows")  # bug guard
+            built = self._digits[k] = tables, values
+        return built
 
     def _group(self, k: int) -> list[OvicMorphism]:
-        """The members of record k, built afresh."""
-        f_dprime, s_sets, _, _, prefix, _ = self._records[k]
-        members = self._sorted(k)
+        """The members of record k, built afresh: each f' of the slice at
+        its digits, the order keys off the value lists."""
+        f_dprime, s_sets, _, count, prefix, offset = self._records[k]
+        emb, d, n = self._emb, self._d, self._n
+        tables, values = self._table(k)
+        cols = [column[offset:offset + count] for column in self._columns]
+        placed = dict(zip(_digit_sums(tables, _f_rows(cols, d, n, count), count),
+                          zip(*cols) if d else [()]))
         return OvicMorphism._batch(
-            RMatrix._batch(self._emb.ring, self._n, self._d, map(itemgetter(1), members)),
-            f_dprime, self._emb, s_sets, prefix, map(itemgetter(0), members))
+            RMatrix._batch(emb.ring, n, d, map(placed.__getitem__, range(count))),
+            f_dprime, emb, s_sets, prefix,
+            map(tuple, map(itertools.chain.from_iterable, itertools.product(*values))))
 
     _walked = _Stratum._kept
 
-    @property
-    def ranks(self) -> dict:
-        """f''.entries -> {f'.entries -> rank}, built on first use."""
-        if self._ranks is None:
-            starts = self._starts
-            self._ranks = {
-                rec[0].entries: dict(zip(map(itemgetter(1), self._sorted(k)),
-                                         range(starts[k], starts[k + 1])))
-                for k, rec in enumerate(self._records)}
-        return self._ranks
-
     def rank(self, f: VicMorphism) -> Optional[int]:
-        """The rank of ``f``, or None when it is no member: entry tuples
-        find a member only over the stratum's ring (by identity) and of its
-        type d -> n."""
-        if f.ring is not self._emb.ring or (f.d, f.n) != (self._d, self._n):
+        """The rank of ``f``, or None when it is no member: over another
+        ring (by identity), of another type, or with an f'' no record has.
+        f' is taken to split f'', as ``VicMorphism`` checks, so each of its
+        rows has a digit; one that has none gives None too."""
+        d, n = self._d, self._n
+        k = self._index.get(f.f_dprime.entries)
+        if f.ring is not self._emb.ring or (f.d, f.n) != (d, n) or k is None:
             return None
-        record = self.ranks.get(f.f_dprime.entries)
-        return None if record is None else record.get(f.f_prime.entries)
+        e = f.f_prime.entries
+        rows = e if d == 1 else [e[i * d:(i + 1) * d] for i in range(n)]
+        try:
+            return self._starts[k] + sum(map(getitem, self._table(k)[0], rows))
+        except KeyError:
+            return None
+
+
+def _f_rows(columns: list, d: int, n: int, count: int) -> list:
+    """Per row i of f', its values over ``count`` members (an entry for
+    d = 1, a tuple else), from the n d entry ``columns`` of f'."""
+    if d == 1:
+        return columns
+    if d == 0:
+        return [itertools.repeat((), count) for _ in range(n)]
+    return [zip(*columns[i:i + d]) for i in range(0, n * d, d)]
+
+
+def _digit_sums(tables: list, rows: list, count: int, start: int = 0):
+    """``start`` plus each member's digits, row i (``_f_rows``) through
+    ``tables[i]``, lazily in C; a value with no digit raises KeyError."""
+    sums = itertools.repeat(start, count)
+    for table, row in zip(tables, rows):
+        sums = map(add, sums, map(table.__getitem__, row))
+    return sums
 
 
 def _phi_rows(emb: AWEmbedding, d: int) -> list:
@@ -1011,34 +1040,37 @@ def init_term(x: ModuleElement) -> tuple:
 # stratum ranks, echelon bases and spans
 # ---------------------------------------------------------------------------
 
-def _composite_ranks(target: dict, records: list, columns: list, f: OvicMorphism,
-                     n: int) -> list[int]:
-    """The rank in OVIC(d, n), d = f.d, of phi o f for every phi in
-    OVIC(k, n), k = f.n, in the order of that stratum's ``_splittings``
-    store, its ``records`` and entry ``columns``: records in prefix order,
-    each record's members in kernel order, not sorted into rank order.
-    ``target`` is OVIC(d, n)'s ranks by entries (``OvicStratum.ranks``).
+def _composite_ranks(target: OvicStratum, records: list, columns: list, f: OvicMorphism,
+                     n: int) -> array:
+    """The rank in ``target``, OVIC(d, n) with d = f.d, of phi o f for every
+    phi in OVIC(k, n), k = f.n, in the order of that stratum's
+    ``_splittings`` store, its ``records`` and entry ``columns``: records
+    in prefix order, each record's members in kernel order, not sorted into
+    rank order.
 
-    The composite is (phi' f', f'' phi'').  Its f'' depends only on phi's
-    record, so it is multiplied out once per record and looked up in
-    ``target``.  The f' = phi' f' of all members come at once from the
-    columns of phi' (``_column_product``).  Zipping those columns gives
-    each composite's f', and one map over the records' target dicts gives
-    the ranks, so no member is built and the loop over members runs in C.
-    A composite missing from ``target`` is a bug: RuntimeError."""
-    d, k = f.d, f.n
-    ring = f.ring
+    The composite is (phi' f', f'' phi''): its f'' is multiplied out once
+    per record of phi and found in the target's ``_index``, its f' for all
+    members at once from the columns of phi' (``_column_product``), and
+    row by row each member's f' goes through the digit table of its target
+    record, all by ``map`` in C.  A composite whose f'' or row the target
+    has no entry for is a bug: RuntimeError."""
+    d, k, ring = f.d, f.n, f.ring
     f_dprime = f.f_dprime.entries
     counts = [rec[3] for rec in records]
-    total = sum(counts)
-    entries = _column_product(f.emb, columns, f.f_prime.entries, n, k, d, total)
+    entries = _column_product(f.emb, columns, f.f_prime.entries, n, k, d, sum(counts))
     try:
-        targets = [target[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
-                   for rec in records]
-        # one target dict per member, then each member's f' in it
-        return list(map(dict.__getitem__,
-                        itertools.chain.from_iterable(map(itertools.repeat, targets, counts)),
-                        zip(*entries) if d else itertools.repeat((), total)))
+        found = [target._index[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
+                 for rec in records]
+        tables = [target._table(r)[0] for r in found]
+
+        def per_member(items):  # one item per record, repeated over its members
+            return itertools.chain.from_iterable(map(itertools.repeat, items, counts))
+
+        ranks = per_member(map(target._starts.__getitem__, found))
+        for i, row in enumerate(_f_rows(entries, d, n, sum(counts))):
+            digits = map(dict.__getitem__, per_member(map(itemgetter(i), tables)), row)
+            ranks = map(add, ranks, digits)
+        return array("I", ranks)
     except KeyError:
         raise RuntimeError(f"a composite of OVIC({k}, {n}) after OVIC({d}, {k}) "
                            f"is not in OVIC({d}, {n})") from None  # bug guard
@@ -1295,14 +1327,14 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     The work is in ranks: each generator's terms are ranked once in
     OVIC(d, its degree) and its coefficients scaled to ints once
     (``field.integral``).  Each term f of degree k has one composite column
-    per n, memoised on ``emb`` under (d, k, n) by the rank of f: the rank of
-    phi o f for every phi in OVIC(k, n), built from the packed store of
-    OVIC(k, n) in its one fixed phi order (``_composite_ranks``); no member
-    of OVIC(k, n) is built.  The fully reduced basis depends only on the span,
-    so that order leaves no trace in it.  Post-composition is injective, so
-    an image has one term per term of g, and its composite ranks, a row
-    across the columns of g's terms, fix it: all of g's columns in degree n
-    go to one ``extend`` call with g's ints.  The kernel is chosen per
+    per n, memoised on ``emb`` under (d, k, n) by the rank of f: an
+    ``array('I')`` of the rank of phi o f for every phi in OVIC(k, n), in
+    the store order of OVIC(k, n), read off the target's digit tables
+    (``_composite_ranks``); no member is built.  The fully reduced basis
+    depends only on the span, so that order leaves no trace in it.
+    Post-composition is injective, so an image has one term per term of g,
+    and its composite ranks, a row across the columns of g's terms, fix it:
+    all of g's columns in degree n go to one ``extend`` call with g's ints.  The kernel is chosen per
     degree by the target's size N: over F2 it is ``F2EchelonBasis`` while
     its dense ``red``, about N^2 / 15 bytes, fits ``F2_RED_BYTES`` (128 MiB,
     N up to 44,869: F2 OVIC(1, 8) at N = 32,640 is on bitsets), and
@@ -1313,8 +1345,8 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     raised.
 
     The target OVIC(d, n) is ``enumerate_ovic``'s sequence, which ranks
-    the generators' terms and the composites off its store; the bases build
-    only the members their public methods return.  ``budget`` bounds each
+    the generators' terms and the composites by its digit tables; the bases
+    build only the members their public methods return.  ``budget`` bounds each
     stratum's own work, search nodes plus members as ``enumerate_ovic``
     counts it, and the morphisms counted in total: the target OVIC(d, n)
     for every n <= horizon, plus the source OVIC(k, n) once per generator
@@ -1372,7 +1404,7 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
             for r, f in zip(ranks, g.terms):
                 column = memo.get(r)
                 if column is None:
-                    column = memo[r] = _composite_ranks(target.ranks, records, store, f, n)
+                    column = memo[r] = _composite_ranks(target, records, store, f, n)
                 columns.append(column)
             # a row across the columns is one image's composite ranks, which
             # fix the image: the coefficients are the generator's

@@ -50,6 +50,8 @@ from vicbench.ovic import OvicMorphism, VicMorphism, compose_vic
 from vicbench.rings import BUILTIN_NAMES, RMatrix, build_ring, builtin_ring, zmod
 from vicbench.wedderburn import build_aw_embedding
 
+from oracles import sorted_ranks
+
 F2 = PrimeField(2)
 
 
@@ -870,7 +872,7 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
     target = enumerate_ovic(emb, d, n)
-    view, rank = target.ranks, target.rank
+    view, rank = sorted_ranks(target), target.rank
     homs = enumerate_ovic(emb, k, n)
     records, store, _ = noether._splittings(emb, k, n, 10 ** 6)
     counts = [rec[3] for rec in records]
@@ -893,7 +895,7 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     for f in picked:
         oracle = _composite_column(view, homs, f, n)
         assert oracle == [rank(compose_vic(phi, f)) for phi in homs]
-        column = noether._composite_ranks(view, records, store, f, n)
+        column = noether._composite_ranks(target, records, store, f, n)
         assert Counter(column) == Counter(oracle)
         columns.append(column)
         oracles.append(oracle)
@@ -901,19 +903,20 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
 
 
 def test_composite_column_missing_from_the_target_is_a_bug():
-    """A composite whose f'' (the wrong stratum) or f' (a view short of
-    the first composite's f') the target does not index raises
-    RuntimeError naming (d, k, n)."""
+    """A composite whose f'' the target does not record (the wrong
+    stratum), or one of whose rows has no digit there (a target whose
+    digit table lacks the first composite's row 0), raises RuntimeError
+    naming (d, k, n)."""
     emb = emb_of("F2")
     f = enumerate_ovic(emb, 1, 2)[1]
     records, store, _ = noether._splittings(emb, 2, 3, 10 ** 6)
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_ranks(enumerate_ovic(emb, 1, 2).ranks, records, store, f, 3)
+        noether._composite_ranks(enumerate_ovic(emb, 1, 2), records, store, f, 3)
     target = enumerate_ovic(emb, 1, 3)
-    hit = target[noether._composite_ranks(target.ranks, records, store, f, 3)[0]]
-    short = {e: dict(record) for e, record in target.ranks.items()}
-    del short[hit.f_dprime.entries][hit.f_prime.entries]
-    with pytest.raises(RuntimeError, match=r"not in OVIC\(1, 3\)"):
+    hit = target[noether._composite_ranks(target, records, store, f, 3)[0]]
+    short = noether.OvicStratum(emb, 1, 3, target._records, target._columns)
+    del short._table(short._index[hit.f_dprime.entries])[0][0][hit.f_prime.entries[0]]
+    with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
         noether._composite_ranks(short, records, store, f, 3)
 
 
@@ -1188,17 +1191,17 @@ def test_ranks_follow_the_total_order():
 
 
 def test_enumerate_ovic_builds_no_rank_view():
-    """A stratum's rank view is built on first use: not by
-    ``enumerate_ovic``, nor by a span without generators, which reads the
-    targets' lengths alone, but by a span that ranks terms or composites
-    in a target."""
+    """A stratum's digit tables are built on first use: not by
+    ``enumerate_ovic`` or ``enumerate_vic``, nor by a span without
+    generators, which reads the targets' lengths alone, but by an index
+    or a span that ranks terms or composites in a target."""
     emb = build_aw_embedding(zmod(2))
     strata = [enumerate_ovic(emb, 1, n) for n in range(1, 4)]
     enumerate_vic(emb, 1, 3)
     span_to_degree([], 3, emb, F2, d=1)
-    assert [stratum._ranks for stratum in strata] == [None] * 3
+    assert [stratum._digits for stratum in strata] == [{}] * 3
     span_to_degree([ModuleElement.monomial(strata[1][0], F2)], 3, emb, F2)
-    assert [stratum._ranks is None for stratum in strata] == [True, False, False]
+    assert [bool(stratum._digits) for stratum in strata] == [False, True, True]
 
 
 def test_stratum_rank_builds_no_member(monkeypatch):
@@ -1375,6 +1378,21 @@ def test_span_at_horizon_6(gens, dims):
                            6, emb, F2, d=1)
     assert list(state.dims().values()) == dims
     assert ("ovic", 2, 6) not in emb.enum_cache
+
+
+def test_t2f2_witness_at_horizon_4():
+    """The first noncommutative span with content: T2F2, one generator of
+    three F2 terms drawn by ``random.Random(0).sample`` from OVIC(1, 3), at
+    horizon 4.  OVIC(1, 4) has 921,600 ranks, past the F2 bitset kernel's
+    bound, so degree 4 takes the dict kernel, and the composites of the
+    terms are ranked by the digit tables of the target records they reach.
+    About 4 s in process on a 2-core x86 container."""
+    emb = build_aw_embedding(load_ring(CLI_DATA / "t2f2.json"))
+    terms = random.Random(0).sample(enumerate_ovic(emb, 1, 3), 3)
+    state = span_to_degree([ModuleElement(1, 3, F2, dict.fromkeys(terms, 1))], 4, emb, F2,
+                           budget=10 ** 7)
+    assert state.dims() == {0: 0, 1: 0, 2: 0, 3: 1, 4: 12405}
+    assert type(state.bases[4]) is EchelonBasis
 
 
 def test_span_above_the_f2_bound_uses_the_dict_kernel(monkeypatch):

@@ -23,6 +23,7 @@ import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import digit_ranks, sorted_ranks
 from spec_rings import spec_rings
 
 from vicbench import noether
@@ -143,11 +144,12 @@ def assert_sequence_matches(seq, want):
 
 
 def assert_strata_match(emb, d, n):
-    """Both strata against the filters; the OVIC rank view, read off the
-    store, against the positions of the walked members, and ``rank`` of
-    each oracle member against its position."""
+    """Both strata against the filters; the OVIC digit ranks, read off the
+    store, against the sorting oracle and the positions of the walked
+    members, and ``rank`` of each oracle member against its position."""
     got, want = enumerate_ovic(emb, d, n), filter_ovic(emb, d, n)
-    ranks = got.ranks
+    ranks = digit_ranks(got)
+    assert ranks == sorted_ranks(got)
     assert_sequence_matches(got, want)
     walked = list(got)
     assert [f.s_sets for f in walked] == [f.s_sets for f in want]
@@ -159,6 +161,35 @@ def assert_strata_match(emb, d, n):
     assert ranks == positions
     assert [got.rank(f) for f in want] == list(range(len(want)))
     assert_sequence_matches(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
+
+
+@pytest.mark.parametrize("corrupt", [lambda kernel: kernel + kernel[-1:],
+                                     lambda kernel: kernel[1:]], ids=["repeats", "lacks"])
+def test_digit_tables_refuse_a_record_off_the_product(monkeypatch, corrupt):
+    """A record whose slice of the store repeats a member, or lacks one, is
+    not the product of its free rows: its digit table raises RuntimeError,
+    so neither ``rank`` nor an index nor a composite column ranks its
+    members."""
+    clean = enumerate_ovic(build_aw_embedding(build_ring("zmod(3)")), 1, 3)
+    kernel = noether._kernel
+    monkeypatch.setattr(noether, "_kernel", lambda f: corrupt(kernel(f)))
+    emb = build_aw_embedding(build_ring("zmod(3)"))
+    stratum = enumerate_ovic(emb, 1, 3)
+    assert len(stratum) != len(clean)
+    ring = emb.ring
+    f = clean[len(clean) // 2]
+    member = OvicMorphism(RMatrix(ring, 3, 1, f.f_prime.entries),
+                          RMatrix(ring, 1, 3, f.f_dprime.entries), emb)
+    with pytest.raises(RuntimeError, match=r"record \d+ of OVIC\(1, 3\) is not the product"):
+        stratum.rank(member)
+    with pytest.raises(RuntimeError, match="not the product"):
+        stratum[len(stratum) // 2]
+    with pytest.raises(RuntimeError, match="not the product"):
+        list(stratum)
+    records, store, _ = noether._splittings(emb, 1, 3, 10 ** 6)
+    with pytest.raises(RuntimeError, match="not the product"):
+        noether._composite_ranks(stratum, records, store, OvicMorphism.identity(emb, 1), 3)
+    assert stratum._digits == {}
 
 
 def test_group_checks_reject_what_the_constructors_reject():

@@ -14,12 +14,13 @@ splitting f' = psi + K, K in ker(f'')^d, fixed by f'' and the free rows of
 Phi(f'), which range independently row by row of f' (the free-row normal
 form of Putman-Sam, arXiv:1408.3694, for commutative R).  So within its
 f'' a member's rank is a mixed-radix number, one digit per row of f', and
-``OvicStratum`` keeps a digit table per f'', checked when built.
+``OvicStratum`` keeps a digit table per f'', checked when built, which
+only ranks: a member's order key comes from Phi alone, when first read.
 ``span_to_degree`` turns each generator into ranks, and its coefficients
 into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
 column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
-read off the packed store of OVIC(k, n) with one f'' product per record
-and C-level maps over the members (``_composite_ranks``).
+read off the packed store of OVIC(k, n) record by record, one f'' product
+and one digit sum by C-level maps per record (``_composite_ranks``).
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
 ``extend`` call of the degree's echelon basis, which reduces each image
@@ -308,12 +309,13 @@ def parse_field(spec: str):
 # members; the degenerate strata d = 0 and n < d take no search.  A stratum
 # d -> n is a read-only sequence over that store (``_Stratum``) whose
 # groups are runs of consecutive members: an OVIC record, its slice of the
-# columns placed by their digits (``OvicStratum``, every d and n), or a
-# VIC group, one record and one g, whose f'' = g f2'' the table
-# takes for all of GL_d at once, on GL_d's entry columns, and whose slice
-# is moved to psi g^-1 + K, one table per entry, and sorted only when it is
-# read (``VicStratum``, 1 <= d <= n).  A group is built with
-# one batch constructor call per class when it is first read.  OVIC strata
+# columns placed by their digits, which rank but give no order key
+# (``OvicStratum``, every d and n), or a VIC group, one record and one g,
+# whose f'' = g f2'' the table takes for all of GL_d at once, on GL_d's
+# entry columns, and whose slice is moved to psi g^-1 + K, one table per
+# entry, and sorted only when it is read (``VicStratum``, 1 <= d <= n).  A
+# group is built with one batch constructor call per class when it is
+# first read.  OVIC strata
 # are cached in ``emb.enum_cache`` and keep the records they build, since
 # callers walk them again; a VIC stratum is built per call, and a walk over
 # it drops each group once past it.  Members hold only rings, embeddings,
@@ -478,13 +480,13 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
                 ) -> tuple[list, list, int]:
     """The stratum d -> n as one packed store, plus the search nodes it
     took; cached on ``emb``.  Per column-adapted f'' a record (f'', s_sets,
-    canonical splitting psi, |ker(f'')^d|, order-key prefix, offset), and
-    the n d entry columns (``_packing``) of f' = psi + K for K in
-    ker(f'')^d: record after record, each in kernel order, so a record's
-    members are the slices [offset, offset + count).  Phi is injective, so
-    the prefixes (n, s_sets, Phi(f'') columns) are distinct; the records
-    come in their order.  The nodes plus the splittings so far bound the
-    work of either stratum from below, so BudgetExceeded is raised as soon
+    canonical splitting psi, |ker(f'')^d|, offset), and the n d entry
+    columns (``_packing``) of f' = psi + K for K in ker(f'')^d: record
+    after record, each in kernel order, so a record's members are the
+    slices [offset, offset + count).  The records are sorted by the
+    order keys' prefixes (n, s_sets, Phi(f'') columns), distinct as Phi is
+    injective.  The nodes plus the splittings so far bound the work of
+    either stratum from below, so BudgetExceeded is raised as soon
     as they pass ``budget``.  Each record passes ``_check_group`` as it is
     made, so both builds take its members' parts as they are.  With no
     search, d = 0 is one record (the 0 x n f'') of one member and no
@@ -505,7 +507,7 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
             found.sort(key=itemgetter(1, 2))
         records, parts = [], [[] for _ in range(n * d)]
         work = nodes
-        for f_dprime, s_sets, cols in found:
+        for f_dprime, s_sets, _ in found:
             kernel = _kernel(f_dprime) if d else ()  # ker(f'')^0 is {()}: no |R|^n scan
             size = len(kernel)
             offset = work - nodes  # the members so far
@@ -513,7 +515,7 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
             _check_budget(work, budget, f"OVIC({d}, {n})")
             psi = canonical_splitting(s_sets, emb, m=n, n=d)
             _check_group(ring, d, n, f_dprime, psi.entries, kernel)
-            records.append((f_dprime, s_sets, psi, size ** d, (n, s_sets, cols), offset))
+            records.append((f_dprime, s_sets, psi, size ** d, offset))
             # K runs over ker(f'')^d in product order: entry (r, c) is entry r
             # of each kernel vector, repeated size^(d-1-c) times, tiled size^c
             by_row = [pack(entries) for entries in zip(*kernel)]
@@ -672,7 +674,8 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     splitting.  Order keys are a per-f'' prefix (n, s_sets, Phi(f'')
     columns) followed by the free rows of Phi(f').  Phi is injective, so
     the stratum is in order when the f'' are taken in prefix order and the
-    members of each in free-row order, their digit order (``OvicStratum``).
+    members of each in free-row order, their digit order (``OvicStratum``);
+    each member computes its key from Phi when first read.
     A call builds only the packed store; a record's members are built when
     an index or a walk first reaches it.  Index i is rank i, and
     ``OvicStratum.rank`` reads it off the digits with no member built.
@@ -795,10 +798,10 @@ class OvicStratum(_Stratum):
 
     ``_table(k)`` maps row i of f' (an entry for d = 1, d entries else) to
     the ordinal of its free rows of Phi(f') among record k's, times the
-    row's weight, row 0 weighing most, and keeps those values in order.
-    ``rank`` adds the digits to the start of the record its f'' finds in
-    ``_index``, ``_group`` places each member at its digits, and
-    ``_composite_ranks`` ranks composites; no table builds a member."""
+    row's weight, row 0 weighing most.  ``rank`` adds the digits to the
+    start of the record its f'' finds in ``_index``, ``_group`` places each
+    member at its digits, and ``_composite_ranks`` ranks composites; no
+    table builds a member, and no member gets its order key from a table."""
 
     __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "_index", "_digits")
 
@@ -810,15 +813,15 @@ class OvicStratum(_Stratum):
         self._index = {rec[0].entries: k for k, rec in enumerate(records)}
         self._digits: dict = {}
 
-    def _table(self, k: int) -> tuple[list, list]:
-        """Record k's (digit tables, value lists), built on first use.
-        Standard row s of Phi(f') is row (s-1) % mu of Phi along row
-        (s-1) // mu of f'.  A count other than the product of the radices,
-        or two members at one digit sum, is a bug: RuntimeError."""
-        built = self._digits.get(k)
-        if built is None:
+    def _table(self, k: int) -> list:
+        """Record k's digit tables, built on first use.  Standard row s of
+        Phi(f') is row (s-1) % mu of Phi along row (s-1) // mu of f'.  A
+        count other than the product of the radices, or two members at one
+        digit sum, is a bug: RuntimeError."""
+        tables = self._digits.get(k)
+        if tables is None:
             emb, d, n = self._emb, self._d, self._n
-            _, s_sets, _, count, _, offset = self._records[k]
+            _, s_sets, _, count, offset = self._records[k]
             mu, phi_rows = emb.mu_total, _phi_rows(emb, d)
             free, _ = split_rows(emb, n, s_sets)
             cols = [column[offset:offset + count] for column in self._columns]
@@ -826,33 +829,31 @@ class OvicStratum(_Stratum):
             looks = [[] for _ in range(n)]  # per row of f', Phi's rows at its free rows
             for s in free:
                 looks[(s - 1) // mu].append(phi_rows[(s - 1) % mu])
-            tables, values, weight = [], [], 1
+            tables, weight = [], 1
             for i in reversed(range(n)):
                 keys = list(set(rows[i]))
                 frees = [tuple(look[x] for look in looks[i]) for x in keys]
-                values.insert(0, sorted(set(frees)))
-                digit = dict(zip(values[0], range(0, len(values[0]) * weight, weight)))
+                values = sorted(set(frees))
+                digit = dict(zip(values, range(0, len(values) * weight, weight)))
                 tables.insert(0, dict(zip(keys, map(digit.__getitem__, frees))))
-                weight *= len(values[0])
+                weight *= len(values)
             if weight != count or len(set(_digit_sums(tables, rows, count))) != count:
                 raise RuntimeError(f"record {k} of OVIC({d}, {n}) is not the product "
                                    "of its free rows")  # bug guard
-            built = self._digits[k] = tables, values
-        return built
+            self._digits[k] = tables
+        return tables
 
     def _group(self, k: int) -> list[OvicMorphism]:
         """The members of record k, built afresh: each f' of the slice at
-        its digits, the order keys off the value lists."""
-        f_dprime, s_sets, _, count, prefix, offset = self._records[k]
+        its digits."""
+        f_dprime, s_sets, _, count, offset = self._records[k]
         emb, d, n = self._emb, self._d, self._n
-        tables, values = self._table(k)
         cols = [column[offset:offset + count] for column in self._columns]
-        placed = dict(zip(_digit_sums(tables, _f_rows(cols, d, n, count), count),
+        placed = dict(zip(_digit_sums(self._table(k), _f_rows(cols, d, n, count), count),
                           zip(*cols) if d else [()]))
         return OvicMorphism._batch(
             RMatrix._batch(emb.ring, n, d, map(placed.__getitem__, range(count))),
-            f_dprime, emb, s_sets, prefix,
-            map(tuple, map(itertools.chain.from_iterable, itertools.product(*values))))
+            f_dprime, emb, s_sets)
 
     _walked = _Stratum._kept
 
@@ -868,7 +869,7 @@ class OvicStratum(_Stratum):
         e = f.f_prime.entries
         rows = e if d == 1 else [e[i * d:(i + 1) * d] for i in range(n)]
         try:
-            return self._starts[k] + sum(map(getitem, self._table(k)[0], rows))
+            return self._starts[k] + sum(map(getitem, self._table(k), rows))
         except KeyError:
             return None
 
@@ -885,7 +886,8 @@ def _f_rows(columns: list, d: int, n: int, count: int) -> list:
 
 def _digit_sums(tables: list, rows: list, count: int, start: int = 0):
     """``start`` plus each member's digits, row i (``_f_rows``) through
-    ``tables[i]``, lazily in C; a value with no digit raises KeyError."""
+    ``tables[i]``, lazily in C; a value with no digit raises KeyError.
+    Exactly ``count`` values are taken off each row iterator."""
     sums = itertools.repeat(start, count)
     for table, row in zip(tables, rows):
         sums = map(add, sums, map(table.__getitem__, row))
@@ -935,7 +937,7 @@ class VicStratum(_Stratum):
     def _group(self, k: int) -> list[VicMorphism]:
         """The members of group k, built afresh."""
         f_dprime, r, g = self._groups[k]
-        _, _, psi, count, _, offset = self._records[r]
+        _, _, psi, count, offset = self._records[r]
         ring, plus, through = self._ring, self._plus, self._through
         add, neg, d, part = ring._add, ring._neg, psi.cols, slice(offset, offset + count)
         # psi g^-1, and per entry the table of x -> x + (psi g^-1 - psi)
@@ -1048,32 +1050,27 @@ def _composite_ranks(target: OvicStratum, records: list, columns: list, f: OvicM
     in prefix order, each record's members in kernel order, not sorted into
     rank order.
 
-    The composite is (phi' f', f'' phi''): its f'' is multiplied out once
-    per record of phi and found in the target's ``_index``, its f' for all
-    members at once from the columns of phi' (``_column_product``), and
-    row by row each member's f' goes through the digit table of its target
-    record, all by ``map`` in C.  A composite whose f'' or row the target
-    has no entry for is a bug: RuntimeError."""
+    The composite is (phi' f', f'' phi'').  Its f' is multiplied out for
+    all members at once from the columns of phi' (``_column_product``);
+    per record its f'' is multiplied out once and found in the target's
+    ``_index``, and the record's rows of f' are summed through that target
+    record's digit tables (``_digit_sums``), by ``map`` in C.  A composite
+    whose f'' or row the target has no entry for is a bug: RuntimeError."""
     d, k, ring = f.d, f.n, f.ring
     f_dprime = f.f_dprime.entries
-    counts = [rec[3] for rec in records]
-    entries = _column_product(f.emb, columns, f.f_prime.entries, n, k, d, sum(counts))
+    total = sum(rec[3] for rec in records)
+    # one iterator per row over all members (a column may be the store's bytes)
+    rows = list(map(iter, _f_rows(
+        _column_product(f.emb, columns, f.f_prime.entries, n, k, d, total), d, n, total)))
+    ranks = array("I")
     try:
-        found = [target._index[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
-                 for rec in records]
-        tables = [target._table(r)[0] for r in found]
-
-        def per_member(items):  # one item per record, repeated over its members
-            return itertools.chain.from_iterable(map(itertools.repeat, items, counts))
-
-        ranks = per_member(map(target._starts.__getitem__, found))
-        for i, row in enumerate(_f_rows(entries, d, n, sum(counts))):
-            digits = map(dict.__getitem__, per_member(map(itemgetter(i), tables)), row)
-            ranks = map(add, ranks, digits)
-        return array("I", ranks)
+        for rec in records:
+            r = target._index[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
+            ranks.extend(_digit_sums(target._table(r), rows, rec[3], target._starts[r]))
     except KeyError:
         raise RuntimeError(f"a composite of OVIC({k}, {n}) after OVIC({d}, {k}) "
                            f"is not in OVIC({d}, {n})") from None  # bug guard
+    return ranks
 
 
 class EchelonBasis:

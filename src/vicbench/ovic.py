@@ -266,17 +266,16 @@ class OvicMorphism(VicMorphism):
         self._order_key = None
 
     @classmethod
-    def _batch(cls, f_primes, f_dprime: RMatrix, emb: AWEmbedding, s_sets: tuple,
-               key_prefix: tuple, frees) -> list["OvicMorphism"]:
+    def _batch(cls, f_primes, f_dprime: RMatrix, emb: AWEmbedding,
+               s_sets: tuple) -> list["OvicMorphism"]:
         """``VicMorphism._batch`` plus the embedding and the pivot sets as a
-        tuple of tuples, all trusted; each member's order key is
-        ``key_prefix`` + (its free rows,), the free rows of ``frees`` taken
-        in step with ``f_primes``."""
+        tuple of tuples, all trusted; each order key is computed from Phi on
+        first read, as for any member."""
         out = super()._batch(f_primes, f_dprime)
-        for f, free in zip(out, frees):
+        for f in out:
             f.emb = emb
             f.s_sets = s_sets
-            f._order_key = key_prefix + (free,)
+            f._order_key = None
         return out
 
     @classmethod

@@ -14,7 +14,7 @@ def sorted_ranks(stratum):
     sorted by the rows of Phi(f') at the free positions."""
     emb, d, n = stratum._emb, stratum._d, stratum._n
     out, start = {}, 0
-    for f_dprime, s_sets, _, count, _, offset in stratum._records:
+    for f_dprime, s_sets, _, count, offset in stratum._records:
         free, _ = split_rows(emb, n, s_sets)
         f_primes = list(zip(*[c[offset:offset + count] for c in stratum._columns])) or [()]
 
@@ -33,9 +33,9 @@ def digit_ranks(stratum):
     record's slice of the store in store order."""
     d, n, out = stratum._d, stratum._n, {}
     for k, rec in enumerate(stratum._records):
-        count, offset = rec[3], rec[5]
+        count, offset = rec[3], rec[4]
         cols = [column[offset:offset + count] for column in stratum._columns]
-        ranks = noether._digit_sums(stratum._table(k)[0], noether._f_rows(cols, d, n, count),
+        ranks = noether._digit_sums(stratum._table(k), noether._f_rows(cols, d, n, count),
                                     count, stratum._starts[k])
         out[rec[0].entries] = dict(zip(list(zip(*cols)) or [()], ranks))
     return out

@@ -881,9 +881,9 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     packed = bytes if emb.ring.size <= 256 else array
     assert [(type(c), len(c)) for c in store] == [(packed, members)] * (n * k)
     assert not [key for key in emb.enum_cache if key[0] == "source"]
-    assert [rec[5] for rec in records] == [0, *itertools.accumulate(counts)][:len(counts)]
+    assert [rec[4] for rec in records] == [0, *itertools.accumulate(counts)][:len(counts)]
     add = emb.ring.add_table
-    for f_dprime, _, psi, count, _, offset in records:
+    for f_dprime, _, psi, count, offset in records:
         shifts = list(itertools.product(noether._kernel(f_dprime), repeat=k))
         assert count == len(shifts)
         for i, column in enumerate(store):
@@ -915,7 +915,7 @@ def test_composite_column_missing_from_the_target_is_a_bug():
     target = enumerate_ovic(emb, 1, 3)
     hit = target[noether._composite_ranks(target, records, store, f, 3)[0]]
     short = noether.OvicStratum(emb, 1, 3, target._records, target._columns)
-    del short._table(short._index[hit.f_dprime.entries])[0][0][hit.f_prime.entries[0]]
+    del short._table(short._index[hit.f_dprime.entries])[0][hit.f_prime.entries[0]]
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
         noether._composite_ranks(short, records, store, f, 3)
 
@@ -1190,6 +1190,25 @@ def test_ranks_follow_the_total_order():
     assert skipped == [("F2S3", 1, 3), ("F2S3", 2, 3)]
 
 
+@pytest.mark.parametrize("name,d,n,step", [("M2F2", 1, 2, 1), ("T2F2", 2, 3, 7),
+                                            ("F2", 3, 4, 1)])
+def test_members_take_their_order_key_from_phi_alone(name, d, n, step):
+    """A member a stratum builds, by index or by walk, carries no order key
+    until it is read, and then reads the key a member built from scratch
+    computes from Phi (every ``step``-th member is rebuilt).  So the digit
+    tables only rank, and a check of ranks against keys compares two
+    definitions of the order."""
+    emb = build_aw_embedding(rings._BUILTIN_BUILDERS[name]())
+    stratum = enumerate_ovic(emb, d, n)
+    indexed = [stratum[i] for i in range(0, len(stratum), 97)]
+    assert [f._order_key for f in indexed] == [None] * len(indexed)
+    members = list(stratum)
+    assert all(f._order_key is None for f in members)
+    for f in members[::step]:
+        assert f.order_key == OvicMorphism(f.f_prime, f.f_dprime, emb).order_key
+        assert f._order_key is f.order_key
+
+
 def test_enumerate_ovic_builds_no_rank_view():
     """A stratum's digit tables are built on first use: not by
     ``enumerate_ovic`` or ``enumerate_vic``, nor by a span without
@@ -1393,6 +1412,12 @@ def test_t2f2_witness_at_horizon_4():
                            budget=10 ** 7)
     assert state.dims() == {0: 0, 1: 0, 2: 0, 3: 1, 4: 12405}
     assert type(state.bases[4]) is EchelonBasis
+    # the leads form an upper set, and all but the five successors of the
+    # one degree-3 lead are new generators of the initial module at degree 4
+    leads = {n: set(fs) for n, fs in initial_module_to_degree(state, 4).items()}
+    assert _upper_set_misses(leads) == (5, [])
+    reached = {insert_successor(f, move) for f in leads[3] for move in valid_moves(f)}
+    assert len(leads[4] - reached) == 12400
 
 
 def test_span_above_the_f2_bound_uses_the_dict_kernel(monkeypatch):

@@ -16,11 +16,14 @@ form of Putman-Sam, arXiv:1408.3694, for commutative R).  So within its
 f'' a member's rank is a mixed-radix number, one digit per row of f', and
 ``OvicStratum`` keeps a digit table per f'', checked when built, which
 only ranks: a member's order key comes from Phi alone, when first read.
+Each stratum is one cached ``OvicStratum`` per (d, n), the object that
+``enumerate_ovic`` returns and every other reader takes.
 ``span_to_degree`` turns each generator into ranks, and its coefficients
 into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
 column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
-read off the packed store of OVIC(k, n) record by record, one f'' product
-and one digit sum by C-level maps per record (``_composite_ranks``).
+read off that stratum's records and packed columns record by record, one
+f'' product and one digit sum by C-level maps per record
+(``_composite_ranks``), with no member built.
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
 ``extend`` call of the degree's echelon basis, which reduces each image
@@ -37,8 +40,8 @@ bytes for a target of N ranks, so a degree uses it only while that is at
 most ``F2_RED_BYTES`` (128 MiB, N up to 44,869), and ``EchelonBasis`` above.
 Morphisms and field elements come back only at the bases' public methods,
 which index the target stratum, building just the records they reach.
-The target strata OVIC(d, n), and the source strata counted from their
-records, count against the span's budget.
+The target strata OVIC(d, n) and the source strata OVIC(k, n), each with
+the verdict ``enumerate_ovic`` gives it, count against the span's budget.
 
 ``act`` composes morphisms outside the engine, each term by ``compose_vic``;
 it shares no state with enumeration.
@@ -304,23 +307,25 @@ def parse_field(spec: str):
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
 # their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
 # the closure of transvections and diagonal units, each element found with
-# its inverse.  One packed store per stratum (``_splittings``) holds a
-# record per f'', checked once, and the entry columns of f' over all
-# members; the degenerate strata d = 0 and n < d take no search.  A stratum
-# d -> n is a read-only sequence over that store (``_Stratum``) whose
-# groups are runs of consecutive members: an OVIC record, its slice of the
-# columns placed by their digits, which rank but give no order key
-# (``OvicStratum``, every d and n), or a VIC group, one record and one g,
-# whose f'' = g f2'' the table takes for all of GL_d at once, on GL_d's
-# entry columns, and whose slice is moved to psi g^-1 + K, one table per
-# entry, and sorted only when it is read (``VicStratum``, 1 <= d <= n).  A
-# group is built with one batch constructor call per class when it is
-# first read.  OVIC strata
-# are cached in ``emb.enum_cache`` and keep the records they build, since
-# callers walk them again; a VIC stratum is built per call, and a walk over
-# it drops each group once past it.  Members hold only rings, embeddings,
-# tuples and ints, so reference counting frees whatever is dropped, and no
-# build leaves work for the cyclic collector.
+# its inverse.  One cached object per stratum, the ``OvicStratum`` of
+# ``_splittings`` under ("ovic", d, n), owns the packed store: a record per
+# f'', checked once, the entry columns of f' over all members, and the
+# search nodes the build took; the degenerate strata d = 0 and n < d take
+# no search.  GL_d is one entry too, its pairs and its entry columns under
+# ("gl", d).  A stratum d -> n is a read-only sequence (``_Stratum``)
+# whose groups are runs of consecutive members: an OVIC record, its slice
+# of the columns placed by their digits, which rank but give no order key
+# (``OvicStratum``, every d and n), or a VIC group, one record of the
+# cached OVIC(d, n) and one g, whose f'' = g f2'' the table takes for all
+# of GL_d at once, on GL_d's entry columns, and whose slice is moved to
+# psi g^-1 + K, one table per entry, and sorted only when it is read
+# (``VicStratum``, 1 <= d <= n).  A group is built with one batch
+# constructor call per class when it is first read.  OVIC strata keep the
+# records they build, since callers walk them again; a VIC stratum is
+# built per call, and a walk over it drops each group once past it.
+# Members hold only rings, embeddings, tuples and ints, so reference
+# counting frees whatever is dropped, and no build leaves work for the
+# cyclic collector.
 
 
 def _check_ranks(d: int, n: int) -> None:
@@ -476,10 +481,10 @@ def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
     return out
 
 
-def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
-                ) -> tuple[list, list, int]:
-    """The stratum d -> n as one packed store, plus the search nodes it
-    took; cached on ``emb``.  Per column-adapted f'' a record (f'', s_sets,
+def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
+    """OVIC(d, n) as one packed store: the ``OvicStratum`` over it, which
+    carries the search nodes the build took (``nodes``), cached on ``emb``
+    under ("ovic", d, n).  Per column-adapted f'' a record (f'', s_sets,
     canonical splitting psi, |ker(f'')^d|, offset), and the n d entry
     columns (``_packing``) of f' = psi + K for K in ker(f'')^d: record
     after record, each in kernel order, so a record's members are the
@@ -491,7 +496,7 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
     made, so both builds take its members' parts as they are.  With no
     search, d = 0 is one record (the 0 x n f'') of one member and no
     columns, and n < d no record and n d empty columns."""
-    key = ("splittings", d, n)
+    key = ("ovic", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
         pack, _, through = _packing(ring)
@@ -531,7 +536,7 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int
         columns = []
         while parts:
             columns.append(pack(b"".join(parts.pop(0))))
-        emb.enum_cache[key] = (records, columns, nodes)
+        emb.enum_cache[key] = OvicStratum(emb, d, n, records, columns, nodes)
     return emb.enum_cache[key]
 
 
@@ -620,22 +625,22 @@ def _gl_products(emb: AWEmbedding, d: int) -> int:
     return emb.enum_cache[key]
 
 
-def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
-    """GL_d(R) as (g, g^-1) entry-tuple pairs, plus the products it took;
-    cached on ``emb``, with entry (i, t) of all g as one packed column.
+def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, list]:
+    """GL_d(R) as (g, g^-1) entry-tuple pairs, plus entry (i, t) of all g
+    as one packed column each; cached on ``emb`` under ("gl", d).
 
     A breadth-first closure from I multiplies every element g by every
     generator s (``_gl_generators``) once, on the right: g s adds column a
     of g times y to column b, and its inverse s^-1 g^-1 adds z times row b
     of g^-1 to row a.  That is |GL_d(R)| |generators| products
     (``_gl_products``); past ``budget`` BudgetExceeded is raised, before the
-    closure runs.  A closure of other than ``_gl_order`` elements is a bug."""
+    closure runs, and a cached GL_d gets the same verdict.  A closure of
+    other than ``_gl_order`` elements is a bug."""
+    _check_budget(_gl_products(emb, d), budget, f"GL_{d}")
     key = ("gl", d)
     if key not in emb.enum_cache:
         ring = emb.ring
         add, mul = ring._add, ring._mul
-        products = _gl_products(emb, d)
-        _check_budget(products, budget, f"GL_{d}")
         gens = _gl_generators(ring, d)
         order = _gl_order(emb, d)
         ident = RMatrix.identity(ring, d).entries
@@ -656,18 +661,16 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, int]:
                     pairs.append((h, tuple(h_inv)))
         if len(pairs) != order:
             raise RuntimeError(f"closure found {len(pairs)} of |GL_{d}| = {order}")  # bug guard
-        emb.enum_cache[key] = pairs, products
-        emb.enum_cache[("gl-columns", d)] = list(map(_packing(ring)[0],
-                                                     zip(*map(itemgetter(0), pairs))))
-    pairs, products = emb.enum_cache[key]
-    _check_budget(products, budget, f"GL_{d}")
-    return pairs, products
+        emb.enum_cache[key] = pairs, list(map(_packing(ring)[0], zip(*map(itemgetter(0), pairs))))
+    return emb.enum_cache[key]
 
 
 def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
                    budget: int = 10 ** 6) -> Sequence[OvicMorphism]:
     """All column-adapted morphisms d -> n as a read-only sequence, sorted
-    by the total order.
+    by the total order: the one cached ``OvicStratum`` of ``_splittings``,
+    so a repeated request, ``enumerate_vic`` and ``span_to_degree`` all
+    read the same object.
 
     Each column-adapted f'' comes out of a column-by-column search, and
     carries the splittings psi + K for K in ker(f'')^d, psi its canonical
@@ -679,20 +682,14 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     A call builds only the packed store; a record's members are built when
     an index or a walk first reaches it.  Index i is rank i, and
     ``OvicStratum.rank`` reads it off the digits with no member built.
-    ``budget`` bounds the search nodes plus the members; BudgetExceeded is
-    raised past it, and a cached stratum gets the same verdict.  The
-    stratum is cached on ``emb``: a repeated request returns the same
-    sequence.  OVIC(0, n), one member, is work 1, and OVIC(d, n) for n < d,
-    empty, work 0.
+    ``budget`` bounds the search nodes plus the members,
+    ``stratum.nodes + len(stratum)``; BudgetExceeded is raised past it, and
+    a cached stratum gets the same verdict.  OVIC(0, n), one member, is
+    work 1, and OVIC(d, n) for n < d, empty, work 0.
     """
     _check_ranks(d, n)
-    key = ("ovic", d, n)
-    if key not in emb.enum_cache:
-        records, columns, nodes = _splittings(emb, d, n, budget)
-        stratum = OvicStratum(emb, d, n, records, columns)
-        emb.enum_cache[key] = stratum, nodes + len(stratum)
-    stratum, work = emb.enum_cache[key]
-    _check_budget(work, budget, f"OVIC({d}, {n})")
+    stratum = _splittings(emb, d, n, budget)
+    _check_budget(stratum.nodes + len(stratum), budget, f"OVIC({d}, {n})")
     return stratum
 
 
@@ -707,14 +704,15 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     the ordered subcategory is unique; so distinct (f2'', g) give distinct
     f'', and the stratum is in order when the (f2'', g) groups are taken in
     f'' order and the f' of each sorted.  A call builds only that group
-    table (``VicStratum``), each record's f'' for all g at once from GL_d's
-    entry columns (``_column_product``).  Its length comes from the table;
-    a group's psi g^-1 and members are made when an index or a walk first
-    reaches it.  GL_d is a closure from I under right multiplication by
+    table (``VicStratum``) over the cached OVIC(d, n) of ``_splittings``,
+    each record's f'' for all g at once from GL_d's entry columns
+    (``_column_product``).  Its length comes from the table; a group's
+    psi g^-1 and members are made when an index or a walk first reaches
+    it.  GL_d is a closure from I under right multiplication by
     transvections and diagonal units (``_general_linear``).  ``budget``
     bounds the work: the search nodes of OVIC(d, n), the |GL_d|
     |generators| products of the closure, and per g in GL_d one plus the
-    splittings of every f2''; VIC(0, n) is work 1.  That work is counted
+    members of OVIC(d, n); VIC(0, n) is work 1.  That work is counted
     from |GL_d| in closed form, so BudgetExceeded is raised past it before
     GL_d is built, and a cached GL_d gets the same verdict.  VIC(0, n), one
     member, and VIC(d, n) for n < d, empty, are tuples.
@@ -727,27 +725,25 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
                             check=False),)
     if n < d:
         return ()
-    records, columns, nodes = _splittings(emb, d, n, budget)
+    ovic = _splittings(emb, d, n, budget)
     # the closure's products, then per g in GL_d one pair and its splittings
-    work = nodes + _gl_products(emb, d) + _gl_order(emb, d) * (
-        1 + sum(rec[3] for rec in records))
+    work = ovic.nodes + _gl_products(emb, d) + _gl_order(emb, d) * (1 + len(ovic))
     _check_budget(work, budget, f"VIC({d}, {n})")
-    gl, _ = _general_linear(emb, d, budget)
-    gl_columns = emb.enum_cache[("gl-columns", d)]
+    gl, gl_columns = _general_linear(emb, d, budget)
     groups = []
-    for r, rec in enumerate(records):
+    for r, rec in enumerate(ovic._records):
         f_dprimes = zip(*_column_product(emb, gl_columns, rec[0].entries, d, d, n, len(gl)))
         groups.extend(zip(f_dprimes, itertools.repeat(r), range(len(gl))))
     # each f'' comes from one (f2'', g), so sorting the groups by f'' (keyed:
     # twice as fast as on whole groups) and each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
-    return VicStratum(emb, d, n, records, columns, gl, groups)
+    return VicStratum(ovic, gl, groups)
 
 
 class _Stratum(Sequence):
     """A stratum d -> n as a read-only sequence over groups, runs of
-    consecutive members that ``_group(k)`` builds afresh off the stratum's
-    ``_splittings`` store.
+    consecutive members that ``_group(k)`` builds afresh off the packed
+    store of an ``OvicStratum``.
 
     ``_starts`` holds each group's first index and the length last, so
     ``len`` is O(1) and an index finds its group by bisection; a slice
@@ -792,9 +788,11 @@ class _Stratum(Sequence):
 
 class OvicStratum(_Stratum):
     """OVIC(d, n), for every d, n >= 0, as a read-only sequence over the
-    records of its ``_splittings`` store, in prefix order
-    (``enumerate_ovic``); OVIC(0, n) is one record of one member and
-    OVIC(d, n < d) none.  Cached on the embedding, a walk keeps each record.
+    records of its packed store, in prefix order, with the search ``nodes``
+    that built it: the one object ``_splittings`` caches per (embedding, d,
+    n), which ``enumerate_ovic`` returns and ``VicStratum`` and
+    ``_composite_ranks`` read.  OVIC(0, n) is one record of one member and
+    OVIC(d, n < d) none.  A walk keeps each record.
 
     ``_table(k)`` maps row i of f' (an entry for d = 1, d entries else) to
     the ordinal of its free rows of Phi(f') among record k's, times the
@@ -803,11 +801,12 @@ class OvicStratum(_Stratum):
     member at its digits, and ``_composite_ranks`` ranks composites; no
     table builds a member, and no member gets its order key from a table."""
 
-    __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "_index", "_digits")
+    __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "nodes", "_index", "_digits")
 
-    def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list):
+    def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list,
+                 nodes: int):
         super().__init__(rec[3] for rec in records)
-        self._emb, self._d, self._n = emb, d, n
+        self._emb, self._d, self._n, self.nodes = emb, d, n, nodes
         self._records = records
         self._columns = columns
         self._index = {rec[0].entries: k for k, rec in enumerate(records)}
@@ -915,20 +914,20 @@ def _phi_rows(emb: AWEmbedding, d: int) -> list:
 class VicStratum(_Stratum):
     """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
     in f'' order (``enumerate_vic``).  A group is (f''.entries, the index
-    of its record in the ``_splittings`` store, the index of g in GL_d).
-    Building it computes psi g^-1 and moves the record's slice of the
-    store, psi + K, to psi g^-1 + K through one translation table per
+    of its record in ``ovic``, the cached OVIC(d, n), the index of g in
+    GL_d).  Building it computes psi g^-1 and moves the record's slice of
+    the store, psi + K, to psi g^-1 + K through one translation table per
     entry; those f', sorted, are paired with f''.  A walk keeps no group."""
 
-    __slots__ = ("_ring", "_records", "_columns", "_gl", "_groups", "_plus", "_through",
-                 "_f_primes", "_f_dprimes")
+    __slots__ = ("_ring", "_ovic", "_gl", "_groups", "_plus", "_through", "_f_primes",
+                 "_f_dprimes")
 
-    def __init__(self, emb: AWEmbedding, d: int, n: int, records: list, columns: list,
-                 gl: list, groups: list):
-        counts = [rec[3] for rec in records]
+    def __init__(self, ovic: OvicStratum, gl: list, groups: list):
+        counts = [rec[3] for rec in ovic._records]
         super().__init__(map(counts.__getitem__, map(itemgetter(1), groups)))
+        emb, d, n = ovic._emb, ovic._d, ovic._n
         ring = self._ring = emb.ring
-        self._records, self._columns, self._gl, self._groups = records, columns, gl, groups
+        self._ovic, self._gl, self._groups = ovic, gl, groups
         self._plus = _translations(emb)
         self._through = _packing(ring)[2]
         self._f_primes = partial(RMatrix._batch, ring, n, d)
@@ -937,13 +936,14 @@ class VicStratum(_Stratum):
     def _group(self, k: int) -> list[VicMorphism]:
         """The members of group k, built afresh."""
         f_dprime, r, g = self._groups[k]
-        _, _, psi, count, offset = self._records[r]
+        ovic = self._ovic
+        _, _, psi, count, offset = ovic._records[r]
         ring, plus, through = self._ring, self._plus, self._through
         add, neg, d, part = ring._add, ring._neg, psi.cols, slice(offset, offset + count)
         # psi g^-1, and per entry the table of x -> x + (psi g^-1 - psi)
         base = mul_entries(ring, psi.entries, self._gl[g][1], psi.rows, d, d)
         f_primes = sorted(zip(*[through(column[part], plus[add[b][neg[a]]])
-                                for column, a, b in zip(self._columns, psi.entries, base)]))
+                                for column, a, b in zip(ovic._columns, psi.entries, base)]))
         return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])
 
     _walked = _group
@@ -1042,12 +1042,11 @@ def init_term(x: ModuleElement) -> tuple:
 # stratum ranks, echelon bases and spans
 # ---------------------------------------------------------------------------
 
-def _composite_ranks(target: OvicStratum, records: list, columns: list, f: OvicMorphism,
-                     n: int) -> array:
+def _composite_ranks(target: OvicStratum, source: OvicStratum, f: OvicMorphism) -> array:
     """The rank in ``target``, OVIC(d, n) with d = f.d, of phi o f for every
-    phi in OVIC(k, n), k = f.n, in the order of that stratum's
-    ``_splittings`` store, its ``records`` and entry ``columns``: records
-    in prefix order, each record's members in kernel order, not sorted into
+    phi in ``source``, OVIC(k, n) with k = f.n, in the order of the
+    source's packed store, its records and entry columns: records in
+    prefix order, each record's members in kernel order, not sorted into
     rank order.
 
     The composite is (phi' f', f'' phi'').  Its f' is multiplied out for
@@ -1056,15 +1055,14 @@ def _composite_ranks(target: OvicStratum, records: list, columns: list, f: OvicM
     ``_index``, and the record's rows of f' are summed through that target
     record's digit tables (``_digit_sums``), by ``map`` in C.  A composite
     whose f'' or row the target has no entry for is a bug: RuntimeError."""
-    d, k, ring = f.d, f.n, f.ring
+    d, k, n, ring, total = f.d, f.n, source._n, f.ring, len(source)
     f_dprime = f.f_dprime.entries
-    total = sum(rec[3] for rec in records)
     # one iterator per row over all members (a column may be the store's bytes)
-    rows = list(map(iter, _f_rows(
-        _column_product(f.emb, columns, f.f_prime.entries, n, k, d, total), d, n, total)))
+    products = _column_product(f.emb, source._columns, f.f_prime.entries, n, k, d, total)
+    rows = list(map(iter, _f_rows(products, d, n, total)))
     ranks = array("I")
     try:
-        for rec in records:
+        for rec in source._records:
             r = target._index[mul_entries(ring, f_dprime, rec[0].entries, d, k, n)]
             ranks.extend(_digit_sums(target._table(r), rows, rec[3], target._starts[r]))
     except KeyError:
@@ -1326,9 +1324,9 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     (``field.integral``).  Each term f of degree k has one composite column
     per n, memoised on ``emb`` under (d, k, n) by the rank of f: an
     ``array('I')`` of the rank of phi o f for every phi in OVIC(k, n), in
-    the store order of OVIC(k, n), read off the target's digit tables
-    (``_composite_ranks``); no member is built.  The fully reduced basis
-    depends only on the span, so that order leaves no trace in it.
+    the store order of the source stratum, ranked by the target's digit
+    tables (``_composite_ranks``); no member is built.  The fully reduced
+    basis depends only on the span, so that order leaves no trace in it.
     Post-composition is injective, so an image has one term per term of g,
     and its composite ranks, a row across the columns of g's terms, fix it:
     all of g's columns in degree n go to one ``extend`` call with g's ints.  The kernel is chosen per
@@ -1341,14 +1339,15 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     Every generator must be over ``field`` (by name), else FieldMismatch is
     raised.
 
-    The target OVIC(d, n) is ``enumerate_ovic``'s sequence, which ranks
-    the generators' terms and the composites by its digit tables; the bases
-    build only the members their public methods return.  ``budget`` bounds each
-    stratum's own work, search nodes plus members as ``enumerate_ovic``
-    counts it, and the morphisms counted in total: the target OVIC(d, n)
-    for every n <= horizon, plus the source OVIC(k, n) once per generator
-    of degree k <= n, both counted from their records' shift counts.
-    BudgetExceeded is raised past either.
+    The target OVIC(d, n) and each source OVIC(k, n) are what
+    ``enumerate_ovic`` returns, the one stratum cached per (d, n): the
+    target ranks the generators' terms and the composites by its digit
+    tables, and the bases build only the members their public methods
+    return.  ``budget`` bounds each stratum's own work, search nodes plus
+    members, through ``enumerate_ovic``'s verdict, and the morphisms
+    counted in total, each stratum's ``len``: the target OVIC(d, n) for
+    every n <= horizon, plus the source OVIC(k, n) once per generator of
+    degree k <= n.  BudgetExceeded is raised past either.
     """
     gens = tuple(gens)
     for g in gens:
@@ -1391,17 +1390,15 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
                 continue
             ranks, coeffs = generator
             k = g.degree
-            # the source OVIC(k, n) off its store, with its own budget verdict
-            records, store, nodes = _splittings(emb, k, n, budget)
-            members = sum(rec[3] for rec in records)
-            _check_budget(nodes + members, budget, f"OVIC({k}, {n})")
-            count(members)
+            # the source OVIC(k, n), with its own budget verdict; no member is built
+            source = enumerate_ovic(emb, k, n, budget)
+            count(len(source))
             memo = emb.enum_cache.setdefault(("composite-columns", d, k, n), {})
             columns = []
             for r, f in zip(ranks, g.terms):
                 column = memo.get(r)
                 if column is None:
-                    column = memo[r] = _composite_ranks(target, records, store, f, n)
+                    column = memo[r] = _composite_ranks(target, source, f)
                 columns.append(column)
             # a row across the columns is one image's composite ranks, which
             # fix the image: the coefficients are the generator's

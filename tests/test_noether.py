@@ -740,10 +740,19 @@ SPAN_CASES = [
     ("zmod(4)", "F3", 3, (2, 3), 2, 1),  # fresh ring: no stratum cached yet
     ("Z4", "F5", 3, (2,), 3, 1),
     ("M2F2", "F2", 2, (1,), 2, 1),  # noncommutative, F2 coefficients
+    ("F2C2", "Q", 3, (2,), 2, 1),
+    # Z8 stops at horizon 2: OVIC(1, 3) and OVIC(2, 3) have 7168 members
+    # each, and at horizon 3 a one-term degree-2 generator took 8.8 s over
+    # the three tests that read these cases (7 s of it in the invariant
+    # check after each of its 7168 inserts), a degree-1 generator 116 s
+    ("Z8", "Q", 2, (1, 2), 2, 1),
+    # F2S3 stays out: its smallest span with content, horizon 2 into
+    # OVIC(1, 2) (13,440 members), took 65-70 s in each oracle test and
+    # 382 s in ``test_column_index_invariants``
 ]
 SPAN_IDS = ["F2-F2-4-degrees0-3", "F3-Q-3-degrees1-3", "Z4-F2-3-degrees2-2",
             "T2F2-Q-2-degrees3-1", "F2-Q-4-d2", "Z4-F3-3-at-horizon", "Z4-F5-3",
-            "M2F2-F2-2-noncommutative"]
+            "M2F2-F2-2-noncommutative", "F2C2-Q-3", "Z8-Q-2-at-horizon"]
 
 
 def _case_emb(ring):
@@ -874,10 +883,10 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     target = enumerate_ovic(emb, d, n)
     view, rank = sorted_ranks(target), target.rank
     homs = enumerate_ovic(emb, k, n)
-    records, store, _ = noether._splittings(emb, k, n, 10 ** 6)
+    assert noether._splittings(emb, k, n, 10 ** 6) is homs
+    records, store = homs._records, homs._columns
     counts = [rec[3] for rec in records]
-    members = sum(counts)
-    assert members == len(homs)
+    members = len(homs)
     packed = bytes if emb.ring.size <= 256 else array
     assert [(type(c), len(c)) for c in store] == [(packed, members)] * (n * k)
     assert not [key for key in emb.enum_cache if key[0] == "source"]
@@ -895,7 +904,7 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     for f in picked:
         oracle = _composite_column(view, homs, f, n)
         assert oracle == [rank(compose_vic(phi, f)) for phi in homs]
-        column = noether._composite_ranks(target, records, store, f, n)
+        column = noether._composite_ranks(target, homs, f)
         assert Counter(column) == Counter(oracle)
         columns.append(column)
         oracles.append(oracle)
@@ -909,22 +918,23 @@ def test_composite_column_missing_from_the_target_is_a_bug():
     naming (d, k, n)."""
     emb = emb_of("F2")
     f = enumerate_ovic(emb, 1, 2)[1]
-    records, store, _ = noether._splittings(emb, 2, 3, 10 ** 6)
+    source = enumerate_ovic(emb, 2, 3)
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_ranks(enumerate_ovic(emb, 1, 2), records, store, f, 3)
+        noether._composite_ranks(enumerate_ovic(emb, 1, 2), source, f)
     target = enumerate_ovic(emb, 1, 3)
-    hit = target[noether._composite_ranks(target, records, store, f, 3)[0]]
-    short = noether.OvicStratum(emb, 1, 3, target._records, target._columns)
+    hit = target[noether._composite_ranks(target, source, f)[0]]
+    short = noether.OvicStratum(emb, 1, 3, target._records, target._columns, target.nodes)
     del short._table(short._index[hit.f_dprime.entries])[0][hit.f_prime.entries[0]]
     with pytest.raises(RuntimeError, match=r"OVIC\(2, 3\) after OVIC\(1, 2\) .* OVIC\(1, 3\)"):
-        noether._composite_ranks(short, records, store, f, 3)
+        noether._composite_ranks(short, source, f)
 
 
 def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
     """On a fresh embedding, a span composes no (phi, term) pair and builds
-    no source stratum: it makes at most one f'' product per record of
+    no source member: it makes at most one f'' product per record of
     OVIC(k, n) per source term, far fewer than the pairs, and reads phi'
-    off the records, so no OVIC(k, n) with k != d is enumerated."""
+    off the records, so no OVIC(k, n) with k != d builds a member or a
+    digit table."""
     emb = build_aw_embedding(zmod(4))  # fresh: nothing enumerated or memoised yet
     horizon, field = 3, PrimeField(5)
     gens = _span_case_generators(emb, field, horizon, (2,), 3, 0, 1)
@@ -941,17 +951,43 @@ def test_span_multiplies_per_record_and_row_not_per_pair(monkeypatch):
     monkeypatch.setattr(noether, "mul_entries", counting)
     monkeypatch.setattr(noether, "compose_vic", forbidden)
     span_to_degree(gens, horizon, emb, field, d=1)
-    assert not [key for key in emb.enum_cache if key[0] == "ovic" and key[1] != 1]
+    sources = [emb.enum_cache[("ovic", 2, n)] for n in range(2, horizon + 1)]
+    assert [(s._built, s._digits) for s in sources] == [({}, {})] * len(sources)
     (g,) = gens
     terms = len(g.terms)
     assert terms == 3
-    records = sum(len(noether._splittings(emb, 2, n, 10 ** 6)[0])
-                  for n in range(2, horizon + 1))
+    records = sum(len(s._records) for s in sources)
     pairs = sum(len(enumerate_ovic(emb, 2, n)) for n in range(2, horizon + 1))
     # every product is an f'' product, 1 x n (n >= 2)
     assert all(c > 1 for c in calls)
     assert 0 < len(calls) <= terms * records
     assert len(calls) < terms * pairs / 4
+
+
+def test_one_cached_stratum_per_ovic(monkeypatch):
+    """("ovic", d, n) maps to the very ``OvicStratum`` that
+    ``enumerate_ovic`` returns, and ``enumerate_vic`` and ``span_to_degree``
+    read that object, as the target and as each source.  No separate store
+    or GL_d column entry is cached beside it."""
+    emb = build_aw_embedding(zmod(4))  # fresh: nothing enumerated or memoised yet
+    horizon, field = 3, PrimeField(5)
+    gens = _span_case_generators(emb, field, horizon, (2,), 3, 0, 1)
+    read = []
+    composite = noether._composite_ranks
+    monkeypatch.setattr(noether, "_composite_ranks",
+                        lambda target, source, f: read.append((target, source)) or composite(
+                            target, source, f))
+    state = span_to_degree(gens, horizon, emb, field, d=1)
+    vic = enumerate_vic(emb, 2, 3)
+    assert vic._ovic is enumerate_ovic(emb, 2, 3) is emb.enum_cache[("ovic", 2, 3)]
+    assert read and all(target is enumerate_ovic(emb, 1, source._n)
+                        and source is enumerate_ovic(emb, 2, source._n)
+                        for target, source in read)
+    for n in range(horizon + 1):
+        assert state.bases[n].stratum is enumerate_ovic(emb, 1, n)
+    assert not {"splittings", "gl-columns"} & {key[0] for key in emb.enum_cache}
+    assert all(type(value) is noether.OvicStratum
+               for key, value in emb.enum_cache.items() if key[0] == "ovic")
 
 
 def test_span_budget_verdicts_are_unchanged():
@@ -1390,13 +1426,14 @@ def test_initial_module_is_an_upper_set(ring, gens, horizon, moves):
 ])
 def test_span_at_horizon_6(gens, dims):
     """Scale witness: a degree-2 generator set over F2 acts through OVIC(2,
-    6) (the source stratum read off its records, never enumerated) into
-    OVIC(1, 6), and spans these dimensions."""
+    6) (the source stratum read off its records, no member or digit table
+    built) into OVIC(1, 6), and spans these dimensions."""
     emb = build_aw_embedding(load_ring(CLI_DATA / "f2.json"))
     state = span_to_degree(load_generators(CLI_DATA / f"{gens}.json", emb, F2, d=1),
                            6, emb, F2, d=1)
     assert list(state.dims().values()) == dims
-    assert ("ovic", 2, 6) not in emb.enum_cache
+    source = emb.enum_cache[("ovic", 2, 6)]
+    assert (source._built, source._digits) == ({}, {})
 
 
 def test_t2f2_witness_at_horizon_4():

@@ -186,9 +186,8 @@ def test_digit_tables_refuse_a_record_off_the_product(monkeypatch, corrupt):
         stratum[len(stratum) // 2]
     with pytest.raises(RuntimeError, match="not the product"):
         list(stratum)
-    records, store, _ = noether._splittings(emb, 1, 3, 10 ** 6)
     with pytest.raises(RuntimeError, match="not the product"):
-        noether._composite_ranks(stratum, records, store, OvicMorphism.identity(emb, 1), 3)
+        noether._composite_ranks(stratum, stratum, OvicMorphism.identity(emb, 1))
     assert stratum._digits == {}
 
 
@@ -347,8 +346,7 @@ def test_general_linear_equals_invertibility_filter(name, d):
     for f in pairs:
         assert f.f_dprime.mul(f.f_prime) == ident == f.f_prime.mul(f.f_dprime)
     # entry (i, t) of every g, one packed column per entry, in the closure's order
-    gl, _ = noether._general_linear(emb, d, 10 ** 6)
-    columns = emb.enum_cache[("gl-columns", d)]
+    gl, columns = noether._general_linear(emb, d, 10 ** 6)
     assert len(columns) == d * d
     assert {type(c) for c in columns} == {type(noether._packing(ring)[0](()))}
     assert list(zip(*columns)) == [g for g, _ in gl]
@@ -393,10 +391,10 @@ def test_general_linear_multiplies_each_element_by_each_generator_once():
     with pytest.raises(BudgetExceeded):
         noether._general_linear(emb, 2, 1536 * 5 - 1)
     assert ("gl", 2) not in emb.enum_cache
-    pairs, products = noether._general_linear(emb, 2, 1536 * 5)
+    pairs, columns = noether._general_linear(emb, 2, 1536 * 5)
     assert len(pairs) == len({g for g, _ in pairs}) == 1536
-    assert products == 1536 * 5
-    assert noether._general_linear(emb, 2, 1536 * 5) == (pairs, products)
+    assert noether._gl_products(emb, 2) == 1536 * 5
+    assert noether._general_linear(emb, 2, 1536 * 5) == (pairs, columns)
     with pytest.raises(BudgetExceeded):
         noether._general_linear(emb, 2, 1536 * 5 - 1)
 
@@ -435,10 +433,9 @@ def test_over_budget_vic_refuses_before_the_closure(monkeypatch, spec):
     monkeypatch.setattr(noether, "_general_linear",
                         lambda *args: calls.append(args) or closure(*args))
     emb = build_aw_embedding(build_ring(spec))
-    enumerate_ovic(emb, 2, 2)
-    _, ovic_work = emb.enum_cache[("ovic", 2, 2)]
-    with pytest.raises(BudgetExceeded):
-        enumerate_vic(emb, 2, 2, budget=ovic_work)
+    ovic = enumerate_ovic(emb, 2, 2)
+    with pytest.raises(BudgetExceeded, match=r"^VIC\(2, 2\) needs more than "):
+        enumerate_vic(emb, 2, 2, budget=ovic.nodes + len(ovic))
     assert calls == []
     assert ("gl", 2) not in emb.enum_cache
 
@@ -532,10 +529,10 @@ def test_gl_columns_built_once_per_ring_and_rank(monkeypatch):
                             emb, columns, *args))
     emb = build_aw_embedding(build_ring("zmod(2)"))
     enumerate_vic(emb, 2, 2)
-    columns = emb.enum_cache[("gl-columns", 2)]
+    _, columns = emb.enum_cache[("gl", 2)]
     first = list(columns)
     assert len(enumerate_vic(emb, 2, 4)) == closed_form_counts(emb, 2, 4)[1]
-    assert emb.enum_cache[("gl-columns", 2)] is columns
+    assert emb.enum_cache[("gl", 2)][1] is columns
     assert all(map(operator.is_, columns, first))
     assert used and all(c is columns for c in used)
 
@@ -557,11 +554,9 @@ def test_group_table_products_equal_mul_entries(name, d, n):
     groups are checked on the table alone, with no member built."""
     emb = build_aw_embedding(builtin_ring(name) if name in BUILTIN_NAMES else build_ring(name))
     ring = emb.ring
-    records, _, _ = noether._splittings(emb, d, n, 10 ** 6)
-    gl, _ = noether._general_linear(emb, d, 10 ** 6)
-    columns = emb.enum_cache[("gl-columns", d)]
+    gl, columns = noether._general_linear(emb, d, 10 ** 6)
     expected = []
-    for r, rec in enumerate(records):
+    for r, rec in enumerate(noether._splittings(emb, d, n, 10 ** 6)._records):
         f2 = rec[0].entries
         products = [mul_entries(ring, g, f2, d, d, n) for g, _ in gl]
         assert list(zip(*noether._column_product(emb, columns, f2, d, d, n, len(gl)))) == products

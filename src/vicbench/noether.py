@@ -10,20 +10,25 @@ refuses an element over another field than the span's (``FieldMismatch``).
 The engine works on ranks.  ``enumerate_ovic`` returns each stratum OVIC(d, n)
 as a sequence in strict total order, so a member's index, its rank,
 compares as the member does.  A member is its column-adapted f'' and a
-splitting f' = psi + K, K in ker(f'')^d, fixed by f'' and the free rows of
-Phi(f'), which range independently row by row of f' (the free-row normal
-form of Putman-Sam, arXiv:1408.3694, for commutative R).  So within its
-f'' a member's rank is a mixed-radix number, one digit per row of f', and
-``OvicStratum`` keeps a digit table per f'', checked when built, which
-only ranks: a member's order key comes from Phi alone, when first read.
-Each stratum is one cached ``OvicStratum`` per (d, n), the object that
-``enumerate_ovic`` returns and every other reader takes.
-``span_to_degree`` turns each generator into ranks, and its coefficients
-into ints, once.  Per source term f of OVIC(d, k) it keeps one composite
-column on the embedding: the rank of phi o f for every phi in OVIC(k, n),
-read off that stratum's records and packed columns record by record, one
-f'' product and one digit sum by C-level maps per record
-(``_composite_ranks``), with no member built.
+splitting f', fixed by f'' and the free rows of Phi(f'), which range
+independently row by row of f' (the free-row normal form of Putman-Sam,
+arXiv:1408.3694, for commutative R).  With psi the canonical splitting
+and P = I - psi f'', the splittings are f' = psi + P Y, row i of Y in
+V_i = ((1 - E_i) R)^d for E_i the idempotents at the dependent positions
+of row i, and (1 - E_i) f'_i = Y_i.  So within its f'' a member's rank is
+a mixed-radix number, one digit per row of f': the ordinal of Y_i in V_i
+sorted by free rows.  ``_splittings`` generates the members of each f''
+in that order, so the packed store is in rank order, and ``OvicStratum``
+keeps a digit table per f'', read off (1 - E_i) and checked against the
+store when built, which only ranks: a member's order key comes from Phi
+alone, when first read.  Each stratum is one cached ``OvicStratum`` per
+(d, n), the object that ``enumerate_ovic`` returns and every other reader
+takes.  ``span_to_degree`` turns each generator into ranks, and its
+coefficients into ints, once.  Per source term f of OVIC(d, k) it keeps
+one composite column on the embedding: the rank of phi o f for every phi
+in OVIC(k, n), in rank order, read off that stratum's records and packed
+columns record by record, one f'' product and one digit sum by C-level
+maps per record (``_composite_ranks``), with no member built.
 A row across a generator's columns is an image's ranks; the engine hands
 all of a generator's columns in one degree, with its coefficients, to one
 ``extend`` call of the degree's echelon basis, which reduces each image
@@ -64,10 +69,10 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
+from functools import partial, reduce
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add, getitem, index, itemgetter, xor
+from math import gcd, lcm, prod
+from operator import add, eq, getitem, index, itemgetter, xor
 from typing import Optional
 
 from .errors import (
@@ -305,24 +310,25 @@ def parse_field(spec: str):
 # Every split pair d -> n factors uniquely as an automorphism of R^d followed
 # by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
-# their columns, the splittings of each f'' as psi + ker(f'')^d, and GL_d as
-# the closure of transvections and diagonal units, each element found with
-# its inverse.  One cached object per stratum, the ``OvicStratum`` of
-# ``_splittings`` under ("ovic", d, n), owns the packed store: a record per
-# f'', checked once, the entry columns of f' over all members, and the
-# search nodes the build took; the degenerate strata d = 0 and n < d take
-# no search.  GL_d is one entry too, its pairs and its entry columns under
-# ("gl", d).  A stratum d -> n is a read-only sequence (``_Stratum``)
-# whose groups are runs of consecutive members: an OVIC record, its slice
-# of the columns placed by their digits, which rank but give no order key
-# (``OvicStratum``, every d and n), or a VIC group, one record of the
-# cached OVIC(d, n) and one g, whose f'' = g f2'' the table takes for all
-# of GL_d at once, on GL_d's entry columns, and whose slice is moved to
-# psi g^-1 + K, one table per entry, and sorted only when it is read
-# (``VicStratum``, 1 <= d <= n).  A group is built with one batch
-# constructor call per class when it is first read.  OVIC strata keep the
-# records they build, since callers walk them again; a VIC stratum is
-# built per call, and a walk over it drops each group once past it.
+# their columns, the splittings of each f'' as psi + P Y in rank order, and
+# GL_d as the closure of transvections and diagonal units, each element
+# found with its inverse.  One cached object per stratum, the
+# ``OvicStratum`` of ``_splittings`` under ("ovic", d, n), owns the packed
+# store: a record per f'', checked once, the entry columns of f' over all
+# members, and the search nodes the build took; the degenerate strata
+# d = 0 and n < d take no search.  GL_d is one entry too, its pairs and
+# its entry columns under ("gl", d).  A stratum d -> n is a read-only
+# sequence (``_Stratum``) whose groups are runs of consecutive members: an
+# OVIC record, its slice of the columns, in rank order, whose digits rank
+# but give no order key (``OvicStratum``, every d and n), or a VIC group,
+# one record of the cached OVIC(d, n) and one g, whose f'' = g f2'' the
+# table takes for all of GL_d at once, on GL_d's entry columns, and whose
+# slice, psi + K for K in ker(f2'')^d, is moved to psi g^-1 + K, one table
+# per entry, and sorted only when it is read (``VicStratum``,
+# 1 <= d <= n).  A group is built with one batch constructor call per
+# class when it is first read.  OVIC strata keep the records they build,
+# since callers walk them again; a VIC stratum is built per call, and a
+# walk over it drops each group once past it.
 # Members hold only rings, embeddings, tuples and ints, so reference
 # counting frees whatever is dropped, and no build leaves work for the
 # cyclic collector.
@@ -439,68 +445,36 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
     return out, nodes
 
 
-def _kernel(f: RMatrix) -> list[tuple[int, ...]]:
-    """ker f.  For one row (a_0 .. a_{n-1}), by partial sums: every prefix
-    (v_0 .. v_{n-2}) carries a_0 v_0 + .. + a_{n-2} v_{n-2}, and the last
-    coordinate is read off a preimage table of x -> a_{n-1} x.  For more
-    rows, met in the middle: vectors on the first n // 2 coordinates are
-    grouped by the negative of their image, then matched against the rest."""
-    ring = f.ring
-    add, mul, zero = ring.add_table, ring.mul_table, ring.zero
-    d, n, e = f.rows, f.cols, f.entries
-    if d == 1:
-        sums = [((), zero)]
-        for a in e[:-1]:
-            times_a = mul[a]
-            sums = [(u + (x,), add[s][ax]) for u, s in sums for x, ax in enumerate(times_a)]
-        last: dict = {}  # -(a_{n-1} x) -> every such (x,)
-        neg = ring._neg
-        for x, ax in enumerate(mul[e[-1]]):
-            last.setdefault(neg[ax], []).append((x,))
-        return [u + x for u, s in sums for x in last.get(s, ())]
-    half = n // 2
-
-    def image(vec, offset):
-        out = []
-        for rho in range(d):
-            acc = zero
-            base = rho * n + offset
-            for t, x in enumerate(vec):
-                acc = add[acc][mul[e[base + t]][x]]
-            out.append(acc)
-        return tuple(out)
-
-    neg = ring._neg
-    left: dict = {}  # -(image of u) -> u
-    for u in itertools.product(ring.elements(), repeat=half):
-        left.setdefault(tuple(neg[x] for x in image(u, 0)), []).append(u)
-    out = []
-    for w in itertools.product(ring.elements(), repeat=n - half):
-        for u in left.get(image(w, half), ()):
-            out.append(u + w)
-    return out
-
-
 def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
     """OVIC(d, n) as one packed store: the ``OvicStratum`` over it, which
     carries the search nodes the build took (``nodes``), cached on ``emb``
     under ("ovic", d, n).  Per column-adapted f'' a record (f'', s_sets,
-    canonical splitting psi, |ker(f'')^d|, offset), and the n d entry
-    columns (``_packing``) of f' = psi + K for K in ker(f'')^d: record
-    after record, each in kernel order, so a record's members are the
-    slices [offset, offset + count).  The records are sorted by the
-    order keys' prefixes (n, s_sets, Phi(f'') columns), distinct as Phi is
-    injective.  The nodes plus the splittings so far bound the work of
-    either stratum from below, so BudgetExceeded is raised as soon
-    as they pass ``budget``.  Each record passes ``_check_group`` as it is
-    made, so both builds take its members' parts as they are.  With no
-    search, d = 0 is one record (the 0 x n f'') of one member and no
-    columns, and n < d no record and n d empty columns."""
+    canonical splitting psi, count, offset), and the n d entry columns
+    (``_packing``) of its splittings, record after record, so a record's
+    members are the slices [offset, offset + count).  The records are
+    sorted by the order keys' prefixes (n, s_sets, Phi(f'') columns),
+    distinct as Phi is injective.
+
+    Phi(psi) is zero on the free rows, so with P = I - psi f'' the
+    splittings are f' = psi + P Y, row i of Y running over V_i
+    (``_row_spaces``), and (1 - E_i) f'_i = Y_i fixes the free rows of
+    row i.  Each record is stored in rank order: Y in product order over
+    V_0 x .. x V_{n-1}, row 0 most significant, so entry (r, c) is an
+    outer sum built from the last row up, |V_i| translated copies of the
+    rows below per row i, a plain repeat where P[r, i] is zero.  A count
+    other than |R|^(d (n - d)), or a V_i with a repeated value, is a bug:
+    RuntimeError, before the record's columns are built.  The nodes plus
+    the members so far bound the work of either stratum from below, so
+    BudgetExceeded is raised as soon as they pass ``budget``.  Each record
+    passes ``_check_group`` as it is made, so both builds take its
+    members' parts as they are.  With no search, d = 0 is one record (the
+    0 x n f'') of one member and no columns, and n < d no record and n d
+    empty columns."""
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
         pack, _, through = _packing(ring)
-        plus = _translations(emb)
+        plus, mul, zero = _translations(emb), ring._mul, ring.zero
         if d == 0:
             found, nodes = [(RMatrix(ring, 0, n, ()), ((),) * emb.q,
                              ((),) * (emb.mu_total * n))], 0
@@ -511,32 +485,76 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
             # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
             found.sort(key=itemgetter(1, 2))
         records, parts = [], [[] for _ in range(n * d)]
-        work = nodes
+        work, ident, by_pivots = nodes, RMatrix.identity(ring, n), {}
         for f_dprime, s_sets, _ in found:
-            kernel = _kernel(f_dprime) if d else ()  # ker(f'')^0 is {()}: no |R|^n scan
-            size = len(kernel)
+            if s_sets not in by_pivots:  # psi and the V_i depend on s_sets alone
+                spaces = [values for _, values in _row_spaces(emb, d, n, s_sets)]
+                count = prod(map(len, spaces))
+                if count != ring.size ** (d * (n - d)) or any(len(set(v)) < len(v)
+                                                             for v in spaces):
+                    raise RuntimeError(f"record {len(records)} of OVIC({d}, {n}) is not "
+                                       "the product of its free rows")  # bug guard
+                by_pivots[s_sets] = canonical_splitting(s_sets, emb, m=n, n=d), spaces, count
+            psi, spaces, count = by_pivots[s_sets]
             offset = work - nodes  # the members so far
-            work += size ** d
+            work += count
             _check_budget(work, budget, f"OVIC({d}, {n})")
-            psi = canonical_splitting(s_sets, emb, m=n, n=d)
-            _check_group(ring, d, n, f_dprime, psi.entries, kernel)
-            records.append((f_dprime, s_sets, psi, size ** d, offset))
-            # K runs over ker(f'')^d in product order: entry (r, c) is entry r
-            # of each kernel vector, repeated size^(d-1-c) times, tiled size^c
-            by_row = [pack(entries) for entries in zip(*kernel)]
+            _check_group(ring, d, n, f_dprime, psi.entries, spaces)
+            p = ident.sub(psi.mul(f_dprime)).entries
+            records.append((f_dprime, s_sets, psi, count, offset))
             for i, (part, a) in enumerate(zip(parts, psi.entries)):
                 r, c = divmod(i, d)
-                column, repeats = by_row[r], size ** (d - 1 - c)
-                if repeats > 1:
-                    column = pack(itertools.chain.from_iterable(
-                        map(itertools.repeat, column, itertools.repeat(repeats))))
-                part.append(through(column * size ** c, plus[a]))
+                column = pack((a,))
+                for x, values in zip(reversed(p[r * n:(r + 1) * n]), reversed(spaces)):
+                    if x == zero:
+                        column *= len(values)
+                    elif len(column) == 1:  # one table for all of row i's shifts
+                        column = through(pack([mul[x][y[c]] for y in values]), plus[column[0]])
+                    else:
+                        column = pack(b"".join([through(column, plus[mul[x][y[c]]])
+                                                for y in values]))
+                part.append(column)
         # join and drop one position's parts at a time, so the build peaks
         # near one store, not two
         columns = []
         while parts:
             columns.append(pack(b"".join(parts.pop(0))))
         emb.enum_cache[key] = OvicStratum(emb, d, n, records, columns, nodes)
+    return emb.enum_cache[key]
+
+
+def _row_spaces(emb: AWEmbedding, d: int, n: int, s_sets: tuple) -> list:
+    """Per row i of an f' whose f'' has pivot sets ``s_sets``, (1 - E_i, V_i)
+    from ``_free_values``, E_i the sum of the lifted idempotents at the
+    dependent positions of band i (rows i mu .. i mu + mu - 1 of Phi(f'));
+    cached on ``emb`` per (d, n, s_sets)."""
+    key = ("row-spaces", d, n, s_sets)
+    if key not in emb.enum_cache:
+        mu, bands = emb.mu_total, [[] for _ in range(n)]
+        for s in split_rows(emb, n, s_sets)[1]:
+            bands[(s - 1) // mu].append((s - 1) % mu)
+        emb.enum_cache[key] = [_free_values(emb, d, tuple(band)) for band in bands]
+    return emb.enum_cache[key]
+
+
+def _free_values(emb: AWEmbedding, d: int, dependent: tuple) -> tuple:
+    """(1 - E, V) for a band whose positions ``dependent`` are dependent, E
+    the sum of their lifted idempotents: V = ((1 - E) R)^d as d-tuples,
+    sorted by their rows of Phi at the free positions, in order.  Those
+    rows of Phi(x) equal those of Phi((1 - E) x), whose other rows are
+    zero, and Phi is injective, so the order is strict.  Cached on ``emb``
+    per (d, dependent)."""
+    key = ("free-values", d, dependent)
+    if key not in emb.enum_cache:
+        ring, mu = emb.ring, emb.mu_total
+        idempotents = [e for block in emb.idempotents for e in block]
+        proj = ring.sub(ring.one, reduce(ring.add, (idempotents[p] for p in dependent),
+                                         ring.zero))
+        free = [p for p in range(mu) if p not in dependent]
+        phis = [emb.phi(x) for x in ring.elements()]
+        values = itertools.product(sorted(set(ring.mul_table[proj])), repeat=d)
+        emb.enum_cache[key] = proj, sorted(values, key=lambda y: tuple(
+            e for p in free for x in y for e in phis[x].row(p)))
     return emb.enum_cache[key]
 
 
@@ -588,13 +606,14 @@ def _column_product(emb: AWEmbedding, columns: list, b: tuple, rows: int, inner:
 
 
 def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
-                 kernel: list) -> None:
+                 spaces: list) -> None:
     """What ``RMatrix`` and ``VicMorphism`` check for each member, checked
-    once for the members (base + K, f''), K in ``kernel``^d: f'' is d x n
-    over ``ring``, base n * d ints and every kernel vector n."""
+    once for the members (base + P Y, f''), row i of Y in ``spaces[i]``:
+    f'' is d x n over ``ring``, base n * d ints, and ``spaces`` n lists of
+    d-tuples."""
     if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
         raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
-    if (len(base) != n * d or set(map(len, kernel)) - {n}
+    if (len(base) != n * d or len(spaces) != n or any(set(map(len, v)) - {d} for v in spaces)
             or any(type(x) is not int for x in base)):
         raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
 
@@ -673,12 +692,13 @@ def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
     read the same object.
 
     Each column-adapted f'' comes out of a column-by-column search, and
-    carries the splittings psi + K for K in ker(f'')^d, psi its canonical
-    splitting.  Order keys are a per-f'' prefix (n, s_sets, Phi(f'')
-    columns) followed by the free rows of Phi(f').  Phi is injective, so
-    the stratum is in order when the f'' are taken in prefix order and the
-    members of each in free-row order, their digit order (``OvicStratum``);
-    each member computes its key from Phi when first read.
+    carries the splittings psi + P Y, psi its canonical splitting and
+    P = I - psi f'', generated in free-row order (``_splittings``).  Order
+    keys are a per-f'' prefix (n, s_sets, Phi(f'') columns) followed by
+    the free rows of Phi(f').  Phi is injective, so the stratum is in order
+    when the f'' are taken in prefix order and the members of each in
+    free-row order, their digit order (``OvicStratum``); each member
+    computes its key from Phi when first read.
     A call builds only the packed store; a record's members are built when
     an index or a walk first reaches it.  Index i is rank i, and
     ``OvicStratum.rank`` reads it off the digits with no member built.
@@ -794,12 +814,14 @@ class OvicStratum(_Stratum):
     ``_composite_ranks`` read.  OVIC(0, n) is one record of one member and
     OVIC(d, n < d) none.  A walk keeps each record.
 
-    ``_table(k)`` maps row i of f' (an entry for d = 1, d entries else) to
-    the ordinal of its free rows of Phi(f') among record k's, times the
-    row's weight, row 0 weighing most.  ``rank`` adds the digits to the
-    start of the record its f'' finds in ``_index``, ``_group`` places each
-    member at its digits, and ``_composite_ranks`` ranks composites; no
-    table builds a member, and no member gets its order key from a table."""
+    Each record's slice of the store is in rank order, so ``_group``
+    builds a record's members straight off it.  ``_table(k)`` maps row i
+    of f' (an entry for d = 1, d entries else) to the ordinal of
+    (1 - E_i) f'_i in V_i (``_row_spaces``) times the row's weight, row 0
+    weighing most.  ``rank`` adds the digits to the start of the record its
+    f'' finds in ``_index``, and ``_composite_ranks`` ranks composites; no
+    table builds a member, no walk builds a table, and no member gets its
+    order key from a table."""
 
     __slots__ = ("_emb", "_d", "_n", "_records", "_columns", "nodes", "_index", "_digits")
 
@@ -813,46 +835,35 @@ class OvicStratum(_Stratum):
         self._digits: dict = {}
 
     def _table(self, k: int) -> list:
-        """Record k's digit tables, built on first use.  Standard row s of
-        Phi(f') is row (s-1) % mu of Phi along row (s-1) // mu of f'.  A
-        count other than the product of the radices, or two members at one
-        digit sum, is a bug: RuntimeError."""
+        """Record k's digit tables, built on first use over the values its
+        slice of the store holds.  Digit sums of the slice other than 0, 1,
+        .., count - 1 in order are a bug: RuntimeError."""
         tables = self._digits.get(k)
         if tables is None:
             emb, d, n = self._emb, self._d, self._n
             _, s_sets, _, count, offset = self._records[k]
-            mu, phi_rows = emb.mu_total, _phi_rows(emb, d)
-            free, _ = split_rows(emb, n, s_sets)
             cols = [column[offset:offset + count] for column in self._columns]
             rows = [row if d == 1 else list(row) for row in _f_rows(cols, d, n, count)]
-            looks = [[] for _ in range(n)]  # per row of f', Phi's rows at its free rows
-            for s in free:
-                looks[(s - 1) // mu].append(phi_rows[(s - 1) % mu])
             tables, weight = [], 1
-            for i in reversed(range(n)):
-                keys = list(set(rows[i]))
-                frees = [tuple(look[x] for look in looks[i]) for x in keys]
-                values = sorted(set(frees))
+            for (proj, values), row in zip(_row_spaces(emb, d, n, s_sets)[::-1], rows[::-1]):
+                times = emb.ring.mul_table[proj].__getitem__
                 digit = dict(zip(values, range(0, len(values) * weight, weight)))
-                tables.insert(0, dict(zip(keys, map(digit.__getitem__, frees))))
+                tables.insert(0, {x: digit[(times(x),) if d == 1 else tuple(map(times, x))]
+                                  for x in set(row)})
                 weight *= len(values)
-            if weight != count or len(set(_digit_sums(tables, rows, count))) != count:
+            if not all(map(eq, _digit_sums(tables, rows, count), range(count))):
                 raise RuntimeError(f"record {k} of OVIC({d}, {n}) is not the product "
                                    "of its free rows")  # bug guard
             self._digits[k] = tables
         return tables
 
     def _group(self, k: int) -> list[OvicMorphism]:
-        """The members of record k, built afresh: each f' of the slice at
-        its digits."""
+        """The members of record k, built afresh off its slice of the store."""
         f_dprime, s_sets, _, count, offset = self._records[k]
         emb, d, n = self._emb, self._d, self._n
         cols = [column[offset:offset + count] for column in self._columns]
-        placed = dict(zip(_digit_sums(self._table(k), _f_rows(cols, d, n, count), count),
-                          zip(*cols) if d else [()]))
-        return OvicMorphism._batch(
-            RMatrix._batch(emb.ring, n, d, map(placed.__getitem__, range(count))),
-            f_dprime, emb, s_sets)
+        return OvicMorphism._batch(RMatrix._batch(emb.ring, n, d, zip(*cols) if d else [()]),
+                                   f_dprime, emb, s_sets)
 
     _walked = _Stratum._kept
 
@@ -891,24 +902,6 @@ def _digit_sums(tables: list, rows: list, count: int, start: int = 0):
     for table, row in zip(tables, rows):
         sums = map(add, sums, map(table.__getitem__, row))
     return sums
-
-
-def _phi_rows(emb: AWEmbedding, d: int) -> list:
-    """Per row p of Phi, row p of Phi applied along a row of f' (d
-    entries): a list by the entry for d = 1, a dict by the row for d > 1;
-    built once per (embedding, d) and cached on it."""
-    key = ("phi-rows", d)
-    if key not in emb.enum_cache:
-        ring = emb.ring
-        phis = [emb.phi(x) for x in ring.elements()]
-        if d == 1:
-            rows = [[phi.row(p) for phi in phis] for p in range(emb.mu_total)]
-        else:
-            rows = [{v: tuple(e for x in v for e in phis[x].row(p))
-                     for v in itertools.product(ring.elements(), repeat=d)}
-                    for p in range(emb.mu_total)]
-        emb.enum_cache[key] = rows
-    return emb.enum_cache[key]
 
 
 class VicStratum(_Stratum):
@@ -1045,9 +1038,8 @@ def init_term(x: ModuleElement) -> tuple:
 def _composite_ranks(target: OvicStratum, source: OvicStratum, f: OvicMorphism) -> array:
     """The rank in ``target``, OVIC(d, n) with d = f.d, of phi o f for every
     phi in ``source``, OVIC(k, n) with k = f.n, in the order of the
-    source's packed store, its records and entry columns: records in
-    prefix order, each record's members in kernel order, not sorted into
-    rank order.
+    source's packed store, its records and entry columns, which is rank
+    order: index j holds the composite of the phi of rank j.
 
     The composite is (phi' f', f'' phi'').  Its f' is multiplied out for
     all members at once from the columns of phi' (``_column_product``);
@@ -1324,9 +1316,10 @@ def span_to_degree(gens: Sequence[ModuleElement], horizon: int,
     (``field.integral``).  Each term f of degree k has one composite column
     per n, memoised on ``emb`` under (d, k, n) by the rank of f: an
     ``array('I')`` of the rank of phi o f for every phi in OVIC(k, n), in
-    the store order of the source stratum, ranked by the target's digit
-    tables (``_composite_ranks``); no member is built.  The fully reduced
-    basis depends only on the span, so that order leaves no trace in it.
+    phi's rank order, the order of the source's store, ranked by the
+    target's digit tables (``_composite_ranks``); no member is built.  The
+    fully reduced basis depends only on the span, so that order leaves no
+    trace in it.
     Post-composition is injective, so an image has one term per term of g,
     and its composite ranks, a row across the columns of g's terms, fix it:
     all of g's columns in degree n go to one ``extend`` call with g's ints.  The kernel is chosen per

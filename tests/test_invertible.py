@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from spec_rings import spec_rings
 
+from vicbench import rings
 from vicbench.rings import (
     BUILTIN_NAMES,
     IdealSet,
@@ -182,3 +183,18 @@ def test_quotient_with_square_characteristic_is_rejected(spec):
     fake = QuotientData(ring, IdealSet(ring, frozenset({ring.zero})), ring, same, same, 1)
     with pytest.raises(RuntimeError, match="not squarefree"):
         matrix_invertible(RMatrix.identity(ring, 2), fake)
+
+
+@pytest.mark.parametrize("spec", ["zmod(3)", "zmod(4)", "upper_triangular(zmod(2),2)"])
+def test_a_wrong_quotient_inverse_is_refused(monkeypatch, spec):
+    """No product checks the quotient inverse over R/J: Newton's loop test
+    MX = I and its final XM = I check the lifted inverse over R, so a wrong
+    quotient inverse (zero, I - MX = I never shrinks) raises RuntimeError,
+    semisimple R included.  A singular matrix still returns False."""
+    ring = build_ring(spec)
+    q = quotient_by_radical(ring)
+    assert matrix_invertible(RMatrix(ring, 2, 2, [ring.zero] * 4), q) == (False, None)
+    monkeypatch.setattr(rings, "_quotient_inverse",
+                        lambda qr, n, entries: [qr.zero] * (n * n))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        matrix_invertible(RMatrix.identity(ring, 2), q)

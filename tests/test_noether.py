@@ -8,7 +8,6 @@ import math
 import random
 import sys
 from array import array
-from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -273,12 +272,14 @@ def test_budget_counts_generator_work_whatever_the_cache():
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
 def test_splittings_stop_at_the_budget(monkeypatch, enumerate_):
     """The budget is checked as the splittings of each f'' are counted, so a
-    stratum far past it stops after a few kernels instead of computing the
-    kernel of all 196 f'' of T2F2 1 -> 3 (64 splittings each) first."""
+    stratum far past it stops after a few records instead of building all
+    196 records of T2F2 1 -> 3 (64 splittings each) first.  Each record
+    built passes ``_check_group`` once."""
     emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))
-    kernel = noether._kernel
+    check_group = noether._check_group
     calls = []
-    monkeypatch.setattr(noether, "_kernel", lambda f: calls.append(f) or kernel(f))
+    monkeypatch.setattr(noether, "_check_group",
+                        lambda *args: calls.append(args) or check_group(*args))
     with pytest.raises(BudgetExceeded):
         enumerate_(emb, 1, 3, budget=2000)
     assert 0 < len(calls) <= 2000 // 64 + 1
@@ -867,17 +868,16 @@ def _composite_column(target, homs, f, n):
 @pytest.mark.parametrize("ring,d,k,n", COLUMN_CASES)
 def test_composite_column_matches_compose_vic(ring, d, k, n):
     """For seeded sources f, the column built from the records of OVIC(k,
-    n) holds, as a multiset, the rank of ``compose_vic(phi, f)`` in OVIC(d,
-    n) for every phi in ``enumerate_ovic(emb, k, n)``, as does the oracle
-    over the members.  The columns of all sources share one phi order: their
-    rows are the oracle's image tuples, as a multiset.
+    n) is, index for index, the rank of ``compose_vic(phi, f)`` in OVIC(d,
+    n) for phi in ``enumerate_ovic(emb, k, n)`` in rank order, as is the
+    oracle over the members: index j is the composite of the phi of rank j.
 
     The source is the stratum's one packed store, for k = 0 and n < k
     too: its entry columns are the ``_splittings`` columns themselves, one
     per position of phi', as bytes up to 256 ring elements and as 16-bit
     arrays past that, and no copy is cached.  Each record's slice of them,
-    at its offset, is psi + K for K running over ker(f'')^k in product
-    order."""
+    at its offset, is its members in rank order, the order of the sorting
+    oracle (``sorted_ranks``)."""
     emb = _case_emb(ring)
     sources = enumerate_ovic(emb, d, k)
     target = enumerate_ovic(emb, d, n)
@@ -891,24 +891,16 @@ def test_composite_column_matches_compose_vic(ring, d, k, n):
     assert [(type(c), len(c)) for c in store] == [(packed, members)] * (n * k)
     assert not [key for key in emb.enum_cache if key[0] == "source"]
     assert [rec[4] for rec in records] == [0, *itertools.accumulate(counts)][:len(counts)]
-    add = emb.ring.add_table
-    for f_dprime, _, psi, count, offset in records:
-        shifts = list(itertools.product(noether._kernel(f_dprime), repeat=k))
-        assert count == len(shifts)
-        for i, column in enumerate(store):
-            row, col = divmod(i, k)
-            assert list(column[offset:offset + count]) == [
-                add[psi.entries[i]][K[col][row]] for K in shifts]
+    by_rank = sorted_ranks(homs)
+    for f_dprime, _, _, count, offset in records:
+        ranked = by_rank[f_dprime.entries]
+        assert (list(zip(*[column[offset:offset + count] for column in store])) or [()]
+                ) == sorted(ranked, key=ranked.get)
     picked = random.Random(f"column/{ring}/{d}/{k}/{n}").sample(sources, min(3, len(sources)))
-    columns, oracles = [], []
     for f in picked:
         oracle = _composite_column(view, homs, f, n)
         assert oracle == [rank(compose_vic(phi, f)) for phi in homs]
-        column = noether._composite_ranks(target, homs, f)
-        assert Counter(column) == Counter(oracle)
-        columns.append(column)
-        oracles.append(oracle)
-    assert Counter(zip(*columns)) == Counter(zip(*oracles))
+        assert list(noether._composite_ranks(target, homs, f)) == oracle
 
 
 def test_composite_column_missing_from_the_target_is_a_bug():
@@ -1247,13 +1239,16 @@ def test_members_take_their_order_key_from_phi_alone(name, d, n, step):
 
 def test_enumerate_ovic_builds_no_rank_view():
     """A stratum's digit tables are built on first use: not by
-    ``enumerate_ovic`` or ``enumerate_vic``, nor by a span without
-    generators, which reads the targets' lengths alone, but by an index
-    or a span that ranks terms or composites in a target."""
+    ``enumerate_ovic`` or ``enumerate_vic``, nor by a walk or an index,
+    which read the store in rank order, nor by a span without generators,
+    which reads the targets' lengths alone, but by ``rank`` or a span that
+    ranks terms or composites in a target."""
     emb = build_aw_embedding(zmod(2))
     strata = [enumerate_ovic(emb, 1, n) for n in range(1, 4)]
     enumerate_vic(emb, 1, 3)
     span_to_degree([], 3, emb, F2, d=1)
+    assert [len(list(stratum)) for stratum in strata] == [1, 6, 28]
+    assert strata[2][-1] == list(strata[2])[-1]
     assert [stratum._digits for stratum in strata] == [{}] * 3
     span_to_degree([ModuleElement.monomial(strata[1][0], F2)], 3, emb, F2)
     assert [bool(stratum._digits) for stratum in strata] == [False, True, True]

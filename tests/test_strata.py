@@ -163,47 +163,63 @@ def assert_strata_match(emb, d, n):
     assert_sequence_matches(enumerate_vic(emb, d, n), filter_vic(emb, d, n))
 
 
-@pytest.mark.parametrize("corrupt", [lambda kernel: kernel + kernel[-1:],
-                                     lambda kernel: kernel[1:]], ids=["repeats", "lacks"])
+def _corrupt_row_spaces(monkeypatch, corrupt):
+    """Have ``_free_values`` hand every record ``corrupt`` of its V_i."""
+    free_values = noether._free_values
+    monkeypatch.setattr(noether, "_free_values", lambda emb, d, dependent: (
+        lambda proj, values: (proj, corrupt(values)))(*free_values(emb, d, dependent)))
+
+
+@pytest.mark.parametrize("corrupt", [lambda values: values + values[-1:],
+                                     lambda values: values[1:]], ids=["repeats", "lacks"])
 def test_digit_tables_refuse_a_record_off_the_product(monkeypatch, corrupt):
-    """A record whose slice of the store repeats a member, or lacks one, is
-    not the product of its free rows: its digit table raises RuntimeError,
-    so neither ``rank`` nor an index nor a composite column ranks its
-    members."""
+    """A record whose V_i repeats a value, or lacks one, is not the product
+    of its free rows: the build raises RuntimeError before any member of
+    the record is built or ranked.  A store that disagrees with the
+    projections (two members of a record swapped) passes the build, but
+    its digit table raises RuntimeError, so neither ``rank`` nor a
+    composite column ranks its members."""
     clean = enumerate_ovic(build_aw_embedding(build_ring("zmod(3)")), 1, 3)
-    kernel = noether._kernel
-    monkeypatch.setattr(noether, "_kernel", lambda f: corrupt(kernel(f)))
-    emb = build_aw_embedding(build_ring("zmod(3)"))
-    stratum = enumerate_ovic(emb, 1, 3)
-    assert len(stratum) != len(clean)
-    ring = emb.ring
-    f = clean[len(clean) // 2]
-    member = OvicMorphism(RMatrix(ring, 3, 1, f.f_prime.entries),
-                          RMatrix(ring, 1, 3, f.f_dprime.entries), emb)
-    with pytest.raises(RuntimeError, match=r"record \d+ of OVIC\(1, 3\) is not the product"):
+    k = len(clean._records) // 2
+    member = clean[clean._starts[k]]
+    batches = []
+    batch = OvicMorphism._batch.__func__
+    monkeypatch.setattr(OvicMorphism, "_batch", classmethod(
+        lambda cls, *args: batches.append(args) or batch(cls, *args)))
+    with monkeypatch.context() as patch:
+        _corrupt_row_spaces(patch, corrupt)
+        emb = build_aw_embedding(build_ring("zmod(3)"))
+        with pytest.raises(RuntimeError, match=r"record 0 of OVIC\(1, 3\) is not the product"):
+            enumerate_ovic(emb, 1, 3)
+    assert ("ovic", 1, 3) not in emb.enum_cache and batches == []
+    # the middle record with its first two members swapped
+    count, offset = clean._records[k][3:]
+    swapped = [column[:offset] + column[offset + 1:offset + 2] + column[offset:offset + 1]
+               + column[offset + 2:] for column in clean._columns]
+    stratum = noether.OvicStratum(clean._emb, 1, 3, clean._records, swapped, clean.nodes)
+    assert count > 1 and swapped != clean._columns
+    with pytest.raises(RuntimeError, match=rf"record {k} of OVIC\(1, 3\) is not the product"):
         stratum.rank(member)
     with pytest.raises(RuntimeError, match="not the product"):
-        stratum[len(stratum) // 2]
-    with pytest.raises(RuntimeError, match="not the product"):
-        list(stratum)
-    with pytest.raises(RuntimeError, match="not the product"):
-        noether._composite_ranks(stratum, stratum, OvicMorphism.identity(emb, 1))
-    assert stratum._digits == {}
+        noether._composite_ranks(stratum, stratum, OvicMorphism.identity(clean._emb, 1))
+    assert k not in stratum._digits and batches == []
 
 
 def test_group_checks_reject_what_the_constructors_reject():
     """Members are built unchecked; their parts are checked once per f''."""
     ring = builtin_ring("Z4")
     f2 = RMatrix(ring, 1, 2, [1, 0])
-    noether._check_group(ring, 1, 2, f2, (1, 0), [(0, 0), (0, 1)])
+    spaces = [[(0,)], [(0,), (1,), (2,), (3,)]]
+    noether._check_group(ring, 1, 2, f2, (1, 0), spaces)
     with pytest.raises(InvalidMorphism):
         noether._check_group(ring, 1, 2, RMatrix(builtin_ring("F2"), 1, 2, [1, 0]),
-                             (1, 0), [(0, 0)])
+                             (1, 0), spaces)
     with pytest.raises(InvalidMorphism):
-        noether._check_group(ring, 1, 3, f2, (1, 0), [(0, 0)])
-    for base, shifts in (((1,), [(0, 0)]), ((1, 0), [(0, 0), (0,)]), ((1.0, 0), [(0, 0)])):
+        noether._check_group(ring, 1, 3, f2, (1, 0), spaces)
+    for base, rows in (((1,), spaces), ((1, 0), [[(0,)], [(0,), ()]]), ((1, 0), spaces[:1]),
+                       ((1, 0), [[(0, 0)], spaces[1]]), ((1.0, 0), spaces)):
         with pytest.raises(BadShape):
-            noether._check_group(ring, 1, 2, f2, base, shifts)
+            noether._check_group(ring, 1, 2, f2, base, rows)
 
 
 def test_member_hashes_keep_their_formula():
@@ -222,29 +238,31 @@ KERNEL_STRATA = [("F2", 1, 3), ("F2", 2, 3), ("F2", 3, 4), ("Z4", 1, 3), ("Z4", 
 @pytest.mark.parametrize("name,d,n", KERNEL_STRATA,
                          ids=[f"{r}-{d}-{n}" for r, d, n in KERNEL_STRATA])
 def test_kernel_equals_the_scan(name, d, n):
-    """``_kernel`` (partial sums for one row, met in the middle for more)
-    against a scan of R^n, for every column-adapted f'' of the stratum.  No
-    entry of a T2F2 f'' need be a unit, so its last coordinate can have
-    many preimages or none; M2F2 and F2S3 have mu > 1."""
+    """Each record's splittings less psi, f' - psi = P Y, against
+    ker(f'')^d from a scan of R^n, for every column-adapted f'' of the
+    stratum: as many as |ker(f'')|^d, all distinct.  No entry of a T2F2
+    f'' need be a unit; M2F2 and F2S3 have mu > 1."""
     emb = build_aw_embedding(builtin_ring(name))
     ring = emb.ring
     zero_vec = (ring.zero,) * d
-    f_dprimes = {f.f_dprime for f in enumerate_ovic(emb, d, n)}
-    assert f_dprimes
-    for f_dprime in f_dprimes:
-        kernel = noether._kernel(f_dprime)
-        assert len(set(kernel)) == len(kernel)
-        assert set(kernel) == {v for v in iter_vectors(ring, n)
-                               if matvec(ring, f_dprime, v) == zero_vec}
+    stratum = enumerate_ovic(emb, d, n)
+    assert stratum._records
+    for f_dprime, _, psi, count, offset in stratum._records:
+        kernel = [v for v in iter_vectors(ring, n) if matvec(ring, f_dprime, v) == zero_vec]
+        shifts = [tuple(map(ring.sub, f_prime, psi.entries)) for f_prime in
+                  zip(*[column[offset:offset + count] for column in stratum._columns])]
+        assert len(set(shifts)) == count == len(kernel) ** d
+        # K has the kernel vectors as its d columns
+        assert set(shifts) == {tuple(K[j][r] for r in range(n) for j in range(d))
+                               for K in itertools.product(kernel, repeat=d)}
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
 @pytest.mark.parametrize("d", [1, 2])
 def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
     """The group check runs once per record, as ``_splittings`` makes it: a
-    kernel vector short of an entry is refused by either build."""
-    kernel = noether._kernel
-    monkeypatch.setattr(noether, "_kernel", lambda f: kernel(f) + [(0,) * (f.cols - 1)])
+    V_i whose last value is short of an entry is refused by either build."""
+    _corrupt_row_spaces(monkeypatch, lambda values: values[:-1] + [values[-1][:-1]])
     with pytest.raises(BadShape):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
 
@@ -459,6 +477,14 @@ def test_generated_strata_on_random_rings(stratum):
     ring, d, n = stratum
     emb = build_aw_embedding(ring)
     assert_strata_match(emb, d, n)
+    # f'' maps onto R^d, so |ker f''| = |R|^(n - d); digits rank the store
+    got = enumerate_ovic(emb, d, n)
+    assert {rec[3] for rec in got._records} == {ring.size ** (d * (n - d))}
+    store = {}
+    for f_dprime, _, _, count, offset in got._records:
+        f_primes = zip(*[column[offset:offset + count] for column in got._columns])
+        store[f_dprime.entries] = dict(zip(f_primes, range(offset, offset + count)))
+    assert digit_ranks(got) == store
     assert closed_form_counts(emb, d, n) == (len(enumerate_ovic(emb, d, n)),
                                              len(enumerate_vic(emb, d, n)))
 

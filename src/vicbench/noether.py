@@ -389,8 +389,13 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
     at some block row >= r, and it must then be the indicator of row r.  A
     prefix is cut at the first pivot that is not, and as soon as the columns
     left cannot bring every block to rank mu_k * d.
+
+    The search visits all |R|^d candidates at its first level, so a budget
+    below that is refused before the candidate table is built, with the
+    verdict the search itself would reach.
     """
     ring = emb.ring
+    _check_budget(ring.size ** d, budget, f"OVIC({d}, {n})")
     mu, q, mus = emb.mu_total, emb.q, emb.mu
     proj = emb.qdata.projection
     zero_bar = emb.qdata.quotient.zero

@@ -8,8 +8,13 @@ column-adapted predicate, composition, canonical splittings, the
 factorisation of an arbitrary pair through a column-adapted one, and
 reconstruction from free rows.
 
-The canonical splitting psi_S of pivot sets S carries the pivot layout, and
-the rest is derived from it rather than from scans of pivot columns:
+The pivot sets come from the reduced embedded matrix Phi_bar(h), read block
+by block off the embedding's per-element block table
+(``AWEmbedding.phi_bar_blocks``) and eliminated on the tables of R/J; no
+embedded matrix is built.  The canonical splitting psi_S of pivot sets S
+carries the pivot layout.  It is cached on the embedding per (S, m, n), so
+every caller shares one matrix, and the rest is derived from it rather than
+from scans of pivot columns:
 - h is column-adapted iff ``s_function(h)`` succeeds and h psi_S(h) = I;
 - the change of basis of ``factor_vic`` is g = f'' psi_S(f'');
 - when f'' psi = I, X + psi (I - f'' X) splits f'' for any X, and keeps
@@ -36,7 +41,7 @@ from .errors import (
     RankMismatch,
 )
 from .rings import FiniteRing, RMatrix, matrix_invertible
-from .wedderburn import AWEmbedding, CornerField
+from .wedderburn import AWEmbedding
 
 
 class DistinguishedIndexer:
@@ -77,63 +82,58 @@ class DistinguishedIndexer:
         return [self.std(k, j) for j in range(1, mk * self.size + 1)]
 
 
-def _block_rows(emb: AWEmbedding, big: RMatrix, k: int,
-                row_size: int, col_size: int) -> list[list[int]]:
-    """Block k of a Phi-image matrix: rows/cols restricted to block-k labels."""
-    ridx = DistinguishedIndexer(emb.mu, row_size)
-    cidx = DistinguishedIndexer(emb.mu, col_size)
-    rows = ridx.block_positions(k)
-    cols = cidx.block_positions(k)
-    return [[big.get(r - 1, c - 1) for c in cols] for r in rows]
-
-
-def _greedy_pivots(rows: list[list[int]], field: CornerField) -> list[int]:
-    """Left-to-right pivot columns (1-based) of a matrix over a corner field.
-
-    Greedy selection returns the lexicographically smallest basis-indexing
-    subset of the column set: a column is a pivot iff it is independent of
-    the columns before it, i.e. it does not reduce to zero against the
-    echelon basis of (pivot index, monic vector) pairs kept so far.
-    """
-    zero, sub, mul = field.zero, field.sub, field.mul
-    basis = []
-    pivots = []
-    for c, vec in enumerate(zip(*rows), start=1):
-        if len(pivots) == len(rows):
-            break
-        for piv, row in basis:
-            x = vec[piv]
-            if x != zero:
-                vec = [sub(v, mul(x, y)) for v, y in zip(vec, row)]
-        lead = next((i for i, x in enumerate(vec) if x != zero), None)
-        if lead is not None:
-            inv = field.inv(vec[lead])
-            basis.append((lead, [mul(inv, x) for x in vec]))
-            pivots.append(c)
-    return pivots
-
-
 def s_function(h: RMatrix, emb: AWEmbedding) -> tuple[tuple[int, ...], ...]:
     """Per-block pivot column sets of the reduced matrix of h (1-based).
 
     ``h`` is d x n, i.e. a map R^n -> R^d; block k of the reduced embedded
-    matrix is row-reduced over the corner field D_k and must have full row
-    rank mu_k * d (else the map is not surjective).
+    matrix Phi_bar(h) is row-reduced over the corner field D_k and must have
+    full row rank mu_k * d (else the map is not surjective).  Its entry
+    (t mu_k + p, c mu_k + s) is entry (off_k + p, off_k + s) of the block
+    that ``emb.phi_bar_blocks`` gives the reduction of h[t, c], off_k the
+    first position of block k; no matrix is built.  The pivots are chosen
+    greedily left to right, which gives the lexicographically smallest
+    basis-indexing column subset: a column is a pivot iff it does not reduce
+    to zero against the echelon basis of (pivot index, monic vector) pairs
+    kept so far, on R/J's tables and D_k's inverses.
     """
     d, n = h.rows, h.cols
-    hbar = h.reduce(emb.qdata)
-    big = emb.phi_bar_on_matrices(hbar)
+    qdata = emb.qdata
+    proj, rbar = qdata.projection, qdata.quotient
+    add, mul, neg, zero = rbar._add, rbar._mul, rbar._neg, rbar.zero
+    mu = emb.mu_total
+    blocks = emb.phi_bar_blocks
+    # the Phi_bar block of each entry, row-major
+    hbar = [blocks[proj[x]] for x in h.entries]
     out = []
-    for k in range(1, emb.q + 1):
-        rows = _block_rows(emb, big, k, d, n)
-        field = emb.corner_fields[k - 1]
-        pivots = _greedy_pivots(rows, field)
-        need = emb.mu[k - 1] * d
+    off = 0
+    for k, (mk, field) in enumerate(zip(emb.mu, emb.corner_fields), start=1):
+        inverses = field.inverses
+        need = mk * d
+        # table position of block-k row p, column 0
+        at = [(off + p) * mu + off for p in range(mk)]
+        basis = []
+        pivots = []
+        for j in range(mk * n):
+            if len(pivots) == need:
+                break
+            c, s = divmod(j, mk)
+            vec = [hbar[t * n + c][i + s] for t in range(d) for i in at]
+            for piv, row in basis:
+                x = vec[piv]
+                if x != zero:
+                    times = mul[x]
+                    vec = [add[v][neg[times[y]]] for v, y in zip(vec, row)]
+            lead = next((i for i, x in enumerate(vec) if x != zero), None)
+            if lead is not None:
+                times = mul[inverses[vec[lead]]]
+                basis.append((lead, [times[x] for x in vec]))
+                pivots.append(j + 1)
         if len(pivots) != need:
             raise NotSurjective(
                 f"block {k} has rank {len(pivots)}, needs {need}"
             )
         out.append(tuple(pivots))
+        off += mk
     return tuple(out)
 
 
@@ -356,7 +356,15 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
     for the conjugators (a, b) of positions p and s of block k, so entry
     (r, c) is the sum of b_p a_s over the pivots whose row lies in band r
     at position p and whose column lies in band c at position s.
+
+    Cached on ``emb`` per (pivot sets as tuples, m, n), so every caller
+    shares one matrix; pivot sets that fail the BadShape checks are never
+    cached.
     """
+    key = ("psi", tuple(map(tuple, s_sets)), m, n)
+    psi = emb.enum_cache.get(key)
+    if psi is not None:
+        return psi
     mu = emb.mu
     if len(s_sets) != emb.q:
         raise BadShape(f"need {emb.q} pivot sets")
@@ -373,7 +381,8 @@ def canonical_splitting(s_sets: Sequence[Sequence[int]], emb: AWEmbedding,
             c, s = divmod(i, mk)
             x = ring.mul(conj[p][1], conj[s][0])
             entries[r * n + c] = ring.add(entries[r * n + c], x)
-    return RMatrix(ring, m, n, entries)
+    psi = emb.enum_cache[key] = RMatrix(ring, m, n, entries)
+    return psi
 
 
 def factor_vic(f: VicMorphism, emb: AWEmbedding) -> tuple[VicMorphism, "OvicMorphism"]:

@@ -1120,7 +1120,9 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
     XM = I verify the returned inverse on both sides over R: a wrong
     quotient inverse raises RuntimeError there.  The checks run on
     row-major entry tuples (``mul_entries``); only the returned inverse is
-    an ``RMatrix``.
+    an ``RMatrix``.  A 1 x 1 matrix is answered from the ring's unit table
+    (``FiniteRing.inv``), whose inverses are checked on both sides when the
+    table is built, one pass over the multiplication table per ring.
     """
     if m.rows != m.cols:
         raise NotSquare(f"{m.rows}x{m.cols} matrix")
@@ -1130,6 +1132,9 @@ def matrix_invertible(m: RMatrix, q: QuotientData) -> tuple[bool, Optional[RMatr
     n = m.rows
     if n == 0:
         return True, RMatrix(ring, 0, 0, [])
+    if n == 1:
+        x = ring.inv(m.entries[0])
+        return (False, None) if x is None else (True, RMatrix(ring, 1, 1, (x,)))
     proj = q.projection
     inv = _quotient_inverse(q.quotient, n, [proj[e] for e in m.entries])
     if inv is None:

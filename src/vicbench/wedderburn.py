@@ -358,12 +358,19 @@ class AWEmbedding:
         self._phi_bar_entry = _block_table(rbar, [proj[a] for a in self._a],
                                            [proj[b] for b in self._b])
         # filled by the enumerators in ``noether``: OVIC strata, GL_d, and
-        # the per-f'' data of each stratum
+        # the per-f'' data of each stratum; and by ``ovic``: the canonical
+        # splitting of each pivot pattern
         self.enum_cache: dict = {}
 
     @property
     def field_orders(self) -> tuple[int, ...]:
         return tuple(f.order for f in self.corner_fields)
+
+    @property
+    def phi_bar_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Per element x of R/J, the row-major mu x mu block Phi_bar(x) that
+        ``phi_bar_on_matrices`` puts in place of an entry x."""
+        return self._phi_bar_entry
 
     # -- scalar level -------------------------------------------------------
 

@@ -1,10 +1,12 @@
-"""Rank oracles for ``OvicStratum``: the sorted rank view the digit tables
-replaced, and the digit tables read back as the same shape."""
+"""Oracles for fast paths: the sorted rank view the digit tables of
+``OvicStratum`` replaced, the digit tables read back as the same shape, and
+the Phi_bar-matrix elimination that ``ovic.s_function`` replaced."""
 
 from __future__ import annotations
 
 from vicbench import noether
-from vicbench.ovic import split_rows
+from vicbench.errors import NotSurjective
+from vicbench.ovic import DistinguishedIndexer, split_rows
 from vicbench.rings import RMatrix
 
 
@@ -39,3 +41,49 @@ def digit_ranks(stratum):
                                     count, stratum._starts[k])
         out[rec[0].entries] = dict(zip(list(zip(*cols)) or [()], ranks))
     return out
+
+
+def _block_rows(emb, big, k, row_size, col_size):
+    """Block k of a Phi-image matrix: rows/cols restricted to block-k labels."""
+    rows = DistinguishedIndexer(emb.mu, row_size).block_positions(k)
+    cols = DistinguishedIndexer(emb.mu, col_size).block_positions(k)
+    return [[big.get(r - 1, c - 1) for c in cols] for r in rows]
+
+
+def _greedy_pivots(rows, field):
+    """Left-to-right pivot columns (1-based) of a matrix over a corner field,
+    by ``CornerField`` calls: a column is a pivot iff it does not reduce to
+    zero against the echelon basis kept so far."""
+    zero, sub, mul = field.zero, field.sub, field.mul
+    basis = []
+    pivots = []
+    for c, vec in enumerate(zip(*rows), start=1):
+        if len(pivots) == len(rows):
+            break
+        for piv, row in basis:
+            x = vec[piv]
+            if x != zero:
+                vec = [sub(v, mul(x, y)) for v, y in zip(vec, row)]
+        lead = next((i for i, x in enumerate(vec) if x != zero), None)
+        if lead is not None:
+            inv = field.inv(vec[lead])
+            basis.append((lead, [mul(inv, x) for x in vec]))
+            pivots.append(c)
+    return pivots
+
+
+def s_function_by_matrix(h, emb):
+    """``s_function`` through the whole Phi_bar matrix: reduce h, embed it
+    with ``phi_bar_on_matrices``, cut out each block by distinguished labels
+    and eliminate it with ``CornerField`` calls.  Returns the pivot sets, or
+    the message of the NotSurjective raised."""
+    big = emb.phi_bar_on_matrices(h.reduce(emb.qdata))
+    out = []
+    for k in range(1, emb.q + 1):
+        pivots = _greedy_pivots(_block_rows(emb, big, k, h.rows, h.cols),
+                                emb.corner_fields[k - 1])
+        need = emb.mu[k - 1] * h.rows
+        if len(pivots) != need:
+            return str(NotSurjective(f"block {k} has rank {len(pivots)}, needs {need}"))
+        out.append(tuple(pivots))
+    return tuple(out)

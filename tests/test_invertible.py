@@ -25,9 +25,11 @@ from vicbench.rings import (
     _fp_parts,
     _part_inverse,
     _part_inverse_bits,
+    _quotient_inverse,
     build_ring,
     builtin_ring,
     matrix_invertible,
+    newton_inverse,
     quotient_by_radical,
 )
 
@@ -173,6 +175,29 @@ def test_exhaustive_1x1_is_unit_test():
             ok, w = matrix_invertible(RMatrix(ring, 1, 1, [a]), q)
             assert ok == ring.is_unit(a)
             assert w is None if not ok else w.entries == (ring.inv(a),)
+
+
+@pytest.mark.parametrize("spec", BUILTIN_NAMES + ("zmod(9)", "zmod(257)",
+                                                  "matrix_ring(zmod(3),2)"))
+def test_1x1_unit_table_is_the_general_path(spec):
+    """A 1 x 1 matrix is answered from the unit table; the elimination over
+    R/J followed by Newton lifting, which every larger n takes, gives the
+    same verdict and the same inverse on every element, and a non-unit
+    gives (False, None)."""
+    ring = builtin_ring(spec) if spec in BUILTIN_NAMES else build_ring(spec)
+    q = quotient_by_radical(ring)
+    proj, sec = q.projection, q.section
+    units = 0
+    for a in ring.elements():
+        got = matrix_invertible(RMatrix(ring, 1, 1, [a]), q)
+        inv = _quotient_inverse(q.quotient, 1, [proj[a]])
+        if inv is None:
+            assert got == (False, None)
+        else:
+            x = newton_inverse(ring, 1, (a,), (sec[inv[0]],), q.nilpotency)
+            assert got[0] and got[1].entries == x
+            units += 1
+    assert 0 < units < ring.size
 
 
 @pytest.mark.parametrize("spec", ["zmod(4)", "product(zmod(2),zmod(4))"])

@@ -7,6 +7,7 @@ import itertools
 import math
 import random
 import sys
+import time
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
@@ -229,6 +230,20 @@ def test_enumerate_budget():
     emb = emb_of("F2")
     with pytest.raises(BudgetExceeded):
         enumerate_ovic(emb, 3, 4, budget=10)
+
+
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+def test_budget_is_checked_before_the_candidate_table(enumerate_):
+    """The column search visits all |R|^d candidates at its first level, so
+    a budget below that is refused before the candidate table is built:
+    zmod(257) at d = 3 (16,974,593 candidates) is refused within a second,
+    with the message the search raises past its budget."""
+    emb = build_aw_embedding(zmod(257))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded,
+                       match=r"^OVIC\(3, 3\) needs more than 1000000 search nodes"):
+        enumerate_(emb, 3, 3)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])

@@ -9,10 +9,15 @@ the filtered enumeration used by the engine module.
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import s_function_by_matrix
+from spec_rings import spec_rings
 
 from vicbench.errors import (
+    BadShape,
     NoSolution,
     NotColumnAdapted,
     NotSurjective,
@@ -34,7 +39,14 @@ from vicbench.ovic import (
     s_function,
     split_rows,
 )
-from vicbench.rings import RMatrix, builtin_ring, iter_vectors, matvec
+from vicbench.rings import (
+    BUILTIN_NAMES,
+    RMatrix,
+    build_ring,
+    builtin_ring,
+    iter_vectors,
+    matvec,
+)
 from vicbench.wedderburn import build_aw_embedding
 
 
@@ -150,6 +162,57 @@ def test_s_function_t2f2_blockwise():
     h = RMatrix(builtin_ring("T2F2"), 1, 2, [one, builtin_ring("T2F2").zero])
     s = s_function(h, emb)
     assert s == ((1,), (1,))  # both blocks pivot in the first column
+
+
+def pivots_or_verdict(h, emb):
+    """``s_function``'s pivot sets, or the message of its NotSurjective."""
+    try:
+        return s_function(h, emb)
+    except NotSurjective as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name,d,n", [("F2S3", 1, 2), ("M2F2", 1, 3), ("T2F2", 2, 2)])
+def test_s_function_is_the_phi_bar_matrix_elimination(name, d, n):
+    """On every d x n matrix, the block-table elimination gives the pivots
+    and the NotSurjective verdicts of eliminating the blocks of the whole
+    Phi_bar matrix with corner-field calls: mu = (1, 2) over F2S3, one
+    block of mu = 2 over M2F2, two blocks over T2F2."""
+    ring, emb = builtin_ring(name), emb_of(name)
+    verdicts = set()
+    for entries in itertools.product(ring.elements(), repeat=d * n):
+        h = RMatrix(ring, d, n, entries)
+        got = pivots_or_verdict(h, emb)
+        assert got == s_function_by_matrix(h, emb), h
+        verdicts.add(type(got))
+    assert verdicts == {tuple, str}
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_s_function_matches_the_phi_bar_matrix_on_samples(name):
+    ring, emb = builtin_ring(name), emb_of(name)
+    rng = random.Random(f"s_function/{name}")
+    for d, n in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 4)]:
+        for _ in range(40):
+            h = RMatrix(ring, d, n, [rng.randrange(ring.size) for _ in range(d * n)])
+            assert pivots_or_verdict(h, emb) == s_function_by_matrix(h, emb), h
+
+
+@st.composite
+def reduced_maps(draw):
+    """A d x n matrix (1 <= d <= n <= 3) over a spec-grammar ring."""
+    ring = draw(spec_rings())
+    n = draw(st.integers(1, 3))
+    d = draw(st.integers(1, n))
+    entries = draw(st.lists(st.integers(0, ring.size - 1), min_size=d * n, max_size=d * n))
+    return RMatrix(ring, d, n, entries)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(reduced_maps())
+def test_s_function_matches_the_phi_bar_matrix_on_random_rings(h):
+    emb = build_aw_embedding(h.ring)
+    assert pivots_or_verdict(h, emb) == s_function_by_matrix(h, emb)
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +377,40 @@ def test_canonical_splitting_universal(name, d, n):
         g = canonical_splitting(s_sets, emb, m=n, n=d)
         for h in hs:
             assert h.mul(g) == ident
+
+
+def _psi_keys(emb):
+    return {key for key in emb.enum_cache if key[0] == "psi"}
+
+
+def test_canonical_splitting_is_cached_per_pivot_pattern():
+    """A cold and a warm call give equal matrices; pivot sets given as lists
+    or as tuples share one entry, and so one matrix."""
+    emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))  # fresh
+    cold = canonical_splitting(((1,), (2,)), emb, m=2, n=1)
+    assert _psi_keys(emb) == {("psi", ((1,), (2,)), 2, 1)}
+    warm = canonical_splitting([[1], [2]], emb, m=2, n=1)
+    assert warm is cold and _psi_keys(emb) == {("psi", ((1,), (2,)), 2, 1)}
+    emb.enum_cache.clear()
+    assert canonical_splitting([(1,), [2]], emb, m=2, n=1) == cold
+
+
+@pytest.mark.parametrize("s_sets,m,n", [
+    (((1,),), 2, 1),            # one pivot set for two blocks
+    (((1, 2), (1,)), 2, 1),     # a set of the wrong size
+    (((3,), (1,)), 2, 1),       # a pivot past the ambient rank
+    (((0,), (1,)), 2, 1),       # a pivot below 1
+])
+def test_canonical_splitting_bad_pivots_are_never_cached(s_sets, m, n):
+    """Bad pivot sets raise BadShape whether or not the cache is warm, and
+    leave nothing cached."""
+    emb = emb_of("T2F2")
+    for f in enumerate_ovic(emb, 1, 2):
+        canonical_splitting(f.s_sets, emb, m=2, n=1)
+    before = set(emb.enum_cache)
+    with pytest.raises(BadShape):
+        canonical_splitting(s_sets, emb, m=m, n=n)
+    assert set(emb.enum_cache) == before
 
 
 # ---------------------------------------------------------------------------

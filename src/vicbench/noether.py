@@ -95,7 +95,7 @@ from .ovic import (
     is_column_adapted,
     split_rows,
 )
-from .rings import RMatrix, _additive_generators, mul_entries
+from .rings import RMatrix, _additive_generators, mul_entries, newton_inverse
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -311,13 +311,14 @@ def parse_field(spec: str):
 # by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
 # generated rather than filtered: the f'' of OVIC(d, n) by a search over
 # their columns, the splittings of each f'' as psi + P Y in rank order, and
-# GL_d as the closure of transvections and diagonal units, each element
-# found with its inverse.  One cached object per stratum, the
+# GL_d lifted through the fibres of R -> R/J from the closure of
+# transvections and diagonal units over R/J, each g^-1 lifted from its
+# image's inverse when its group is built.  One cached object per stratum, the
 # ``OvicStratum`` of ``_splittings`` under ("ovic", d, n), owns the packed
 # store: a record per f'', checked once, the entry columns of f' over all
 # members, and the search nodes the build took; the degenerate strata
-# d = 0 and n < d take no search.  GL_d is one entry too, its pairs and
-# its entry columns under ("gl", d).  A stratum d -> n is a read-only
+# d = 0 and n < d take no search.  GL_d is one entry too, the pairs over
+# R/J and its entry columns under ("gl", d).  A stratum d -> n is a read-only
 # sequence (``_Stratum``) whose groups are runs of consecutive members: an
 # OVIC record, its slice of the columns, in rank order, whose digits rank
 # but give no order key (``OvicStratum``, every d and n), or a VIC group,
@@ -640,53 +641,96 @@ def _gl_generators(ring, d: int) -> list[tuple[int, int, int, int]]:
     return gens
 
 
+def _gl_closure(ring, d: int) -> list:
+    """GL_d(``ring``) as (g, g^-1) entry-tuple pairs, I first: a
+    breadth-first closure from I multiplies every element g by every
+    generator s (``_gl_generators``) once, on the right.  g s adds column a
+    of g times y to column b, and its inverse s^-1 g^-1 adds z times row b
+    of g^-1 to row a."""
+    add, mul = ring._add, ring._mul
+    gens = _gl_generators(ring, d)
+    ident = RMatrix.identity(ring, d).entries
+    seen = {ident}
+    pairs = [(ident, ident)]
+    for g, g_inv in pairs:  # grows while it is walked: breadth first
+        for a, b, y, z in gens:
+            h = list(g)
+            for r in range(0, d * d, d):
+                h[r + b] = add[g[r + b]][mul[g[r + a]][y]]
+            h = tuple(h)
+            if h not in seen:
+                seen.add(h)
+                h_inv = list(g_inv)
+                row_a, row_b = a * d, b * d
+                for c in range(d):
+                    h_inv[row_a + c] = add[g_inv[row_a + c]][mul[z][g_inv[row_b + c]]]
+                pairs.append((h, tuple(h_inv)))
+    return pairs
+
+
 def _gl_products(emb: AWEmbedding, d: int) -> int:
-    """|GL_d(R)| |generators|, the products of ``_general_linear``'s
-    closure, counted once per (ring, d) and cached on ``emb``."""
+    """|GL_d(R/J)| |generators of GL_d(R/J)|, the products of the closure
+    that ``_general_linear`` runs over R/J, counted once per (ring, d) and
+    cached on ``emb``."""
     key = ("gl-products", d)
     if key not in emb.enum_cache:
-        emb.enum_cache[key] = _gl_order(emb, d) * len(_gl_generators(emb.ring, d))
+        bar = _gl_order(emb, d) // len(emb.qdata.ideal) ** (d * d)
+        emb.enum_cache[key] = bar * len(_gl_generators(emb.qdata.quotient, d))
     return emb.enum_cache[key]
 
 
 def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, list]:
-    """GL_d(R) as (g, g^-1) entry-tuple pairs, plus entry (i, t) of all g
-    as one packed column each; cached on ``emb`` under ("gl", d).
+    """GL_d(R), d >= 1, lifted from GL_d(R/J): the (gbar, gbar^-1) pairs
+    of GL_d(R/J), and entry (i, t) of every g as one packed column each;
+    cached on ``emb`` under ("gl", d).
 
-    A breadth-first closure from I multiplies every element g by every
-    generator s (``_gl_generators``) once, on the right: g s adds column a
-    of g times y to column b, and its inverse s^-1 g^-1 adds z times row b
-    of g^-1 to row a.  That is |GL_d(R)| |generators| products
-    (``_gl_products``); past ``budget`` BudgetExceeded is raised, before the
-    closure runs, and a cached GL_d gets the same verdict.  A closure of
-    other than ``_gl_order`` elements is a bug."""
-    _check_budget(_gl_products(emb, d), budget, f"GL_{d}")
+    Reduction GL_d(R) -> GL_d(R/J) is onto with kernel I + M_d(J), so the
+    g over one gbar are the matrices whose entry (i, t) runs over the fibre
+    of gbar_it, |J|^(d^2) of them.  So the closure (``_gl_closure``) runs
+    over R/J alone, |GL_d(R/J)| |generators| products (``_gl_products``).
+    Those plus the |GL_d(R)| lifts are the work; past ``budget``
+    BudgetExceeded is raised before any of it, and a cached GL_d gets the
+    same verdict.  The lifts of each gbar, in closure order, come in
+    product order over the fibres, entry (0, 0) most significant, so
+    column (i, t) joins per gbar one table of fibre elements, each repeated
+    and the whole tiled, with no product per g.  ``_gl_inverse`` lifts g^-1
+    from gbar^-1.  A closure of other than |GL_d(R)| / |J|^(d^2) elements,
+    or a lift count other than ``_gl_order``, is a bug."""
+    _check_budget(_gl_products(emb, d) + _gl_order(emb, d), budget, f"GL_{d}")
     key = ("gl", d)
     if key not in emb.enum_cache:
-        ring = emb.ring
-        add, mul = ring._add, ring._mul
-        gens = _gl_generators(ring, d)
-        order = _gl_order(emb, d)
-        ident = RMatrix.identity(ring, d).entries
-        seen = {ident}
-        pairs = [(ident, ident)]
-        for g, g_inv in pairs:  # grows while it is walked: breadth first
-            for a, b, y, z in gens:
-                h = list(g)
-                for r in range(0, d * d, d):
-                    h[r + b] = add[g[r + b]][mul[g[r + a]][y]]
-                h = tuple(h)
-                if h not in seen:
-                    seen.add(h)
-                    h_inv = list(g_inv)
-                    row_a, row_b = a * d, b * d
-                    for c in range(d):
-                        h_inv[row_a + c] = add[g_inv[row_a + c]][mul[z][g_inv[row_b + c]]]
-                    pairs.append((h, tuple(h_inv)))
-        if len(pairs) != order:
-            raise RuntimeError(f"closure found {len(pairs)} of |GL_{d}| = {order}")  # bug guard
-        emb.enum_cache[key] = pairs, list(map(_packing(ring)[0], zip(*map(itemgetter(0), pairs))))
+        ring, qdata = emb.ring, emb.qdata
+        order, size = _gl_order(emb, d), len(qdata.ideal)
+        lifts = size ** (d * d)
+        bar = _gl_closure(qdata.quotient, d)
+        if len(bar) != order // lifts:
+            raise RuntimeError(f"closure over R/J found {len(bar)} of |GL_{d}(R)| / "
+                               f"|J|^{d * d} = {order // lifts}")  # bug guard
+        pack = _packing(ring)[0]
+        fibres = [[] for _ in range(qdata.quotient.size)]
+        for x in ring.elements():
+            fibres[qdata.projection[x]].append(x)
+        columns = []
+        for e in range(d * d):
+            inner = size ** (d * d - 1 - e)  # the lifts one fibre element spans
+            tables = [pack([x for x in fibre for _ in range(inner)]) * (lifts // inner // size)
+                      for fibre in fibres]
+            columns.append(pack(b"".join([tables[g[e]] for g, _ in bar])))
+        if len(columns[0]) != order:
+            raise RuntimeError(f"lifts found {len(columns[0])} of |GL_{d}| = {order}")  # bug guard
+        emb.enum_cache[key] = bar, columns
     return emb.enum_cache[key]
+
+
+def _gl_inverse(emb: AWEmbedding, d: int, gl: tuple, i: int) -> tuple[int, ...]:
+    """g^-1 for element i of GL_d (``gl``, from ``_general_linear``): the
+    section of gbar^-1 is an inverse of g modulo J, from which
+    ``newton_inverse`` lifts it and checks it on both sides."""
+    bar, columns = gl
+    sec = emb.qdata.section
+    seed = tuple([sec[x] for x in bar[i * len(bar) // len(columns[0])][1]])
+    return newton_inverse(emb.ring, d, tuple([column[i] for column in columns]), seed,
+                          emb.qdata.nilpotency)
 
 
 def enumerate_ovic(emb: AWEmbedding, d: int, n: int,
@@ -732,11 +776,12 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     table (``VicStratum``) over the cached OVIC(d, n) of ``_splittings``,
     each record's f'' for all g at once from GL_d's entry columns
     (``_column_product``).  Its length comes from the table; a group's
-    psi g^-1 and members are made when an index or a walk first reaches
-    it.  GL_d is a closure from I under right multiplication by
-    transvections and diagonal units (``_general_linear``).  ``budget``
-    bounds the work: the search nodes of OVIC(d, n), the |GL_d|
-    |generators| products of the closure, and per g in GL_d one plus the
+    g^-1, psi g^-1 and members are made when an index or a walk first
+    reaches it.  GL_d is lifted through the fibres of R -> R/J from a
+    closure over R/J under right multiplication by transvections and
+    diagonal units (``_general_linear``).  ``budget`` bounds the work: the
+    search nodes of OVIC(d, n), the |GL_d(R/J)| |generators| products of
+    the closure (``_gl_products``), and per g in GL_d one lift plus the
     members of OVIC(d, n); VIC(0, n) is work 1.  That work is counted
     from |GL_d| in closed form, so BudgetExceeded is raised past it before
     GL_d is built, and a cached GL_d gets the same verdict.  VIC(0, n), one
@@ -751,14 +796,16 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     if n < d:
         return ()
     ovic = _splittings(emb, d, n, budget)
-    # the closure's products, then per g in GL_d one pair and its splittings
-    work = ovic.nodes + _gl_products(emb, d) + _gl_order(emb, d) * (1 + len(ovic))
+    # the closure's products over R/J, then per g in GL_d one lift and its
+    # splittings
+    order = _gl_order(emb, d)
+    work = ovic.nodes + _gl_products(emb, d) + order * (1 + len(ovic))
     _check_budget(work, budget, f"VIC({d}, {n})")
-    gl, gl_columns = _general_linear(emb, d, budget)
+    gl = _general_linear(emb, d, budget)
     groups = []
     for r, rec in enumerate(ovic._records):
-        f_dprimes = zip(*_column_product(emb, gl_columns, rec[0].entries, d, d, n, len(gl)))
-        groups.extend(zip(f_dprimes, itertools.repeat(r), range(len(gl))))
+        f_dprimes = zip(*_column_product(emb, gl[1], rec[0].entries, d, d, n, order))
+        groups.extend(zip(f_dprimes, itertools.repeat(r), range(order)))
     # each f'' comes from one (f2'', g), so sorting the groups by f'' (keyed:
     # twice as fast as on whole groups) and each group's f' sorts the stratum
     groups.sort(key=itemgetter(0))
@@ -913,14 +960,15 @@ class VicStratum(_Stratum):
     """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
     in f'' order (``enumerate_vic``).  A group is (f''.entries, the index
     of its record in ``ovic``, the cached OVIC(d, n), the index of g in
-    GL_d).  Building it computes psi g^-1 and moves the record's slice of
-    the store, psi + K, to psi g^-1 + K through one translation table per
-    entry; those f', sorted, are paired with f''.  A walk keeps no group."""
+    GL_d).  Building it lifts g^-1 (``_gl_inverse``), computes psi g^-1 and
+    moves the record's slice of the store, psi + K, to psi g^-1 + K through
+    one translation table per entry; those f', sorted, are paired with f''.
+    A walk keeps no group."""
 
     __slots__ = ("_ring", "_ovic", "_gl", "_groups", "_plus", "_through", "_f_primes",
                  "_f_dprimes")
 
-    def __init__(self, ovic: OvicStratum, gl: list, groups: list):
+    def __init__(self, ovic: OvicStratum, gl: tuple, groups: list):
         counts = [rec[3] for rec in ovic._records]
         super().__init__(map(counts.__getitem__, map(itemgetter(1), groups)))
         emb, d, n = ovic._emb, ovic._d, ovic._n
@@ -939,7 +987,8 @@ class VicStratum(_Stratum):
         ring, plus, through = self._ring, self._plus, self._through
         add, neg, d, part = ring._add, ring._neg, psi.cols, slice(offset, offset + count)
         # psi g^-1, and per entry the table of x -> x + (psi g^-1 - psi)
-        base = mul_entries(ring, psi.entries, self._gl[g][1], psi.rows, d, d)
+        base = mul_entries(ring, psi.entries, _gl_inverse(ovic._emb, d, self._gl, g),
+                           psi.rows, d, d)
         f_primes = sorted(zip(*[through(column[part], plus[add[b][neg[a]]])
                                 for column, a, b in zip(ovic._columns, psi.entries, base)]))
         return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])

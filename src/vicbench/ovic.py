@@ -40,7 +40,7 @@ from .errors import (
     NotSurjective,
     RankMismatch,
 )
-from .rings import FiniteRing, RMatrix, matrix_invertible
+from .rings import FiniteRing, RMatrix, matrix_invertible, mul_entries
 from .wedderburn import AWEmbedding
 
 
@@ -391,19 +391,24 @@ def factor_vic(f: VicMorphism, emb: AWEmbedding) -> tuple[VicMorphism, "OvicMorp
     The change of basis is g = f'' psi, psi the canonical splitting of the
     pivot sets of f'': Phi(g) collects the pivot columns of Phi(f'').  Its
     invertibility is certified through the quotient (reduction invertible
-    implies invertible, with an explicit two-sided inverse)."""
-    d, n = f.d, f.n
+    implies invertible, with an explicit two-sided inverse).  f2 = (f' g,
+    g^-1 f''), and f2 o f1 = (f2' g^-1, g f2'') must give f back; each
+    product is taken once on entry tuples (``mul_entries``)."""
+    d, n, ring = f.d, f.n, emb.ring
     s_sets = s_function(f.f_dprime, emb)
-    g = f.f_dprime.mul(canonical_splitting(s_sets, emb, m=n, n=d))
+    fp, fdp = f.f_prime.entries, f.f_dprime.entries
+    psi = canonical_splitting(s_sets, emb, m=n, n=d)
+    g = RMatrix(ring, d, d, mul_entries(ring, fdp, psi.entries, d, n, d))
     ok, g_inv = matrix_invertible(g, emb.qdata)
     if not ok:
         raise InvalidMorphism("pivot-column matrix not invertible")  # bug guard
-    f1 = VicMorphism(g_inv, g, check=False)
-    f2 = OvicMorphism(f.f_prime.mul(g), g_inv.mul(f.f_dprime), emb,
-                      s_sets=s_sets, check=False)
-    if compose_vic(f2, f1) != VicMorphism(f.f_prime, f.f_dprime, check=False):
+    f2p = mul_entries(ring, fp, g.entries, n, d, d)
+    f2dp = mul_entries(ring, g_inv.entries, fdp, d, d, n)
+    if (mul_entries(ring, f2p, g_inv.entries, n, d, d) != fp
+            or mul_entries(ring, g.entries, f2dp, d, d, n) != fdp):
         raise InvalidMorphism("factorisation does not recompose")  # bug guard
-    return f1, f2
+    return VicMorphism(g_inv, g, check=False), OvicMorphism(
+        RMatrix(ring, n, d, f2p), RMatrix(ring, d, n, f2dp), emb, s_sets=s_sets, check=False)
 
 
 def extract_free_fragment(f: OvicMorphism) -> list[tuple[int, ...]]:

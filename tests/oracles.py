@@ -1,6 +1,8 @@
 """Oracles for fast paths: the sorted rank view the digit tables of
-``OvicStratum`` replaced, the digit tables read back as the same shape, and
-the Phi_bar-matrix elimination that ``ovic.s_function`` replaced."""
+``OvicStratum`` replaced, the digit tables read back as the same shape, the
+Phi_bar-matrix elimination that ``ovic.s_function`` replaced, and the
+closure over R itself that the lifts of ``noether._general_linear``
+replaced."""
 
 from __future__ import annotations
 
@@ -87,3 +89,30 @@ def s_function_by_matrix(h, emb):
             return str(NotSurjective(f"block {k} has rank {len(pivots)}, needs {need}"))
         out.append(tuple(pivots))
     return tuple(out)
+
+
+def general_linear_by_closure(emb, d):
+    """GL_d(R) as (g, g^-1) entry-tuple pairs, by the closure over R itself
+    that ``noether._general_linear`` replaced with a closure over R/J and
+    lifts through the fibres: from I, every element times every generator
+    (``noether._gl_generators`` of R) on the right, g s adding column a of
+    g times y to column b and s^-1 g^-1 adding z times row b of g^-1 to row
+    a, |GL_d(R)| |generators| products."""
+    ring = emb.ring
+    add, mul = ring._add, ring._mul
+    ident = RMatrix.identity(ring, d).entries
+    seen = {ident}
+    pairs = [(ident, ident)]
+    for g, g_inv in pairs:  # grows while it is walked
+        for a, b, y, z in noether._gl_generators(ring, d):
+            h = list(g)
+            for r in range(0, d * d, d):
+                h[r + b] = add[g[r + b]][mul[g[r + a]][y]]
+            h = tuple(h)
+            if h not in seen:
+                seen.add(h)
+                h_inv = list(g_inv)
+                for c in range(d):
+                    h_inv[a * d + c] = add[g_inv[a * d + c]][mul[z][g_inv[b * d + c]]]
+                pairs.append((h, tuple(h_inv)))
+    return pairs

@@ -167,23 +167,13 @@ def test_matches_scan_f2s3_4x4():
         _assert_agrees(m, q)
 
 
-def test_exhaustive_1x1_is_unit_test():
-    for name in BUILTIN_NAMES:
-        ring = builtin_ring(name)
-        q = quotient_by_radical(ring)
-        for a in ring.elements():
-            ok, w = matrix_invertible(RMatrix(ring, 1, 1, [a]), q)
-            assert ok == ring.is_unit(a)
-            assert w is None if not ok else w.entries == (ring.inv(a),)
-
-
 @pytest.mark.parametrize("spec", BUILTIN_NAMES + ("zmod(9)", "zmod(257)",
                                                   "matrix_ring(zmod(3),2)"))
 def test_1x1_unit_table_is_the_general_path(spec):
-    """A 1 x 1 matrix is answered from the unit table; the elimination over
-    R/J followed by Newton lifting, which every larger n takes, gives the
-    same verdict and the same inverse on every element, and a non-unit
-    gives (False, None)."""
+    """A 1 x 1 matrix is answered from the unit table (``is_unit``,
+    ``inv``); the elimination over R/J followed by Newton lifting, which
+    every larger n takes, gives the same verdict and the same inverse on
+    every element, and a non-unit gives (False, None)."""
     ring = builtin_ring(spec) if spec in BUILTIN_NAMES else build_ring(spec)
     q = quotient_by_radical(ring)
     proj, sec = q.projection, q.section
@@ -191,11 +181,12 @@ def test_1x1_unit_table_is_the_general_path(spec):
     for a in ring.elements():
         got = matrix_invertible(RMatrix(ring, 1, 1, [a]), q)
         inv = _quotient_inverse(q.quotient, 1, [proj[a]])
+        assert ring.is_unit(a) is (inv is not None)
         if inv is None:
-            assert got == (False, None)
+            assert got == (False, None) and ring.inv(a) is None
         else:
             x = newton_inverse(ring, 1, (a,), (sec[inv[0]],), q.nilpotency)
-            assert got[0] and got[1].entries == x
+            assert got[0] and got[1].entries == x == (ring.inv(a),)
             units += 1
     assert 0 < units < ring.size
 

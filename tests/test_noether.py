@@ -261,18 +261,19 @@ def test_budget_counts_generator_work_whatever_the_cache():
     """The budget bounds search nodes plus emitted morphisms, not the
     |R|^(dn) candidates, and a cached stratum gets the same verdict.
 
-    Z8 VIC(2, 2) is 128 search nodes, then per g in GL_2 (1536 of them) 5
-    closure products, one pair and 1 splitting: 10880 in all.  The 5
-    generators outweigh 1 + 1, so a count without the closure would pass
-    10879.  The verdict is the same before GL_2 is cached, once it is cached
-    alone and once the stratum is built."""
+    Z8 VIC(2, 2) is 128 search nodes, 12 closure products over R/J = F2 (6
+    elements of GL_2(F2) times 2 transvections), then per g in GL_2 (1536
+    of them) one lift and 1 splitting: 3212 in all.  So a count without
+    the closure would pass 3211.  The verdict is the same before GL_2 is
+    cached, once it is cached alone and once the stratum is built."""
     emb = emb_of("Z4")
     assert len(enumerate_ovic(emb, 3, 4)) == 7680  # 4^12 candidates
     with pytest.raises(BudgetExceeded):
         enumerate_ovic(emb, 3, 4, budget=7680)
     with pytest.raises(BudgetExceeded):
         enumerate_vic(emb, 1, 2, budget=48)
-    work = 128 + 1536 * (5 + 1 + 1)
+    work = 128 + 6 * 2 + 1536 * (1 + 1)
+    assert work == 3212
     emb = build_aw_embedding(build_ring("zmod(8)"))  # a fresh ring: nothing cached yet
     with pytest.raises(BudgetExceeded):
         enumerate_vic(emb, 2, 2, budget=work - 1)

@@ -16,8 +16,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import s_function_by_matrix
 from spec_rings import spec_rings
 
+from vicbench import ovic
 from vicbench.errors import (
     BadShape,
+    InvalidMorphism,
     NoSolution,
     NotColumnAdapted,
     NotSurjective,
@@ -456,6 +458,31 @@ def test_factor_all_small(name, d, n):
         assert f1.f_prime.mul(f1.f_dprime) == ident  # two-sided automorphism pair
         assert is_column_adapted(f2.f_dprime, emb)
         assert compose_vic(f2, f1) == f
+
+
+@pytest.mark.parametrize("wrong", ["f2'", "f2''"])
+def test_factor_guard_catches_a_wrong_product(monkeypatch, wrong):
+    """The recompose guard multiplies f2' g^-1 and g f2'' back out against
+    f' and f''.  A product that comes back wrong, here f2' = f' g or
+    f2'' = g^-1 f'' (the second and third products) with its first entry
+    moved by one, raises rather than returning the factors of another
+    pair.  The pair is the last of T2F2 VIC(1, 2), whose g is not 1."""
+    emb = emb_of("T2F2")
+    f = VicMorphism(mat("T2F2", [[7], [0]]), mat("T2F2", [[7, 7]]))
+    f1, f2 = factor_vic(f, emb)
+    assert f1.f_dprime == mat("T2F2", [[7]]) and compose_vic(f2, f1) == f
+    product, calls = ovic.mul_entries, []
+
+    def faulty(ring, *args):
+        out = product(ring, *args)
+        calls.append(args)
+        if len(calls) == {"f2'": 2, "f2''": 3}[wrong]:
+            out = (ring._add[out[0]][ring.one],) + out[1:]
+        return out
+
+    monkeypatch.setattr(ovic, "mul_entries", faulty)
+    with pytest.raises(InvalidMorphism, match="^factorisation does not recompose$"):
+        factor_vic(f, emb)
 
 
 def pivot_column_matrix(f_dprime, emb):

@@ -1,14 +1,16 @@
 """Generated strata against the brute-force filters they replaced.
 
 ``enumerate_ovic`` and ``enumerate_vic`` generate OVIC(d, n) by a column
-search and VIC(d, n) as OVIC(d, n) o GL_d, GL_d a closure of transvections
-and diagonal units that finds each element with its inverse.  The oracles
-below build every d x n matrix f'', keep the column-adapted (respectively
-the split) ones and scan all of R^n for the splittings, then sort by the
-same keys; GL_d is checked against every d x d matrix that
-``matrix_invertible`` accepts.  Both sides must return equal members,
-order included; both sequences are also checked indexed from either end
-and sliced, and the OVIC rank view against the oracle's positions.  The
+search and VIC(d, n) as OVIC(d, n) o GL_d, GL_d lifted through the fibres
+of R -> R/J from a closure of transvections and diagonal units over R/J.
+The oracles below build every d x n matrix f'', keep the column-adapted
+(respectively the split) ones and scan all of R^n for the splittings, then
+sort by the same keys; GL_d is checked against every d x d matrix that
+``matrix_invertible`` accepts and against the closure over R itself
+(``oracles.general_linear_by_closure``).  Both sides must return equal
+members, order included; both sequences are also checked indexed from
+either end and sliced, and the OVIC rank view against the oracle's
+positions.  The
 stratum sizes are also checked against the closed form through |GL_n(R)|
 (``noether.closed_form_counts``).
 """
@@ -23,7 +25,7 @@ import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import digit_ranks, sorted_ranks
+from oracles import digit_ranks, general_linear_by_closure, sorted_ranks
 from spec_rings import spec_rings
 
 from vicbench import noether
@@ -363,11 +365,20 @@ def test_general_linear_equals_invertibility_filter(name, d):
     ident = RMatrix.identity(ring, d)
     for f in pairs:
         assert f.f_dprime.mul(f.f_prime) == ident == f.f_prime.mul(f.f_dprime)
-    # entry (i, t) of every g, one packed column per entry, in the closure's order
-    gl, columns = noether._general_linear(emb, d, 10 ** 6)
+    # entry (i, t) of every g, one packed column per entry, lifted from R/J:
+    # as a set, the closure over R itself, and each lifted inverse two-sided
+    gl = noether._general_linear(emb, d, 10 ** 6)
+    columns = gl[1]
     assert len(columns) == d * d
     assert {type(c) for c in columns} == {type(noether._packing(ring)[0](()))}
-    assert list(zip(*columns)) == [g for g, _ in gl]
+    oracle = dict(general_linear_by_closure(emb, d))
+    lifted = list(zip(*columns))
+    assert sorted(lifted) == sorted(oracle) == expected
+    for i, g in enumerate(lifted):
+        g_inv = noether._gl_inverse(emb, d, gl, i)
+        assert mul_entries(ring, g, g_inv, d, d, d) == ident.entries
+        assert mul_entries(ring, g_inv, g, d, d, d) == ident.entries == mul_entries(
+            ring, g, oracle[g], d, d, d)
 
 
 @st.composite
@@ -382,59 +393,77 @@ def small_general_linear(draw):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(small_general_linear())
 def test_general_linear_on_random_rings(case):
-    """GL_d(R) as the closure of transvections and diagonal units: mutually
-    inverse pairs whose g are the matrices ``matrix_invertible`` accepts,
-    |GL_d(R)| of them.  40 fixed examples, about 1 s on a 2-core x86
+    """GL_d(R) lifted from the closure of transvections and diagonal units
+    over R/J: as a set, the closure over R itself and the matrices
+    ``matrix_invertible`` accepts, |GL_d(R)| of them, each with a two-sided
+    lifted inverse.  40 fixed examples, about 1 s on a 2-core x86
     container."""
     ring, d = case
     emb = build_aw_embedding(ring)
-    pairs, _ = noether._general_linear(emb, d, 10 ** 6)
+    gl = noether._general_linear(emb, d, 10 ** 6)
+    lifted = list(zip(*gl[1]))
     ident = RMatrix.identity(ring, d).entries
-    for g, g_inv in pairs:
+    for i, g in enumerate(lifted):
+        g_inv = noether._gl_inverse(emb, d, gl, i)
         assert mul_entries(ring, g, g_inv, d, d, d) == ident
         assert mul_entries(ring, g_inv, g, d, d, d) == ident
     expected = [e for e in itertools.product(ring.elements(), repeat=d * d)
                 if matrix_invertible(RMatrix(ring, d, d, e), emb.qdata)[0]]
-    assert sorted(g for g, _ in pairs) == expected
-    assert len(pairs) == noether._gl_order(emb, d)
+    assert sorted(lifted) == sorted(g for g, _ in general_linear_by_closure(emb, d)) == expected
+    assert len(lifted) == noether._gl_order(emb, d)
 
 
 def test_general_linear_multiplies_each_element_by_each_generator_once():
-    """Z8, d = 2: 1536 elements; generators are the transvections I + E_01
-    and I + E_10 (1 generates Z8 additively) and diag(u, 1) for u = 3, 5,
-    7.  The closure's products count against the budget before it runs."""
+    """Z8, d = 2: the closure runs over R/J = F2, whose GL_2 has 6 elements
+    and is generated by the transvections I + E_01 and I + E_10 (F2 has no
+    unit other than 1), so 12 products; each of the 6 lifts through the
+    fibres of Z8 -> F2, |J|^4 = 256 ways, to the 1536 elements of GL_2(Z8).
+    The products and the lifts count against the budget before either
+    runs, and a cached GL_2 gets the same verdict."""
     emb = build_aw_embedding(zmod(8))  # a fresh ring: nothing cached yet
-    gens = noether._gl_generators(emb.ring, 2)
-    assert len(gens) == 5
+    assert len(noether._gl_generators(emb.qdata.quotient, 2)) == 2
+    assert len(noether._gl_generators(emb.ring, 2)) == 5  # the closure over Z8 took 5
+    work = 6 * 2 + 1536
     with pytest.raises(BudgetExceeded):
-        noether._general_linear(emb, 2, 1536 * 5 - 1)
+        noether._general_linear(emb, 2, work - 1)
     assert ("gl", 2) not in emb.enum_cache
-    pairs, columns = noether._general_linear(emb, 2, 1536 * 5)
-    assert len(pairs) == len({g for g, _ in pairs}) == 1536
-    assert noether._gl_products(emb, 2) == 1536 * 5
-    assert noether._general_linear(emb, 2, 1536 * 5) == (pairs, columns)
+    bar, columns = noether._general_linear(emb, 2, work)
+    assert len(bar) == 6
+    assert len(set(zip(*columns))) == len(columns[0]) == 1536
+    assert noether._gl_products(emb, 2) == 6 * 2
+    assert noether._general_linear(emb, 2, work) == (bar, columns)
     with pytest.raises(BudgetExceeded):
-        noether._general_linear(emb, 2, 1536 * 5 - 1)
+        noether._general_linear(emb, 2, work - 1)
 
 
 def test_general_linear_guards_its_count(monkeypatch):
-    """A closure that misses elements is a bug, not a smaller group."""
+    """A closure over R/J that misses elements, or lifts that miss some, are
+    a bug, not a smaller group."""
     emb = build_aw_embedding(zmod(8))
-    gens = noether._gl_generators(emb.ring, 2)
-    monkeypatch.setattr(noether, "_gl_generators", lambda ring, d: gens[:1])
-    with pytest.raises(RuntimeError, match="closure"):
-        noether._general_linear(emb, 2, 10 ** 6)
+    gens = noether._gl_generators(emb.qdata.quotient, 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(noether, "_gl_generators", lambda ring, d: gens[:1])
+        with pytest.raises(RuntimeError, match=r"^closure over R/J found 2 of "):
+            noether._general_linear(emb, 2, 10 ** 6)
+    assert ("gl", 2) not in emb.enum_cache
+    # an order that is no multiple of |J|^4 = 256 leaves the closure's 6
+    # elements right and the 1536 lifts one short
+    order = noether._gl_order(emb, 2)
+    monkeypatch.setattr(noether, "_gl_order", lambda emb, n: order + 1)
+    with pytest.raises(RuntimeError, match=r"^lifts found 1536 of "):
+        noether._general_linear(build_aw_embedding(zmod(8)), 2, 10 ** 6)
 
 
 def test_second_vic_build_scans_no_units(monkeypatch):
     """The GL_1 generator count is kept per (ring, d), so a second VIC build
-    of M2F2 1 -> 2 calls no ``is_unit``, and builds the same stratum."""
+    of M2F2 1 -> 2 calls no ``is_unit``, of R or of R/J, whose generators
+    the closure takes, and builds the same stratum."""
     emb = build_aw_embedding(build_ring("matrix_ring(zmod(2),2)"))
-    ring = emb.ring
     first = [(f.f_dprime.entries, f.f_prime.entries) for f in enumerate_vic(emb, 1, 2)]
     calls = []
-    is_unit = ring.is_unit
-    monkeypatch.setattr(ring, "is_unit", lambda x: calls.append(x) or is_unit(x))
+    for ring in (emb.ring, emb.qdata.quotient):
+        monkeypatch.setattr(ring, "is_unit",
+                            lambda x, is_unit=ring.is_unit: calls.append(x) or is_unit(x))
     again = [(f.f_dprime.entries, f.f_prime.entries) for f in enumerate_vic(emb, 1, 2)]
     assert again == first
     assert calls == []
@@ -444,8 +473,10 @@ def test_second_vic_build_scans_no_units(monkeypatch):
 def test_over_budget_vic_refuses_before_the_closure(monkeypatch, spec):
     """The VIC work is counted from |GL_d| in closed form, so a request past
     the budget never builds GL_d.  A budget of the OVIC(2, 2) work lets the
-    column search pass and leaves the VIC work (1536 or 20160 elements of
-    GL_2 times 5 or 13 generators, plus 2 each) over it."""
+    column search pass and leaves the VIC work over it: 12 or 262,080
+    closure products over R/J (6 or 20160 elements of GL_2(R/J) times 2 or
+    13 generators), then per element of GL_2 (1536 or 20160) one lift and
+    one splitting."""
     calls = []
     closure = noether._general_linear
     monkeypatch.setattr(noether, "_general_linear",
@@ -456,6 +487,7 @@ def test_over_budget_vic_refuses_before_the_closure(monkeypatch, spec):
         enumerate_vic(emb, 2, 2, budget=ovic.nodes + len(ovic))
     assert calls == []
     assert ("gl", 2) not in emb.enum_cache
+    assert noether._gl_products(emb, 2) == {"zmod(8)": 12, "matrix_ring(zmod(2),2)": 262080}[spec]
 
 
 @st.composite
@@ -580,11 +612,12 @@ def test_group_table_products_equal_mul_entries(name, d, n):
     groups are checked on the table alone, with no member built."""
     emb = build_aw_embedding(builtin_ring(name) if name in BUILTIN_NAMES else build_ring(name))
     ring = emb.ring
-    gl, columns = noether._general_linear(emb, d, 10 ** 6)
+    _, columns = noether._general_linear(emb, d, 10 ** 6)
+    gl = list(zip(*columns))
     expected = []
     for r, rec in enumerate(noether._splittings(emb, d, n, 10 ** 6)._records):
         f2 = rec[0].entries
-        products = [mul_entries(ring, g, f2, d, d, n) for g, _ in gl]
+        products = [mul_entries(ring, g, f2, d, d, n) for g in gl]
         assert list(zip(*noether._column_product(emb, columns, f2, d, d, n, len(gl)))) == products
         expected += zip(products, itertools.repeat(r), range(len(gl)))
     assert enumerate_vic(emb, d, n, budget=10 ** 8)._groups == sorted(expected)

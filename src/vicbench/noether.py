@@ -309,8 +309,9 @@ def parse_field(spec: str):
 #
 # Every split pair d -> n factors uniquely as an automorphism of R^d followed
 # by a column-adapted pair, so VIC(d, n) = OVIC(d, n) o GL_d.  Both are
-# generated rather than filtered: the f'' of OVIC(d, n) by a search over
-# their columns, the splittings of each f'' as psi + P Y in rank order, and
+# generated rather than filtered: the f'' of OVIC(d, n) one column per
+# level, each prefix extended by the candidate columns listed once for its
+# block ranks, the splittings of each f'' as psi + P Y in rank order, and
 # GL_d lifted through the fibres of R -> R/J from the closure of
 # transvections and diagonal units over R/J, each g^-1 lifted from its
 # image's inverse when its group is built.  One cached object per stratum, the
@@ -347,56 +348,33 @@ def _check_budget(work: int, budget: int, what: str) -> None:
         )
 
 
-def _column_search(width: int, n: int, step, state, budget: int, what: str
-                   ) -> tuple[list, int]:
-    """Every n-tuple (n >= 1) of candidate indices 0..width-1 whose prefixes
-    all pass ``step``, with its final state, in lexicographic order, plus the
-    search nodes visited.  ``step(state, c, idx)`` is the state once
-    candidate ``idx`` is put in column c, or None to cut the prefix there.
-
-    The prefixes still to extend sit on an explicit stack, smallest on top,
-    so a search leaves no reference cycle for the collector to free."""
-    found = []
-    nodes = 0
-    stack = [((), state)]
-    while stack:
-        chosen, state = stack.pop()
-        c = len(chosen)
-        full = c + 1 == n
-        children = []
-        for idx in range(width):
-            nodes += 1
-            _check_budget(nodes, budget, what)
-            grown = step(state, c, idx)
-            if grown is None:
-                continue
-            if full:
-                found.append((chosen + (idx,), grown))
-            else:
-                children.append((chosen + (idx,), grown))
-        stack.extend(reversed(children))
-    return found, nodes
-
-
 def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
                             ) -> tuple[list, int]:
     """Every column-adapted d x n matrix f'' as (f'', s_sets, the columns of
-    Phi(f'')), plus the number of search nodes visited.
+    Phi(f'')), in lexicographic order of its columns, plus the search nodes
+    visited: |R|^d, one per candidate column, for every kept prefix shorter
+    than n, the empty one included.
 
     f'' is built one column at a time.  The pivots of block k of
     Phi_bar(f'') are chosen left to right, and each pivot column found so far
     is an exact block-identity indicator, so the echelon state of block k is
     just its rank r: a new block-k column is a pivot iff it is nonzero mod J
-    at some block row >= r, and it must then be the indicator of row r.  A
-    prefix is cut at the first pivot that is not, and as soon as the columns
-    left cannot bring every block to rank mu_k * d.
+    at some block row >= r, and it must then be the indicator of row r.  So
+    whether a candidate passes, the ranks after it and the offsets of its
+    pivots within each block depend on the ranks before it alone, and the
+    passing candidates are listed once per rank state; column c only places
+    the pivots, at c mu_k + offset + 1.  A prefix is cut at the first pivot
+    that is not an indicator, and as soon as the columns left cannot bring
+    every block to rank mu_k * d.
 
-    The search visits all |R|^d candidates at its first level, so a budget
-    below that is refused before the candidate table is built, with the
-    verdict the search itself would reach.
+    The prefixes are extended one column per level, and each level's nodes
+    are checked against ``budget`` before it is expanded.  Level 0 is the
+    empty prefix alone, so a budget below |R|^d is refused before the
+    candidate table is built.
     """
     ring = emb.ring
-    _check_budget(ring.size ** d, budget, f"OVIC({d}, {n})")
+    what, width = f"OVIC({d}, {n})", ring.size ** d
+    _check_budget(width, budget, what)
     mu, q, mus = emb.mu_total, emb.q, emb.mu
     proj = emb.qdata.projection
     zero_bar = emb.qdata.quotient.zero
@@ -423,28 +401,42 @@ def _column_adapted_dprimes(emb: AWEmbedding, d: int, n: int, budget: int
             entries.append((k, col, last, exact, s - ridx.prefix[k]))
         table.append(entries)
 
+    def passing(ranks: tuple) -> list:
+        """(candidate, ranks after it, its pivot offsets per block) for each
+        candidate whose pivots are indicators when the blocks have ``ranks``."""
+        out = []
+        for idx, entries in enumerate(table):
+            after, offsets = list(ranks), [() for _ in range(q)]
+            for k, _, last, exact, r in entries:
+                if last < after[k]:
+                    continue
+                if exact != after[k]:
+                    break
+                after[k] += 1
+                offsets[k] += (r,)
+            else:
+                out.append((idx, tuple(after), offsets))
+        return out
+
     need = [m * d for m in mus]
-
-    def step(state, c: int, idx: int):
-        ranks, pivots = state
-        ranks = list(ranks)
-        added = [[] for _ in range(q)]
-        for k, _, last, exact, r in table[idx]:
-            if last < ranks[k]:
-                continue
-            if exact != ranks[k]:
-                return None
-            ranks[k] += 1
-            added[k].append(c * mus[k] + r + 1)
-        left = n - c - 1
-        if any(ranks[k] + mus[k] * left < need[k] for k in range(q)):
-            return None
-        return ranks, tuple(p + tuple(a) for p, a in zip(pivots, added))
-
-    found, nodes = _column_search(len(vectors), n, step, ([0] * q, ((),) * q),
-                                  budget, f"OVIC({d}, {n})")
+    successors = {}
+    nodes, kept = width, [((), (0,) * q, ((),) * q)]
+    for c in range(n):
+        if c:
+            nodes += width * len(kept)
+            _check_budget(nodes, budget, what)
+        left, grown = n - c - 1, []
+        for cols, ranks, pivots in kept:
+            if ranks not in successors:
+                successors[ranks] = passing(ranks)
+            for idx, after, offsets in successors[ranks]:
+                if all(a + m * left >= t for a, m, t in zip(after, mus, need)):
+                    grown.append((cols + (idx,), after, tuple(
+                        p + tuple(c * m + r + 1 for r in rs)
+                        for p, m, rs in zip(pivots, mus, offsets))))
+        kept = grown
     out = []
-    for cols, (_, pivots) in found:
+    for cols, _, pivots in kept:
         f_dprime = RMatrix(ring, d, n, [vectors[i][rho] for rho in range(d) for i in cols])
         out.append((f_dprime, pivots,
                     tuple(table[i][s][1] for i in cols for s in range(mu))))

@@ -728,9 +728,6 @@ class QuotientData:
     section: tuple[int, ...]
     nilpotency: int
 
-    def lift(self, q: int) -> int:
-        return self.section[q]
-
 
 def quotient_by_radical(ring: FiniteRing) -> QuotientData:
     """R/J(R) with smallest-index coset representatives."""

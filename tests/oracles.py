@@ -1,10 +1,13 @@
 """Oracles for fast paths: the sorted rank view the digit tables of
 ``OvicStratum`` replaced, the digit tables read back as the same shape, the
-Phi_bar-matrix elimination that ``ovic.s_function`` replaced, and the
+Phi_bar-matrix elimination that ``ovic.s_function`` replaced, the
 closure over R itself that the lifts of ``noether._general_linear``
-replaced."""
+replaced, and the depth-first column search that the per-rank successor
+lists of ``noether._column_adapted_dprimes`` replaced."""
 
 from __future__ import annotations
+
+import itertools
 
 from vicbench import noether
 from vicbench.errors import NotSurjective
@@ -116,3 +119,111 @@ def general_linear_by_closure(emb, d):
                     h_inv[a * d + c] = add[g_inv[a * d + c]][mul[z][g_inv[b * d + c]]]
                 pairs.append((h, tuple(h_inv)))
     return pairs
+
+
+def column_search(width: int, n: int, step, state, budget: int, what: str
+                  ) -> tuple[list, int]:
+    """Every n-tuple (n >= 1) of candidate indices 0..width-1 whose prefixes
+    all pass ``step``, with its final state, in lexicographic order, plus the
+    search nodes visited.  ``step(state, c, idx)`` is the state once
+    candidate ``idx`` is put in column c, or None to cut the prefix there.
+
+    The prefixes still to extend sit on an explicit stack, smallest on top,
+    so a search leaves no reference cycle for the collector to free."""
+    found = []
+    nodes = 0
+    stack = [((), state)]
+    while stack:
+        chosen, state = stack.pop()
+        c = len(chosen)
+        full = c + 1 == n
+        children = []
+        for idx in range(width):
+            nodes += 1
+            noether._check_budget(nodes, budget, what)
+            grown = step(state, c, idx)
+            if grown is None:
+                continue
+            if full:
+                found.append((chosen + (idx,), grown))
+            else:
+                children.append((chosen + (idx,), grown))
+        stack.extend(reversed(children))
+    return found, nodes
+
+
+def column_adapted_dprimes_by_search(emb, d: int, n: int, budget: int
+                                     ) -> tuple[list, int]:
+    """Every column-adapted d x n matrix f'' as (f'', s_sets, the columns of
+    Phi(f'')), plus the number of search nodes visited.
+
+    f'' is built one column at a time.  The pivots of block k of
+    Phi_bar(f'') are chosen left to right, and each pivot column found so far
+    is an exact block-identity indicator, so the echelon state of block k is
+    just its rank r: a new block-k column is a pivot iff it is nonzero mod J
+    at some block row >= r, and it must then be the indicator of row r.  A
+    prefix is cut at the first pivot that is not, and as soon as the columns
+    left cannot bring every block to rank mu_k * d.
+
+    The search visits all |R|^d candidates at its first level, so a budget
+    below that is refused before the candidate table is built, with the
+    verdict the search itself would reach.
+
+    The depth-first search through a ``step`` callback that
+    ``noether._column_adapted_dprimes`` replaced with per-rank successor
+    lists, kept as it was: it re-tests every candidate at every node.
+    """
+    ring = emb.ring
+    noether._check_budget(ring.size ** d, budget, f"OVIC({d}, {n})")
+    mu, q, mus = emb.mu_total, emb.q, emb.mu
+    proj = emb.qdata.projection
+    zero_bar = emb.qdata.quotient.zero
+    ridx = DistinguishedIndexer(mus, d)
+    # 0-based row of Phi(f'') carrying block row i of block k
+    block_rows = [[r - 1 for r in ridx.block_positions(k + 1)] for k in range(q)]
+    phi_cols = [[emb.phi(x).col(s) for s in range(mu)] for x in ring.elements()]
+    vectors = list(itertools.product(ring.elements(), repeat=d))
+    # per candidate column v and standard position s:
+    # (block, Phi column, last block row nonzero mod J, that row if the
+    #  column is exactly its indicator else -1, position within the block)
+    table = []
+    for v in vectors:
+        entries = []
+        for s in range(mu):
+            k = emb.block_of[s]
+            col = tuple(e for x in v for e in phi_cols[x][s])
+            rows = block_rows[k]
+            last = max((i for i, r in enumerate(rows) if proj[col[r]] != zero_bar),
+                       default=-1)
+            exact = last if last >= 0 and col == tuple(
+                emb.idempotents[k][0] if r == rows[last] else ring.zero
+                for r in range(mu * d)) else -1
+            entries.append((k, col, last, exact, s - ridx.prefix[k]))
+        table.append(entries)
+
+    need = [m * d for m in mus]
+
+    def step(state, c: int, idx: int):
+        ranks, pivots = state
+        ranks = list(ranks)
+        added = [[] for _ in range(q)]
+        for k, _, last, exact, r in table[idx]:
+            if last < ranks[k]:
+                continue
+            if exact != ranks[k]:
+                return None
+            ranks[k] += 1
+            added[k].append(c * mus[k] + r + 1)
+        left = n - c - 1
+        if any(ranks[k] + mus[k] * left < need[k] for k in range(q)):
+            return None
+        return ranks, tuple(p + tuple(a) for p, a in zip(pivots, added))
+
+    found, nodes = column_search(len(vectors), n, step, ([0] * q, ((),) * q),
+                                 budget, f"OVIC({d}, {n})")
+    out = []
+    for cols, (_, pivots) in found:
+        f_dprime = RMatrix(ring, d, n, [vectors[i][rho] for rho in range(d) for i in cols])
+        out.append((f_dprime, pivots,
+                    tuple(table[i][s][1] for i in cols for s in range(mu))))
+    return out, nodes

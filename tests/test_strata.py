@@ -25,7 +25,12 @@ import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import digit_ranks, general_linear_by_closure, sorted_ranks
+from oracles import (
+    column_adapted_dprimes_by_search,
+    digit_ranks,
+    general_linear_by_closure,
+    sorted_ranks,
+)
 from spec_rings import spec_rings
 
 from vicbench import noether
@@ -644,23 +649,77 @@ def test_translation_tables_built_once_per_embedding():
     assert [list(through(elements, t)) for t in tables] == list(map(list, emb.ring.add_table))
 
 
-def test_column_search_order_and_nodes():
-    """Prefixes kept while their sum is at most 3: the kept triples in
-    lexicographic order, and one node per candidate of every kept prefix
-    shorter than 3 (the empty one included)."""
-    width, n = 3, 3
+SEARCH_CASES = [(name, d, n) for name in BUILTIN_NAMES for d in (1, 2, 3)
+                for n in range(d, 6)] + [
+    (spec, d, n) for spec in ("zmod(9)", "zmod(257)", "matrix_ring(zmod(3),2)",
+                              "product(zmod(2),zmod(3))", "upper_triangular(zmod(4),2)")
+    for d, n in ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3))]
 
-    def step(total, c, idx):
-        return total + idx if total + idx <= 3 else None
 
-    found, nodes = noether._column_search(width, n, step, 0, 10 ** 6, "toy")
-    words = list(itertools.product(range(width), repeat=n))
-    assert found == [(w, sum(w)) for w in words if sum(w) <= 3]
-    kept = [w for k in range(n) for w in itertools.product(range(width), repeat=k)
-            if sum(w) <= 3]
-    assert nodes == width * len(kept)
-    with pytest.raises(BudgetExceeded):
-        noether._column_search(width, n, step, 0, nodes - 1, "toy")
+def _search_result(search, emb, d, n, budget=10 ** 6):
+    """(f''.entries, s_sets, Phi(f'') columns) per f'' and the search nodes,
+    or the message of the BudgetExceeded raised."""
+    try:
+        found, nodes = search(emb, d, n, budget)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return [(f_dprime.entries, s_sets, cols) for f_dprime, s_sets, cols in found], nodes
+
+
+@pytest.mark.parametrize("spec,d,n", SEARCH_CASES, ids=[f"{s}-{d}-{n}" for s, d, n in SEARCH_CASES])
+def test_column_adapted_dprimes_match_search_oracle(spec, d, n):
+    """Every builtin at d = 1..3, n = d..5, and five more rings at small
+    strata, under the default budget: the f'' grown level by level from
+    per-rank successor lists are the depth-first search's, in its order,
+    with its node count, and the 17 requests it refuses are refused with its
+    message."""
+    ring = builtin_ring(spec) if spec in BUILTIN_NAMES else build_ring(spec)
+    emb = build_aw_embedding(ring)
+    assert (_search_result(noether._column_adapted_dprimes, emb, d, n)
+            == _search_result(column_adapted_dprimes_by_search, emb, d, n))
+
+
+@pytest.mark.parametrize("name,d,n", [("T2F2", 2, 3), ("M2F2", 1, 3), ("Z8", 2, 3)])
+def test_column_adapted_dprimes_order_and_nodes(name, d, n):
+    """The f'' come in lexicographic order of their columns, as candidate
+    columns are listed, and the search visits |R|^d nodes per kept prefix
+    shorter than n, the empty one included.  A prefix is kept only while
+    the columns left can complete it, so the kept prefixes are the f''
+    prefixes.  A budget of one node less is refused with the depth-first
+    search's verdict."""
+    emb = build_aw_embedding(builtin_ring(name))
+    found, nodes = noether._column_adapted_dprimes(emb, d, n, 10 ** 6)
+    words = [tuple(zip(*[f_dprime.entries[r * n:(r + 1) * n] for r in range(d)]))
+             for f_dprime, _, _ in found]
+    assert words == sorted(set(words))
+    kept = {word[:c] for word in words for c in range(n)}
+    assert nodes == emb.ring.size ** d * len(kept)
+    assert (_search_result(noether._column_adapted_dprimes, emb, d, n, nodes)
+            == _search_result(column_adapted_dprimes_by_search, emb, d, n, nodes))
+    refused = f"OVIC({d}, {n}) needs more than {nodes - 1} search nodes and morphisms"
+    assert (_search_result(noether._column_adapted_dprimes, emb, d, n, nodes - 1) == refused
+            == _search_result(column_adapted_dprimes_by_search, emb, d, n, nodes - 1))
+
+
+@st.composite
+def small_searches(draw):
+    """A ring of at most 64 elements from the spec grammar and d <= n <= 3
+    with at most 2^16 matrices f''."""
+    ring = draw(spec_rings())
+    pairs = [(d, n) for d in (1, 2) for n in range(d, 4) if ring.size ** (d * n) <= 2 ** 16]
+    d, n = draw(st.sampled_from(pairs))
+    return ring, d, n
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_searches())
+def test_column_adapted_dprimes_on_random_rings(case):
+    """The same f'', order and nodes as the depth-first search on 40 fixed
+    examples."""
+    ring, d, n = case
+    emb = build_aw_embedding(ring)
+    assert (_search_result(noether._column_adapted_dprimes, emb, d, n)
+            == _search_result(column_adapted_dprimes_by_search, emb, d, n))
 
 
 @pytest.mark.parametrize("spec,d,n", [

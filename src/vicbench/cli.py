@@ -318,54 +318,47 @@ def _add_ring_source(p, flag: str):
                    help="use a built-in ring instead of a file")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vicbench",
-        description="workbench for finite rings and the ordered morphism calculus",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    parser.add_argument("--out", metavar="FILE", help="write the report here")
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    ring = sub.add_parser("ring", help="ring structure commands")
-    ring_sub = ring.add_subparsers(dest="verb", required=True)
-    p = ring_sub.add_parser("build", help="build a ring from a spec expression")
+def _ring_verbs(group) -> None:
+    verbs = group.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("build", help="build a ring from a spec expression")
     p.add_argument("--spec", help="e.g. 'zmod(4)' or 'upper_triangular(zmod(2),2)'")
     p.add_argument("--builtin", choices=BUILTIN_NAMES)
     p.add_argument("--out", dest="ring_out", metavar="FILE",
                    help="write the ring JSON here (report still goes to stdout)")
     p.set_defaults(fn=verb_ring_build)
-    p = ring_sub.add_parser("describe", help="radical, quotient, block shape")
+    p = verbs.add_parser("describe", help="radical, quotient, block shape")
     _add_ring_source(p, "--in")
     p.set_defaults(fn=verb_ring_describe)
-    p = ring_sub.add_parser("wedderburn", help="full decomposition report")
+    p = verbs.add_parser("wedderburn", help="full decomposition report")
     _add_ring_source(p, "--in")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=verb_ring_wedderburn)
 
-    morphism = sub.add_parser("morphism", help="morphism calculus commands")
-    m_sub = morphism.add_subparsers(dest="verb", required=True)
-    p = m_sub.add_parser("check", help="column-adapted predicate and pivot data")
+
+def _morphism_verbs(group) -> None:
+    verbs = group.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("check", help="column-adapted predicate and pivot data")
     _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_morphism_check)
-    p = m_sub.add_parser("factor", help="factor through the ordered subcategory")
+    p = verbs.add_parser("factor", help="factor through the ordered subcategory")
     _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_morphism_factor)
 
-    order = sub.add_parser("order", help="ordering commands")
-    o_sub = order.add_subparsers(dest="verb", required=True)
-    p = o_sub.add_parser("compare", help="total-order comparison")
+
+def _order_verbs(group) -> None:
+    verbs = group.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("compare", help="total-order comparison")
     _add_ring_source(p, "--ring")
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
     p.set_defaults(fn=verb_order_compare)
-    p = o_sub.add_parser("iota", help="word image of a morphism")
+    p = verbs.add_parser("iota", help="word image of a morphism")
     _add_ring_source(p, "--ring")
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.set_defaults(fn=verb_order_iota)
-    p = o_sub.add_parser("chain", help="insertion-move witness chain")
+    p = verbs.add_parser("chain", help="insertion-move witness chain")
     _add_ring_source(p, "--ring")
     p.add_argument("--a", required=True, metavar="FILE")
     p.add_argument("--b", required=True, metavar="FILE")
@@ -373,9 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="give up after this many insertion moves tried")
     p.set_defaults(fn=verb_order_chain)
 
-    enum = sub.add_parser("enumerate", help="morphism enumeration")
-    e_sub = enum.add_subparsers(dest="verb", required=True)
-    p = e_sub.add_parser("ovic", help="enumerate morphisms d -> n")
+
+def _enumerate_verbs(group) -> None:
+    verbs = group.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("ovic", help="enumerate morphisms d -> n")
     _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -385,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(fn=verb_enumerate_ovic)
 
-    noether = sub.add_parser("noether", help="module engine")
-    n_sub = noether.add_subparsers(dest="verb", required=True)
-    p = n_sub.add_parser("span", help="degree-truncated span of generators")
+
+def _noether_verbs(group) -> None:
+    verbs = group.add_subparsers(dest="verb", required=True)
+    p = verbs.add_parser("span", help="degree-truncated span of generators")
     _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", default="F2", help="coefficient field (Fp or Q)")
@@ -395,20 +390,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(fn=verb_noether_span)
-    p = n_sub.add_parser("endo", help="generation-by-endomorphisms witness")
+    p = verbs.add_parser("endo", help="generation-by-endomorphisms witness")
     _add_ring_source(p, "--ring")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--horizon", type=int, required=True)
     p.add_argument("--budget", type=int, default=10 ** 6)
     p.set_defaults(fn=verb_noether_endo)
 
-    st = sub.add_parser("selftest", help="acceptance suite")
-    st.add_argument("profile", nargs="?", default="full", choices=("quick", "full"))
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--inject-fault", choices=("corrupt-mul",),
-                    help="demonstrate error reporting on a corrupted table")
-    st.set_defaults(fn=verb_selftest)
 
+def _selftest_arguments(group) -> None:
+    group.add_argument("profile", nargs="?", default="full", choices=("quick", "full"))
+    group.add_argument("--seed", type=int, default=0)
+    group.add_argument("--inject-fault", choices=("corrupt-mul",),
+                       help="demonstrate error reporting on a corrupted table")
+    group.set_defaults(fn=verb_selftest)
+
+
+# group -> (its help, the function adding its verbs and options), in the
+# order --help lists them
+_GROUPS = {
+    "ring": ("ring structure commands", _ring_verbs),
+    "morphism": ("morphism calculus commands", _morphism_verbs),
+    "order": ("ordering commands", _order_verbs),
+    "enumerate": ("morphism enumeration", _enumerate_verbs),
+    "noether": ("module engine", _noether_verbs),
+    "selftest": ("acceptance suite", _selftest_arguments),
+}
+
+
+def build_parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The CLI parser.  Every group parser is built, but only the groups
+    named in ``argv`` get their verbs; with no ``argv``, or one naming no
+    group, all of them do.  A request reaches only the group it names, and
+    --help, --version and every usage error print what the full parser
+    prints."""
+    parser = argparse.ArgumentParser(
+        prog="vicbench",
+        description="workbench for finite rings and the ordered morphism calculus",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("--out", metavar="FILE", help="write the report here")
+    sub = parser.add_subparsers(dest="group", required=True)
+    named = _GROUPS.keys() & set(argv or ())
+    for name, (help_text, add_verbs) in _GROUPS.items():
+        group = sub.add_parser(name, help=help_text)
+        if name in named or not named:
+            add_verbs(group)
     return parser
 
 
@@ -441,8 +468,9 @@ def _run(args) -> tuple[dict, int]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         report, code = _run(args)
         _emit(args, report)

@@ -27,7 +27,7 @@ def dump_payload(payload: dict) -> str:
 def write_text(path, text: str) -> None:
     """Write an output file; an unwritable target is a usage error."""
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -44,7 +44,7 @@ def read_json(path):
     """Parsed contents of an input file; unreadable or non-JSON files raise,
     and so do files nested too deeply for the decoder."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError

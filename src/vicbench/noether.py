@@ -68,7 +68,6 @@ import sys
 from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
 from functools import partial, reduce
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -95,6 +94,7 @@ from .ovic import (
     is_column_adapted,
     split_rows,
 )
+from .records import Record
 from .rings import RMatrix, _additive_generators, mul_entries, newton_inverse
 from .wedderburn import AWEmbedding
 
@@ -1328,16 +1328,19 @@ class F2EchelonBasis(EchelonBasis):
                 for lead, row in self.rows.items()}
 
 
-@dataclass
-class SubmoduleState:
+class SubmoduleState(Record):
     """Echelonised spans of a generator set, degree by degree up to a horizon."""
 
-    d: int
-    field: object
-    emb: AWEmbedding
-    generators: tuple
-    horizon: int
-    bases: dict = dataclass_field(default_factory=dict)
+    __slots__ = ("d", "field", "emb", "generators", "horizon", "bases")
+
+    def __init__(self, d: int, field: object, emb: AWEmbedding, generators: tuple,
+                 horizon: int, bases: Optional[dict] = None):
+        self.d = d
+        self.field = field
+        self.emb = emb
+        self.generators = generators
+        self.horizon = horizon
+        self.bases = {} if bases is None else bases
 
     def dims(self) -> dict[int, int]:
         return {n: self.bases[n].dim for n in sorted(self.bases)}

@@ -39,7 +39,6 @@ on completions alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence
 
 from .errors import (
@@ -55,6 +54,7 @@ from .ovic import (
     compose_vic,
     free_rows,
 )
+from .records import FrozenRecord
 from .rings import RMatrix, matvec
 
 LT, EQ, GT = -1, 0, 1
@@ -74,13 +74,15 @@ def total_compare(f: OvicMorphism, g: OvicMorphism) -> int:
     return LT if a < b else (GT if a > b else EQ)
 
 
-@dataclass(frozen=True)
-class InsertionMove:
+class InsertionMove(FrozenRecord):
     """Duplicate column ``a`` of the splitting, placing the copy after
     position ``b``; both 1-based with a <= b <= rank."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
 def _pivot_free_columns(f: OvicMorphism) -> list[int]:
@@ -172,12 +174,14 @@ def partial_leq(f: OvicMorphism, g: OvicMorphism,
 CLUB = None  # sentinel for masked (dependent-row) entries
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(FrozenRecord):
     """Image of a morphism: one letter per target-rank slot, each letter a
     (masked row band of the embedded injection, splitting column) pair."""
 
-    letters: tuple
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple):
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -17,7 +17,6 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
@@ -27,6 +26,7 @@ from .errors import (
     NotSquare,
     SizeCapExceeded,
 )
+from .records import FrozenRecord
 
 SIZE_CAP = 65536  # most elements a ring may have
 
@@ -621,12 +621,14 @@ def build_ring(spec) -> FiniteRing:
 # ideals, the Jacobson radical, quotients
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealSet:
+class IdealSet(FrozenRecord):
     """A two-sided ideal given by its member set."""
 
-    ring: FiniteRing
-    members: frozenset
+    __slots__ = ("ring", "members")
+
+    def __init__(self, ring: FiniteRing, members: frozenset):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "members", members)
 
     @property
     def sorted_members(self) -> tuple[int, ...]:
@@ -717,16 +719,19 @@ def jacobson_radical(ring: FiniteRing) -> IdealSet:
     return radical
 
 
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(FrozenRecord):
     """Quotient of ``source`` by a two-sided ideal, with projection/section."""
 
-    source: FiniteRing
-    ideal: IdealSet
-    quotient: FiniteRing
-    projection: tuple[int, ...]
-    section: tuple[int, ...]
-    nilpotency: int
+    __slots__ = ("source", "ideal", "quotient", "projection", "section", "nilpotency")
+
+    def __init__(self, source: FiniteRing, ideal: IdealSet, quotient: FiniteRing,
+                 projection: tuple[int, ...], section: tuple[int, ...], nilpotency: int):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "ideal", ideal)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "projection", projection)
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "nilpotency", nilpotency)
 
 
 def quotient_by_radical(ring: FiniteRing) -> QuotientData:
@@ -932,22 +937,29 @@ def matvec(ring: FiniteRing, m: RMatrix, vec: Sequence[int]) -> tuple[int, ...]:
 # for p = 2, with every check on row-major entry tuples
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _FpPart:
+class _FpPart(FrozenRecord):
     """The p-part ``P = e*Q`` of a semisimple ring Q as an F_p-vector space.
 
     ``e = eps*1`` with eps = 1 mod p and eps = 0 mod c/p (c the
     characteristic) is a central idempotent, so y -> a*y maps P into itself
     for every a in Q.
+
+    ``lmul``: per element a, the dim rows of the F_p matrix of y -> a*y on P.
+    ``one``: the coordinates of e, the identity of P.  ``element``: coordinate
+    tuple -> element of P.  ``lbits`` (p = 2 only): per element a, each row
+    of lmul[a] as an int, bit c for column c.
     """
 
-    p: int
-    dim: int
-    lmul: tuple  # per element a: the dim rows of the F_p matrix of y -> a*y on P
-    one: tuple[int, ...]  # coordinates of e, the identity of P
-    element: dict  # coordinate tuple -> element of P
-    # p = 2 only: per element a, each row of lmul[a] as an int, bit c for column c
-    lbits: Optional[tuple] = None
+    __slots__ = ("p", "dim", "lmul", "one", "element", "lbits")
+
+    def __init__(self, p: int, dim: int, lmul: tuple, one: tuple[int, ...],
+                 element: dict, lbits: Optional[tuple] = None):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "lmul", lmul)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "lbits", lbits)
 
 
 def _multiple(ring: FiniteRing, k: int, x: int) -> int:

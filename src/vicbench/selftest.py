@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InvalidTables, WorkbenchError
@@ -47,6 +46,7 @@ from .ovic import (
     reconstruct_from_free,
     s_function,
 )
+from .records import Record
 from .rings import (
     BUILTIN_NAMES,
     FiniteRing,
@@ -62,13 +62,16 @@ from .rings import (
 from .wedderburn import build_aw_embedding, verify_embedding
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    checks: int
-    detail: str
-    seconds: float = 0.0
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "checks", "detail", "seconds")
+
+    def __init__(self, name: str, passed: bool, checks: int, detail: str,
+                 seconds: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.checks = checks
+        self.detail = detail
+        self.seconds = seconds
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

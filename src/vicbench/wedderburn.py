@@ -12,7 +12,6 @@ reproducible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     NotSemisimple,
     RecoverOutsideImage,
 )
+from .records import FrozenRecord
 from .rings import (
     FiniteRing,
     QuotientData,
@@ -92,14 +92,17 @@ def find_conjugator(ring: FiniteRing, e1: int, ei: int) -> Optional[tuple[int, i
     return None
 
 
-@dataclass(frozen=True)
-class CornerField:
+class CornerField(FrozenRecord):
     """The corner ring ebar*Rbar*ebar of a primitive idempotent, as a field."""
 
-    ring: FiniteRing
-    one: int
-    elements: tuple[int, ...]
-    inverses: dict
+    __slots__ = ("ring", "one", "elements", "inverses")
+
+    def __init__(self, ring: FiniteRing, one: int, elements: tuple[int, ...],
+                 inverses: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "one", one)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "inverses", inverses)
 
     @property
     def zero(self) -> int:
@@ -141,15 +144,19 @@ def _build_corner_field(ring: FiniteRing, ebar: int) -> CornerField:
     return CornerField(ring, ebar, elems, inverses)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(FrozenRecord):
     """Block data of a semisimple ring: q blocks, multiplicities, the corner
     field of each block, grouped primitive idempotents."""
 
-    q: int
-    mu: tuple[int, ...]
-    corner_fields: tuple[CornerField, ...]
-    idempotents_bar: tuple[tuple[int, ...], ...]
+    __slots__ = ("q", "mu", "corner_fields", "idempotents_bar")
+
+    def __init__(self, q: int, mu: tuple[int, ...],
+                 corner_fields: tuple[CornerField, ...],
+                 idempotents_bar: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "corner_fields", corner_fields)
+        object.__setattr__(self, "idempotents_bar", idempotents_bar)
 
     @property
     def field_orders(self) -> tuple[int, ...]:

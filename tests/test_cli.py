@@ -444,10 +444,11 @@ def test_report_determinism(z4_file, capsys):
     assert payload_without_timing(args) == payload_without_timing(args)
 
 
-def _python(*args) -> subprocess.CompletedProcess:
-    """Run this interpreter in a fresh process with the package on its path."""
+def _python(*args, **env_vars) -> subprocess.CompletedProcess:
+    """Run this interpreter in a fresh process with the package on its path,
+    with ``env_vars`` added to the environment."""
     src = str(Path(vicbench.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, timeout=60)
@@ -466,15 +467,17 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout.strip() == "[]"
 
 
-# `python -m vicbench ARGS`, then the loaded vicbench submodules on stderr's
-# last line.
+# `python -m vicbench ARGS`, then on stderr's last line the loaded vicbench
+# submodules and whichever of `dataclasses` and `inspect` are loaded.
 _VERB_PROBE = """\
 import runpy, sys
 try:
     runpy.run_module("vicbench", run_name="__main__", alter_sys=True)
 finally:
     print(" ".join(sorted(m[len("vicbench."):] for m in sys.modules
-                          if m.startswith("vicbench."))), file=sys.stderr)
+                          if m.startswith("vicbench."))
+                   + [m for m in ("dataclasses", "inspect") if m in sys.modules]),
+          file=sys.stderr)
 """
 
 
@@ -483,11 +486,20 @@ finally:
      {"rings", "wedderburn"}, {"noether", "ovic", "ordering", "selftest"}),
     (("morphism", "check", "--builtin", "F2", "--in", "MORPH"),
      {"wedderburn", "ovic"}, {"noether", "ordering", "selftest"}),
+    (("order", "chain", "--builtin", "F2", "--a", "MORPH", "--b", "MORPH"),
+     {"wedderburn", "ovic", "ordering"}, {"noether", "selftest"}),
+    (("enumerate", "ovic", "--builtin", "F2", "--d", "1", "--n", "2"),
+     {"wedderburn", "ovic", "noether"}, {"ordering", "selftest"}),
     (("noether", "span", "--builtin", "F2", "--d", "1", "--k", "F2",
       "--gens", "GENS", "--horizon", "2"),
      {"wedderburn", "ovic", "noether"}, {"ordering", "selftest"}),
-], ids=["ring-describe", "morphism-check", "noether-span"])
+    (("selftest", "quick"),
+     {"wedderburn", "ovic", "noether", "ordering", "selftest"}, set()),
+], ids=["ring-describe", "morphism-check", "order-chain", "enumerate-ovic",
+        "noether-span", "selftest-quick"])
 def test_cli_verb_loads_only_its_layers(tmp_path, argv, used, unused):
+    """Each verb loads only its layers, and no layer loads `dataclasses`
+    (which pulls in `inspect`, `ast`, `dis` and `tokenize`)."""
     morph = write_morphism(tmp_path / "m.json", "F2", 1, 2, [[1], [0]], [[1, 0]])
     gens = tmp_path / "gens.json"
     gens.write_text(json.dumps([{"degree": 1, "terms": [{"coeff": 1, "morphism": {
@@ -497,7 +509,81 @@ def test_cli_verb_loads_only_its_layers(tmp_path, argv, used, unused):
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.splitlines()[-1].split())
     assert used <= loaded
-    assert not unused & loaded
+    assert not (unused | {"dataclasses", "inspect"}) & loaded
+
+
+def test_utf8_ring_file_under_a_non_utf8_locale(tmp_path):
+    """Input files are UTF-8 whatever the locale's encoding."""
+    path = tmp_path / "f2.json"
+    payload = builtin_ring("F2").to_payload()
+    payload["name"] = "F\u2082"
+    path.write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    argv = ("-m", "vicbench", "ring", "describe", "--in", str(path))
+    ascii_run = _python(*argv, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    utf8_run = _python(*argv, PYTHONUTF8="1")
+    assert ascii_run.returncode == 0, ascii_run.stdout + ascii_run.stderr
+    assert utf8_run.returncode == 0, utf8_run.stdout + utf8_run.stderr
+    result = json.loads(ascii_run.stdout)["result"]
+    assert result["name"] == "F\u2082"
+    assert result == json.loads(utf8_run.stdout)["result"]
+
+
+_VERBS = {"ring": ("build", "describe", "wedderburn"), "morphism": ("check", "factor"),
+          "order": ("compare", "iota", "chain"), "enumerate": ("ovic",),
+          "noether": ("span", "endo"), "selftest": ()}
+
+
+def _parse(parser, argv, capsys):
+    """What parsing ``argv`` prints, its exit code and its namespace."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code, namespace
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["--version"],
+    *([group, "--help"] for group in _VERBS),
+    *([group, verb, "--help"] for group, verbs in _VERBS.items() for verb in verbs),
+    [], ["nosuch"], ["nosuch", "ring"], ["--unknown", "ring", "describe"],
+    *([group] for group, verbs in _VERBS.items() if verbs),
+    ["ring", "nosuch"], ["ring", "describe", "--unknown-flag"],
+    ["noether", "span", "--builtin", "F2"], ["selftest", "slow"],
+    ["--out", "noether", "ring", "describe", "--builtin", "F2"],
+    ["ring", "describe", "--in", "order"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_parser_for_the_named_groups_matches_the_full_parser(argv, capsys, monkeypatch):
+    """build_parser(argv) adds the verbs of the groups argv names, or of all
+    groups when it names none: help, version, usage errors and parsed
+    requests are those of the full parser."""
+    from vicbench.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "100")
+    outcome = _parse(build_parser(argv), argv, capsys)
+    assert outcome == _parse(build_parser(), argv, capsys)
+    assert outcome[2] in (None, 0, 2)
+
+
+def test_out_named_like_a_group(tmp_path, capsys, monkeypatch):
+    """An --out value equal to a group name is a file name: the report
+    written there is the one the full parser's request writes."""
+    from vicbench import cli
+
+    def report():
+        assert cli.main(["--out", "noether", "ring", "describe", "--builtin", "F2"]) == 0
+        assert capsys.readouterr() == ("", "")
+        data = json.loads((tmp_path / "noether").read_text())
+        assert data.pop("timing")
+        return dump_payload(data)
+
+    monkeypatch.chdir(tmp_path)
+    named = report()
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full_parser())
+    assert named == report()
+    assert json.loads(named)["verb"] == "ring.describe"
 
 
 def test_package_exports_are_the_defining_objects():

@@ -95,7 +95,13 @@ from .ovic import (
     split_rows,
 )
 from .records import Record
-from .rings import RMatrix, _additive_generators, mul_entries, newton_inverse
+from .rings import (
+    RMatrix,
+    _additive_generators,
+    identity_entries,
+    mul_entries,
+    newton_inverse,
+)
 from .wedderburn import AWEmbedding
 
 MAX_PRIME = 97
@@ -314,11 +320,11 @@ def parse_field(spec: str):
 # block ranks, the splittings of each f'' as psi + P Y in rank order, and
 # GL_d lifted through the fibres of R -> R/J from the closure of
 # transvections and diagonal units over R/J, each g^-1 lifted from its
-# image's inverse when its group is built.  One cached object per stratum, the
+# image's inverse once per VIC stratum.  One cached object per stratum, the
 # ``OvicStratum`` of ``_splittings`` under ("ovic", d, n), owns the packed
-# store: a record per f'', checked once, the entry columns of f' over all
-# members, and the search nodes the build took; the degenerate strata
-# d = 0 and n < d take no search.  GL_d is one entry too, the pairs over
+# store: a record per f'', the entry columns of f' over all members, each
+# column built once per pivot pattern and key, and the search nodes the
+# build took; the degenerate strata d = 0 and n < d take no search.  GL_d is one entry too, the pairs over
 # R/J and its entry columns under ("gl", d).  A stratum d -> n is a read-only
 # sequence (``_Stratum``) whose groups are runs of consecutive members: an
 # OVIC record, its slice of the columns, in rank order, whose digits rank
@@ -327,10 +333,11 @@ def parse_field(spec: str):
 # table takes for all of GL_d at once, on GL_d's entry columns, and whose
 # slice, psi + K for K in ker(f2'')^d, is moved to psi g^-1 + K, one table
 # per entry, and sorted only when it is read (``VicStratum``,
-# 1 <= d <= n).  A group is built with one batch constructor call per
-# class when it is first read.  OVIC strata keep the records they build,
-# since callers walk them again; a VIC stratum is built per call, and a
-# walk over it drops each group once past it.
+# 1 <= d <= n).  An OVIC record, or a walked VIC group, is built with one
+# batch constructor call per class when it is first read; an index into a
+# VIC group builds its one member.  OVIC strata keep the records they
+# build, since callers walk them again; a VIC stratum is built per call,
+# and a walk over it drops each group once past it.
 # Members hold only rings, embeddings, tuples and ints, so reference
 # counting frees whatever is dropped, and no build leaves work for the
 # cyclic collector.
@@ -453,21 +460,27 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
     sorted by the order keys' prefixes (n, s_sets, Phi(f'') columns),
     distinct as Phi is injective.
 
-    Phi(psi) is zero on the free rows, so with P = I - psi f'' the
-    splittings are f' = psi + P Y, row i of Y running over V_i
-    (``_row_spaces``), and (1 - E_i) f'_i = Y_i fixes the free rows of
-    row i.  Each record is stored in rank order: Y in product order over
-    V_0 x .. x V_{n-1}, row 0 most significant, so entry (r, c) is an
-    outer sum built from the last row up, |V_i| translated copies of the
-    rows below per row i, a plain repeat where P[r, i] is zero.  A count
-    other than |R|^(d (n - d)), or a V_i with a repeated value, is a bug:
-    RuntimeError, before the record's columns are built.  The nodes plus
-    the members so far bound the work of either stratum from below, so
-    BudgetExceeded is raised as soon as they pass ``budget``.  Each record
-    passes ``_check_group`` as it is made, so both builds take its
-    members' parts as they are.  With no search, d = 0 is one record (the
-    0 x n f'') of one member and no columns, and n < d no record and n d
-    empty columns."""
+    Phi(psi) is zero on the free rows, so with P = I - psi f''
+    (``_complement``) the splittings are f' = psi + P Y, row i of Y
+    running over V_i (``_row_spaces``), and (1 - E_i) f'_i = Y_i fixes the
+    free rows of row i.  Each record is stored in rank order: Y in product
+    order over V_0 x .. x V_{n-1}, row 0 most significant, so entry (r, c)
+    is an outer sum built from the last row up, |V_i| translated copies of
+    the rows below per row i, a plain repeat where P[r, i] is zero.  That
+    column depends on the pivot pattern s_sets, c, psi[r, c] and row r of
+    P alone, so it is built once per such key and shared by every record
+    that has it; a row of P that is a unit row, as every row where psi is
+    zero is, gives the same column in every record of the pattern.  psi,
+    the V_i and their checks depend on s_sets alone too, and are made
+    once per pattern: a count other than |R|^(d (n - d)), or a V_i with a
+    repeated value, is a bug, RuntimeError, and psi and the V_i pass
+    ``_check_group``, both before any column of the pattern is built.
+    Each record's f'' passes ``_check_dprime`` as the record is made, so
+    both builds take its members' parts as they are.  The nodes plus the
+    members so far bound the work of either stratum from below, so
+    BudgetExceeded is raised as soon as they pass ``budget``.  With no
+    search, d = 0 is one record (the 0 x n f'') of one member and no
+    columns, and n < d no record and n d empty columns."""
     key = ("ovic", d, n)
     if key not in emb.enum_cache:
         ring = emb.ring
@@ -483,34 +496,41 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
             # prefix order: n is fixed, so by s_sets, then Phi(f'') columns
             found.sort(key=itemgetter(1, 2))
         records, parts = [], [[] for _ in range(n * d)]
-        work, ident, by_pivots = nodes, RMatrix.identity(ring, n), {}
+        work, patterns = nodes, {}
         for f_dprime, s_sets, _ in found:
-            if s_sets not in by_pivots:  # psi and the V_i depend on s_sets alone
+            if s_sets not in patterns:
                 spaces = [values for _, values in _row_spaces(emb, d, n, s_sets)]
                 count = prod(map(len, spaces))
                 if count != ring.size ** (d * (n - d)) or any(len(set(v)) < len(v)
                                                              for v in spaces):
                     raise RuntimeError(f"record {len(records)} of OVIC({d}, {n}) is not "
                                        "the product of its free rows")  # bug guard
-                by_pivots[s_sets] = canonical_splitting(s_sets, emb, m=n, n=d), spaces, count
-            psi, spaces, count = by_pivots[s_sets]
+                psi = canonical_splitting(s_sets, emb, m=n, n=d)
+                _check_group(d, n, psi.entries, spaces)
+                # (c, psi[r, c], row r of P) -> its column, for this pattern
+                patterns[s_sets] = psi, spaces, count, {}
+            psi, spaces, count, built = patterns[s_sets]
             offset = work - nodes  # the members so far
             work += count
             _check_budget(work, budget, f"OVIC({d}, {n})")
-            _check_group(ring, d, n, f_dprime, psi.entries, spaces)
-            p = ident.sub(psi.mul(f_dprime)).entries
+            _check_dprime(ring, d, n, f_dprime)
+            p = _complement(ring, psi.entries, f_dprime.entries, n, d)
             records.append((f_dprime, s_sets, psi, count, offset))
             for i, (part, a) in enumerate(zip(parts, psi.entries)):
                 r, c = divmod(i, d)
-                column = pack((a,))
-                for x, values in zip(reversed(p[r * n:(r + 1) * n]), reversed(spaces)):
-                    if x == zero:
-                        column *= len(values)
-                    elif len(column) == 1:  # one table for all of row i's shifts
-                        column = through(pack([mul[x][y[c]] for y in values]), plus[column[0]])
-                    else:
-                        column = pack(b"".join([through(column, plus[mul[x][y[c]]])
-                                                for y in values]))
+                column = built.get((c, a, p[r]))
+                if column is None:
+                    column = pack((a,))
+                    for x, values in zip(reversed(p[r]), reversed(spaces)):
+                        if x == zero:
+                            column *= len(values)
+                        elif len(column) == 1:  # one table for all of row i's shifts
+                            column = through(pack([mul[x][y[c]] for y in values]),
+                                             plus[column[0]])
+                        else:
+                            column = pack(b"".join([through(column, plus[mul[x][y[c]]])
+                                                    for y in values]))
+                    built[c, a, p[r]] = column
                 part.append(column)
         # join and drop one position's parts at a time, so the build peaks
         # near one store, not two
@@ -519,6 +539,28 @@ def _splittings(emb: AWEmbedding, d: int, n: int, budget: int) -> OvicStratum:
             columns.append(pack(b"".join(parts.pop(0))))
         emb.enum_cache[key] = OvicStratum(emb, d, n, records, columns, nodes)
     return emb.enum_cache[key]
+
+
+def _complement(ring, psi: tuple, f_dprime: tuple, n: int, d: int) -> list:
+    """The rows of P = I - psi f'' as n entry tuples, for the n x d psi and
+    the d x n f'' as entry tuples, through the ring's tables: a row where
+    psi is zero is the unit row of I."""
+    add, neg, mul, zero = ring._add, ring._neg, ring._mul, ring.zero
+    ident = identity_entries(ring, n)
+    rows = []
+    for r in range(n):
+        row, unit = psi[r * d:(r + 1) * d], ident[r * n:(r + 1) * n]
+        if row.count(zero) == d:
+            rows.append(unit)
+            continue
+        out = []
+        for j in range(n):
+            acc = zero
+            for t, x in enumerate(row):
+                acc = add[acc][mul[x][f_dprime[t * n + j]]]
+            out.append(add[unit[j]][neg[acc]])
+        rows.append(tuple(out))
+    return rows
 
 
 def _row_spaces(emb: AWEmbedding, d: int, n: int, s_sets: tuple) -> list:
@@ -603,17 +645,21 @@ def _column_product(emb: AWEmbedding, columns: list, b: tuple, rows: int, inner:
     return out
 
 
-def _check_group(ring, d: int, n: int, f_dprime: RMatrix, base: tuple,
-                 spaces: list) -> None:
-    """What ``RMatrix`` and ``VicMorphism`` check for each member, checked
-    once for the members (base + P Y, f''), row i of Y in ``spaces[i]``:
-    f'' is d x n over ``ring``, base n * d ints, and ``spaces`` n lists of
+def _check_group(d: int, n: int, base: tuple, spaces: list) -> None:
+    """What ``RMatrix`` and ``VicMorphism`` check of f' for each member,
+    checked once for all the members base + P Y of a pivot pattern, row i
+    of Y in ``spaces[i]``: base n * d ints and ``spaces`` n lists of
     d-tuples."""
-    if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
-        raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
     if (len(base) != n * d or len(spaces) != n or any(set(map(len, v)) - {d} for v in spaces)
             or any(type(x) is not int for x in base)):
         raise BadShape(f"splittings of a {d}x{n} f'' need {n * d} int entries")
+
+
+def _check_dprime(ring, d: int, n: int, f_dprime: RMatrix) -> None:
+    """What ``VicMorphism`` checks of f'' for each member, checked once for
+    the members of its record: f'' is d x n over ``ring``."""
+    if f_dprime.ring is not ring or (f_dprime.rows, f_dprime.cols) != (d, n):
+        raise InvalidMorphism(f"f'' must be a {d}x{n} matrix over {ring.name}")
 
 
 def _gl_generators(ring, d: int) -> list[tuple[int, int, int, int]]:
@@ -717,7 +763,9 @@ def _general_linear(emb: AWEmbedding, d: int, budget: int) -> tuple[list, list]:
 def _gl_inverse(emb: AWEmbedding, d: int, gl: tuple, i: int) -> tuple[int, ...]:
     """g^-1 for element i of GL_d (``gl``, from ``_general_linear``): the
     section of gbar^-1 is an inverse of g modulo J, from which
-    ``newton_inverse`` lifts it and checks it on both sides."""
+    ``newton_inverse`` lifts it and checks it on both sides.  On a ring
+    with J = 0 the seed is g^-1 already, and the checks are all the work.
+    ``VicStratum`` calls it once per g and keeps the result."""
     bar, columns = gl
     sec = emb.qdata.section
     seed = tuple([sec[x] for x in bar[i * len(bar) // len(columns[0])][1]])
@@ -768,10 +816,11 @@ def enumerate_vic(emb: AWEmbedding, d: int, n: int,
     table (``VicStratum``) over the cached OVIC(d, n) of ``_splittings``,
     each record's f'' for all g at once from GL_d's entry columns
     (``_column_product``).  Its length comes from the table; a group's
-    g^-1, psi g^-1 and members are made when an index or a walk first
-    reaches it.  GL_d is lifted through the fibres of R -> R/J from a
-    closure over R/J under right multiplication by transvections and
-    diagonal units (``_general_linear``).  ``budget`` bounds the work: the
+    psi g^-1 and f' are made when an index or a walk first reaches it,
+    g^-1 once per g, and an index builds just the member it reads.  GL_d
+    is lifted through the fibres of R -> R/J from a closure over R/J under
+    right multiplication by transvections and diagonal units
+    (``_general_linear``).  ``budget`` bounds the work: the
     search nodes of OVIC(d, n), the |GL_d(R/J)| |generators| products of
     the closure (``_gl_products``), and per g in GL_d one lift plus the
     members of OVIC(d, n); VIC(0, n) is work 1.  That work is counted
@@ -811,8 +860,9 @@ class _Stratum(Sequence):
 
     ``_starts`` holds each group's first index and the length last, so
     ``len`` is O(1) and an index finds its group by bisection; a slice
-    gives a list.  Indexing keeps each group it builds (``_kept``), so
-    repeated indices into one group build it once.  A walk takes the
+    gives a list.  Indexing keeps what ``_kept`` makes of each group it
+    reaches, so repeated indices into one group make it once: the members
+    of an OVIC record, a VIC group's sorted f'.  A walk takes the
     groups in turn through ``_walked``: ``_kept`` in a stratum that is
     walked again, ``_group`` in one whose walk holds one group at a
     time."""
@@ -952,13 +1002,16 @@ class VicStratum(_Stratum):
     """VIC(d, n), d >= 1, as a read-only sequence over its (f2'', g) groups
     in f'' order (``enumerate_vic``).  A group is (f''.entries, the index
     of its record in ``ovic``, the cached OVIC(d, n), the index of g in
-    GL_d).  Building it lifts g^-1 (``_gl_inverse``), computes psi g^-1 and
-    moves the record's slice of the store, psi + K, to psi g^-1 + K through
-    one translation table per entry; those f', sorted, are paired with f''.
-    A walk keeps no group."""
+    GL_d).  Its f' (``_sorted``) are the record's slice of the store,
+    psi + K, moved to psi g^-1 + K through one translation table per
+    entry, and sorted.  Each g^-1 is lifted and checked (``_gl_inverse``)
+    when a group of g is first built and kept in ``_inverses``, so a
+    stratum holds at most |GL_d| of them and lifts none twice.  An index
+    keeps its group's sorted f' (``_VicGroup``) and builds only the member
+    it reads; a walk builds each group whole and keeps none."""
 
     __slots__ = ("_ring", "_ovic", "_gl", "_groups", "_plus", "_through", "_f_primes",
-                 "_f_dprimes")
+                 "_f_dprimes", "_inverses")
 
     def __init__(self, ovic: OvicStratum, gl: tuple, groups: list):
         counts = [rec[3] for rec in ovic._records]
@@ -970,22 +1023,51 @@ class VicStratum(_Stratum):
         self._through = _packing(ring)[2]
         self._f_primes = partial(RMatrix._batch, ring, n, d)
         self._f_dprimes = partial(RMatrix._batch, ring, d, n)
+        self._inverses: dict = {}
 
-    def _group(self, k: int) -> list[VicMorphism]:
-        """The members of group k, built afresh."""
+    def _sorted(self, k: int) -> tuple[list, RMatrix]:
+        """Group k's f' entry tuples, sorted, and its f''."""
         f_dprime, r, g = self._groups[k]
         ovic = self._ovic
         _, _, psi, count, offset = ovic._records[r]
         ring, plus, through = self._ring, self._plus, self._through
         add, neg, d, part = ring._add, ring._neg, psi.cols, slice(offset, offset + count)
+        g_inv = self._inverses.get(g)
+        if g_inv is None:
+            g_inv = self._inverses[g] = _gl_inverse(ovic._emb, d, self._gl, g)
         # psi g^-1, and per entry the table of x -> x + (psi g^-1 - psi)
-        base = mul_entries(ring, psi.entries, _gl_inverse(ovic._emb, d, self._gl, g),
-                           psi.rows, d, d)
+        base = mul_entries(ring, psi.entries, g_inv, psi.rows, d, d)
         f_primes = sorted(zip(*[through(column[part], plus[add[b][neg[a]]])
                                 for column, a, b in zip(ovic._columns, psi.entries, base)]))
-        return VicMorphism._batch(self._f_primes(f_primes), self._f_dprimes((f_dprime,))[0])
+        return f_primes, self._f_dprimes((f_dprime,))[0]
+
+    def _group(self, k: int) -> list[VicMorphism]:
+        """The members of group k, built afresh."""
+        f_primes, f_dprime = self._sorted(k)
+        return VicMorphism._batch(self._f_primes(f_primes), f_dprime)
+
+    def _kept(self, k: int) -> "_VicGroup":
+        """Group k as an index reads it, made on first use and kept."""
+        group = self._built.get(k)
+        if group is None:
+            group = self._built[k] = _VicGroup(self._f_primes, *self._sorted(k))
+        return group
 
     _walked = _group
+
+
+class _VicGroup:
+    """A VIC group as ``VicStratum`` keeps it for indexing: its f' entry
+    tuples, sorted, and its f''.  Reading position j builds that member
+    alone, afresh."""
+
+    __slots__ = ("_f_primes", "_entries", "_f_dprime")
+
+    def __init__(self, f_primes, entries: list, f_dprime: RMatrix):
+        self._f_primes, self._entries, self._f_dprime = f_primes, entries, f_dprime
+
+    def __getitem__(self, j: int) -> VicMorphism:
+        return VicMorphism._batch(self._f_primes((self._entries[j],)), self._f_dprime)[0]
 
 
 # ---------------------------------------------------------------------------

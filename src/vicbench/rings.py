@@ -856,9 +856,9 @@ class RMatrix:
     def sub(self, other: "RMatrix") -> "RMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols) or self.ring is not other.ring:
             raise BadShape("shape mismatch in sub")
-        r = self.ring
-        return RMatrix(r, self.rows, self.cols,
-                       [r.sub(a, b) for a, b in zip(self.entries, other.entries)])
+        add, neg = self.ring._add, self.ring._neg
+        return RMatrix(self.ring, self.rows, self.cols,
+                       [add[a][neg[b]] for a, b in zip(self.entries, other.entries)])
 
     def reduce(self, q: QuotientData) -> "RMatrix":
         proj = q.projection

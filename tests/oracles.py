@@ -2,16 +2,20 @@
 ``OvicStratum`` replaced, the digit tables read back as the same shape, the
 Phi_bar-matrix elimination that ``ovic.s_function`` replaced, the
 closure over R itself that the lifts of ``noether._general_linear``
-replaced, and the depth-first column search that the per-rank successor
-lists of ``noether._column_adapted_dprimes`` replaced."""
+replaced, the depth-first column search that the per-rank successor
+lists of ``noether._column_adapted_dprimes`` replaced, and the per-record
+store build that ``noether._splittings`` replaced with columns built once
+per pivot pattern."""
 
 from __future__ import annotations
 
 import itertools
+from math import prod
+from operator import itemgetter
 
 from vicbench import noether
 from vicbench.errors import NotSurjective
-from vicbench.ovic import DistinguishedIndexer, split_rows
+from vicbench.ovic import DistinguishedIndexer, canonical_splitting, split_rows
 from vicbench.rings import RMatrix
 
 
@@ -227,3 +231,49 @@ def column_adapted_dprimes_by_search(emb, d: int, n: int, budget: int
         out.append((f_dprime, pivots,
                     tuple(table[i][s][1] for i in cols for s in range(mu))))
     return out, nodes
+
+
+def store_by_record(emb, d: int, n: int) -> tuple[list, list]:
+    """The records and entry columns of OVIC(d, n) as ``noether._splittings``
+    built them before it shared work between the records of a pivot
+    pattern: per record, P = I - psi f'' through ``RMatrix.sub`` and every
+    entry column of its splittings built afresh, the row spaces and each
+    record's parts checked against the record.  The f'' come from
+    ``noether._column_adapted_dprimes`` (its own oracle is above)."""
+    ring = emb.ring
+    pack, _, through = noether._packing(ring)
+    plus, mul, zero = noether._translations(emb), ring._mul, ring.zero
+    if d == 0:
+        found = [(RMatrix(ring, 0, n, ()), ((),) * emb.q, ())]
+    elif n < d:
+        found = []
+    else:
+        found = sorted(noether._column_adapted_dprimes(emb, d, n, 10 ** 9)[0],
+                       key=itemgetter(1, 2))
+    records, parts, offset = [], [[] for _ in range(n * d)], 0
+    ident = RMatrix.identity(ring, n)
+    for f_dprime, s_sets, _ in found:
+        spaces = [values for _, values in noether._row_spaces(emb, d, n, s_sets)]
+        count = prod(map(len, spaces))
+        assert count == ring.size ** (d * (n - d))
+        assert all(len(set(v)) == len(v) for v in spaces)
+        psi = canonical_splitting(s_sets, emb, m=n, n=d)
+        assert (f_dprime.ring, f_dprime.rows, f_dprime.cols) == (ring, d, n)
+        assert len(psi.entries) == n * d and len(spaces) == n
+        assert all(len(y) == d for v in spaces for y in v)
+        p = ident.sub(psi.mul(f_dprime)).entries
+        records.append((f_dprime, s_sets, psi, count, offset))
+        offset += count
+        for i, (part, a) in enumerate(zip(parts, psi.entries)):
+            r, c = divmod(i, d)
+            column = pack((a,))
+            for x, values in zip(reversed(p[r * n:(r + 1) * n]), reversed(spaces)):
+                if x == zero:
+                    column *= len(values)
+                elif len(column) == 1:
+                    column = through(pack([mul[x][y[c]] for y in values]), plus[column[0]])
+                else:
+                    column = pack(b"".join([through(column, plus[mul[x][y[c]]])
+                                            for y in values]))
+            part.append(column)
+    return records, [pack(b"".join(part)) for part in parts]

@@ -290,12 +290,12 @@ def test_splittings_stop_at_the_budget(monkeypatch, enumerate_):
     """The budget is checked as the splittings of each f'' are counted, so a
     stratum far past it stops after a few records instead of building all
     196 records of T2F2 1 -> 3 (64 splittings each) first.  Each record
-    built passes ``_check_group`` once."""
+    built passes ``_check_dprime`` once, so its calls count the records."""
     emb = build_aw_embedding(build_ring("upper_triangular(zmod(2),2)"))
-    check_group = noether._check_group
+    check_dprime = noether._check_dprime
     calls = []
-    monkeypatch.setattr(noether, "_check_group",
-                        lambda *args: calls.append(args) or check_group(*args))
+    monkeypatch.setattr(noether, "_check_dprime",
+                        lambda *args: calls.append(args) or check_dprime(*args))
     with pytest.raises(BudgetExceeded):
         enumerate_(emb, 1, 3, budget=2000)
     assert 0 < len(calls) <= 2000 // 64 + 1

@@ -30,6 +30,7 @@ from oracles import (
     digit_ranks,
     general_linear_by_closure,
     sorted_ranks,
+    store_by_record,
 )
 from spec_rings import spec_rings
 
@@ -213,20 +214,80 @@ def test_digit_tables_refuse_a_record_off_the_product(monkeypatch, corrupt):
 
 
 def test_group_checks_reject_what_the_constructors_reject():
-    """Members are built unchecked; their parts are checked once per f''."""
+    """Members are built unchecked; their parts are checked once: f'' per
+    record (``_check_dprime``), psi and the V_i per pivot pattern
+    (``_check_group``)."""
     ring = builtin_ring("Z4")
     f2 = RMatrix(ring, 1, 2, [1, 0])
     spaces = [[(0,)], [(0,), (1,), (2,), (3,)]]
-    noether._check_group(ring, 1, 2, f2, (1, 0), spaces)
+    noether._check_dprime(ring, 1, 2, f2)
+    noether._check_group(1, 2, (1, 0), spaces)
     with pytest.raises(InvalidMorphism):
-        noether._check_group(ring, 1, 2, RMatrix(builtin_ring("F2"), 1, 2, [1, 0]),
-                             (1, 0), spaces)
+        noether._check_dprime(ring, 1, 2, RMatrix(builtin_ring("F2"), 1, 2, [1, 0]))
     with pytest.raises(InvalidMorphism):
-        noether._check_group(ring, 1, 3, f2, (1, 0), spaces)
+        noether._check_dprime(ring, 1, 3, f2)
     for base, rows in (((1,), spaces), ((1, 0), [[(0,)], [(0,), ()]]), ((1, 0), spaces[:1]),
                        ((1, 0), [[(0, 0)], spaces[1]]), ((1.0, 0), spaces)):
         with pytest.raises(BadShape):
-            noether._check_group(ring, 1, 2, f2, base, rows)
+            noether._check_group(1, 2, base, rows)
+
+
+def _spy_on_columns(monkeypatch) -> list:
+    """Record every ``pack`` call, as each entry column of a store is built
+    through one: the list of its arguments."""
+    packing, packed = noether._packing, []
+
+    def spied(ring):
+        pack, table, through = packing(ring)
+        return lambda *args: packed.append(args) or pack(*args), table, through
+
+    monkeypatch.setattr(noether, "_packing", spied)
+    return packed
+
+
+@pytest.mark.parametrize("bad", ["ring", "shape"])
+@pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
+def test_builds_refuse_a_record_whose_f_dprime_is_off(monkeypatch, bad, enumerate_):
+    """Each record's f'' is checked as the record is made, not once per
+    pivot pattern: the last record of Z4 1 -> 3, whose pattern the records
+    before it share, given an f'' over another ring or of another shape, is
+    refused by either build, and nothing is cached."""
+    search = noether._column_adapted_dprimes
+
+    def off(emb, d, n, budget):
+        found, nodes = search(emb, d, n, budget)
+        order = sorted(range(len(found)), key=lambda i: found[i][1:])
+        f2, s_sets, cols = found[order[-1]]
+        assert [found[i][1] for i in order].count(s_sets) > 1
+        f2 = (RMatrix(zmod(4), d, n, f2.entries) if bad == "ring"
+              else RMatrix(emb.ring, n, d, f2.entries))
+        found[order[-1]] = f2, s_sets, cols
+        return found, nodes
+
+    monkeypatch.setattr(noether, "_column_adapted_dprimes", off)
+    emb = build_aw_embedding(build_ring("zmod(4)"))
+    with pytest.raises(InvalidMorphism):
+        enumerate_(emb, 1, 3)
+    assert ("ovic", 1, 3) not in emb.enum_cache
+
+
+@pytest.mark.parametrize("bad", ["length", "type"])
+def test_builds_refuse_a_bad_psi_before_any_column(monkeypatch, bad):
+    """A canonical splitting of the wrong length, or with an entry that is
+    no int, is refused (BadShape) once its pattern is first met, before
+    any entry column is built."""
+    splitting = noether.canonical_splitting
+
+    def off(s_sets, emb, m, n):
+        psi = splitting(s_sets, emb, m=m, n=n)
+        entries = psi.entries[:-1] + ((1.0,) if bad == "type" else ())
+        return RMatrix._batch(emb.ring, m, n, [entries])[0]
+
+    monkeypatch.setattr(noether, "canonical_splitting", off)
+    packed = _spy_on_columns(monkeypatch)
+    with pytest.raises(BadShape):
+        enumerate_ovic(build_aw_embedding(build_ring("zmod(2)")), 1, 3)
+    assert packed == []
 
 
 def test_member_hashes_keep_their_formula():
@@ -267,11 +328,14 @@ def test_kernel_equals_the_scan(name, d, n):
 @pytest.mark.parametrize("enumerate_", [enumerate_ovic, enumerate_vic])
 @pytest.mark.parametrize("d", [1, 2])
 def test_builds_refuse_a_corrupt_record(monkeypatch, enumerate_, d):
-    """The group check runs once per record, as ``_splittings`` makes it: a
-    V_i whose last value is short of an entry is refused by either build."""
+    """The group check runs once per pivot pattern, as ``_splittings`` first
+    meets it: a V_i whose last value is short of an entry is refused by
+    either build, before any entry column is built."""
     _corrupt_row_spaces(monkeypatch, lambda values: values[:-1] + [values[-1][:-1]])
+    packed = _spy_on_columns(monkeypatch)
     with pytest.raises(BadShape):
         enumerate_(build_aw_embedding(build_ring("zmod(2)")), d, 3)
+    assert packed == []
 
 
 class _Reads(list):
@@ -647,6 +711,98 @@ def test_translation_tables_built_once_per_embedding():
     pack, _, through = noether._packing(emb.ring)
     elements = pack(range(emb.ring.size))
     assert [list(through(elements, t)) for t in tables] == list(map(list, emb.ring.add_table))
+
+
+def assert_store_matches(emb, d, n):
+    """The store of OVIC(d, n) against the per-record build it replaced
+    (``oracles.store_by_record``): equal records, and entry columns of the
+    same type holding the same bytes."""
+    stratum = enumerate_ovic(emb, d, n)
+    records, columns = store_by_record(emb, d, n)
+    assert stratum._records == records
+    assert ([(type(c), bytes(c)) for c in stratum._columns]
+            == [(type(c), bytes(c)) for c in columns])
+
+
+def assert_reads_match_the_walk(emb, d, n):
+    """On a fresh VIC(d, n), every index read from the last to the first,
+    then from the first and from either end, against the walk; slices
+    too, and IndexError one past either end."""
+    vic = enumerate_vic(emb, d, n)
+    size = len(vic)
+    backwards = [vic[i] for i in reversed(range(size))]
+    walked = list(vic)
+    assert backwards[::-1] == walked
+    assert [vic[i] for i in range(size)] == walked
+    assert [vic[i - size] for i in range(size)] == walked
+    for part in (slice(None, None, -1), slice(1, None, 3), slice(-5, -1)):
+        assert list(vic[part]) == walked[part]
+    for i in (size, -size - 1):
+        with pytest.raises(IndexError):
+            vic[i]
+
+
+@pytest.mark.parametrize("name,d,n", GRID, ids=[f"{r}-{d}-{n}" for r, d, n in GRID])
+def test_store_and_reads_equal_their_oracles(name, d, n):
+    """Columns built once per pivot pattern equal the per-record build, and
+    a VIC index read, which builds its member alone, equals the walk."""
+    emb = build_aw_embedding(builtin_ring(name))
+    assert_store_matches(emb, d, n)
+    assert_reads_match_the_walk(emb, d, n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(small_strata())
+def test_store_and_reads_on_random_rings(stratum):
+    """The two oracles above on 40 fixed examples."""
+    ring, d, n = stratum
+    emb = build_aw_embedding(ring)
+    assert_store_matches(emb, d, n)
+    assert_reads_match_the_walk(emb, d, n)
+
+
+@pytest.mark.parametrize("name,d,n", [("Z8", 2, 2), ("M2F2", 1, 2)])
+def test_vic_lifts_each_inverse_once(monkeypatch, name, d, n):
+    """Over Z8, J^2 != 0, so Newton takes real steps from some seed; over
+    M2F2 some group's psi g^-1 is not psi.  Reading every index of VIC(d, n)
+    in reverse order, then walking it, gives the walk's members and lifts
+    each g^-1 once, whatever the number of records: a stratum keeps one
+    inverse per g of its groups, at most |GL_d|."""
+    emb = build_aw_embedding(builtin_ring(name))
+    ring, vic = emb.ring, enumerate_vic(emb, d, n)
+    lifts = []
+    gl_inverse = noether._gl_inverse
+    monkeypatch.setattr(noether, "_gl_inverse",
+                        lambda *args: lifts.append(args[3]) or gl_inverse(*args))
+    backwards = [vic[i] for i in reversed(range(len(vic)))]
+    assert backwards[::-1] == list(vic)
+    assert len(vic._inverses) == len(lifts) == len(set(lifts)) <= noether._gl_order(emb, d)
+    assert set(lifts) == {g for _, _, g in vic._groups}
+    ident = RMatrix.identity(ring, d).entries
+    bar, columns = noether._general_linear(emb, d, 10 ** 6)
+    sec = emb.qdata.section
+    seeds = []
+    for g, g_inv in vic._inverses.items():
+        m = tuple(column[g] for column in columns)
+        assert mul_entries(ring, m, g_inv, d, d, d) == ident == mul_entries(ring, g_inv, m, d, d, d)
+        seeds.append(tuple(sec[x] for x in bar[g * len(bar) // len(columns[0])][1]) != g_inv)
+    moved = [mul_entries(ring, vic._ovic._records[r][2].entries, vic._inverses[g], n, d, d)
+             != vic._ovic._records[r][2].entries for _, r, g in vic._groups]
+    assert any(seeds if name == "Z8" else moved)
+
+
+def test_a_wrong_inverse_seed_raises_on_the_first_read():
+    """A g^-1 lifted from a wrong seed is refused by Newton's checks on the
+    first index read of its group, and neither the inverse nor the group
+    is kept, so the next read raises again."""
+    emb = build_aw_embedding(zmod(8))  # fresh: its GL_2 is patched below
+    vic = enumerate_vic(emb, 2, 2)
+    bar = noether._general_linear(emb, 2, 10 ** 6)[0]
+    bar[:] = [(g, (emb.qdata.quotient.zero,) * 4) for g, _ in bar]
+    for _ in range(2):
+        with pytest.raises(RuntimeError, match="inverse"):
+            vic[0]
+    assert vic._inverses == vic._built == {}
 
 
 SEARCH_CASES = [(name, d, n) for name in BUILTIN_NAMES for d in (1, 2, 3)
